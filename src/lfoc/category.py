@@ -315,7 +315,11 @@ def is_extension(b: Morphism, t: Morphism, a: Morphism) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# Hom-set enumeration
+# Hom-set enumeration and search
+#
+# Inside a search a morphism b: X -> C is a tuple of positions in C's
+# name list, one per name of X in declared order (vertices before edges
+# for graphs).  Lexicographic order on these tuples is hom-set order.
 
 _HOM_CACHE: dict[tuple[CatObject, CatObject], tuple[Morphism, ...]] = {}
 
@@ -328,80 +332,241 @@ def hom_set(dom: CatObject, cod: CatObject) -> tuple[Morphism, ...]:
     the codomain's declared order.  The result is cached per object
     pair.
     """
-    if dom.kind != cod.kind:
-        raise CategoryError(f"kind mismatch: {dom!r} is a {dom.kind}, {cod!r} is a {cod.kind}")
     key = (dom, cod)
     cached = _HOM_CACHE.get(key)
     if cached is None:
-        if isinstance(dom, FinSet):
-            cached = _set_homs(dom, cod)
-        else:
-            cached = _graph_homs(dom, cod)
+        index = SearchIndex()
+        cached = tuple(index.morphisms(dom, cod, hom_search(dom, cod, (), index)))
         _HOM_CACHE[key] = cached
     return cached
 
 
-def _set_homs(dom: FinSet, cod: FinSet) -> tuple[SetMorphism, ...]:
-    if not dom.elements:
-        return (SetMorphism(dom, cod, {}),)
-    if not cod.elements:
-        return ()
-    estimate = len(cod.elements) ** len(dom.elements)
-    if estimate > HOM_ENUMERATION_CAP:
-        raise EnumerationLimitError(
-            f"hom set {dom!r} -> {cod!r} has {estimate} candidates "
-            f"(cap {HOM_ENUMERATION_CAP})", estimate)
-    out = []
-    for images in itertools.product(cod.elements, repeat=len(dom.elements)):
-        out.append(SetMorphism(dom, cod, dict(zip(dom.elements, images))))
-    return tuple(out)
+def hom_search(dom: CatObject, cod: CatObject, atoms=(),
+               index: SearchIndex | None = None) -> list[tuple[int, ...]]:
+    """Every b: dom -> cod with delta;b in R for each atom, in hom-set order.
+
+    An atom (binding, relation) stands for a morphism delta: A -> dom and
+    a set R of morphisms A -> cod: `binding` holds the positions in dom
+    of delta's images of A's names, and `relation` holds image tuples in
+    cod, both in A's name order.  Results are image tuples.
+
+    Names of dom are bound one at a time in declared order, each to the
+    candidates every atom over it still allows (Generic Join); an edge's
+    candidates come from the edges between its bound endpoints.  With no
+    constraining atom this is all of hom(dom, cod), refused by estimate
+    past HOM_ENUMERATION_CAP; otherwise the search refuses once its
+    output passes the cap.
+    """
+    if dom.kind != cod.kind:
+        raise CategoryError(f"kind mismatch: {dom!r} is a {dom.kind}, {cod!r} is a {cod.kind}")
+    if index is None:
+        index = SearchIndex()
+    reduced = []
+    for binding, relation in atoms:
+        variables, columns, repeats = index.plan(binding)
+        if columns is not None:
+            relation = {tuple(r[c] for c in columns) for r in relation
+                        if all(r[j] == r[k] for j, k in repeats)}
+        if not relation:
+            return []
+        if variables:
+            reduced.append((variables, relation))
+    if not reduced:
+        return list(index.homs(dom, cod))
+    n = dom.size
+    full = [a for a in reduced if len(a[0]) == n]
+    if full:
+        # one atom binds every name: its facts are the candidates
+        chosen = min(full, key=lambda a: len(a[1]))
+        others = [a for a in reduced if a is not chosen]
+        return sorted(b for b in chosen[1]
+                      if all(tuple(b[p] for p in v) in f for v, f in others))
+    return _join(dom, cod, reduced, index)
 
 
-def _graph_homs(dom: FinGraph, cod: FinGraph) -> tuple[GraphMorphism, ...]:
-    nv, ne = len(dom.vertices), len(dom.edges)
-    estimate = (len(cod.vertices) ** nv) * (max(1, len(cod.edges)) ** ne)
-    if estimate > HOM_ENUMERATION_CAP:
-        raise EnumerationLimitError(
-            f"hom set {dom!r} -> {cod!r} has up to {estimate} candidates "
-            f"(cap {HOM_ENUMERATION_CAP})", estimate)
-    if nv == 0 and ne == 0:
-        return (GraphMorphism(dom, cod, {}, {}),)
-    if not cod.vertices and nv:
-        return ()
+def _join(dom: CatObject, cod: CatObject, atoms, index: SearchIndex) -> list[tuple[int, ...]]:
+    n = dom.size
+    # one trie per atom, its levels in the order of its positions; built
+    # from sorted facts, so every node lists its keys in ascending order
+    tries: list[dict] = []
+    at: list[list[int]] = [[] for _ in range(n)]
+    for variables, facts in atoms:
+        root: dict = {}
+        for fact in sorted(facts):
+            node = root
+            for v in fact:
+                node = node.setdefault(v, {})
+        for p in variables:
+            at[p].append(len(tries))
+        tries.append(root)
+    if isinstance(dom, FinSet):
+        nv, ends = n, None
+        vertices = range(len(cod.elements))
+    else:
+        nv, ends = len(dom.vertices), index.edges_between(cod)
+        vertices = range(len(cod.vertices))
+        pos = index.positions(dom)
+        endpoints = [(pos[dom.src[e]], pos[dom.tgt[e]]) for e in dom.edges]
 
-    by_ends: dict[tuple[str, str], list[str]] = {}
-    for e in cod.edges:
-        by_ends.setdefault((cod.src[e], cod.tgt[e]), []).append(e)
+    out: list[tuple[int, ...]] = []
+    b = [0] * n
 
-    vidx = {v: i for i, v in enumerate(dom.vertices)}
-    # edges become checkable once both endpoints have been assigned
-    ready_after: list[list[str]] = [[] for _ in range(nv + 1)]
-    for e in dom.edges:
-        ready_after[max(vidx[dom.src[e]], vidx[dom.tgt[e]]) + 1].append(e)
-
-    out: list[GraphMorphism] = []
-    vmap: dict[str, str] = {}
-
-    def assign(i: int) -> None:
-        if i == nv:
-            candidate_lists = []
-            for e in dom.edges:
-                cands = by_ends.get((vmap[dom.src[e]], vmap[dom.tgt[e]]))
-                if not cands:
-                    return
-                candidate_lists.append(cands)
-            for combo in itertools.product(*candidate_lists):
-                out.append(GraphMorphism(dom, cod, dict(vmap), dict(zip(dom.edges, combo))))
+    def extend(i: int) -> None:
+        if i == n:
+            out.append(tuple(b))
+            if len(out) > HOM_ENUMERATION_CAP:
+                raise EnumerationLimitError(
+                    f"hom search {dom!r} -> {cod!r} has over {HOM_ENUMERATION_CAP} "
+                    f"results", len(out))
             return
-        v = dom.vertices[i]
-        for w in cod.vertices:
-            vmap[v] = w
-            if all(by_ends.get((vmap[dom.src[e]], vmap[dom.tgt[e]])) for e in ready_after[i + 1]):
-                assign(i + 1)
-        del vmap[v]
+        if i < nv:
+            candidates = vertices
+        else:
+            s, t = endpoints[i - nv]
+            candidates = ends.get((b[s], b[t]), ())
+        ks = at[i]
+        live = [tries[k] for k in ks]
+        if live:
+            smallest = min(live, key=len)
+            candidates = [v for v in smallest
+                          if v in candidates and all(v in node for node in live)]
+        for v in candidates:
+            b[i] = v
+            for k, node in zip(ks, live):
+                tries[k] = node[v]
+            extend(i + 1)
+        for k, node in zip(ks, live):
+            tries[k] = node
 
-    assign(0)
-    return tuple(out)
+    extend(0)
+    return out
+
+
+class SearchIndex:
+    """Structure-independent lookups for the hom searches of one call.
+
+    It holds name positions per object, image tuples per morphism, the
+    reading plan per atom binding, the edge index per graph carrier, hom
+    sets as tuples per object pair and the morphisms built from tuples.
+    A caller that searches many structures (a registry) creates one and
+    passes it down, so all of this is computed once per call; nothing
+    outlives the call.
+    """
+
+    __slots__ = ("_positions", "_images", "_plans", "_ends", "_homs", "_morphisms")
+
+    def __init__(self):
+        self._positions: dict[CatObject, dict[str, int]] = {}
+        self._images: dict[Morphism, tuple[int, ...]] = {}
+        self._plans: dict[tuple[int, ...], tuple] = {}
+        self._ends: dict[FinGraph, dict[tuple[int, int], tuple[int, ...]]] = {}
+        self._homs: dict[tuple[CatObject, CatObject], tuple[tuple[int, ...], ...]] = {}
+        self._morphisms: dict[tuple[CatObject, CatObject], dict[tuple[int, ...], Morphism]] = {}
+
+    def positions(self, obj: CatObject) -> dict[str, int]:
+        pos = self._positions.get(obj)
+        if pos is None:
+            pos = self._positions[obj] = {name: i for i, name in enumerate(obj.names)}
+        return pos
+
+    def image(self, m: Morphism) -> tuple[int, ...]:
+        """Positions in m.cod of the images of m.dom's names."""
+        out = self._images.get(m)
+        if out is None:
+            pos = self.positions(m.cod)
+            if isinstance(m, SetMorphism):
+                images = m.mapping.values()
+            else:
+                images = itertools.chain(m.vertex_map.values(), m.edge_map.values())
+            out = self._images[m] = tuple(pos[y] for y in images)
+        return out
+
+    def plan(self, binding: tuple[int, ...]):
+        """How to read an atom's facts at its distinct positions.
+
+        Returns the distinct positions in ascending order, the fact
+        columns to read at them (None when that is every column in
+        order) and the column pairs a repeated position must agree on.
+        """
+        plan = self._plans.get(binding)
+        if plan is None:
+            first: dict[int, int] = {}
+            for j, p in enumerate(binding):
+                first.setdefault(p, j)
+            variables = tuple(sorted(first))
+            columns = tuple(first[p] for p in variables)
+            repeats = tuple((j, first[p]) for j, p in enumerate(binding) if first[p] != j)
+            if columns == tuple(range(len(binding))):
+                columns = None
+            plan = self._plans[binding] = (variables, columns, repeats)
+        return plan
+
+    def edges_between(self, cod: FinGraph) -> dict[tuple[int, int], tuple[int, ...]]:
+        """Edge positions of cod keyed by (source, target) positions."""
+        ends = self._ends.get(cod)
+        if ends is None:
+            pos = self.positions(cod)
+            lists: dict[tuple[int, int], list[int]] = {}
+            for e in cod.edges:
+                lists.setdefault((pos[cod.src[e]], pos[cod.tgt[e]]), []).append(pos[e])
+            ends = self._ends[cod] = {k: tuple(v) for k, v in lists.items()}
+        return ends
+
+    def homs(self, dom: CatObject, cod: CatObject) -> tuple[tuple[int, ...], ...]:
+        """All of hom(dom, cod) as tuples; refused by estimate past the cap."""
+        key = (dom, cod)
+        out = self._homs.get(key)
+        if out is None:
+            if isinstance(dom, FinSet):
+                estimate = len(cod.elements) ** len(dom.elements)
+                if estimate > HOM_ENUMERATION_CAP:
+                    raise EnumerationLimitError(
+                        f"hom set {dom!r} -> {cod!r} has {estimate} candidates "
+                        f"(cap {HOM_ENUMERATION_CAP})", estimate)
+                out = tuple(itertools.product(range(len(cod.elements)),
+                                              repeat=len(dom.elements)))
+            else:
+                estimate = (len(cod.vertices) ** len(dom.vertices)
+                            * max(1, len(cod.edges)) ** len(dom.edges))
+                if estimate > HOM_ENUMERATION_CAP:
+                    raise EnumerationLimitError(
+                        f"hom set {dom!r} -> {cod!r} has up to {estimate} candidates "
+                        f"(cap {HOM_ENUMERATION_CAP})", estimate)
+                out = tuple(_join(dom, cod, (), self))
+            self._homs[key] = out
+        return out
+
+    def morphisms(self, dom: CatObject, cod: CatObject, tuples) -> list[Morphism]:
+        """The morphisms dom -> cod with these image tuples, built once
+        each through the validated constructors."""
+        built = self._morphisms.get((dom, cod))
+        if built is None:
+            built = self._morphisms[(dom, cod)] = {}
+        out = []
+        for images in tuples:
+            m = built.get(images)
+            if m is None:
+                m = built[images] = _build(dom, cod, images)
+            out.append(m)
+        return out
+
+    def morphism(self, dom: CatObject, cod: CatObject, images: tuple[int, ...]) -> Morphism:
+        return self.morphisms(dom, cod, (images,))[0]
+
+
+def _build(dom: CatObject, cod: CatObject, images: tuple[int, ...]) -> Morphism:
+    if isinstance(dom, FinSet):
+        names = cod.elements
+        return SetMorphism(dom, cod, {x: names[p] for x, p in zip(dom.elements, images)})
+    nv, vs, es = len(cod.vertices), cod.vertices, cod.edges
+    return GraphMorphism(dom, cod,
+                         {v: vs[p] for v, p in zip(dom.vertices, images)},
+                         {e: es[p - nv] for e, p in zip(dom.edges, images[len(dom.vertices):])})
+
+
+def precompose(binding: tuple[int, ...], images: tuple[int, ...]) -> tuple[int, ...]:
+    """delta;b as a tuple, from delta's positions and b's images."""
+    return tuple(images[p] for p in binding)
 
 
 # ---------------------------------------------------------------------------

@@ -33,64 +33,87 @@ from .category import (
     CatObject,
     CategoryError,
     Morphism,
+    SearchIndex,
     canonical_copy,
     compose,
-    hom_set,
+    hom_search,
     identity,
     inverse,
+    precompose,
     pushout,
 )
 from .footprint import Footprint, Report, Structure
 
 
-@dataclass(frozen=True)
+def _node(cls):
+    """A frozen dataclass whose hash is computed once per instance.
+
+    Memo tables hash expression trees over and over; the generated hash
+    would walk the whole tree every time.
+    """
+    cls = dataclass(frozen=True)(cls)
+    field_hash = cls.__hash__
+
+    def __hash__(self) -> int:
+        try:
+            return self._hash
+        except AttributeError:
+            h = field_hash(self)
+            object.__setattr__(self, "_hash", h)
+            return h
+
+    cls.__hash__ = __hash__
+    return cls
+
+
+@_node
 class Expr:
     """Base class; every node carries its arity object."""
 
     arity: CatObject
 
 
-@dataclass(frozen=True)
+@_node
 class Atomic(Expr):
     feature: str
     binding: Morphism  # arity(feature) -> arity
 
 
-@dataclass(frozen=True)
+@_node
 class Top(Expr):
     pass
 
 
-@dataclass(frozen=True)
+@_node
 class Bot(Expr):
     pass
 
 
-@dataclass(frozen=True)
+@_node
 class And(Expr):
     left: Expr
     right: Expr
 
 
-@dataclass(frozen=True)
+@_node
 class Or(Expr):
     left: Expr
     right: Expr
 
 
-@dataclass(frozen=True)
+@_node
 class Not(Expr):
     body: Expr
 
 
-@dataclass(frozen=True)
+@_node
 class CondExists(Expr):
     premise: Expr
     var: Morphism  # t: arity -> Y
     body: Expr     # at Y
 
 
-@dataclass(frozen=True)
+@_node
 class CondForall(Expr):
     premise: Expr
     var: Morphism
@@ -255,47 +278,109 @@ def is_constructive(e: Expr, *, strict: bool = False) -> bool:
 # Semantics
 
 class _Evaluator:
-    """Solution sets over one structure, memoized per sub-expression."""
+    """Solution sets over one structure, memoized per sub-expression.
 
-    def __init__(self, structure: Structure):
+    Internally a solution set is a frozenset of image tuples (see
+    `hom_search`).  Atoms and conjunctions go through one hom search;
+    `or` and `not` are set algebra, and quantifiers project solutions
+    along their variable declaration.  An `exists` with a `top` premise
+    never enumerates hom(X, carrier); `top`, `not`, `forall` and other
+    premises do.  Pass a `SearchIndex` to share lookups across the
+    structures of one call.
+    """
+
+    def __init__(self, structure: Structure, index: SearchIndex | None = None):
         self.structure = structure
+        self.index = SearchIndex() if index is None else index
         self.memo: dict[Expr, frozenset] = {}
+        self._facts: dict[tuple[str, CatObject], frozenset] = {}
 
     def solutions(self, e: Expr) -> frozenset:
+        """The solutions of `e` as a frozenset of morphisms."""
+        return frozenset(self.index.morphisms(e.arity, self.structure.carrier, self.tuples(e)))
+
+    def tuples(self, e: Expr) -> frozenset:
         out = self.memo.get(e)
         if out is None:
-            out = self._compute(e)
-            self.memo[e] = out
+            out = self.memo[e] = self._compute(e)
         return out
 
     def _compute(self, e: Expr) -> frozenset:
-        carrier = self.structure.carrier
-        hom = hom_set(e.arity, carrier)
-        if isinstance(e, Atomic):
-            listed = self.structure.interp_set(e.feature)
-            return frozenset(a for a in hom if compose(e.binding, a) in listed)
-        if isinstance(e, Top):
-            return frozenset(hom)
+        if isinstance(e, (Atomic, And, Top)):
+            atoms = self._conjuncts(e)
+            if atoms is None:
+                return frozenset()
+            return frozenset(hom_search(e.arity, self.structure.carrier, atoms, self.index))
         if isinstance(e, Bot):
             return frozenset()
-        if isinstance(e, And):
-            return self.solutions(e.left) & self.solutions(e.right)
         if isinstance(e, Or):
-            return self.solutions(e.left) | self.solutions(e.right)
+            return self.tuples(e.left) | self.tuples(e.right)
         if isinstance(e, Not):
-            return frozenset(hom) - self.solutions(e.body)
-        if isinstance(e, CondExists):
-            premise = self.solutions(e.premise)
-            witnessed = {compose(e.var, b) for b in self.solutions(e.body)}
-            return frozenset(a for a in hom if a not in premise or a in witnessed)
-        if isinstance(e, CondForall):
-            premise = self.solutions(e.premise)
-            body = self.solutions(e.body)
+            return self.tuples(Top(e.arity)) - self.tuples(e.body)
+        if isinstance(e, (CondExists, CondForall)):
+            if e.var.dom != e.arity or e.body.arity != e.var.cod:
+                raise CategoryError(
+                    f"quantifier along {e.var!r} does not run from the arity "
+                    f"{e.arity!r} to the body arity {e.body.arity!r}")
+            t = self.index.image(e.var)
+            if isinstance(e, CondExists):
+                witnessed = frozenset(precompose(t, b) for b in self.tuples(e.body))
+                if isinstance(e.premise, Top):
+                    return witnessed
+                return (self.tuples(Top(e.arity)) - self.tuples(e.premise)) | witnessed
             # extensions of a along t are the b with t;b = a
-            spoiled = {compose(e.var, b) for b in hom_set(e.var.cod, carrier)
-                       if b not in body}
-            return frozenset(a for a in hom if a not in premise or a not in spoiled)
+            spoiled = {precompose(t, b)
+                       for b in self.tuples(Top(e.var.cod)) - self.tuples(e.body)}
+            return self.tuples(Top(e.arity)) - (self.tuples(e.premise) & spoiled)
         raise TypeError(f"not an expression node: {e!r}")
+
+    def _conjuncts(self, e: Expr) -> list | None:
+        """The hom-search atoms of a conjunction, or None if a conjunct is bot.
+
+        Atomic conjuncts become their feature's facts; `top` adds
+        nothing; any other conjunct, or one already solved, adds its
+        solutions at the full arity.
+        """
+        arity = e.arity
+        every = tuple(range(arity.size))
+        atoms = []
+        stack = [e]
+        while stack:
+            node = stack.pop()
+            if node.arity is not arity and node.arity != arity:
+                raise CategoryError(f"conjunct arity {node.arity!r} differs from {arity!r}")
+            solved = self.memo.get(node) if node is not e else None
+            if solved is not None:
+                atoms.append((every, solved))
+            elif isinstance(node, And):
+                stack += (node.right, node.left)
+            elif isinstance(node, Atomic):
+                if node.binding.cod is not arity and node.binding.cod != arity:
+                    raise CategoryError(
+                        f"atom binding ends at {node.binding.cod!r}, "
+                        f"expected the arity {arity!r}")
+                atoms.append((self.index.image(node.binding),
+                              self._listed(node.feature, node.binding.dom)))
+            elif isinstance(node, Bot):
+                return None
+            elif not isinstance(node, Top):
+                atoms.append((every, self.tuples(node)))
+        return atoms
+
+    def _listed(self, feature: str, arity: CatObject) -> frozenset:
+        """Image tuples of the feature's listed morphisms arity -> carrier.
+
+        A listed morphism with another domain or codomain never matches.
+        """
+        key = (feature, arity)
+        out = self._facts.get(key)
+        if out is None:
+            carrier = self.structure.carrier
+            image = self.index.image
+            out = self._facts[key] = frozenset(
+                image(m) for m in self.structure.interp(feature)
+                if m.dom == arity and m.cod == carrier)
+        return out
 
 
 def solutions(e: Expr, structure: Structure) -> tuple[Morphism, ...]:
@@ -304,8 +389,8 @@ def solutions(e: Expr, structure: Structure) -> tuple[Morphism, ...]:
         raise CategoryError(
             f"expression arity {e.arity!r} and carrier {structure.carrier!r} "
             f"have different kinds")
-    sols = _Evaluator(structure).solutions(e)
-    return tuple(a for a in hom_set(e.arity, structure.carrier) if a in sols)
+    ev = _Evaluator(structure)
+    return tuple(ev.index.morphisms(e.arity, structure.carrier, sorted(ev.tuples(e))))
 
 
 def holds(a: Morphism, e: Expr, structure: Structure) -> bool:
@@ -316,7 +401,8 @@ def holds(a: Morphism, e: Expr, structure: Structure) -> bool:
     if a.cod != structure.carrier:
         raise CategoryError(
             f"assignment ends at {a.cod!r} but the carrier is {structure.carrier!r}")
-    return a in _Evaluator(structure).solutions(e)
+    ev = _Evaluator(structure)
+    return ev.index.image(a) in ev.tuples(e)
 
 
 # ---------------------------------------------------------------------------

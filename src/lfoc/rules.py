@@ -27,12 +27,13 @@ from .category import (
     FinGraph,
     FinSet,
     Morphism,
-    compose,
-    hom_set,
+    SearchIndex,
+    hom_search,
     identity,
+    precompose,
     pushout,
 )
-from .expr import And, CondExists, Expr
+from .expr import And, CondExists, Expr, _Evaluator
 from .footprint import (
     CarrierBounds,
     Footprint,
@@ -43,7 +44,7 @@ from .footprint import (
 from .sketch import (
     Constraint,
     Sketch,
-    models,
+    constraint_atoms,
     structure_to_sketch_max,
     translate_constraint,
 )
@@ -92,8 +93,28 @@ def is_match(phi: Morphism, pattern: Sketch, host: Sketch) -> bool:
 
 def find_matches(pattern: Sketch, host: Sketch) -> tuple[Match, ...]:
     """All matches of the pattern in the host, in hom-set order."""
-    return tuple(Match(phi) for phi in hom_set(pattern.context, host.context)
-                 if is_match(phi, pattern, host))
+    index = SearchIndex()
+    found = _match_tuples(pattern, host, index)
+    return tuple(Match(phi) for phi in index.morphisms(pattern.context, host.context, found))
+
+
+def _match_tuples(pattern: Sketch, host: Sketch, index: SearchIndex) -> list[tuple[int, ...]]:
+    """Image tuples of the matches: a pattern constraint lands on a host
+    constraint with the same canonical expression and the translated
+    binding, so the host bindings grouped by expression are the relations."""
+    bindings: dict[Expr, set] = {}
+    for c in host.constraints:
+        bindings.setdefault(c.canonical, set()).add(index.image(c.binding))
+    atoms = [(index.image(c.binding), bindings.get(c.canonical, ()))
+             for c in pattern.constraints]
+    return hom_search(pattern.context, host.context, atoms, index)
+
+
+def _factored(host: Sketch, rule: SketchRule, index: SearchIndex) -> set:
+    """The lhs matches that factor through an rhs match along the rule
+    morphism, as image tuples."""
+    r = index.image(rule.morphism)
+    return {precompose(r, b) for b in _match_tuples(rule.rhs, host, index)}
 
 
 # ---------------------------------------------------------------------------
@@ -111,13 +132,20 @@ class ConservativityResult:
 def is_conservative(structure: Structure, rule: SketchRule) -> ConservativityResult:
     """Does every lhs model of the structure extend along the rule
     morphism to an rhs model?"""
-    rhs_maps = {m.map for m in models(rule.rhs, structure)}
-    for m in models(rule.lhs, structure):
-        extends = any(compose(rule.morphism, b) == m.map
-                      for b in hom_set(rule.rhs.context, structure.carrier)
-                      if b in rhs_maps)
-        if not extends:
-            return ConservativityResult(False, m.map)
+    return _conservative(structure, rule, SearchIndex())
+
+
+def _conservative(structure: Structure, rule: SketchRule,
+                  index: SearchIndex) -> ConservativityResult:
+    ev = _Evaluator(structure, index)
+    carrier = structure.carrier
+    r = index.image(rule.morphism)
+    extended = {precompose(r, b) for b in hom_search(
+        rule.rhs.context, carrier, constraint_atoms(rule.rhs.sorted_constraints(), ev), index)}
+    for a in hom_search(rule.lhs.context, carrier,
+                        constraint_atoms(rule.lhs.sorted_constraints(), ev), index):
+        if a not in extended:
+            return ConservativityResult(False, index.morphism(rule.lhs.context, carrier, a))
     return ConservativityResult(True)
 
 
@@ -133,8 +161,9 @@ class SoundnessResult:
 
 def is_sound(rule: SketchRule, registry: StructureRegistry) -> SoundnessResult:
     """Is every registry structure conservative for the rule?"""
+    index = SearchIndex()
     for structure in registry:
-        res = is_conservative(structure, rule)
+        res = _conservative(structure, rule, index)
         if not res:
             return SoundnessResult(False, registry.description, (structure, res.witness))
     return SoundnessResult(True, registry.description)
@@ -152,19 +181,14 @@ class ClosednessResult:
         return self.closed
 
 
-def _closed_at(host: Sketch, rule: SketchRule, m: Match) -> bool:
-    return any(compose(rule.morphism, b.morphism) == m.morphism
-               for b in find_matches(rule.rhs, host))
-
-
 def is_closed(host: Sketch, rule: SketchRule) -> ClosednessResult:
     """Does every lhs match factor through an rhs match along the rule
     morphism?"""
-    rhs_matches = find_matches(rule.rhs, host)
-    factored = {compose(rule.morphism, b.morphism) for b in rhs_matches}
-    for m in find_matches(rule.lhs, host):
-        if m.morphism not in factored:
-            return ClosednessResult(False, m)
+    index = SearchIndex()
+    factored = _factored(host, rule, index)
+    for m in _match_tuples(rule.lhs, host, index):
+        if m not in factored:
+            return ClosednessResult(False, Match(index.morphism(rule.lhs.context, host.context, m)))
     return ClosednessResult(True)
 
 
@@ -253,15 +277,21 @@ def saturate(host: Sketch, rules: Sequence[SketchRule],
     """
     steps = 0
     current = host
+    index = SearchIndex()
     while True:
         applied = False
         for rule in rules:
-            for m in find_matches(rule.lhs, current):
-                if _closed_at(current, rule, m):
+            # the host only changes when an application restarts the sweep
+            factored = None
+            for m in _match_tuples(rule.lhs, current, index):
+                if factored is None:
+                    factored = _factored(current, rule, index)
+                if m in factored:
                     continue
                 if steps >= limits.max_steps:
                     return SaturationResult(current, BUDGET_EXHAUSTED, steps)
-                result = apply_rule(current, rule, m)
+                match = Match(index.morphism(rule.lhs.context, current.context, m))
+                result = apply_rule(current, rule, match)
                 if not limits.admits(result.sketch.context):
                     return SaturationResult(current, BUDGET_EXHAUSTED, steps)
                 current = result.sketch
@@ -354,8 +384,9 @@ def axiom_filtered_registry(footprint: Footprint, bounds: CarrierBounds,
                             dedup_isomorphic: bool = False) -> StructureRegistry:
     """The registry of all structures within bounds that are
     conservative for every given rule (semantics by axioms)."""
+    index = SearchIndex()
     keep = [st for st in enumerate_structures(footprint, bounds,
                                               dedup_isomorphic=dedup_isomorphic)
-            if all(is_conservative(st, r) for r in rules)]
+            if all(_conservative(st, r, index) for r in rules)]
     names = ",".join(r.name for r in rules)
     return StructureRegistry(keep, f"axioms[{names}]({bounds.describe()})")

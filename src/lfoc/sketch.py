@@ -27,10 +27,13 @@ from .category import (
     CatObject,
     CategoryError,
     Morphism,
+    SearchIndex,
     compose,
+    hom_search,
     hom_set,
     identity,
     isomorphisms,
+    precompose,
     pushout,
 )
 from .expr import Atomic, Expr, _Evaluator, canonicalize, holds, solutions
@@ -56,6 +59,11 @@ class Constraint:
     def context(self) -> CatObject:
         return self.binding.cod
 
+    @property
+    def canonical(self) -> Expr:
+        """The expression with its bound names in canonical form."""
+        return self._key[0]
+
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Constraint):
             return NotImplemented
@@ -74,7 +82,7 @@ class Constraint:
 class Sketch:
     """A context object with a finite set of constraints on it."""
 
-    __slots__ = ("name", "context", "constraints", "_hash")
+    __slots__ = ("name", "context", "constraints", "_hash", "_sorted")
 
     def __init__(self, name: str, context: CatObject, constraints: Iterable[Constraint] = ()):
         constraints = frozenset(constraints)
@@ -87,9 +95,12 @@ class Sketch:
         self.context = context
         self.constraints = constraints
         self._hash = hash((context, constraints))
+        self._sorted = None
 
     def sorted_constraints(self) -> tuple[Constraint, ...]:
-        return tuple(sorted(self.constraints, key=Constraint.sort_key))
+        if self._sorted is None:
+            self._sorted = tuple(sorted(self.constraints, key=Constraint.sort_key))
+        return self._sorted
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Sketch):
@@ -147,6 +158,12 @@ def check_satisfaction_condition(phi: Morphism, c: Constraint, i: Interpretation
     return lhs == rhs
 
 
+def constraint_atoms(constraints: Iterable[Constraint], ev: _Evaluator) -> list:
+    """Hom-search atoms for interpretations satisfying the constraints:
+    each binding with the solutions of its expression."""
+    return [(ev.index.image(c.binding), ev.tuples(c.expr)) for c in constraints]
+
+
 def models(sketch: Sketch, structure: Structure) -> tuple[Interpretation, ...]:
     """All interpretations of the sketch context satisfying every
     constraint, in hom-set order."""
@@ -155,12 +172,10 @@ def models(sketch: Sketch, structure: Structure) -> tuple[Interpretation, ...]:
             f"sketch context {sketch.context!r} and carrier "
             f"{structure.carrier!r} have different kinds")
     ev = _Evaluator(structure)
-    wanted = [(c.binding, ev.solutions(c.expr)) for c in sketch.sorted_constraints()]
-    out = []
-    for a in hom_set(sketch.context, structure.carrier):
-        if all(compose(binding, a) in sols for binding, sols in wanted):
-            out.append(Interpretation(a, structure))
-    return tuple(out)
+    atoms = constraint_atoms(sketch.sorted_constraints(), ev)
+    found = hom_search(sketch.context, structure.carrier, atoms, ev.index)
+    return tuple(Interpretation(a, structure)
+                 for a in ev.index.morphisms(sketch.context, structure.carrier, found))
 
 
 @dataclass(frozen=True)
@@ -185,14 +200,15 @@ def entails(context: CatObject, premises: Iterable[Constraint],
     for c in premises + conclusions:
         if c.context != context:
             raise CategoryError(f"constraint {c!r} does not live on {context!r}")
+    index = SearchIndex()
     for structure in registry:
-        ev = _Evaluator(structure)
-        pre = [(c.binding, ev.solutions(c.expr)) for c in premises]
-        post = [(c.binding, ev.solutions(c.expr)) for c in conclusions]
-        for a in hom_set(context, structure.carrier):
-            if all(compose(b, a) in sols for b, sols in pre):
-                if not all(compose(b, a) in sols for b, sols in post):
-                    return EntailmentResult(False, registry.description, (structure, a))
+        ev = _Evaluator(structure, index)
+        pre = constraint_atoms(premises, ev)
+        post = constraint_atoms(conclusions, ev)
+        for a in hom_search(context, structure.carrier, pre, index):
+            if not all(precompose(b, a) in sols for b, sols in post):
+                return EntailmentResult(False, registry.description, (
+                    structure, index.morphism(context, structure.carrier, a)))
     return EntailmentResult(True, registry.description)
 
 

@@ -209,3 +209,42 @@ def test_graph_bounds_need_two_numbers(capsys):
                        "--max-carrier", "1")
     assert code == 2
     assert "vertices,edges" in err
+
+
+def _chain_doc(tmp_path, size, expr):
+    """A set document whose carrier c0..c<size-1> is one r-chain."""
+    people = " ".join(f"c{i}" for i in range(size))
+    facts = "".join(f"  r [q1->c{i}; q2->c{i + 1}];\n" for i in range(size - 1))
+    path = tmp_path / "chain.lfoc"
+    path.write_text(
+        "base set;\n"
+        "obj P1 { p };\n"
+        "obj P2 { q1 q2 };\n"
+        "obj X4 { x1 x2 x3 x4 };\n"
+        "obj X7 { x1 x2 x3 x4 x5 x6 x7 };\n"
+        f"obj C {{ {people} }};\n"
+        "footprint F { feature r : P2; };\n"
+        f"{expr}\n"
+        f"structure W : F {{\n  carrier C;\n{facts}}};\n",
+        encoding="utf-8")
+    return str(path)
+
+
+def test_unconstrained_enumeration_past_the_cap_is_refused(capsys, tmp_path):
+    # hom(X7, C) has 10^7 members, past the 5M cap
+    doc = _chain_doc(tmp_path, 10, "expr everything : X7 = top;")
+    code, payload, err = run(capsys, "solve", doc, "--expr", "everything",
+                             "--structure", "W")
+    assert code == 2 and payload is None
+    assert "cap" in err
+
+
+def test_conjunctive_exists_over_a_hom_set_past_the_cap_answers(capsys, tmp_path):
+    # hom(X4, C) has 48^4 > 5M members, but the body binds every variable
+    doc = _chain_doc(tmp_path, 48, (
+        "expr starts_path3 : P1 = exists [p->x1] into X4 .\n"
+        "  r([q1->x1; q2->x2]) and r([q1->x2; q2->x3]) and r([q1->x3; q2->x4]);"))
+    code, payload, _ = run(capsys, "solve", doc, "--expr", "starts_path3",
+                           "--structure", "W")
+    assert code == 0
+    assert payload["solutions"] == [{"p": f"c{i}"} for i in range(45)]
