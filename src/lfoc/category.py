@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Mapping, Union
+from typing import Iterable, Mapping, Union
 
 SET = "set"
 GRAPH = "graph"
@@ -38,31 +38,30 @@ class EnumerationLimitError(RuntimeError):
         self.estimate = estimate
 
 
-def _check_names(names: tuple[str, ...], what: str) -> None:
-    seen = set()
-    for n in names:
+def _positions(names: tuple[str, ...], what: str, start: int = 0) -> dict[str, int]:
+    """Each name's position (counted from `start`), rejecting bad and
+    duplicate names."""
+    position: dict[str, int] = {}
+    for i, n in enumerate(names, start):
         if not isinstance(n, str) or not n:
             raise CategoryError(f"{what} name must be a non-empty string, got {n!r}")
-        if n in seen:
+        if n in position:
             raise CategoryError(f"duplicate {what} name {n!r}")
-        seen.add(n)
+        position[n] = i
+    return position
 
 
 class FinSet:
     """A finite set presented as an ordered list of distinct names."""
 
     kind = SET
-    __slots__ = ("elements", "_hash")
+    __slots__ = ("elements", "names", "position", "_hash")
 
     def __init__(self, elements: Iterable[str] = ()):
         elements = tuple(elements)
-        _check_names(elements, "element")
-        self.elements = elements
+        self.position = _positions(elements, "element")
+        self.elements = self.names = elements
         self._hash = hash((SET, elements))
-
-    @property
-    def names(self) -> tuple[str, ...]:
-        return self.elements
 
     @property
     def size(self) -> int:
@@ -85,179 +84,189 @@ class FinGraph:
 
     Vertex and edge names share one namespace within the object; edges
     are given as ``(name, source_vertex, target_vertex)`` triples.
+    `names` lists the vertices, then the edges.
     """
 
     kind = GRAPH
-    __slots__ = ("vertices", "edges", "src", "tgt", "_hash")
+    __slots__ = ("vertices", "edges", "src", "tgt", "names", "position", "_triples", "_hash")
 
     def __init__(self, vertices: Iterable[str] = (), edges: Iterable[tuple[str, str, str]] = ()):
         vertices = tuple(vertices)
-        _check_names(vertices, "vertex")
-        names, src, tgt = [], {}, {}
-        for name, s, t in edges:
-            names.append(name)
-            src[name] = s
-            tgt[name] = t
-        names = tuple(names)
-        _check_names(names, "edge")
-        overlap = set(vertices) & set(names)
+        triples = tuple((name, s, t) for name, s, t in edges)
+        edge_names = tuple(e for e, _, _ in triples)
+        position = _positions(vertices, "vertex")
+        edge_position = _positions(edge_names, "edge", len(vertices))
+        overlap = position.keys() & edge_position.keys()
         if overlap:
             raise CategoryError(f"names used for both a vertex and an edge: {sorted(overlap)}")
-        vset = set(vertices)
-        for e in names:
-            if src[e] not in vset or tgt[e] not in vset:
+        for e, s, t in triples:
+            if s not in position or t not in position:
                 raise CategoryError(f"edge {e!r} has endpoint outside the vertex list")
+        position.update(edge_position)
         self.vertices = vertices
-        self.edges = names
-        self.src = src
-        self.tgt = tgt
-        self._hash = hash((GRAPH, vertices, tuple((e, src[e], tgt[e]) for e in names)))
-
-    @property
-    def names(self) -> tuple[str, ...]:
-        return self.vertices + self.edges
+        self.edges = edge_names
+        self.src = {e: s for e, s, _ in triples}
+        self.tgt = {e: t for e, _, t in triples}
+        self.names = vertices + edge_names
+        self.position = position
+        self._triples = triples
+        self._hash = hash((GRAPH, vertices, triples))
 
     @property
     def size(self) -> int:
-        return len(self.vertices) + len(self.edges)
+        return len(self.names)
 
     def edge_triples(self) -> tuple[tuple[str, str, str], ...]:
-        return tuple((e, self.src[e], self.tgt[e]) for e in self.edges)
+        return self._triples
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, FinGraph):
             return NotImplemented
-        return self.vertices == other.vertices and self.edge_triples() == other.edge_triples()
+        return self.vertices == other.vertices and self._triples == other._triples
 
     def __hash__(self) -> int:
         return self._hash
 
     def __repr__(self) -> str:
-        es = ", ".join(f"{e}: {self.src[e]}->{self.tgt[e]}" for e in self.edges)
+        es = ", ".join(f"{e}: {s}->{t}" for e, s, t in self._triples)
         return "graph{%s; %s}" % (", ".join(self.vertices), es)
 
 
 CatObject = Union[FinSet, FinGraph]
 
 
-class SetMorphism:
-    """A total map between finite sets."""
+class Morphism:
+    """A morphism dom -> cod between finite sets or between graphs.
 
-    kind = SET
-    __slots__ = ("dom", "cod", "mapping", "_hash")
+    `images` holds, for each name of dom in declared order (vertices
+    before edges for graphs), the position of its image in cod.names;
+    it is also the tuple a hom search returns, and lexicographic order on
+    it is hom-set order.  `SetMorphism`, `GraphMorphism` and `morphism`
+    validate name maps; everything the engine derives from valid
+    morphisms is built unchecked by `from_images`.
+    """
 
-    def __init__(self, dom: FinSet, cod: FinSet, mapping: Mapping[str, str]):
-        if not isinstance(dom, FinSet) or not isinstance(cod, FinSet):
-            raise CategoryError("set morphism endpoints must be finite sets")
-        cod_names = set(cod.elements)
-        normalized = {}
-        for x in dom.elements:
-            if x not in mapping:
-                raise CategoryError(f"map is not total: no image for element {x!r}")
-            y = mapping[x]
-            if y not in cod_names:
-                raise CategoryError(f"image {y!r} of {x!r} is not in the codomain {cod!r}")
-            normalized[x] = y
-        if len(mapping) != len(normalized):
-            extra = sorted(set(mapping) - set(normalized))
-            raise CategoryError(f"map mentions names outside the domain: {extra}")
+    __slots__ = ("dom", "cod", "images", "_hash")
+
+    def __init__(self, dom: CatObject, cod: CatObject, images: tuple[int, ...]):
         self.dom = dom
         self.cod = cod
-        self.mapping = normalized
-        self._hash = hash((SET, dom, cod, tuple(normalized.items())))
+        self.images = images
+        # the objects' cached hashes, read directly: hash(dom) would run
+        # their Python-level __hash__ on every construction
+        self._hash = hash((dom._hash, cod._hash, images))
 
     def __call__(self, name: str) -> str:
-        return self.mapping[name]
+        return self.cod.names[self.images[self.dom.position[name]]]
 
     def name_map(self) -> dict[str, str]:
-        return dict(self.mapping)
+        names = self.cod.names
+        return {x: names[p] for x, p in zip(self.dom.names, self.images)}
+
+    mapping = property(name_map)
+
+    @property
+    def vertex_map(self) -> dict[str, str]:
+        names = self.cod.names
+        return {v: names[p] for v, p in zip(self.dom.vertices, self.images)}
+
+    @property
+    def edge_map(self) -> dict[str, str]:
+        names, nv = self.cod.names, len(self.dom.vertices)
+        return {e: names[p] for e, p in zip(self.dom.edges, self.images[nv:])}
 
     def __eq__(self, other: object) -> bool:
-        if not isinstance(other, SetMorphism):
+        if not isinstance(other, Morphism):
             return NotImplemented
-        return self.dom == other.dom and self.cod == other.cod and self.mapping == other.mapping
+        return (self.images, self.dom, self.cod) == (other.images, other.dom, other.cod)
 
     def __hash__(self) -> int:
         return self._hash
 
     def __repr__(self) -> str:
-        return "map{%s}" % ", ".join(f"{x}->{y}" for x, y in self.mapping.items())
+        return "map{%s}" % ", ".join(f"{x}->{y}" for x, y in self.name_map().items())
 
 
-class GraphMorphism:
-    """A multigraph homomorphism: vertex and edge maps preserving endpoints."""
+class SetMorphism(Morphism):
+    """A total map between finite sets, validated from a name map."""
+
+    kind = SET
+    __slots__ = ()
+
+    def __init__(self, dom: FinSet, cod: FinSet, mapping: Mapping[str, str]):
+        if not isinstance(dom, FinSet) or not isinstance(cod, FinSet):
+            raise CategoryError("set morphism endpoints must be finite sets")
+        images = []
+        for x in dom.elements:
+            if x not in mapping:
+                raise CategoryError(f"map is not total: no image for element {x!r}")
+            y = mapping[x]
+            if y not in cod.position:
+                raise CategoryError(f"image {y!r} of {x!r} is not in the codomain {cod!r}")
+            images.append(cod.position[y])
+        if len(mapping) != len(images):
+            extra = sorted(set(mapping) - set(dom.elements))
+            raise CategoryError(f"map mentions names outside the domain: {extra}")
+        super().__init__(dom, cod, tuple(images))
+
+
+class GraphMorphism(Morphism):
+    """A multigraph homomorphism, validated from vertex and edge name maps."""
 
     kind = GRAPH
-    __slots__ = ("dom", "cod", "vertex_map", "edge_map", "_hash")
+    __slots__ = ()
 
     def __init__(self, dom: FinGraph, cod: FinGraph, vertex_map: Mapping[str, str],
                  edge_map: Mapping[str, str]):
         if not isinstance(dom, FinGraph) or not isinstance(cod, FinGraph):
             raise CategoryError("graph morphism endpoints must be graphs")
-        vmap = {}
-        cod_vs = set(cod.vertices)
+        nv = len(cod.vertices)
+        images = []
         for v in dom.vertices:
             if v not in vertex_map:
                 raise CategoryError(f"map is not total: no image for vertex {v!r}")
             w = vertex_map[v]
-            if w not in cod_vs:
+            if cod.position.get(w, nv) >= nv:
                 raise CategoryError(f"image {w!r} of vertex {v!r} is not in the codomain")
-            vmap[v] = w
-        emap = {}
-        cod_es = set(cod.edges)
+            images.append(cod.position[w])
         for e in dom.edges:
             if e not in edge_map:
                 raise CategoryError(f"map is not total: no image for edge {e!r}")
             d = edge_map[e]
-            if d not in cod_es:
+            if cod.position.get(d, -1) < nv:
                 raise CategoryError(f"image {d!r} of edge {e!r} is not in the codomain")
             # homomorphism law: sources and targets must be preserved
-            if cod.src[d] != vmap[dom.src[e]]:
+            s, t = vertex_map[dom.src[e]], vertex_map[dom.tgt[e]]
+            if cod.src[d] != s:
                 raise CategoryError(
                     f"edge {e!r}: image {d!r} has source {cod.src[d]!r} "
-                    f"but the vertex map sends {dom.src[e]!r} to {vmap[dom.src[e]]!r}")
-            if cod.tgt[d] != vmap[dom.tgt[e]]:
+                    f"but the vertex map sends {dom.src[e]!r} to {s!r}")
+            if cod.tgt[d] != t:
                 raise CategoryError(
                     f"edge {e!r}: image {d!r} has target {cod.tgt[d]!r} "
-                    f"but the vertex map sends {dom.tgt[e]!r} to {vmap[dom.tgt[e]]!r}")
-            emap[e] = d
-        if len(vertex_map) != len(vmap):
-            extra = sorted(set(vertex_map) - set(vmap))
+                    f"but the vertex map sends {dom.tgt[e]!r} to {t!r}")
+            images.append(cod.position[d])
+        if len(vertex_map) != len(dom.vertices):
+            extra = sorted(set(vertex_map) - set(dom.vertices))
             raise CategoryError(f"vertex map mentions names outside the domain: {extra}")
-        if len(edge_map) != len(emap):
-            extra = sorted(set(edge_map) - set(emap))
+        if len(edge_map) != len(dom.edges):
+            extra = sorted(set(edge_map) - set(dom.edges))
             raise CategoryError(f"edge map mentions names outside the domain: {extra}")
-        self.dom = dom
-        self.cod = cod
-        self.vertex_map = vmap
-        self.edge_map = emap
-        self._hash = hash((GRAPH, dom, cod, tuple(vmap.items()), tuple(emap.items())))
-
-    def __call__(self, name: str) -> str:
-        if name in self.vertex_map:
-            return self.vertex_map[name]
-        return self.edge_map[name]
-
-    def name_map(self) -> dict[str, str]:
-        out = dict(self.vertex_map)
-        out.update(self.edge_map)
-        return out
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, GraphMorphism):
-            return NotImplemented
-        return (self.dom == other.dom and self.cod == other.cod
-                and self.vertex_map == other.vertex_map and self.edge_map == other.edge_map)
-
-    def __hash__(self) -> int:
-        return self._hash
-
-    def __repr__(self) -> str:
-        items = itertools.chain(self.vertex_map.items(), self.edge_map.items())
-        return "map{%s}" % ", ".join(f"{x}->{y}" for x, y in items)
+        super().__init__(dom, cod, tuple(images))
 
 
-Morphism = Union[SetMorphism, GraphMorphism]
+_CLASSES = {SET: SetMorphism, GRAPH: GraphMorphism}
+
+
+def from_images(dom: CatObject, cod: CatObject, images: tuple[int, ...]) -> Morphism:
+    """The morphism dom -> cod with these image positions, unchecked.
+
+    Only for images that already form a morphism: composites, inverses,
+    hom-search results and the like.
+    """
+    m = object.__new__(_CLASSES[dom.kind])
+    Morphism.__init__(m, dom, cod, images)
+    return m
 
 
 def morphism(dom: CatObject, cod: CatObject, mapping: Mapping[str, str]) -> Morphism:
@@ -270,8 +279,9 @@ def morphism(dom: CatObject, cod: CatObject, mapping: Mapping[str, str]) -> Morp
         raise CategoryError(f"kind mismatch: {dom!r} is a {dom.kind}, {cod!r} is a {cod.kind}")
     if isinstance(dom, FinSet):
         return SetMorphism(dom, cod, mapping)
-    vmap = {k: v for k, v in mapping.items() if k in set(dom.vertices)}
-    emap = {k: v for k, v in mapping.items() if k in set(dom.edges)}
+    nv = len(dom.vertices)
+    vmap = {k: v for k, v in mapping.items() if dom.position.get(k, nv) < nv}
+    emap = {k: v for k, v in mapping.items() if dom.position.get(k, -1) >= nv}
     if len(vmap) + len(emap) != len(mapping):
         extra = sorted(set(mapping) - set(vmap) - set(emap))
         raise CategoryError(f"map mentions names outside the domain: {extra}")
@@ -279,9 +289,7 @@ def morphism(dom: CatObject, cod: CatObject, mapping: Mapping[str, str]) -> Morp
 
 
 def identity(obj: CatObject) -> Morphism:
-    if isinstance(obj, FinSet):
-        return SetMorphism(obj, obj, {x: x for x in obj.elements})
-    return GraphMorphism(obj, obj, {v: v for v in obj.vertices}, {e: e for e in obj.edges})
+    return from_images(obj, obj, tuple(range(obj.size)))
 
 
 def inclusion(sub: CatObject, obj: CatObject) -> Morphism:
@@ -291,16 +299,12 @@ def inclusion(sub: CatObject, obj: CatObject) -> Morphism:
 
 def compose(f: Morphism, g: Morphism) -> Morphism:
     """Diagram-order composite: first `f`, then `g`."""
-    if type(f) is not type(g) or f.cod != g.dom:
+    if f.cod != getattr(g, "dom", None):
         raise CategoryError(
             f"cannot compose: the first morphism ends at {f.cod!r} "
             f"but the second starts at {getattr(g, 'dom', None)!r}")
-    if isinstance(f, SetMorphism):
-        return SetMorphism(f.dom, g.cod, {x: g.mapping[y] for x, y in f.mapping.items()})
-    return GraphMorphism(
-        f.dom, g.cod,
-        {v: g.vertex_map[w] for v, w in f.vertex_map.items()},
-        {e: g.edge_map[d] for e, d in f.edge_map.items()})
+    images = g.images
+    return from_images(f.dom, g.cod, tuple(images[p] for p in f.images))
 
 
 def is_extension(b: Morphism, t: Morphism, a: Morphism) -> bool:
@@ -317,9 +321,8 @@ def is_extension(b: Morphism, t: Morphism, a: Morphism) -> bool:
 # ---------------------------------------------------------------------------
 # Hom-set enumeration and search
 #
-# Inside a search a morphism b: X -> C is a tuple of positions in C's
-# name list, one per name of X in declared order (vertices before edges
-# for graphs).  Lexicographic order on these tuples is hom-set order.
+# Inside a search a morphism b: X -> C is its image tuple (see
+# `Morphism`); lexicographic order on these tuples is hom-set order.
 
 _HOM_CACHE: dict[tuple[CatObject, CatObject], tuple[Morphism, ...]] = {}
 
@@ -335,8 +338,7 @@ def hom_set(dom: CatObject, cod: CatObject) -> tuple[Morphism, ...]:
     key = (dom, cod)
     cached = _HOM_CACHE.get(key)
     if cached is None:
-        index = SearchIndex()
-        cached = tuple(index.morphisms(dom, cod, hom_search(dom, cod, (), index)))
+        cached = tuple(from_images(dom, cod, b) for b in hom_search(dom, cod))
         _HOM_CACHE[key] = cached
     return cached
 
@@ -405,7 +407,7 @@ def _join(dom: CatObject, cod: CatObject, atoms, index: SearchIndex) -> list[tup
     else:
         nv, ends = len(dom.vertices), index.edges_between(cod)
         vertices = range(len(cod.vertices))
-        pos = index.positions(dom)
+        pos = dom.position
         endpoints = [(pos[dom.src[e]], pos[dom.tgt[e]]) for e in dom.edges]
 
     out: list[tuple[int, ...]] = []
@@ -445,41 +447,19 @@ def _join(dom: CatObject, cod: CatObject, atoms, index: SearchIndex) -> list[tup
 class SearchIndex:
     """Structure-independent lookups for the hom searches of one call.
 
-    It holds name positions per object, image tuples per morphism, the
-    reading plan per atom binding, the edge index per graph carrier, hom
-    sets as tuples per object pair and the morphisms built from tuples.
-    A caller that searches many structures (a registry) creates one and
-    passes it down, so all of this is computed once per call; nothing
-    outlives the call.
+    It holds the reading plan per atom binding, the edge index per graph
+    carrier and hom sets as tuples per object pair.  A caller that
+    searches many structures (a registry) creates one and passes it
+    down, so all of this is computed once per call; nothing outlives the
+    call.
     """
 
-    __slots__ = ("_positions", "_images", "_plans", "_ends", "_homs", "_morphisms")
+    __slots__ = ("_plans", "_ends", "_homs")
 
     def __init__(self):
-        self._positions: dict[CatObject, dict[str, int]] = {}
-        self._images: dict[Morphism, tuple[int, ...]] = {}
         self._plans: dict[tuple[int, ...], tuple] = {}
         self._ends: dict[FinGraph, dict[tuple[int, int], tuple[int, ...]]] = {}
         self._homs: dict[tuple[CatObject, CatObject], tuple[tuple[int, ...], ...]] = {}
-        self._morphisms: dict[tuple[CatObject, CatObject], dict[tuple[int, ...], Morphism]] = {}
-
-    def positions(self, obj: CatObject) -> dict[str, int]:
-        pos = self._positions.get(obj)
-        if pos is None:
-            pos = self._positions[obj] = {name: i for i, name in enumerate(obj.names)}
-        return pos
-
-    def image(self, m: Morphism) -> tuple[int, ...]:
-        """Positions in m.cod of the images of m.dom's names."""
-        out = self._images.get(m)
-        if out is None:
-            pos = self.positions(m.cod)
-            if isinstance(m, SetMorphism):
-                images = m.mapping.values()
-            else:
-                images = itertools.chain(m.vertex_map.values(), m.edge_map.values())
-            out = self._images[m] = tuple(pos[y] for y in images)
-        return out
 
     def plan(self, binding: tuple[int, ...]):
         """How to read an atom's facts at its distinct positions.
@@ -505,7 +485,7 @@ class SearchIndex:
         """Edge positions of cod keyed by (source, target) positions."""
         ends = self._ends.get(cod)
         if ends is None:
-            pos = self.positions(cod)
+            pos = cod.position
             lists: dict[tuple[int, int], list[int]] = {}
             for e in cod.edges:
                 lists.setdefault((pos[cod.src[e]], pos[cod.tgt[e]]), []).append(pos[e])
@@ -536,33 +516,6 @@ class SearchIndex:
             self._homs[key] = out
         return out
 
-    def morphisms(self, dom: CatObject, cod: CatObject, tuples) -> list[Morphism]:
-        """The morphisms dom -> cod with these image tuples, built once
-        each through the validated constructors."""
-        built = self._morphisms.get((dom, cod))
-        if built is None:
-            built = self._morphisms[(dom, cod)] = {}
-        out = []
-        for images in tuples:
-            m = built.get(images)
-            if m is None:
-                m = built[images] = _build(dom, cod, images)
-            out.append(m)
-        return out
-
-    def morphism(self, dom: CatObject, cod: CatObject, images: tuple[int, ...]) -> Morphism:
-        return self.morphisms(dom, cod, (images,))[0]
-
-
-def _build(dom: CatObject, cod: CatObject, images: tuple[int, ...]) -> Morphism:
-    if isinstance(dom, FinSet):
-        names = cod.elements
-        return SetMorphism(dom, cod, {x: names[p] for x, p in zip(dom.elements, images)})
-    nv, vs, es = len(cod.vertices), cod.vertices, cod.edges
-    return GraphMorphism(dom, cod,
-                         {v: vs[p] for v, p in zip(dom.vertices, images)},
-                         {e: es[p - nv] for e, p in zip(dom.edges, images[len(dom.vertices):])})
-
 
 def precompose(binding: tuple[int, ...], images: tuple[int, ...]) -> tuple[int, ...]:
     """delta;b as a tuple, from delta's positions and b's images."""
@@ -576,14 +529,9 @@ def isomorphisms(a: CatObject, b: CatObject) -> tuple[Morphism, ...]:
     """All isomorphisms a -> b, in hom-set order."""
     if a.kind != b.kind or a.size != b.size:
         return ()
-    if isinstance(a, FinSet):
-        return tuple(m for m in hom_set(a, b)
-                     if len(set(m.mapping.values())) == len(b.elements))
-    if len(a.vertices) != len(b.vertices) or len(a.edges) != len(b.edges):
+    if a.kind == GRAPH and len(a.vertices) != len(b.vertices):
         return ()
-    return tuple(m for m in hom_set(a, b)
-                 if len(set(m.vertex_map.values())) == len(b.vertices)
-                 and len(set(m.edge_map.values())) == len(b.edges))
+    return tuple(m for m in hom_set(a, b) if is_isomorphism(m))
 
 
 def objects_isomorphic(a: CatObject, b: CatObject) -> bool:
@@ -591,23 +539,18 @@ def objects_isomorphic(a: CatObject, b: CatObject) -> bool:
 
 
 def is_isomorphism(m: Morphism) -> bool:
-    if isinstance(m, SetMorphism):
-        return (len(m.dom.elements) == len(m.cod.elements)
-                and len(set(m.mapping.values())) == len(m.cod.elements))
-    return (len(m.dom.vertices) == len(m.cod.vertices)
-            and len(m.dom.edges) == len(m.cod.edges)
-            and len(set(m.vertex_map.values())) == len(m.cod.vertices)
-            and len(set(m.edge_map.values())) == len(m.cod.edges))
+    # images never mix vertices with edges, so a bijection on all names
+    # is one on the vertices and one on the edges
+    return m.dom.size == m.cod.size == len(set(m.images))
 
 
 def inverse(m: Morphism) -> Morphism:
     if not is_isomorphism(m):
         raise CategoryError(f"{m!r} is not an isomorphism")
-    if isinstance(m, SetMorphism):
-        return SetMorphism(m.cod, m.dom, {y: x for x, y in m.mapping.items()})
-    return GraphMorphism(m.cod, m.dom,
-                         {w: v for v, w in m.vertex_map.items()},
-                         {d: e for e, d in m.edge_map.items()})
+    images = [0] * len(m.images)
+    for i, p in enumerate(m.images):
+        images[p] = i
+    return from_images(m.cod, m.dom, tuple(images))
 
 
 def renaming(obj: CatObject, mapping: Mapping[str, str]) -> Morphism:
@@ -617,8 +560,8 @@ def renaming(obj: CatObject, mapping: Mapping[str, str]) -> Morphism:
     else:
         target = FinGraph(
             tuple(mapping[v] for v in obj.vertices),
-            tuple((mapping[e], mapping[obj.src[e]], mapping[obj.tgt[e]]) for e in obj.edges))
-    return morphism(obj, target, dict(mapping))
+            tuple((mapping[e], mapping[s], mapping[t]) for e, s, t in obj.edge_triples()))
+    return from_images(obj, target, tuple(range(obj.size)))
 
 
 def canonical_copy(obj: CatObject) -> Morphism:
@@ -643,7 +586,7 @@ def initial_object(kind: str) -> CatObject:
 
 
 def initial_morphism(obj: CatObject) -> Morphism:
-    return morphism(initial_object(obj.kind), obj, {})
+    return from_images(initial_object(obj.kind), obj, ())
 
 
 @dataclass(frozen=True)
@@ -703,41 +646,33 @@ def pushout(f: Morphism, g: Morphism) -> PushoutResult:
     """Pushout of the span (f: X -> A, g: X -> B).
 
     Apex names are deterministic: each glued class is named after its
-    least original member, tagged by side.
+    least original member, tagged by side.  Glue pairs never mix
+    vertices with edges, so one quotient of A's names and B's names
+    covers both.
     """
-    if type(f) is not type(g) or f.dom != g.dom:
+    if f.dom != getattr(g, "dom", None):
         raise CategoryError(
             f"pushout needs a span with one common domain, got {f!r} from "
             f"{f.dom!r} and {g!r} from {getattr(g, 'dom', None)!r}")
     a, b = f.cod, g.cod
-    if isinstance(f, SetMorphism):
-        glue = [(f.mapping[x], g.mapping[x]) for x in f.dom.elements]
-        apex_names, lmap, rmap = _merge_names(a.elements, b.elements, glue)
+    glue = [(a.names[p], b.names[q]) for p, q in zip(f.images, g.images)]
+    apex_names, lmap, rmap = _merge_names(a.names, b.names, glue)
+    if isinstance(a, FinSet):
         apex = FinSet(apex_names)
-        result = PushoutResult(apex, SetMorphism(a, apex, lmap), SetMorphism(b, apex, rmap))
     else:
-        vglue = [(f.vertex_map[v], g.vertex_map[v]) for v in f.dom.vertices]
-        eglue = [(f.edge_map[e], g.edge_map[e]) for e in f.dom.edges]
-        vnames, lvmap, rvmap = _merge_names(a.vertices, b.vertices, vglue)
-        enames, lemap, remap = _merge_names(a.edges, b.edges, eglue)
+        vertices = {lmap[v] for v in a.vertices} | {rmap[v] for v in b.vertices}
         # endpoints of a glued edge follow any member; well defined since f, g
         # are homomorphisms
-        back = {}
-        for e in a.edges:
-            back.setdefault(lemap[e], ("l", e))
-        for e in b.edges:
-            back.setdefault(remap[e], ("r", e))
-        triples = []
-        for name in enames:
-            side, e = back[name]
-            if side == "l":
-                triples.append((name, lvmap[a.src[e]], lvmap[a.tgt[e]]))
-            else:
-                triples.append((name, rvmap[b.src[e]], rvmap[b.tgt[e]]))
-        apex = FinGraph(vnames, triples)
-        result = PushoutResult(apex,
-                               GraphMorphism(a, apex, lvmap, lemap),
-                               GraphMorphism(b, apex, rvmap, remap))
+        ends = {}
+        for side, obj in ((lmap, a), (rmap, b)):
+            for e, s, t in obj.edge_triples():
+                ends.setdefault(side[e], (side[s], side[t]))
+        apex = FinGraph([n for n in apex_names if n in vertices],
+                        [(n, *ends[n]) for n in apex_names if n not in vertices])
+    pos = apex.position
+    result = PushoutResult(apex,
+                           from_images(a, apex, tuple(pos[lmap[n]] for n in a.names)),
+                           from_images(b, apex, tuple(pos[rmap[n]] for n in b.names)))
     if compose(f, result.inj_left) != compose(g, result.inj_right):
         raise AssertionError("pushout square failed to commute")
     return result

@@ -3,7 +3,8 @@
 Every subcommand reads definitions from a .lfoc file and prints one JSON
 payload to stdout.  Exit codes: 0 when the query succeeds or the checked
 property holds, 1 when the property fails (the payload carries the
-witness), 2 for usage, parse, and validation errors.
+witness), 2 for usage, parse, and validation errors, including
+expressions nested past the interpreter's recursion limit.
 """
 
 from __future__ import annotations
@@ -408,6 +409,9 @@ def main(argv=None) -> int:
         return 2
     except (CategoryError, MatchError, EnumerationLimitError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except RecursionError:
+        print("error: expression nested too deeply", file=sys.stderr)
         return 2
 
 

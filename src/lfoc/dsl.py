@@ -718,7 +718,7 @@ def parse_morphism_literal(text: str, dom: CatObject, cod: CatObject) -> Morphis
 # Printing
 
 def format_morphism_literal(m: Morphism) -> str:
-    entries = [f"{x}->{m.name_map()[x]}" for x in m.dom.names]
+    entries = [f"{x}->{y}" for x, y in m.name_map().items()]
     return "[" + "; ".join(entries) + "]"
 
 

@@ -36,6 +36,7 @@ from .category import (
     SearchIndex,
     canonical_copy,
     compose,
+    from_images,
     hom_search,
     identity,
     inverse,
@@ -297,7 +298,8 @@ class _Evaluator:
 
     def solutions(self, e: Expr) -> frozenset:
         """The solutions of `e` as a frozenset of morphisms."""
-        return frozenset(self.index.morphisms(e.arity, self.structure.carrier, self.tuples(e)))
+        carrier = self.structure.carrier
+        return frozenset(from_images(e.arity, carrier, b) for b in self.tuples(e))
 
     def tuples(self, e: Expr) -> frozenset:
         out = self.memo.get(e)
@@ -322,7 +324,7 @@ class _Evaluator:
                 raise CategoryError(
                     f"quantifier along {e.var!r} does not run from the arity "
                     f"{e.arity!r} to the body arity {e.body.arity!r}")
-            t = self.index.image(e.var)
+            t = e.var.images
             if isinstance(e, CondExists):
                 witnessed = frozenset(precompose(t, b) for b in self.tuples(e.body))
                 if isinstance(e.premise, Top):
@@ -359,7 +361,7 @@ class _Evaluator:
                     raise CategoryError(
                         f"atom binding ends at {node.binding.cod!r}, "
                         f"expected the arity {arity!r}")
-                atoms.append((self.index.image(node.binding),
+                atoms.append((node.binding.images,
                               self._listed(node.feature, node.binding.dom)))
             elif isinstance(node, Bot):
                 return None
@@ -376,9 +378,8 @@ class _Evaluator:
         out = self._facts.get(key)
         if out is None:
             carrier = self.structure.carrier
-            image = self.index.image
             out = self._facts[key] = frozenset(
-                image(m) for m in self.structure.interp(feature)
+                m.images for m in self.structure.interp(feature)
                 if m.dom == arity and m.cod == carrier)
         return out
 
@@ -390,7 +391,7 @@ def solutions(e: Expr, structure: Structure) -> tuple[Morphism, ...]:
             f"expression arity {e.arity!r} and carrier {structure.carrier!r} "
             f"have different kinds")
     ev = _Evaluator(structure)
-    return tuple(ev.index.morphisms(e.arity, structure.carrier, sorted(ev.tuples(e))))
+    return tuple(from_images(e.arity, structure.carrier, b) for b in sorted(ev.tuples(e)))
 
 
 def holds(a: Morphism, e: Expr, structure: Structure) -> bool:
@@ -402,7 +403,7 @@ def holds(a: Morphism, e: Expr, structure: Structure) -> bool:
         raise CategoryError(
             f"assignment ends at {a.cod!r} but the carrier is {structure.carrier!r}")
     ev = _Evaluator(structure)
-    return ev.index.image(a) in ev.tuples(e)
+    return a.images in ev.tuples(e)
 
 
 # ---------------------------------------------------------------------------

@@ -110,11 +110,7 @@ class Structure:
         if unknown:
             raise CategoryError(f"interpretation mentions unknown features: {unknown}")
         for fname in footprint.features:
-            seen: list[Morphism] = []
-            for m in given.get(fname, ()):
-                if m not in seen:
-                    seen.append(m)
-            interp[fname] = tuple(seen)
+            interp[fname] = tuple(dict.fromkeys(given.get(fname, ())))
         self.name = name
         self.footprint = footprint
         self.carrier = carrier

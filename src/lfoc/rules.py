@@ -28,6 +28,7 @@ from .category import (
     FinSet,
     Morphism,
     SearchIndex,
+    from_images,
     hom_search,
     identity,
     precompose,
@@ -95,7 +96,7 @@ def find_matches(pattern: Sketch, host: Sketch) -> tuple[Match, ...]:
     """All matches of the pattern in the host, in hom-set order."""
     index = SearchIndex()
     found = _match_tuples(pattern, host, index)
-    return tuple(Match(phi) for phi in index.morphisms(pattern.context, host.context, found))
+    return tuple(Match(from_images(pattern.context, host.context, m)) for m in found)
 
 
 def _match_tuples(pattern: Sketch, host: Sketch, index: SearchIndex) -> list[tuple[int, ...]]:
@@ -104,8 +105,8 @@ def _match_tuples(pattern: Sketch, host: Sketch, index: SearchIndex) -> list[tup
     binding, so the host bindings grouped by expression are the relations."""
     bindings: dict[Expr, set] = {}
     for c in host.constraints:
-        bindings.setdefault(c.canonical, set()).add(index.image(c.binding))
-    atoms = [(index.image(c.binding), bindings.get(c.canonical, ()))
+        bindings.setdefault(c.canonical, set()).add(c.binding.images)
+    atoms = [(c.binding.images, bindings.get(c.canonical, ()))
              for c in pattern.constraints]
     return hom_search(pattern.context, host.context, atoms, index)
 
@@ -113,7 +114,7 @@ def _match_tuples(pattern: Sketch, host: Sketch, index: SearchIndex) -> list[tup
 def _factored(host: Sketch, rule: SketchRule, index: SearchIndex) -> set:
     """The lhs matches that factor through an rhs match along the rule
     morphism, as image tuples."""
-    r = index.image(rule.morphism)
+    r = rule.morphism.images
     return {precompose(r, b) for b in _match_tuples(rule.rhs, host, index)}
 
 
@@ -139,13 +140,13 @@ def _conservative(structure: Structure, rule: SketchRule,
                   index: SearchIndex) -> ConservativityResult:
     ev = _Evaluator(structure, index)
     carrier = structure.carrier
-    r = index.image(rule.morphism)
+    r = rule.morphism.images
     extended = {precompose(r, b) for b in hom_search(
         rule.rhs.context, carrier, constraint_atoms(rule.rhs.sorted_constraints(), ev), index)}
     for a in hom_search(rule.lhs.context, carrier,
                         constraint_atoms(rule.lhs.sorted_constraints(), ev), index):
         if a not in extended:
-            return ConservativityResult(False, index.morphism(rule.lhs.context, carrier, a))
+            return ConservativityResult(False, from_images(rule.lhs.context, carrier, a))
     return ConservativityResult(True)
 
 
@@ -188,7 +189,7 @@ def is_closed(host: Sketch, rule: SketchRule) -> ClosednessResult:
     factored = _factored(host, rule, index)
     for m in _match_tuples(rule.lhs, host, index):
         if m not in factored:
-            return ClosednessResult(False, Match(index.morphism(rule.lhs.context, host.context, m)))
+            return ClosednessResult(False, Match(from_images(rule.lhs.context, host.context, m)))
     return ClosednessResult(True)
 
 
@@ -290,7 +291,7 @@ def saturate(host: Sketch, rules: Sequence[SketchRule],
                     continue
                 if steps >= limits.max_steps:
                     return SaturationResult(current, BUDGET_EXHAUSTED, steps)
-                match = Match(index.morphism(rule.lhs.context, current.context, m))
+                match = Match(from_images(rule.lhs.context, current.context, m))
                 result = apply_rule(current, rule, match)
                 if not limits.admits(result.sketch.context):
                     return SaturationResult(current, BUDGET_EXHAUSTED, steps)
@@ -361,12 +362,8 @@ class EquivalenceResult:
 
 def rule_expressions(rule: SketchRule) -> tuple[Expr, ...]:
     """The expressions occurring in the rule's constraints, deduplicated."""
-    out: list[Expr] = []
-    for sk in (rule.lhs, rule.rhs):
-        for c in sk.sorted_constraints():
-            if c.expr not in out:
-                out.append(c.expr)
-    return tuple(out)
+    return tuple(dict.fromkeys(c.expr for sk in (rule.lhs, rule.rhs)
+                               for c in sk.sorted_constraints()))
 
 
 def check_equivalence(structure: Structure, rule: SketchRule) -> EquivalenceResult:

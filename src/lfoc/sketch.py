@@ -29,6 +29,7 @@ from .category import (
     Morphism,
     SearchIndex,
     compose,
+    from_images,
     hom_search,
     hom_set,
     identity,
@@ -161,7 +162,7 @@ def check_satisfaction_condition(phi: Morphism, c: Constraint, i: Interpretation
 def constraint_atoms(constraints: Iterable[Constraint], ev: _Evaluator) -> list:
     """Hom-search atoms for interpretations satisfying the constraints:
     each binding with the solutions of its expression."""
-    return [(ev.index.image(c.binding), ev.tuples(c.expr)) for c in constraints]
+    return [(c.binding.images, ev.tuples(c.expr)) for c in constraints]
 
 
 def models(sketch: Sketch, structure: Structure) -> tuple[Interpretation, ...]:
@@ -174,8 +175,8 @@ def models(sketch: Sketch, structure: Structure) -> tuple[Interpretation, ...]:
     ev = _Evaluator(structure)
     atoms = constraint_atoms(sketch.sorted_constraints(), ev)
     found = hom_search(sketch.context, structure.carrier, atoms, ev.index)
-    return tuple(Interpretation(a, structure)
-                 for a in ev.index.morphisms(sketch.context, structure.carrier, found))
+    return tuple(Interpretation(from_images(sketch.context, structure.carrier, a), structure)
+                 for a in found)
 
 
 @dataclass(frozen=True)
@@ -208,7 +209,7 @@ def entails(context: CatObject, premises: Iterable[Constraint],
         for a in hom_search(context, structure.carrier, pre, index):
             if not all(precompose(b, a) in sols for b, sols in post):
                 return EntailmentResult(False, registry.description, (
-                    structure, index.morphism(context, structure.carrier, a)))
+                    structure, from_images(context, structure.carrier, a)))
     return EntailmentResult(True, registry.description)
 
 
@@ -271,11 +272,7 @@ def structure_to_sketch_max(structure: Structure, exprs: Iterable[Expr],
     """The maximal sketch over an explicit expression universe: every
     (expression, solution) pair becomes a constraint."""
     constraints = []
-    seen: list[Expr] = []
-    for e in exprs:
-        if e in seen:
-            continue
-        seen.append(e)
+    for e in dict.fromkeys(exprs):
         for a in solutions(e, structure):
             constraints.append(Constraint(e, a))
     return Sketch(name or f"max({structure.name})", structure.carrier, constraints)

@@ -1,6 +1,7 @@
 """End-to-end command line tests: exit codes, JSON payloads, determinism."""
 
 import json
+from pathlib import Path
 
 import pytest
 
@@ -248,3 +249,25 @@ def test_conjunctive_exists_over_a_hom_set_past_the_cap_answers(capsys, tmp_path
                            "--structure", "W")
     assert code == 0
     assert payload["solutions"] == [{"p": f"c{i}"} for i in range(45)]
+
+
+# Expressions nested past the recursion limit are bad input: exit 2 with
+# an error line, never a traceback.  Shapes: a 500-term `and` chain, a
+# 3000-deep `not` chain and 3000 nested parentheses.
+DEEP_EXPRS = {
+    "and": " and ".join(["male([p->p])"] * 500),
+    "not": "not " * 3000 + "male([p->p])",
+    "parens": "(" * 3000 + "male([p->p])" + ")" * 3000,
+}
+
+
+@pytest.mark.parametrize("shape", sorted(DEEP_EXPRS))
+def test_deeply_nested_expression_is_refused_with_exit_2(capsys, tmp_path, shape):
+    path = tmp_path / "deep.lfoc"
+    path.write_text(Path(FOL).read_text(encoding="utf-8")
+                    + f"expr deep : P1 = {DEEP_EXPRS[shape]};\n", encoding="utf-8")
+    code, payload, err = run(capsys, "solve", str(path), "--expr", "deep",
+                             "--structure", "Smiths")
+    assert code == 2 and payload is None
+    assert err.startswith("error:") and "nested too deeply" in err
+    assert "Traceback" not in err

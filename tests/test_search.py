@@ -28,6 +28,7 @@ from lfoc.category import (
     SearchIndex,
     canonical_copy,
     compose,
+    from_images,
     hom_search,
     hom_set,
     identity,
@@ -267,7 +268,7 @@ def test_search_binds_in_hom_set_order_with_repeated_positions():
     assert got == [(0, 0, 1), (0, 1, 1), (1, 0, 0), (1, 1, 0)]
     assert got == sorted(got)
     index = SearchIndex()
-    assert [index.morphism(x, carrier, b) for b in hom_search(x, carrier, (), index)] \
+    assert [from_images(x, carrier, b) for b in hom_search(x, carrier, (), index)] \
         == list(hom_set(x, carrier))
 
 
