@@ -16,8 +16,10 @@ function in this module is pure.
 from __future__ import annotations
 
 import itertools
+import math
+from collections import Counter
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Union
+from typing import Iterable, Iterator, Mapping, Union
 
 SET = "set"
 GRAPH = "graph"
@@ -526,12 +528,56 @@ def precompose(binding: tuple[int, ...], images: tuple[int, ...]) -> tuple[int, 
 # Isomorphisms and renamings
 
 def isomorphisms(a: CatObject, b: CatObject) -> tuple[Morphism, ...]:
-    """All isomorphisms a -> b, in hom-set order."""
+    """All isomorphisms a -> b, in hom-set order.
+
+    Bijections are enumerated directly: permutations of the names of a
+    set, or of the vertices of a graph, each followed by the bijections
+    of edges that respect endpoints.  No hom set is built or cached.
+    Refused past HOM_ENUMERATION_CAP candidate bijections (n! for n
+    elements; v! * e! for v vertices and e edges).
+    """
     if a.kind != b.kind or a.size != b.size:
         return ()
-    if a.kind == GRAPH and len(a.vertices) != len(b.vertices):
+    nv = len(a.vertices) if a.kind == GRAPH else a.size
+    if a.kind == GRAPH and nv != len(b.vertices):
         return ()
-    return tuple(m for m in hom_set(a, b) if is_isomorphism(m))
+    estimate = math.factorial(nv) * math.factorial(a.size - nv)
+    if estimate > HOM_ENUMERATION_CAP:
+        raise EnumerationLimitError(
+            f"isomorphisms {a!r} -> {b!r} have up to {estimate} candidates "
+            f"(cap {HOM_ENUMERATION_CAP})", estimate)
+    if a.kind == SET:
+        return tuple(from_images(a, b, p) for p in itertools.permutations(range(nv)))
+    ends = [(a.position[a.src[e]], a.position[a.tgt[e]]) for e in a.edges]
+    parallel: dict[tuple[int, int], list[int]] = {}
+    for p, e in enumerate(b.edges, nv):
+        parallel.setdefault((b.position[b.src[e]], b.position[b.tgt[e]]), []).append(p)
+    out = []
+    for vertex_images in itertools.permutations(range(nv)):
+        wanted = [(vertex_images[s], vertex_images[t]) for s, t in ends]
+        needed = Counter(wanted)
+        if any(len(parallel.get(key, ())) != n for key, n in needed.items()):
+            continue
+        for edge_images in _injections([parallel[key] for key in wanted]):
+            out.append(from_images(a, b, vertex_images + edge_images))
+    return tuple(out)
+
+
+def _injections(candidates: list[list[int]]) -> Iterator[tuple[int, ...]]:
+    """Tuples of distinct picks, one from each list, in lexicographic order."""
+    chosen: list[int] = []
+
+    def extend(i: int) -> Iterator[tuple[int, ...]]:
+        if i == len(candidates):
+            yield tuple(chosen)
+            return
+        for c in candidates[i]:
+            if c not in chosen:
+                chosen.append(c)
+                yield from extend(i + 1)
+                chosen.pop()
+
+    return extend(0)
 
 
 def objects_isomorphic(a: CatObject, b: CatObject) -> bool:

@@ -45,7 +45,9 @@ sketches; the printer then emits synthesized definitions for them.
 
 from __future__ import annotations
 
+import itertools
 import os
+import re
 from dataclasses import dataclass, field
 
 from .category import (
@@ -93,82 +95,56 @@ class ParseError(ValueError):
         self.source = source
 
 
-@dataclass(frozen=True)
-class Token:
-    kind: str  # "name", "string", "punct", "eof"
-    value: str
-    line: int
-    col: int
+# One regex pass lexes a whole text.  Each match skips whitespace (space,
+# tab, CR, LF; not `\s`) and `//` comments, then captures one token: a
+# run of word characters with dotted continuations (`\w` is exactly
+# `isalnum()` or "_"), a string with its quotes kept, "->" or "=>", any
+# other single character, or "" at the end of the text.  Strings keep
+# their quotes so that no string equals a name, a punctuation mark or
+# the end-of-text token "".  Runs that start with a non-letter and
+# single characters outside _PUNCT are rejected after the pass.
+_TOKEN = re.compile(r'(?:[ \t\r\n]+|//[^\n]*)*(\w+(?:\.\w+)*|"[^"\n]*"|[-=]>|.|\Z)')
+_PUNCT = frozenset(("->", "=>", *"{}[]();:,.@="))
 
 
-def _lex(text: str, source: str) -> list[Token]:
-    tokens: list[Token] = []
-    i, line, col = 0, 1, 1
-    n = len(text)
-    while i < n:
-        ch = text[i]
-        if ch == "\n":
-            i += 1
-            line += 1
-            col = 1
-            continue
-        if ch in " \t\r":
-            i += 1
-            col += 1
-            continue
-        if text.startswith("//", i):
-            while i < n and text[i] != "\n":
-                i += 1
-            continue
+def _lex(text: str, source: str) -> tuple[list[str], set[str]]:
+    """The tokens of `text`, ending in "", and the set of its names."""
+    tokens = _TOKEN.findall(text)
+    if tokens[-2:] == ["", ""]:  # the text ends in whitespace or a comment
+        tokens.pop()
+    names: set[str] = set()
+    bad = []
+    for tok in set(tokens).difference(_PUNCT, ("",)):
+        if tok[0].isalpha() or tok[0] == "_":
+            names.add(tok)
+        elif tok[0] != '"' or len(tok) == 1:
+            bad.append(tok)
+    if bad:
+        at = min(map(tokens.index, bad))
+        ch = tokens[at][0]
         if ch == '"':
-            start_line, start_col = line, col
-            i += 1
-            col += 1
-            buf = []
-            while i < n and text[i] != '"':
-                if text[i] == "\n":
-                    raise ParseError("unterminated string", start_line, start_col, source)
-                buf.append(text[i])
-                i += 1
-                col += 1
-            if i >= n:
-                raise ParseError("unterminated string", start_line, start_col, source)
-            i += 1
-            col += 1
-            tokens.append(Token("string", "".join(buf), start_line, start_col))
-            continue
-        two = text[i:i + 2]
-        if two in ("->", "=>"):
-            tokens.append(Token("punct", two, line, col))
-            i += 2
-            col += 2
-            continue
-        if ch in "{}[]();:,.@=":
-            tokens.append(Token("punct", ch, line, col))
-            i += 1
-            col += 1
-            continue
-        if ch.isalpha() or ch == "_":
-            start_line, start_col = line, col
-            j = i
-            while j < n and (text[j].isalnum() or text[j] == "_"):
-                j += 1
-            # dotted names (from pushout naming) count as one token
-            while j < n and text[j] == "." and j + 1 < n and (text[j + 1].isalnum()
-                                                              or text[j + 1] == "_"):
-                j += 1
-                while j < n and (text[j].isalnum() or text[j] == "_"):
-                    j += 1
-            value = text[i:j]
-            col += j - i
-            i = j
-            tokens.append(Token("name", value, start_line, start_col))
-            continue
-        if ch.isdigit():
-            raise ParseError(f"names must not start with a digit: {ch!r}", line, col, source)
-        raise ParseError(f"unexpected character {ch!r}", line, col, source)
-    tokens.append(Token("eof", "", line, col))
-    return tokens
+            message = "unterminated string"
+        elif ch.isdigit():
+            message = f"names must not start with a digit: {ch!r}"
+        else:
+            message = f"unexpected character {ch!r}"
+        raise ParseError(message, *_position(text, at), source)
+    return tokens, names
+
+
+def _position(text: str, index: int) -> tuple[int, int]:
+    """(line, column) of token `index` of `text`, both from 1.
+
+    A comment does not advance the column, so the end of a text whose
+    last line ends in a comment sits at that comment's start."""
+    match = next(itertools.islice(_TOKEN.finditer(text), index, None))
+    at = match.start(1)
+    line_start = text.rfind("\n", 0, at) + 1
+    if at == len(text):
+        comment = text.find("//", max(match.start(), line_start))
+        if comment >= 0:
+            at = comment
+    return text.count("\n", 0, at) + 1, at - line_start + 1
 
 
 @dataclass
@@ -197,135 +173,131 @@ class Document:
                 other.structures, other.sketches, other.rules))
         return mine == theirs
 
-    def feature_arities(self) -> dict[str, CatObject]:
-        """Feature name -> arity across all footprints; clashing arities
-        are reported at use sites."""
-        out: dict[str, CatObject] = {}
-        clashes = set()
-        for fp in self.footprints.values():
-            for fname, arity in fp.features.items():
-                if fname in out and out[fname] != arity:
-                    clashes.add(fname)
-                out.setdefault(fname, arity)
-        self._feature_clashes = clashes  # type: ignore[attr-defined]
-        return out
-
     def sole_footprint(self) -> Footprint | None:
         if len(self.footprints) == 1:
             return next(iter(self.footprints.values()))
         return None
 
 
+def _shown(tok: str) -> str:
+    """A token as messages show it: a string without its quotes."""
+    return tok[1:-1] if tok[:1] == '"' else tok
+
+
 class _Parser:
-    def __init__(self, tokens: list[Token], source: str, base_dir: str | None,
+    def __init__(self, text: str, source: str, base_dir: str | None,
                  visited: frozenset[str]):
-        self.tokens = tokens
+        self.text = text
+        self.tokens, self.names = _lex(text, source)
         self.pos = 0
         self.source = source
         self.base_dir = base_dir
         self.visited = visited
         self.doc: Document | None = None
+        # feature name -> arity over the footprints so far (the first
+        # declaration wins); clashing arities are reported at use sites
+        self.features: dict[str, CatObject] = {}
+        self.feature_clashes: set[str] = set()
 
     # -- token plumbing ------------------------------------------------
+    #
+    # Tokens are plain strings (see `_lex`); a parse method that reports
+    # an error at an earlier token keeps that token's index.
 
-    def peek(self) -> Token:
+    def peek(self) -> str:
         return self.tokens[self.pos]
 
-    def advance(self) -> Token:
+    def advance(self) -> str:
         tok = self.tokens[self.pos]
         self.pos += 1
         return tok
 
-    def fail(self, message: str, tok: Token | None = None):
-        tok = tok or self.peek()
-        raise ParseError(message, tok.line, tok.col, self.source)
+    def fail(self, message: str, at: int | None = None):
+        line, col = _position(self.text, self.pos if at is None else at)
+        raise ParseError(message, line, col, self.source)
 
-    def expect_punct(self, value: str) -> Token:
-        tok = self.peek()
-        if tok.kind != "punct" or tok.value != value:
-            self.fail(f"expected {value!r}, found {tok.value!r}", tok)
-        return self.advance()
+    def expect_punct(self, value: str) -> None:
+        if self.tokens[self.pos] != value:
+            self.fail(f"expected {value!r}, found {_shown(self.peek())!r}")
+        self.pos += 1
 
-    def expect_name(self, what: str = "name") -> Token:
-        tok = self.peek()
-        if tok.kind != "name":
-            self.fail(f"expected a {what}, found {tok.value!r}", tok)
-        return self.advance()
+    def expect_name(self, what: str = "name") -> str:
+        tok = self.tokens[self.pos]
+        if tok not in self.names:
+            self.fail(f"expected a {what}, found {_shown(tok)!r}")
+        self.pos += 1
+        return tok
 
     def accept_punct(self, value: str) -> bool:
-        tok = self.peek()
-        if tok.kind == "punct" and tok.value == value:
-            self.advance()
+        if self.tokens[self.pos] == value:
+            self.pos += 1
             return True
         return False
 
     def at_name(self, value: str) -> bool:
-        tok = self.peek()
-        return tok.kind == "name" and tok.value == value
+        return self.tokens[self.pos] == value
 
     # -- document ------------------------------------------------------
 
     def parse_document(self) -> Document:
-        first = self.peek()
         if not self.at_name("base"):
             self.fail("a document must start with a base declaration "
-                      "(base set; or base graph;)", first)
+                      "(base set; or base graph;)")
         self.advance()
-        kind_tok = self.expect_name("kind")
-        if kind_tok.value not in ("set", "graph"):
-            self.fail("base kind must be 'set' or 'graph'", kind_tok)
+        kind_at = self.pos
+        kind = self.expect_name("kind")
+        if kind not in ("set", "graph"):
+            self.fail("base kind must be 'set' or 'graph'", kind_at)
         self.expect_punct(";")
-        self.doc = Document(kind_tok.value)
-        while self.peek().kind != "eof":
+        self.doc = Document(kind)
+        while self.peek() != "":
             self.parse_statement()
         return self.doc
 
     def parse_statement(self) -> None:
         tok = self.peek()
-        if tok.kind != "name":
-            self.fail(f"expected a statement, found {tok.value!r}", tok)
-        handler = {
-            "import": self.parse_import,
-            "obj": self.parse_obj,
-            "mor": self.parse_mor,
-            "footprint": self.parse_footprint,
-            "expr": self.parse_expr_def,
-            "structure": self.parse_structure,
-            "sketch": self.parse_sketch,
-            "rule": self.parse_rule,
-        }.get(tok.value)
+        if tok not in self.names:
+            self.fail(f"expected a statement, found {_shown(tok)!r}")
+        handler = self.STATEMENTS.get(tok)
         if handler is None:
-            if tok.value == "base":
-                self.fail("duplicate base declaration", tok)
-            self.fail(f"unknown statement {tok.value!r}", tok)
+            if tok == "base":
+                self.fail("duplicate base declaration")
+            self.fail(f"unknown statement {tok!r}")
         self.advance()
-        handler()
+        handler(self)
 
-    def define(self, namespace: dict, name_tok: Token, value) -> None:
-        if name_tok.value in namespace:
-            self.fail(f"duplicate definition of {name_tok.value!r}", name_tok)
-        namespace[name_tok.value] = value
+    def define(self, namespace: dict, name: str, at: int, value) -> None:
+        if name in namespace:
+            self.fail(f"duplicate definition of {name!r}", at)
+        namespace[name] = value
+
+    def note_features(self, fp: Footprint) -> None:
+        for fname, arity in fp.features.items():
+            if self.features.setdefault(fname, arity) != arity:
+                self.feature_clashes.add(fname)
 
     def parse_import(self) -> None:
+        at = self.pos
         tok = self.peek()
-        if tok.kind != "string":
-            self.fail("import needs a quoted path", tok)
+        if tok[:1] != '"':
+            self.fail("import needs a quoted path")
         self.advance()
         self.expect_punct(";")
+        target = tok[1:-1]
         base = self.base_dir or os.getcwd()
-        path = os.path.normpath(os.path.join(base, tok.value))
+        path = os.path.normpath(os.path.join(base, target))
         if path in self.visited:
-            self.fail(f"import cycle through {tok.value!r}", tok)
+            self.fail(f"import cycle through {target!r}", at)
         try:
             with open(path, encoding="utf-8") as fh:
                 text = fh.read()
         except OSError as exc:
-            self.fail(f"cannot import {tok.value!r}: {exc}", tok)
+            self.fail(f"cannot import {target!r}: {exc}", at)
         imported = _parse(text, source=path, base_dir=os.path.dirname(path),
                           visited=self.visited | {path})
         if imported.base_kind != self.doc.base_kind:
             self.fail(f"imported file has base {imported.base_kind!r}, "
-                      f"expected {self.doc.base_kind!r}", tok)
+                      f"expected {self.doc.base_kind!r}", at)
         pairs = [
             (self.doc.objects, imported.objects), (self.doc.morphisms, imported.morphisms),
             (self.doc.footprints, imported.footprints), (self.doc.exprs, imported.exprs),
@@ -335,123 +307,137 @@ class _Parser:
         for mine, theirs in pairs:
             for name, value in theirs.items():
                 if name in mine:
-                    self.fail(f"import redefines {name!r}", tok)
+                    self.fail(f"import redefines {name!r}", at)
                 mine[name] = value
+        for fp in imported.footprints.values():
+            self.note_features(fp)
 
     # -- objects and morphisms ------------------------------------------
 
     def parse_obj(self) -> None:
-        name_tok = self.expect_name()
+        name_at = self.pos
+        name = self.expect_name()
         self.expect_punct("{")
+        names = self.names
         try:
             if self.doc.base_kind == "set":
                 elements = []
-                while self.peek().kind == "name":
-                    elements.append(self.advance().value)
+                while self.peek() in names:
+                    elements.append(self.advance())
                 obj: CatObject = FinSet(tuple(elements))
             else:
                 vertices: list[str] = []
                 edges: list[tuple[str, str, str]] = []
-                while self.peek().kind == "name":
+                while self.peek() in names:
                     marker = self.advance()
-                    if marker.value == "v":
-                        while self.peek().kind == "name":
-                            vertices.append(self.advance().value)
+                    if marker == "v":
+                        while self.peek() in names:
+                            vertices.append(self.advance())
                         self.expect_punct(";")
-                    elif marker.value == "e":
-                        ename = self.expect_name("edge name").value
+                    elif marker == "e":
+                        ename = self.expect_name("edge name")
                         self.expect_punct(":")
-                        src = self.expect_name("vertex").value
+                        src = self.expect_name("vertex")
                         self.expect_punct("->")
-                        tgt = self.expect_name("vertex").value
+                        tgt = self.expect_name("vertex")
                         self.expect_punct(";")
                         edges.append((ename, src, tgt))
                     else:
-                        self.fail("graph object lines start with 'v' or 'e'", marker)
+                        self.fail("graph object lines start with 'v' or 'e'", self.pos - 1)
                 obj = FinGraph(tuple(vertices), tuple(edges))
         except CategoryError as exc:
-            self.fail(str(exc), name_tok)
+            self.fail(str(exc), name_at)
         self.expect_punct("}")
         self.expect_punct(";")
-        self.define(self.doc.objects, name_tok, obj)
+        self.define(self.doc.objects, name, name_at, obj)
 
-    def resolve_object(self, tok: Token) -> CatObject:
-        obj = self.doc.objects.get(tok.value)
-        if obj is None:
-            self.fail(f"unknown object {tok.value!r}", tok)
-        return obj
+    def resolve(self, namespace: dict, what: str):
+        """Read the name of a `what` and look it up in `namespace`."""
+        name = self.expect_name(what)
+        found = namespace.get(name)
+        if found is None:
+            self.fail(f"unknown {what} {name!r}", self.pos - 1)
+        return found
 
-    def parse_morlit_entries(self) -> tuple[dict[str, str], Token]:
-        open_tok = self.expect_punct("[")
+    def parse_morlit_entries(self) -> tuple[dict[str, str], int]:
+        """A morphism literal's name map and the index of its '['."""
+        open_at = self.pos
+        self.expect_punct("[")
         mapping: dict[str, str] = {}
         if not self.accept_punct("]"):
             while True:
-                src = self.expect_name().value
+                src = self.expect_name()
                 self.expect_punct("->")
-                dst = self.expect_name().value
+                dst = self.expect_name()
                 if src in mapping:
-                    self.fail(f"duplicate entry for {src!r}", open_tok)
+                    self.fail(f"duplicate entry for {src!r}", open_at)
                 mapping[src] = dst
                 if self.accept_punct("]"):
                     break
                 self.expect_punct(";")
-        return mapping, open_tok
+        return mapping, open_at
 
     def build_morphism(self, dom: CatObject, cod: CatObject,
-                       mapping: dict[str, str], tok: Token) -> Morphism:
+                       mapping: dict[str, str], at: int) -> Morphism:
         try:
             return morphism(dom, cod, mapping)
         except CategoryError as exc:
-            self.fail(str(exc), tok)
+            self.fail(str(exc), at)
 
     def parse_mor(self) -> None:
-        name_tok = self.expect_name()
+        name_at = self.pos
+        name = self.expect_name()
         self.expect_punct(":")
-        dom = self.resolve_object(self.expect_name("object"))
+        dom = self.resolve(self.doc.objects, "object")
         self.expect_punct("->")
-        cod = self.resolve_object(self.expect_name("object"))
+        cod = self.resolve(self.doc.objects, "object")
         self.expect_punct("=")
-        mapping, open_tok = self.parse_morlit_entries()
+        mapping, open_at = self.parse_morlit_entries()
         self.expect_punct(";")
-        self.define(self.doc.morphisms, name_tok, self.build_morphism(dom, cod, mapping, open_tok))
+        self.define(self.doc.morphisms, name, name_at,
+                    self.build_morphism(dom, cod, mapping, open_at))
 
     # -- footprints ------------------------------------------------------
 
     def parse_footprint(self) -> None:
-        name_tok = self.expect_name()
+        name_at = self.pos
+        name = self.expect_name()
         self.expect_punct("{")
         features: dict[str, CatObject] = {}
         while self.at_name("feature"):
             self.advance()
-            fname_tok = self.expect_name("feature name")
-            if fname_tok.value in TERM_KEYWORDS:
-                self.fail(f"feature name {fname_tok.value!r} is a reserved word", fname_tok)
-            if fname_tok.value in features:
-                self.fail(f"duplicate feature {fname_tok.value!r}", fname_tok)
+            fname_at = self.pos
+            fname = self.expect_name("feature name")
+            if fname in TERM_KEYWORDS:
+                self.fail(f"feature name {fname!r} is a reserved word", fname_at)
+            if fname in features:
+                self.fail(f"duplicate feature {fname!r}", fname_at)
             self.expect_punct(":")
-            arity = self.resolve_object(self.expect_name("object"))
+            arity = self.resolve(self.doc.objects, "object")
             self.expect_punct(";")
-            features[fname_tok.value] = arity
+            features[fname] = arity
         self.expect_punct("}")
         self.expect_punct(";")
         try:
-            fp = Footprint(name_tok.value, self.doc.base_kind, features)
+            fp = Footprint(name, self.doc.base_kind, features)
         except CategoryError as exc:
-            self.fail(str(exc), name_tok)
-        self.define(self.doc.footprints, name_tok, fp)
+            self.fail(str(exc), name_at)
+        self.define(self.doc.footprints, name, name_at, fp)
+        self.note_features(fp)
 
     # -- expressions -----------------------------------------------------
 
     def parse_expr_def(self) -> None:
-        name_tok = self.expect_name()
-        if name_tok.value in TERM_KEYWORDS:
-            self.fail(f"expression name {name_tok.value!r} is a reserved word", name_tok)
+        name_at = self.pos
+        name = self.expect_name()
+        if name in TERM_KEYWORDS:
+            self.fail(f"expression name {name!r} is a reserved word", name_at)
         self.expect_punct(":")
-        arity = self.resolve_object(self.expect_name("object"))
+        arity = self.resolve(self.doc.objects, "object")
         self.expect_punct("=")
         term = self.parse_term(arity)
         self.expect_punct(";")
-        self.define(self.doc.exprs, name_tok, term)
+        self.define(self.doc.exprs, name, name_at, term)
 
     def parse_term(self, arity: CatObject) -> Expr:
         if self.at_name("given") or self.at_name("exists") or self.at_name("forall"):
@@ -459,46 +445,43 @@ class _Parser:
         return self.parse_or(arity)
 
     def parse_quantified(self, arity: CatObject) -> Expr:
-        start = self.peek()
+        start = self.pos
         premise: Expr | None = None
         if self.at_name("given"):
             self.advance()
             premise = self.parse_or(arity)
+        kw_at = self.pos
         kw = self.expect_name("quantifier")
-        if kw.value not in ("exists", "forall"):
-            self.fail("expected 'exists' or 'forall'", kw)
+        if kw not in ("exists", "forall"):
+            self.fail("expected 'exists' or 'forall'", kw_at)
         named_mor: Morphism | None = None
-        literal: tuple[dict[str, str], Token] | None = None
-        if self.peek().kind == "punct" and self.peek().value == "[":
+        literal: tuple[dict[str, str], int] | None = None
+        if self.peek() == "[":
             literal = self.parse_morlit_entries()
-        elif self.peek().kind == "name" and not self.at_name("into"):
-            mtok = self.advance()
-            named_mor = self.doc.morphisms.get(mtok.value)
-            if named_mor is None:
-                self.fail(f"unknown morphism {mtok.value!r}", mtok)
-        into_tok = self.expect_name()
-        if into_tok.value != "into":
-            self.fail("expected 'into'", into_tok)
-        target_tok = self.expect_name("object")
-        target = self.resolve_object(target_tok)
+        elif self.peek() in self.names and not self.at_name("into"):
+            named_mor = self.resolve(self.doc.morphisms, "morphism")
+        if self.expect_name() != "into":
+            self.fail("expected 'into'", self.pos - 1)
+        target_at = self.pos
+        target = self.resolve(self.doc.objects, "object")
         if literal is not None:
             var = self.build_morphism(arity, target, literal[0], literal[1])
         elif named_mor is not None:
             if named_mor.dom != arity or named_mor.cod != target:
                 self.fail("named morphism does not run between the expression "
-                          "arity and the quantifier target", target_tok)
+                          "arity and the quantifier target", target_at)
             var = named_mor
         else:
             try:
                 var = inclusion(arity, target)
             except CategoryError as exc:
-                self.fail(str(exc), target_tok)
+                self.fail(str(exc), target_at)
         self.expect_punct(".")
         body = self.parse_term(target)
         if premise is None:
             premise = Top(arity)
         try:
-            build = cond_exists if kw.value == "exists" else cond_forall
+            build = cond_exists if kw == "exists" else cond_forall
             return build(premise, var, body)
         except CategoryError as exc:
             self.fail(str(exc), start)
@@ -506,23 +489,25 @@ class _Parser:
     def parse_or(self, arity: CatObject) -> Expr:
         left = self.parse_and(arity)
         while self.at_name("or"):
-            tok = self.advance()
+            at = self.pos
+            self.advance()
             right = self.parse_and(arity)
             try:
                 left = disj(left, right)
             except CategoryError as exc:
-                self.fail(str(exc), tok)
+                self.fail(str(exc), at)
         return left
 
     def parse_and(self, arity: CatObject) -> Expr:
         left = self.parse_unary(arity)
         while self.at_name("and"):
-            tok = self.advance()
+            at = self.pos
+            self.advance()
             right = self.parse_unary(arity)
             try:
                 left = conj(left, right)
             except CategoryError as exc:
-                self.fail(str(exc), tok)
+                self.fail(str(exc), at)
         return left
 
     def parse_unary(self, arity: CatObject) -> Expr:
@@ -534,158 +519,150 @@ class _Parser:
         return self.parse_primary(arity)
 
     def parse_primary(self, arity: CatObject) -> Expr:
+        at = self.pos
         tok = self.peek()
-        if tok.kind == "punct" and tok.value == "(":
+        if tok == "(":
             self.advance()
             term = self.parse_term(arity)
             self.expect_punct(")")
             return term
-        if tok.kind != "name":
-            self.fail(f"expected an expression, found {tok.value!r}", tok)
-        if tok.value == "top":
+        if tok not in self.names:
+            self.fail(f"expected an expression, found {_shown(tok)!r}")
+        if tok == "top":
             self.advance()
             return Top(arity)
-        if tok.value == "bot":
+        if tok == "bot":
             self.advance()
             return Bot(arity)
-        if tok.value in TERM_KEYWORDS:
-            self.fail(f"unexpected {tok.value!r} here", tok)
+        if tok in TERM_KEYWORDS:
+            self.fail(f"unexpected {tok!r} here")
         self.advance()
-        if self.peek().kind == "punct" and self.peek().value == "(":
-            arities = self.doc.feature_arities()
-            if tok.value in getattr(self.doc, "_feature_clashes", ()):
-                self.fail(f"feature {tok.value!r} is declared with different "
-                          f"arities by several footprints", tok)
-            feature_arity = arities.get(tok.value)
+        if self.peek() == "(":
+            if tok in self.feature_clashes:
+                self.fail(f"feature {tok!r} is declared with different "
+                          f"arities by several footprints", at)
+            feature_arity = self.features.get(tok)
             if feature_arity is None:
-                self.fail(f"unknown feature {tok.value!r}", tok)
+                self.fail(f"unknown feature {tok!r}", at)
             self.advance()
-            mapping, open_tok = self.parse_morlit_entries()
+            mapping, open_at = self.parse_morlit_entries()
             self.expect_punct(")")
-            binding = self.build_morphism(feature_arity, arity, mapping, open_tok)
-            return atom(tok.value, binding)
-        ref = self.doc.exprs.get(tok.value)
+            binding = self.build_morphism(feature_arity, arity, mapping, open_at)
+            return atom(tok, binding)
+        ref = self.doc.exprs.get(tok)
         if ref is None:
-            self.fail(f"unknown expression {tok.value!r}", tok)
+            self.fail(f"unknown expression {tok!r}", at)
         if ref.arity != arity:
-            self.fail(f"expression {tok.value!r} has arity {ref.arity!r}, "
-                      f"expected {arity!r}", tok)
+            self.fail(f"expression {tok!r} has arity {ref.arity!r}, "
+                      f"expected {arity!r}", at)
         return ref
 
     # -- structures --------------------------------------------------------
 
     def parse_structure(self) -> None:
-        name_tok = self.expect_name()
+        name_at = self.pos
+        name = self.expect_name()
         self.expect_punct(":")
-        fp_tok = self.expect_name("footprint")
-        fp = self.doc.footprints.get(fp_tok.value)
-        if fp is None:
-            self.fail(f"unknown footprint {fp_tok.value!r}", fp_tok)
+        fp_name = self.peek()
+        fp = self.resolve(self.doc.footprints, "footprint")
         self.expect_punct("{")
-        carrier_tok = self.expect_name()
-        if carrier_tok.value != "carrier":
-            self.fail("a structure body starts with 'carrier'", carrier_tok)
-        carrier = self.resolve_object(self.expect_name("object"))
+        if self.expect_name() != "carrier":
+            self.fail("a structure body starts with 'carrier'", self.pos - 1)
+        carrier = self.resolve(self.doc.objects, "object")
         self.expect_punct(";")
         interp: dict[str, list[Morphism]] = {}
-        while self.peek().kind == "name":
-            feat_tok = self.advance()
-            if feat_tok.value not in fp.features:
-                self.fail(f"footprint {fp_tok.value!r} has no feature "
-                          f"{feat_tok.value!r}", feat_tok)
-            listed = interp.setdefault(feat_tok.value, [])
+        while self.peek() in self.names:
+            feat = self.advance()
+            if feat not in fp.features:
+                self.fail(f"footprint {fp_name!r} has no feature {feat!r}", self.pos - 1)
+            listed = interp.setdefault(feat, [])
             while True:
-                mapping, open_tok = self.parse_morlit_entries()
-                listed.append(self.build_morphism(fp.features[feat_tok.value],
-                                                  carrier, mapping, open_tok))
+                mapping, open_at = self.parse_morlit_entries()
+                listed.append(self.build_morphism(fp.features[feat], carrier,
+                                                  mapping, open_at))
                 if not self.accept_punct(","):
                     break
             self.expect_punct(";")
         self.expect_punct("}")
         self.expect_punct(";")
         try:
-            st = Structure(name_tok.value, fp, carrier, interp)
+            st = Structure(name, fp, carrier, interp)
         except CategoryError as exc:
-            self.fail(str(exc), name_tok)
-        self.define(self.doc.structures, name_tok, st)
+            self.fail(str(exc), name_at)
+        self.define(self.doc.structures, name, name_at, st)
 
     # -- sketches and rules --------------------------------------------------
 
     def parse_sketch(self) -> None:
-        name_tok = self.expect_name()
+        name_at = self.pos
+        name = self.expect_name()
         self.expect_punct("{")
-        ctx_tok = self.expect_name()
-        if ctx_tok.value != "context":
-            self.fail("a sketch body starts with 'context'", ctx_tok)
-        context = self.resolve_object(self.expect_name("object"))
+        if self.expect_name() != "context":
+            self.fail("a sketch body starts with 'context'", self.pos - 1)
+        context = self.resolve(self.doc.objects, "object")
         self.expect_punct(";")
         constraints: list[Constraint] = []
         while self.at_name("constraint"):
             self.advance()
-            expr_tok = self.expect_name("expression")
-            e = self.doc.exprs.get(expr_tok.value)
-            if e is None:
-                self.fail(f"unknown expression {expr_tok.value!r}", expr_tok)
+            e = self.resolve(self.doc.exprs, "expression")
             self.expect_punct("@")
-            if self.peek().kind == "punct" and self.peek().value == "[":
-                mapping, open_tok = self.parse_morlit_entries()
-                binding = self.build_morphism(e.arity, context, mapping, open_tok)
+            if self.peek() == "[":
+                mapping, open_at = self.parse_morlit_entries()
+                binding = self.build_morphism(e.arity, context, mapping, open_at)
             else:
-                mtok = self.expect_name("morphism")
-                binding = self.doc.morphisms.get(mtok.value)
-                if binding is None:
-                    self.fail(f"unknown morphism {mtok.value!r}", mtok)
+                binding = self.resolve(self.doc.morphisms, "morphism")
                 if binding.dom != e.arity or binding.cod != context:
                     self.fail("binding does not run from the expression arity "
-                              "into the context", mtok)
+                              "into the context", self.pos - 1)
             self.expect_punct(";")
             constraints.append(Constraint(e, binding))
         self.expect_punct("}")
         self.expect_punct(";")
-        self.define(self.doc.sketches, name_tok, Sketch(name_tok.value, context, constraints))
+        self.define(self.doc.sketches, name, name_at, Sketch(name, context, constraints))
 
     def parse_rule(self) -> None:
-        name_tok = self.expect_name()
+        name_at = self.pos
+        name = self.expect_name()
         self.expect_punct(":")
-        lhs_tok = self.expect_name("sketch")
-        lhs = self.doc.sketches.get(lhs_tok.value)
-        if lhs is None:
-            self.fail(f"unknown sketch {lhs_tok.value!r}", lhs_tok)
+        lhs = self.resolve(self.doc.sketches, "sketch")
         self.expect_punct("=>")
-        rhs_tok = self.expect_name("sketch")
-        rhs = self.doc.sketches.get(rhs_tok.value)
-        if rhs is None:
-            self.fail(f"unknown sketch {rhs_tok.value!r}", rhs_tok)
-        mor: Morphism | None = None
+        rhs = self.resolve(self.doc.sketches, "sketch")
         if self.at_name("via"):
             self.advance()
-            if self.peek().kind == "punct" and self.peek().value == "[":
-                mapping, open_tok = self.parse_morlit_entries()
-                mor = self.build_morphism(lhs.context, rhs.context, mapping, open_tok)
+            if self.peek() == "[":
+                mapping, open_at = self.parse_morlit_entries()
+                mor = self.build_morphism(lhs.context, rhs.context, mapping, open_at)
             else:
-                mtok = self.expect_name("morphism")
-                mor = self.doc.morphisms.get(mtok.value)
-                if mor is None:
-                    self.fail(f"unknown morphism {mtok.value!r}", mtok)
+                mor = self.resolve(self.doc.morphisms, "morphism")
                 if mor.dom != lhs.context or mor.cod != rhs.context:
                     self.fail("rule morphism does not run between the two "
-                              "sketch contexts", mtok)
+                              "sketch contexts", self.pos - 1)
         else:
             if lhs.context != rhs.context:
-                self.fail("omitting 'via' needs equal lhs and rhs contexts", name_tok)
+                self.fail("omitting 'via' needs equal lhs and rhs contexts", name_at)
             mor = identity(lhs.context)
         self.expect_punct(";")
         try:
-            rule = SketchRule(name_tok.value, lhs, rhs, mor)
+            rule = SketchRule(name, lhs, rhs, mor)
         except CategoryError as exc:
-            self.fail(str(exc), name_tok)
-        self.define(self.doc.rules, name_tok, rule)
+            self.fail(str(exc), name_at)
+        self.define(self.doc.rules, name, name_at, rule)
+
+    STATEMENTS = {
+        "import": parse_import,
+        "obj": parse_obj,
+        "mor": parse_mor,
+        "footprint": parse_footprint,
+        "expr": parse_expr_def,
+        "structure": parse_structure,
+        "sketch": parse_sketch,
+        "rule": parse_rule,
+    }
 
 
 def _parse(text: str, source: str, base_dir: str | None,
            visited: frozenset[str]) -> Document:
-    parser = _Parser(_lex(text, source), source, base_dir, visited)
-    return parser.parse_document()
+    return _Parser(text, source, base_dir, visited).parse_document()
 
 
 def parse_document(text: str, *, source: str = "<input>",
@@ -706,12 +683,11 @@ def parse_path(path: str | os.PathLike) -> Document:
 
 def parse_morphism_literal(text: str, dom: CatObject, cod: CatObject) -> Morphism:
     """Parse a standalone morphism literal such as "[a->x; b->y]"."""
-    tokens = _lex(text, "<morphism>")
-    parser = _Parser(tokens, "<morphism>", None, frozenset())
-    mapping, open_tok = parser.parse_morlit_entries()
-    if parser.peek().kind != "eof":
+    parser = _Parser(text, "<morphism>", None, frozenset())
+    mapping, open_at = parser.parse_morlit_entries()
+    if parser.peek() != "":
         parser.fail("trailing input after the morphism literal")
-    return parser.build_morphism(dom, cod, mapping, open_tok)
+    return parser.build_morphism(dom, cod, mapping, open_at)
 
 
 # ---------------------------------------------------------------------------

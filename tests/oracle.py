@@ -1,15 +1,22 @@
-"""Hom-scan reference semantics: the slow paths the hom search replaced.
+"""Reference semantics: the slow paths that faster code replaced.
 
-Each function here enumerates a full hom set with `hom_set` and filters
-it with `compose`, exactly as the engine did before it evaluated
+The hom-scan functions enumerate a full hom set with `hom_set` and
+filter it with `compose`, exactly as the engine did before it evaluated
 conjunctions, models, matches and conservativity with `hom_search`.
 The property tests in `test_search.py` hold the fast paths to these
-results, orders and witnesses.
+results, orders and witnesses; `isomorphisms` is the hom-set filter
+that `category.isomorphisms` replaced.
+
+`_lex` is the per-character lexer that `dsl` replaced with one regex
+pass; `test_lexer.py` holds the new tokens, positions and errors to it.
 """
 
 from __future__ import annotations
 
-from lfoc.category import compose, hom_set
+from dataclasses import dataclass
+
+from lfoc.category import compose, hom_set, is_isomorphism
+from lfoc.dsl import ParseError
 from lfoc.expr import And, Atomic, Bot, CondExists, CondForall, Not, Or, Top
 from lfoc.rules import (
     BUDGET_EXHAUSTED,
@@ -149,3 +156,85 @@ def saturate(host, rules, limits) -> SaturationResult:
                 break
         if not applied:
             return SaturationResult(current, CLOSED, steps)
+
+
+def isomorphisms(a, b) -> tuple:
+    return tuple(m for m in hom_set(a, b) if is_isomorphism(m))
+
+
+@dataclass(frozen=True)
+class Token:
+    kind: str  # "name", "string", "punct", "eof"
+    value: str
+    line: int
+    col: int
+
+
+def _lex(text: str, source: str) -> list[Token]:
+    tokens: list[Token] = []
+    i, line, col = 0, 1, 1
+    n = len(text)
+    while i < n:
+        ch = text[i]
+        if ch == "\n":
+            i += 1
+            line += 1
+            col = 1
+            continue
+        if ch in " \t\r":
+            i += 1
+            col += 1
+            continue
+        if text.startswith("//", i):
+            while i < n and text[i] != "\n":
+                i += 1
+            continue
+        if ch == '"':
+            start_line, start_col = line, col
+            i += 1
+            col += 1
+            buf = []
+            while i < n and text[i] != '"':
+                if text[i] == "\n":
+                    raise ParseError("unterminated string", start_line, start_col, source)
+                buf.append(text[i])
+                i += 1
+                col += 1
+            if i >= n:
+                raise ParseError("unterminated string", start_line, start_col, source)
+            i += 1
+            col += 1
+            tokens.append(Token("string", "".join(buf), start_line, start_col))
+            continue
+        two = text[i:i + 2]
+        if two in ("->", "=>"):
+            tokens.append(Token("punct", two, line, col))
+            i += 2
+            col += 2
+            continue
+        if ch in "{}[]();:,.@=":
+            tokens.append(Token("punct", ch, line, col))
+            i += 1
+            col += 1
+            continue
+        if ch.isalpha() or ch == "_":
+            start_line, start_col = line, col
+            j = i
+            while j < n and (text[j].isalnum() or text[j] == "_"):
+                j += 1
+            # dotted names (from pushout naming) count as one token
+            while j < n and text[j] == "." and j + 1 < n and (text[j + 1].isalnum()
+                                                              or text[j + 1] == "_"):
+                j += 1
+                while j < n and (text[j].isalnum() or text[j] == "_"):
+                    j += 1
+            value = text[i:j]
+            col += j - i
+            i = j
+            tokens.append(Token("name", value, start_line, start_col))
+            continue
+        if ch.isdigit():
+            raise ParseError(f"names must not start with a digit: {ch!r}", line, col, source)
+        raise ParseError(f"unexpected character {ch!r}", line, col, source)
+    tokens.append(Token("eof", "", line, col))
+    return tokens
