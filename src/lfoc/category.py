@@ -447,21 +447,25 @@ def _join(dom: CatObject, cod: CatObject, atoms, index: SearchIndex) -> list[tup
 
 
 class SearchIndex:
-    """Structure-independent lookups for the hom searches of one call.
+    """Lookups shared by the hom searches of one call.
 
     It holds the reading plan per atom binding, the edge index per graph
-    carrier and hom sets as tuples per object pair.  A caller that
-    searches many structures (a registry) creates one and passes it
-    down, so all of this is computed once per call; nothing outlives the
-    call.
+    carrier and hom sets as tuples per object pair.  For the evaluator
+    it also holds the features each expression mentions (`mentions`)
+    and solution sets keyed by expression and structure restriction
+    (`solved`).  A caller that searches many structures (a registry)
+    creates one and passes it down, so all of this is computed once per
+    call; nothing outlives the call.
     """
 
-    __slots__ = ("_plans", "_ends", "_homs")
+    __slots__ = ("_plans", "_ends", "_homs", "mentions", "solved")
 
     def __init__(self):
         self._plans: dict[tuple[int, ...], tuple] = {}
         self._ends: dict[FinGraph, dict[tuple[int, int], tuple[int, ...]]] = {}
         self._homs: dict[tuple[CatObject, CatObject], tuple[tuple[int, ...], ...]] = {}
+        self.mentions: dict = {}
+        self.solved: dict = {}
 
     def plan(self, binding: tuple[int, ...]):
         """How to read an atom's facts at its distinct positions.

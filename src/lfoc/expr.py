@@ -200,6 +200,39 @@ def subexpressions(e: Expr) -> Iterator[Expr]:
         yield from subexpressions(child)
 
 
+def features(e: Expr, index: SearchIndex | None = None) -> tuple[str, ...]:
+    """The feature names `e` mentions, sorted.
+
+    Over a structure, `e` reads only these features' interpretations and
+    the carrier.  Walks iteratively; with an index, every visited node's
+    answer is kept in `index.mentions` for the rest of the call.
+    """
+    memo = {} if index is None else index.mentions
+    known = memo.get(e)
+    if known is not None:
+        return known
+    stack = [(e, False)]
+    while stack:
+        node, expanded = stack.pop()
+        if node in memo:
+            continue
+        kids = children(node)
+        if isinstance(node, Atomic):
+            memo[node] = (node.feature,)
+        elif not kids:
+            memo[node] = ()
+        elif expanded:
+            names = memo[kids[0]]
+            for kid in kids[1:]:
+                if memo[kid] != names:
+                    names = tuple(sorted(set(names).union(memo[kid])))
+            memo[node] = names
+        else:
+            stack.append((node, True))
+            stack += [(kid, False) for kid in kids]
+    return memo[e]
+
+
 def depth(e: Expr) -> int:
     kids = children(e)
     return 1 + max((depth(k) for k in kids), default=0)
@@ -287,7 +320,9 @@ class _Evaluator:
     along their variable declaration.  An `exists` with a `top` premise
     never enumerates hom(X, carrier); `top`, `not`, `forall` and other
     premises do.  Pass a `SearchIndex` to share lookups across the
-    structures of one call.
+    structures of one call: a solution set is then also shared by every
+    structure with the same restriction to the features its expression
+    mentions.
     """
 
     def __init__(self, structure: Structure, index: SearchIndex | None = None):
@@ -304,7 +339,11 @@ class _Evaluator:
     def tuples(self, e: Expr) -> frozenset:
         out = self.memo.get(e)
         if out is None:
-            out = self.memo[e] = self._compute(e)
+            key = (e, self.structure.restriction(features(e, self.index)))
+            out = self.index.solved.get(key)
+            if out is None:
+                out = self.index.solved[key] = self._compute(e)
+            self.memo[e] = out
         return out
 
     def _compute(self, e: Expr) -> frozenset:

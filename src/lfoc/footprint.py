@@ -9,11 +9,16 @@ Structures are plain values: equality compares footprint, carrier, and
 interpretation (names are labels for reporting only).  Validation is a
 separate step so that ill-formed candidates can be constructed and then
 reported on.
+
+A check that mentions only some features reads a structure only through
+its restriction: the carrier plus those features' interpretations.
+Registry checks decide each restriction once per call.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Mapping, Sequence
 
@@ -26,8 +31,9 @@ from .category import (
     FinGraph,
     FinSet,
     Morphism,
+    SearchIndex,
     compose,
-    hom_set,
+    from_images,
     isomorphisms,
 )
 
@@ -116,8 +122,7 @@ class Structure:
         self.carrier = carrier
         self.interpretation = interp
         self._sets = {f: frozenset(ms) for f, ms in interp.items()}
-        self._hash = hash((footprint, carrier, tuple(sorted(
-            (f, s) for f, s in self._sets.items()))))
+        self._hash = None
 
     def interp(self, feature: str) -> tuple[Morphism, ...]:
         if feature not in self.interpretation:
@@ -129,6 +134,12 @@ class Structure:
             raise CategoryError(f"structure has no feature {feature!r}")
         return self._sets[feature]
 
+    def restriction(self, features: Iterable[str]) -> tuple:
+        """The carrier and the interpretations of `features` (None for a
+        feature the footprint lacks): all that a check mentioning only
+        these features reads of the structure."""
+        return (self.carrier, *map(self._sets.get, features))
+
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Structure):
             return NotImplemented
@@ -136,11 +147,32 @@ class Structure:
                 and self._sets == other._sets)
 
     def __hash__(self) -> int:
+        if self._hash is None:
+            self._hash = hash((self.footprint, self.carrier, tuple(sorted(self._sets.items()))))
         return self._hash
 
     def __repr__(self) -> str:
         counts = ", ".join(f"{f}:{len(ms)}" for f, ms in self.interpretation.items())
         return f"Structure({self.name or '?'} on {self.carrier!r}; {counts})"
+
+
+def _structure(name: str, footprint: Footprint, carrier: CatObject,
+               interpretation: dict[str, tuple[Morphism, ...]],
+               sets: dict[str, frozenset]) -> Structure:
+    """A structure from parts that already form one, unchecked and shared.
+
+    Only for `interpretation` listing, for every feature of the
+    footprint, distinct morphisms into the carrier, and `sets` holding
+    the same morphisms as frozensets.
+    """
+    st = object.__new__(Structure)
+    st.name = name
+    st.footprint = footprint
+    st.carrier = carrier
+    st.interpretation = interpretation
+    st._sets = sets
+    st._hash = None
+    return st
 
 
 def validate_structure(structure: Structure) -> Report:
@@ -244,13 +276,48 @@ def enumerate_carriers(kind: str, bounds: CarrierBounds) -> Iterator[CatObject]:
 def count_structures(footprint: Footprint, bounds: CarrierBounds) -> int:
     """Exact number of structures `enumerate_structures` would yield
     (before isomorphism dedup)."""
+    return _count_structures(footprint, bounds, SearchIndex())
+
+
+def _count_structures(footprint: Footprint, bounds: CarrierBounds, index: SearchIndex) -> int:
+    # per carrier 2^(sum of hom-set sizes); a set hom set has |C|^|A|
+    # members, a graph hom set is searched as tuples, never as morphisms
     total = 0
     for carrier in enumerate_carriers(footprint.kind, bounds):
-        per_carrier = 1
+        homs = 0
         for arity in footprint.features.values():
-            per_carrier *= 2 ** len(hom_set(arity, carrier))
-        total += per_carrier
+            if footprint.kind == SET:
+                homs += carrier.size ** arity.size
+            else:
+                homs += len(index.homs(arity, carrier))
+        total += 1 << homs
     return total
+
+
+def _count_text(n: int) -> str:
+    """n in full up to 20 digits; past that its two leading digits and
+    its power of ten (str() refuses ints past 4300 digits)."""
+    if n < 10 ** 20:
+        return str(n)
+    e = int(math.log10(n))
+    while 10 ** e > n:
+        e -= 1
+    while 10 ** (e + 1) <= n:
+        e += 1
+    lead = n // 10 ** (e - 1)
+    return f"about {lead // 10}.{lead % 10}e{e}"
+
+
+def _subsets(arity: CatObject, carrier: CatObject,
+             index: SearchIndex) -> list[tuple[tuple[Morphism, ...], frozenset]]:
+    """Every subset of hom(arity, carrier) as a tuple and a frozenset,
+    in binary counting order over the hom-set list."""
+    homs = [from_images(arity, carrier, b) for b in index.homs(arity, carrier)]
+    out = []
+    for pick in range(2 ** len(homs)):
+        chosen = tuple(h for i, h in enumerate(homs) if pick >> i & 1)
+        out.append((chosen, frozenset(chosen)))
+    return out
 
 
 def enumerate_structures(footprint: Footprint, bounds: CarrierBounds, *,
@@ -262,23 +329,23 @@ def enumerate_structures(footprint: Footprint, bounds: CarrierBounds, *,
     subsets in binary counting order over the hom-set list.  Refuses to
     start if the total would exceed `cap`.
     """
-    total = count_structures(footprint, bounds)
+    index = SearchIndex()
+    total = _count_structures(footprint, bounds, index)
     if total > cap:
         raise EnumerationLimitError(
-            f"enumeration would yield {total} structures (cap {cap})", total)
+            f"enumeration would yield {_count_text(total)} structures (cap {cap})", total)
     kept: list[Structure] = []
-    index = 0
+    names = tuple(footprint.features)
+    number = 0
     for carrier in enumerate_carriers(footprint.kind, bounds):
-        homs = {f: hom_set(arity, carrier) for f, arity in footprint.features.items()}
-        feature_names = list(footprint.features)
-        subset_counts = [2 ** len(homs[f]) for f in feature_names]
-        for picks in itertools.product(*(range(c) for c in subset_counts)):
-            interp = {}
-            for fname, pick in zip(feature_names, picks):
-                hs = homs[fname]
-                interp[fname] = tuple(hs[i] for i in range(len(hs)) if pick >> i & 1)
-            st = Structure(f"S{index}", footprint, carrier, interp)
-            index += 1
+        # built once per carrier and shared by its structures, so equal
+        # restrictions hold the same frozensets
+        choices = [_subsets(arity, carrier, index) for arity in footprint.features.values()]
+        for picks in itertools.product(*choices):
+            st = _structure(f"S{number}", footprint, carrier,
+                            dict(zip(names, [tup for tup, _ in picks])),
+                            dict(zip(names, [fs for _, fs in picks])))
+            number += 1
             if dedup_isomorphic:
                 if any(structures_isomorphic(st, old) for old in kept):
                     continue
@@ -324,6 +391,17 @@ class StructureRegistry:
 
     def __iter__(self) -> Iterator[Structure]:
         return iter(self._structures)
+
+    def first_per_restriction(self, features: Sequence[str]) -> Iterator[Structure]:
+        """The structures in order, skipping each whose restriction to
+        `features` an earlier one already has: a check mentioning only
+        these features gives both the same answer."""
+        seen = set()
+        for st in self._structures:
+            key = st.restriction(features)
+            if key not in seen:
+                seen.add(key)
+                yield st
 
     def __len__(self) -> int:
         return len(self._structures)

@@ -46,6 +46,7 @@ from .sketch import (
     Constraint,
     Sketch,
     constraint_atoms,
+    constraint_features,
     structure_to_sketch_max,
     translate_constraint,
 )
@@ -161,13 +162,23 @@ class SoundnessResult:
 
 
 def is_sound(rule: SketchRule, registry: StructureRegistry) -> SoundnessResult:
-    """Is every registry structure conservative for the rule?"""
+    """Is every registry structure conservative for the rule?
+
+    Structures are checked in registry order, each restriction to the
+    rule's features once.
+    """
     index = SearchIndex()
-    for structure in registry:
+    for structure in registry.first_per_restriction(_rule_features(rule, index)):
         res = _conservative(structure, rule, index)
         if not res:
             return SoundnessResult(False, registry.description, (structure, res.witness))
     return SoundnessResult(True, registry.description)
+
+
+def _rule_features(rule: SketchRule, index: SearchIndex) -> tuple[str, ...]:
+    """The features a rule's constraints mention: all that its
+    conservativity reads of a structure besides the carrier."""
+    return constraint_features(rule.lhs.constraints | rule.rhs.constraints, index)
 
 
 # ---------------------------------------------------------------------------
@@ -382,8 +393,21 @@ def axiom_filtered_registry(footprint: Footprint, bounds: CarrierBounds,
     """The registry of all structures within bounds that are
     conservative for every given rule (semantics by axioms)."""
     index = SearchIndex()
+    # per rule, the verdict for each restriction to its features
+    verdicts = [(r, _rule_features(r, index), {}) for r in rules]
+
+    def conservative(st: Structure) -> bool:
+        for r, mentioned, decided in verdicts:
+            key = st.restriction(mentioned)
+            ok = decided.get(key)
+            if ok is None:
+                ok = decided[key] = bool(_conservative(st, r, index))
+            if not ok:
+                return False
+        return True
+
     keep = [st for st in enumerate_structures(footprint, bounds,
                                               dedup_isomorphic=dedup_isomorphic)
-            if all(_conservative(st, r, index) for r in rules)]
+            if conservative(st)]
     names = ",".join(r.name for r in rules)
     return StructureRegistry(keep, f"axioms[{names}]({bounds.describe()})")

@@ -37,7 +37,7 @@ from .category import (
     precompose,
     pushout,
 )
-from .expr import Atomic, Expr, _Evaluator, canonicalize, holds, solutions
+from .expr import Atomic, Expr, _Evaluator, canonicalize, features, holds, solutions
 from .footprint import Structure, StructureRegistry, is_structure_hom
 
 
@@ -159,6 +159,11 @@ def check_satisfaction_condition(phi: Morphism, c: Constraint, i: Interpretation
     return lhs == rhs
 
 
+def constraint_features(constraints: Iterable[Constraint], index: SearchIndex) -> tuple[str, ...]:
+    """The features the constraints' expressions mention, sorted."""
+    return tuple(sorted({f for c in constraints for f in features(c.expr, index)}))
+
+
 def constraint_atoms(constraints: Iterable[Constraint], ev: _Evaluator) -> list:
     """Hom-search atoms for interpretations satisfying the constraints:
     each binding with the solutions of its expression."""
@@ -195,14 +200,19 @@ def entails(context: CatObject, premises: Iterable[Constraint],
             conclusions: Iterable[Constraint],
             registry: StructureRegistry) -> EntailmentResult:
     """Does every registry interpretation satisfying the premises also
-    satisfy the conclusions?"""
+    satisfy the conclusions?
+
+    Structures are checked in registry order, each restriction to the
+    mentioned features once.
+    """
     premises = list(premises)
     conclusions = list(conclusions)
     for c in premises + conclusions:
         if c.context != context:
             raise CategoryError(f"constraint {c!r} does not live on {context!r}")
     index = SearchIndex()
-    for structure in registry:
+    mentioned = constraint_features(premises + conclusions, index)
+    for structure in registry.first_per_restriction(mentioned):
         ev = _Evaluator(structure, index)
         pre = constraint_atoms(premises, ev)
         post = constraint_atoms(conclusions, ev)

@@ -7,17 +7,25 @@ The property tests in `test_search.py` hold the fast paths to these
 results, orders and witnesses; `isomorphisms` is the hom-set filter
 that `category.isomorphisms` replaced.
 
+The registry checks (`entails`, `check_sketch_morphism`, `is_sound`,
+`axiom_filtered_registry`) decide every structure from scratch, and
+`enumerate_structures` validates every structure it builds, as the
+engine did before it decided each restriction once per call;
+`test_restriction.py` holds the engine to them.
+
 `_lex` is the per-character lexer that `dsl` replaced with one regex
 pass; `test_lexer.py` holds the new tokens, positions and errors to it.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 from lfoc.category import compose, hom_set, is_isomorphism
 from lfoc.dsl import ParseError
 from lfoc.expr import And, Atomic, Bot, CondExists, CondForall, Not, Or, Top
+from lfoc.footprint import Structure, StructureRegistry, enumerate_carriers
 from lfoc.rules import (
     BUDGET_EXHAUSTED,
     CLOSED,
@@ -29,7 +37,7 @@ from lfoc.rules import (
     apply_rule,
     is_match,
 )
-from lfoc.sketch import EntailmentResult, Interpretation
+from lfoc.sketch import EntailmentResult, Interpretation, translate_constraint
 
 
 class Evaluator:
@@ -101,6 +109,23 @@ def entails(context, premises, conclusions, registry) -> EntailmentResult:
     return EntailmentResult(True, registry.description)
 
 
+def check_sketch_morphism(phi, src, dst, registry) -> EntailmentResult:
+    translated = [translate_constraint(phi, c) for c in src.constraints]
+    return entails(dst.context, dst.constraints, translated, registry)
+
+
+def enumerate_structures(footprint, bounds) -> list:
+    out = []
+    for carrier in enumerate_carriers(footprint.kind, bounds):
+        homs = {f: hom_set(arity, carrier) for f, arity in footprint.features.items()}
+        names = list(footprint.features)
+        for picks in itertools.product(*(range(2 ** len(homs[f])) for f in names)):
+            interp = {f: tuple(h for i, h in enumerate(homs[f]) if pick >> i & 1)
+                      for f, pick in zip(names, picks)}
+            out.append(Structure(f"S{len(out)}", footprint, carrier, interp))
+    return out
+
+
 def find_matches(pattern, host) -> tuple:
     return tuple(phi for phi in hom_set(pattern.context, host.context)
                  if is_match(phi, pattern, host))
@@ -123,6 +148,13 @@ def is_sound(rule, registry) -> SoundnessResult:
         if not res:
             return SoundnessResult(False, registry.description, (structure, res.witness))
     return SoundnessResult(True, registry.description)
+
+
+def axiom_filtered_registry(footprint, bounds, rules) -> StructureRegistry:
+    keep = [st for st in enumerate_structures(footprint, bounds)
+            if all(is_conservative(st, r) for r in rules)]
+    names = ",".join(r.name for r in rules)
+    return StructureRegistry(keep, f"axioms[{names}]({bounds.describe()})")
 
 
 def is_closed(host, rule) -> ClosednessResult:

@@ -5,8 +5,11 @@ from pathlib import Path
 
 import pytest
 
+from lfoc import category, cli
 from lfoc.cli import main
+from lfoc.dsl import parse_path
 from lfoc.fixtures import fixture_path
+from lfoc.footprint import CarrierBounds, count_structures
 
 FOL = str(fixture_path("fol"))
 CAT = str(fixture_path("cat"))
@@ -271,3 +274,53 @@ def test_deeply_nested_expression_is_refused_with_exit_2(capsys, tmp_path, shape
     assert code == 2 and payload is None
     assert err.startswith("error:") and "nested too deeply" in err
     assert "Traceback" not in err
+
+
+def test_repeated_calls_share_one_parser(capsys, monkeypatch, entail_doc):
+    calls = [
+        ("solve", FOL, "--expr", "sibling", "--structure", "Smiths"),
+        ("entail", entail_doc, "--left", "MA", "--right", "MB", "--max-carrier", "1"),
+        ("solve", FOL, "--no-such-flag"),
+        ("closed", FOL, "--rule", "give_child", "--host", "ParentEdge"),
+        ("entail", entail_doc, "--left", "MA", "--right", "MA", "--max-carrier", "1"),
+        ("solve", FOL, "--expr", "sibling", "--structure", "Smiths"),
+    ]
+
+    def call(argv):
+        try:
+            code = main(list(argv))
+        except SystemExit as exc:  # argparse rejects the flag
+            code = f"SystemExit({exc.code})"
+        return code, capsys.readouterr().out
+
+    shared = [call(argv) for argv in calls]
+    assert [code for code, _ in shared] == [0, 1, "SystemExit(2)", 1, 0, 0]
+    fresh = []
+    for argv in calls:
+        monkeypatch.setattr(cli, "_PARSER", cli.build_parser())
+        fresh.append(call(argv))
+    assert shared == fresh
+
+
+def test_oversized_registry_is_refused_with_one_short_line(capsys, tmp_path):
+    # one ternary feature: sum of 2^(n^3) structures over carriers of n
+    # elements, at 60 about 3.0e65022, past the 4300 digits str() prints
+    path = tmp_path / "ternary.lfoc"
+    path.write_text(
+        "base set;\n"
+        "obj T { a b c };\n"
+        "obj C { x };\n"
+        "footprint F { feature r : T; };\n"
+        "sketch A { context C; };\n"
+        "sketch B { context C; };\n",
+        encoding="utf-8")
+    cache = dict(category._HOM_CACHE)
+    for bound, count in (("20", "about 1.7e2408"), ("60", "about 3.0e65022")):
+        code, payload, err = run(capsys, "entail", str(path), "--left", "A", "--right", "B",
+                                 "--max-carrier", bound)
+        assert code == 2 and payload is None
+        assert err == f"error: enumeration would yield {count} structures (cap 500000)\n"
+    assert category._HOM_CACHE == cache
+    fp = parse_path(str(path)).footprints["F"]
+    assert count_structures(fp, CarrierBounds(max_elements=60)) \
+        == sum(2 ** n ** 3 for n in range(61))

@@ -29,7 +29,8 @@ GOLDEN = Path(__file__).resolve().parent / "golden"
 SWEEP = {
     "fol": (
         "mor pick1 : P1 -> P2 = [p->q1];\n"
-        "mor pick2 : P1 -> P2 = [p->q2];\n",
+        "mor pick2 : P1 -> P2 = [p->q2];\n"
+        "sketch DaughtersOnly { context P1; constraint daughters_only @ [p->p]; };\n",
         [
             ("solve", "--expr", "sibling", "--structure", "Smiths"),
             ("solve", "--expr", "daughters_only", "--structure", "Smiths"),
@@ -46,6 +47,13 @@ SWEEP = {
             ("elemdiag", "--structure", "Smiths", "--max",
              "--exprs", "sibling,daughters_only,parent_pair"),
             ("sound", "--rule", "give_child", "--max-carrier", "2"),
+            ("entail", "--left", "DaughtersOnly", "--right", "DaughtersOnly",
+             "--max-carrier", "2"),
+            ("entail", "--left", "Anyone", "--right", "DaughtersOnly", "--max-carrier", "2"),
+            ("morphism", "--src", "Anyone", "--dst", "ParentEdge", "--map", "pick1",
+             "--max-carrier", "2"),
+            ("morphism", "--src", "ParentEdge", "--dst", "ParentEdge",
+             "--map", "[q1->q2; q2->q1]", "--max-carrier", "2"),
         ]),
     "alc": (
         "mor into1 : C1 -> C2 = [x1->x1];\n"
@@ -67,6 +75,13 @@ SWEEP = {
             ("elemdiag", "--structure", "World", "--max",
              "--exprs", "some_happy_child,only_happy_children,happy_person"),
             ("sound", "--rule", "gci_happy", "--max-carrier", "2"),
+            ("entail", "--left", "HappyPeople", "--right", "HappyPeople", "--max-carrier", "2"),
+            ("entail", "--left", "HappyPeople", "--right", "OnlyHappyKids",
+             "--max-carrier", "2"),
+            ("morphism", "--src", "HappyPeople", "--dst", "Kids", "--map", "into2",
+             "--max-carrier", "2"),
+            ("morphism", "--src", "HappyPeople", "--dst", "Kids", "--map", "into1",
+             "--max-carrier", "2"),
         ]),
     "cat": (
         "mor loop1 : ID_ARITY -> TWO_LOOPS = [pv->pv; pe->pe1];\n"
@@ -87,10 +102,17 @@ SWEEP = {
             ("elemdiag", "--structure", "OneObj"),
             ("elemdiag", "--structure", "OneObj", "--max", "--exprs", "loop_is_id,two_ids"),
             ("sound", "--rule", "id_unique", "--max-carrier", "1,2"),
+            ("entail", "--left", "WithIdLoop", "--right", "OneLoop", "--max-carrier", "1,2"),
+            ("entail", "--left", "OneLoop", "--right", "WithIdLoop", "--max-carrier", "1,2"),
+            ("morphism", "--src", "WithIdLoop", "--dst", "TwoIdLoops", "--map", "loop1",
+             "--max-carrier", "1,2"),
+            ("morphism", "--src", "WithIdLoop", "--dst", "OneLoop",
+             "--map", "[pv->pv; pe->pe]", "--max-carrier", "1,2"),
         ]),
     "ua": (
         "mor leg1 : ONE -> SPAN = [pv->pv1];\n"
-        "mor leg2 : ONE -> SPAN = [pv->pv2];\n",
+        "mor leg2 : ONE -> SPAN = [pv->pv2];\n"
+        "sketch AnyPoint { context ONE; };\n",
         [
             ("solve", "--expr", "is_final", "--structure", "Cone"),
             ("solve", "--expr", "is_prod", "--structure", "Cone"),
@@ -109,6 +131,12 @@ SWEEP = {
             ("elemdiag", "--structure", "Cone"),
             ("elemdiag", "--structure", "Cone", "--max", "--exprs", "is_final,is_prod"),
             ("sound", "--rule", "final_exists", "--max-carrier", "1,1"),
+            ("entail", "--left", "FinalPt", "--right", "FinalPt", "--max-carrier", "2,1"),
+            ("entail", "--left", "AnyPoint", "--right", "FinalPt", "--max-carrier", "2,1"),
+            ("morphism", "--src", "FinalPt", "--dst", "FinalPt", "--map", "[pv->pv]",
+             "--max-carrier", "2,1"),
+            ("morphism", "--src", "FinalPt", "--dst", "ProdCone", "--map", "leg1",
+             "--max-carrier", "2,1"),
         ]),
 }
 
