@@ -326,23 +326,15 @@ def is_extension(b: Morphism, t: Morphism, a: Morphism) -> bool:
 # Inside a search a morphism b: X -> C is its image tuple (see
 # `Morphism`); lexicographic order on these tuples is hom-set order.
 
-_HOM_CACHE: dict[tuple[CatObject, CatObject], tuple[Morphism, ...]] = {}
-
-
 def hom_set(dom: CatObject, cod: CatObject) -> tuple[Morphism, ...]:
     """All morphisms dom -> cod, in lexicographic order.
 
     The order is lexicographic over the domain's ordered name list
     (vertices before edges for graphs), with candidate images taken in
-    the codomain's declared order.  The result is cached per object
-    pair.
+    the codomain's declared order.  Nothing is cached: a call's own
+    `SearchIndex` keeps the image tuples it needs (`index.homs`).
     """
-    key = (dom, cod)
-    cached = _HOM_CACHE.get(key)
-    if cached is None:
-        cached = tuple(from_images(dom, cod, b) for b in hom_search(dom, cod))
-        _HOM_CACHE[key] = cached
-    return cached
+    return tuple(from_images(dom, cod, b) for b in hom_search(dom, cod))
 
 
 def hom_search(dom: CatObject, cod: CatObject, atoms=(),

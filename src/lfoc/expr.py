@@ -22,12 +22,16 @@ Node constructors do not validate boundary agreement between children,
 so ill-formed candidates can be built and then reported on by
 `wf_check`; the lowercase helper functions (`conj`, `exists_along`,
 ...) do insist on well-formed input.
+
+`substitute` translates an expression along a morphism of its arity,
+and `canonicalize` names every quantifier target positionally.  Both
+are one iterative walk, `_transport`, not limited by nesting depth.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator
+from operator import is_
 
 from .category import (
     CatObject,
@@ -194,12 +198,6 @@ def children(e: Expr) -> tuple[Expr, ...]:
     return ()
 
 
-def subexpressions(e: Expr) -> Iterator[Expr]:
-    yield e
-    for child in children(e):
-        yield from subexpressions(child)
-
-
 def features(e: Expr, index: SearchIndex | None = None) -> tuple[str, ...]:
     """The feature names `e` mentions, sorted.
 
@@ -231,11 +229,6 @@ def features(e: Expr, index: SearchIndex | None = None) -> tuple[str, ...]:
             stack.append((node, True))
             stack += [(kid, False) for kid in kids]
     return memo[e]
-
-
-def depth(e: Expr) -> int:
-    kids = children(e)
-    return 1 + max((depth(k) for k in kids), default=0)
 
 
 # ---------------------------------------------------------------------------
@@ -448,6 +441,66 @@ def holds(a: Morphism, e: Expr, structure: Structure) -> bool:
 # ---------------------------------------------------------------------------
 # Substitution and canonical renaming
 
+_VISIT = object()
+
+
+def _transport(e: Expr, t: Morphism | None, bind) -> Expr:
+    """Move `e` along t: arity(e) -> Z; t None is the identity.
+
+    Atoms post-compose their binding with t, and connectives pass t on.
+    A quantifier's premise moves along t; ``bind(var, t)`` gives its new
+    variable declaration and the morphism its body moves along.  Along
+    the identity, a connective whose children come back unchanged is kept.
+    """
+    done: list[Expr] = []
+    # (node, t, _VISIT) visits a node; (node, t, var) and (node, t, kids)
+    # rebuild a quantifier and a connective from the top of `done`
+    todo: list[tuple] = [(e, t, _VISIT)]
+    while todo:
+        node, t, var = todo.pop()
+        if var is _VISIT:
+            if t is not None and t.dom is not node.arity and t.dom != node.arity:
+                raise CategoryError(
+                    f"substitution along {t!r} starting at {t.dom!r}, "
+                    f"but the expression arity is {node.arity!r}")
+            if isinstance(node, Atomic):
+                done.append(node if t is None else
+                            Atomic(t.cod, node.feature, compose(node.binding, t)))
+            elif isinstance(node, (Top, Bot)):
+                done.append(node if t is None else type(node)(t.cod))
+            elif isinstance(node, (CondExists, CondForall)):
+                var, s = bind(node.var, t)
+                todo += ((node, t, var), (node.body, s, _VISIT), (node.premise, t, _VISIT))
+            elif isinstance(node, (And, Or, Not)):
+                kids = children(node)
+                todo += [(node, t, kids)] + [(kid, t, _VISIT) for kid in reversed(kids)]
+            else:
+                raise TypeError(f"not an expression node: {node!r}")
+            continue
+        arity = node.arity if t is None else t.cod
+        if isinstance(var, Morphism):
+            body = done.pop()
+            done[-1] = type(node)(arity, done[-1], var, body)
+        else:
+            new = done[-len(var):]
+            del done[-len(var):]
+            done.append(node if t is None and all(map(is_, new, var))
+                        else type(node)(arity, *new))
+    return done[0]
+
+
+def _pushout_bind(var: Morphism, t: Morphism) -> tuple[Morphism, Morphism]:
+    po = pushout(var, t)
+    return po.inj_right, po.inj_left   # Z -> apex, Y -> apex
+
+
+def _canonical_bind(var: Morphism, t: Morphism | None) -> tuple[Morphism, Morphism]:
+    iso = canonical_copy(var.cod)
+    if t is not None:
+        var = compose(inverse(t), var)
+    return compose(var, iso), iso
+
+
 def substitute(e: Expr, t: Morphism) -> Expr:
     """Rebind the expression along t: arity(e) -> Z.
 
@@ -455,79 +508,23 @@ def substitute(e: Expr, t: Morphism) -> Expr:
     variable declaration against t, so the result quantifies over the
     chosen-pushout object with its canonical names.
     """
-    if t.dom != e.arity:
-        raise CategoryError(
-            f"substitution along {t!r} starting at {t.dom!r}, "
-            f"but the expression arity is {e.arity!r}")
-    target = t.cod
-    if isinstance(e, Atomic):
-        return Atomic(target, e.feature, compose(e.binding, t))
-    if isinstance(e, Top):
-        return Top(target)
-    if isinstance(e, Bot):
-        return Bot(target)
-    if isinstance(e, And):
-        return And(target, substitute(e.left, t), substitute(e.right, t))
-    if isinstance(e, Or):
-        return Or(target, substitute(e.left, t), substitute(e.right, t))
-    if isinstance(e, Not):
-        return Not(target, substitute(e.body, t))
-    if isinstance(e, (CondExists, CondForall)):
-        po = pushout(e.var, t)
-        new_var = po.inj_right          # Z -> apex
-        body = substitute(e.body, po.inj_left)  # along Y -> apex
-        premise = substitute(e.premise, t)
-        node = CondExists if isinstance(e, CondExists) else CondForall
-        return node(target, premise, new_var, body)
-    raise TypeError(f"not an expression node: {e!r}")
-
-
-def rename_expr(e: Expr, iso: Morphism) -> Expr:
-    """Transport the expression along an isomorphism of its arity.
-
-    Unlike `substitute` this leaves quantifier targets untouched, so the
-    result has exactly the same shape.
-    """
-    if iso.dom != e.arity:
-        raise CategoryError(f"renaming must start at the arity {e.arity!r}")
-    target = iso.cod
-    if isinstance(e, Atomic):
-        return Atomic(target, e.feature, compose(e.binding, iso))
-    if isinstance(e, Top):
-        return Top(target)
-    if isinstance(e, Bot):
-        return Bot(target)
-    if isinstance(e, And):
-        return And(target, rename_expr(e.left, iso), rename_expr(e.right, iso))
-    if isinstance(e, Or):
-        return Or(target, rename_expr(e.left, iso), rename_expr(e.right, iso))
-    if isinstance(e, Not):
-        return Not(target, rename_expr(e.body, iso))
-    if isinstance(e, (CondExists, CondForall)):
-        node = CondExists if isinstance(e, CondExists) else CondForall
-        return node(target, rename_expr(e.premise, iso),
-                    compose(inverse(iso), e.var), e.body)
-    raise TypeError(f"not an expression node: {e!r}")
+    return _transport(e, t, _pushout_bind)
 
 
 def canonicalize(e: Expr) -> Expr:
     """Rename every quantifier target to positional names.
 
     Two expressions with the same arity are considered equal up to
-    bound renaming exactly when their canonical forms are equal.
+    bound renaming exactly when their canonical forms are equal.  The
+    result is kept on the node, like its hash.
     """
-    if isinstance(e, And):
-        return And(e.arity, canonicalize(e.left), canonicalize(e.right))
-    if isinstance(e, Or):
-        return Or(e.arity, canonicalize(e.left), canonicalize(e.right))
-    if isinstance(e, Not):
-        return Not(e.arity, canonicalize(e.body))
-    if isinstance(e, (CondExists, CondForall)):
-        iso = canonical_copy(e.var.cod)
-        node = CondExists if isinstance(e, CondExists) else CondForall
-        return node(e.arity, canonicalize(e.premise), compose(e.var, iso),
-                    canonicalize(rename_expr(e.body, iso)))
-    return e
+    try:
+        c = e._canonical
+    except AttributeError:
+        c = _transport(e, None, _canonical_bind)
+        # None for a node that is its own canonical form: no reference cycle
+        object.__setattr__(e, "_canonical", None if c is e else c)
+    return e if c is None else c
 
 
 def exprs_equivalent(a: Expr, b: Expr) -> bool:

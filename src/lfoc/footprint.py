@@ -279,9 +279,12 @@ def count_structures(footprint: Footprint, bounds: CarrierBounds) -> int:
     return _count_structures(footprint, bounds, SearchIndex())
 
 
-def _count_structures(footprint: Footprint, bounds: CarrierBounds, index: SearchIndex) -> int:
+def _count_structures(footprint: Footprint, bounds: CarrierBounds, index: SearchIndex,
+                      cap: int | None = None) -> int:
     # per carrier 2^(sum of hom-set sizes); a set hom set has |C|^|A|
-    # members, a graph hom set is searched as tuples, never as morphisms
+    # members, a graph hom set is searched as tuples, never as morphisms.
+    # Graph carriers can be too many to walk, so with a cap the walk
+    # stops once the total passes it.
     total = 0
     for carrier in enumerate_carriers(footprint.kind, bounds):
         homs = 0
@@ -291,6 +294,8 @@ def _count_structures(footprint: Footprint, bounds: CarrierBounds, index: Search
             else:
                 homs += len(index.homs(arity, carrier))
         total += 1 << homs
+        if cap is not None and total > cap and footprint.kind == GRAPH:
+            break
     return total
 
 
@@ -327,13 +332,16 @@ def enumerate_structures(footprint: Footprint, bounds: CarrierBounds, *,
 
     Deterministic: carriers in `enumerate_carriers` order, feature
     subsets in binary counting order over the hom-set list.  Refuses to
-    start if the total would exceed `cap`.
+    start if the total would exceed `cap`; for graphs the refusal counts
+    carriers only until the cap is passed and says "at least".
     """
     index = SearchIndex()
-    total = _count_structures(footprint, bounds, index)
+    total = _count_structures(footprint, bounds, index, cap)
     if total > cap:
+        at_least = "at least " if footprint.kind == GRAPH else ""
         raise EnumerationLimitError(
-            f"enumeration would yield {_count_text(total)} structures (cap {cap})", total)
+            f"enumeration would yield {at_least}{_count_text(total)} structures (cap {cap})",
+            total)
     kept: list[Structure] = []
     names = tuple(footprint.features)
     number = 0

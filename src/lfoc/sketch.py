@@ -31,7 +31,6 @@ from .category import (
     compose,
     from_images,
     hom_search,
-    hom_set,
     identity,
     isomorphisms,
     precompose,
@@ -303,16 +302,13 @@ def check_initial_model(structure: Structure, registry: StructureRegistry) -> In
     the minimal sketch?
 
     For every model (a, V) there must be exactly one structure
-    homomorphism s with identity;s = a; candidates are enumerated.
+    homomorphism s with identity;s = a.  Only s = a itself satisfies the
+    equation, so the check is whether a is a structure homomorphism.
     """
     sk = structure_to_sketch_min(structure)
-    ident = identity(structure.carrier)
     for other in registry:
         for m in models(sk, other):
-            mediators = [s for s in hom_set(structure.carrier, other.carrier)
-                         if compose(ident, s) == m.map
-                         and is_structure_hom(s, structure, other)]
-            if len(mediators) != 1:
+            if not is_structure_hom(m.map, structure, other):
                 return InitialModelResult(False, registry.description, (other, m.map))
     return InitialModelResult(True, registry.description)
 

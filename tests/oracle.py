@@ -15,6 +15,10 @@ engine did before it decided each restriction once per call;
 
 `_lex` is the per-character lexer that `dsl` replaced with one regex
 pass; `test_lexer.py` holds the new tokens, positions and errors to it.
+
+`substitute`, `rename_expr` and `canonicalize` are the recursive walks
+that `expr` replaced with one iterative transport walk;
+`test_transport.py` holds the engine to them.
 """
 
 from __future__ import annotations
@@ -22,9 +26,18 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
-from lfoc.category import compose, hom_set, is_isomorphism
+from lfoc.category import (
+    CategoryError,
+    Morphism,
+    canonical_copy,
+    compose,
+    hom_set,
+    inverse,
+    is_isomorphism,
+    pushout,
+)
 from lfoc.dsl import ParseError
-from lfoc.expr import And, Atomic, Bot, CondExists, CondForall, Not, Or, Top
+from lfoc.expr import And, Atomic, Bot, CondExists, CondForall, Expr, Not, Or, Top
 from lfoc.footprint import Structure, StructureRegistry, enumerate_carriers
 from lfoc.rules import (
     BUDGET_EXHAUSTED,
@@ -270,3 +283,85 @@ def _lex(text: str, source: str) -> list[Token]:
         raise ParseError(f"unexpected character {ch!r}", line, col, source)
     tokens.append(Token("eof", "", line, col))
     return tokens
+
+
+def substitute(e: Expr, t: Morphism) -> Expr:
+    """Rebind the expression along t: arity(e) -> Z.
+
+    Atomic bindings are post-composed; quantifier nodes push out their
+    variable declaration against t, so the result quantifies over the
+    chosen-pushout object with its canonical names.
+    """
+    if t.dom != e.arity:
+        raise CategoryError(
+            f"substitution along {t!r} starting at {t.dom!r}, "
+            f"but the expression arity is {e.arity!r}")
+    target = t.cod
+    if isinstance(e, Atomic):
+        return Atomic(target, e.feature, compose(e.binding, t))
+    if isinstance(e, Top):
+        return Top(target)
+    if isinstance(e, Bot):
+        return Bot(target)
+    if isinstance(e, And):
+        return And(target, substitute(e.left, t), substitute(e.right, t))
+    if isinstance(e, Or):
+        return Or(target, substitute(e.left, t), substitute(e.right, t))
+    if isinstance(e, Not):
+        return Not(target, substitute(e.body, t))
+    if isinstance(e, (CondExists, CondForall)):
+        po = pushout(e.var, t)
+        new_var = po.inj_right          # Z -> apex
+        body = substitute(e.body, po.inj_left)  # along Y -> apex
+        premise = substitute(e.premise, t)
+        node = CondExists if isinstance(e, CondExists) else CondForall
+        return node(target, premise, new_var, body)
+    raise TypeError(f"not an expression node: {e!r}")
+
+
+def rename_expr(e: Expr, iso: Morphism) -> Expr:
+    """Transport the expression along an isomorphism of its arity.
+
+    Unlike `substitute` this leaves quantifier targets untouched, so the
+    result has exactly the same shape.
+    """
+    if iso.dom != e.arity:
+        raise CategoryError(f"renaming must start at the arity {e.arity!r}")
+    target = iso.cod
+    if isinstance(e, Atomic):
+        return Atomic(target, e.feature, compose(e.binding, iso))
+    if isinstance(e, Top):
+        return Top(target)
+    if isinstance(e, Bot):
+        return Bot(target)
+    if isinstance(e, And):
+        return And(target, rename_expr(e.left, iso), rename_expr(e.right, iso))
+    if isinstance(e, Or):
+        return Or(target, rename_expr(e.left, iso), rename_expr(e.right, iso))
+    if isinstance(e, Not):
+        return Not(target, rename_expr(e.body, iso))
+    if isinstance(e, (CondExists, CondForall)):
+        node = CondExists if isinstance(e, CondExists) else CondForall
+        return node(target, rename_expr(e.premise, iso),
+                    compose(inverse(iso), e.var), e.body)
+    raise TypeError(f"not an expression node: {e!r}")
+
+
+def canonicalize(e: Expr) -> Expr:
+    """Rename every quantifier target to positional names.
+
+    Two expressions with the same arity are considered equal up to
+    bound renaming exactly when their canonical forms are equal.
+    """
+    if isinstance(e, And):
+        return And(e.arity, canonicalize(e.left), canonicalize(e.right))
+    if isinstance(e, Or):
+        return Or(e.arity, canonicalize(e.left), canonicalize(e.right))
+    if isinstance(e, Not):
+        return Not(e.arity, canonicalize(e.body))
+    if isinstance(e, (CondExists, CondForall)):
+        iso = canonical_copy(e.var.cod)
+        node = CondExists if isinstance(e, CondExists) else CondForall
+        return node(e.arity, canonicalize(e.premise), compose(e.var, iso),
+                    canonicalize(rename_expr(e.body, iso)))
+    return e

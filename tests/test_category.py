@@ -1,6 +1,8 @@
 from __future__ import annotations
 
+import gc
 import itertools
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -304,3 +306,19 @@ def test_pushout_square_commutes_property(fgh):
     for g in hom_set(f.dom, XYZ):
         po = pushout(f, g)
         assert compose(f, po.inj_left) == compose(g, po.inj_right)
+
+
+def test_hom_set_keeps_nothing_after_the_call():
+    a = FinSet(tuple(f"retained_a{i}" for i in range(5)))
+    b = FinSet(tuple(f"retained_b{i}" for i in range(5)))
+    tracemalloc.start()
+    try:
+        gc.collect()
+        before = tracemalloc.get_traced_memory()[0]
+        assert len(hom_set(a, b)) == 5 ** 5
+        gc.collect()
+        grown = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    # the 3 125 morphisms alone take several hundred KB
+    assert grown < 20_000

@@ -5,7 +5,7 @@ from pathlib import Path
 
 import pytest
 
-from lfoc import category, cli
+from lfoc import cli, footprint
 from lfoc.cli import main
 from lfoc.dsl import parse_path
 from lfoc.fixtures import fixture_path
@@ -314,13 +314,31 @@ def test_oversized_registry_is_refused_with_one_short_line(capsys, tmp_path):
         "sketch A { context C; };\n"
         "sketch B { context C; };\n",
         encoding="utf-8")
-    cache = dict(category._HOM_CACHE)
     for bound, count in (("20", "about 1.7e2408"), ("60", "about 3.0e65022")):
         code, payload, err = run(capsys, "entail", str(path), "--left", "A", "--right", "B",
                                  "--max-carrier", bound)
         assert code == 2 and payload is None
         assert err == f"error: enumeration would yield {count} structures (cap 500000)\n"
-    assert category._HOM_CACHE == cache
     fp = parse_path(str(path)).footprints["F"]
     assert count_structures(fp, CarrierBounds(max_elements=60)) \
         == sum(2 ** n ** 3 for n in range(61))
+
+
+def test_oversized_graph_registry_is_refused_without_walking_every_carrier(capsys, monkeypatch):
+    visited = []
+    walk = footprint.enumerate_carriers
+
+    def counted(kind, bounds):
+        for carrier in walk(kind, bounds):
+            visited.append(carrier)
+            if len(visited) > 1000:
+                raise AssertionError("walked past 1000 carriers")
+            yield carrier
+
+    monkeypatch.setattr(footprint, "enumerate_carriers", counted)
+    code, payload, err = run(capsys, "sound", CAT, "--rule", "id_unique",
+                             "--max-carrier", "60,60")
+    assert code == 2 and payload is None
+    assert err.startswith("error: enumeration would yield at least ")
+    assert err.endswith(" structures (cap 500000)\n") and err.count("\n") == 1
+    assert len(visited) < 20

@@ -265,3 +265,15 @@ def test_sketches_isomorphic():
     assert sketches_isomorphic(a, b)
     c = Sketch("c", K2, [Constraint(neg(MARK), morphism(P1, K2, {"p": "m2"}))])
     assert not sketches_isomorphic(a, c)
+
+
+def test_initial_model_check_does_not_enumerate_carrier_maps():
+    # 5^12 carrier maps are past HOM_ENUMERATION_CAP; the one model, the
+    # constant map onto the single marked element, is the only candidate
+    big = FinSet(tuple(f"b{i}" for i in range(12)))
+    small = FinSet(tuple(f"s{i}" for i in range(5)))
+    fp = Footprint("U", "set", {"mark": P1})
+    st = Structure("big", fp, big, {"mark": [morphism(P1, big, {"p": b}) for b in big.elements]})
+    other = Structure("small", fp, small, {"mark": [morphism(P1, small, {"p": "s3"})]})
+    res = check_initial_model(st, StructureRegistry.explicit([other]))
+    assert res.holds and res.counterexample is None
