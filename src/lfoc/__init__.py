@@ -3,7 +3,8 @@
 The engine is organized bottom-up:
 
 * `lfoc.category`: finite sets/graphs, morphisms, hom sets, pushouts.
-* `lfoc.footprint`: feature symbols, structures, registries.
+* `lfoc.footprint`: feature symbols, structures, registries, and the
+  `Verdict` every check returns.
 * `lfoc.expr`: feature expressions and solution-set semantics.
 * `lfoc.sketch`: constraints, sketches, interpretations, entailment.
 * `lfoc.rules`: sketch rules, saturation, soundness, closedness.
@@ -75,9 +76,9 @@ from .dsl import (
 from .footprint import (
     CarrierBounds,
     Footprint,
-    Report,
     Structure,
     StructureRegistry,
+    Verdict,
     enumerate_structures,
     is_structure_hom,
     structures_isomorphic,
@@ -85,15 +86,11 @@ from .footprint import (
 )
 from .rules import (
     AppliedRule,
-    ClosednessResult,
-    ConservativityResult,
     EquivalenceResult,
-    Match,
     MatchError,
     SaturationLimits,
     SaturationResult,
     SketchRule,
-    SoundnessResult,
     apply_rule,
     axiom_filtered_registry,
     check_equivalence,
@@ -110,7 +107,6 @@ from .rules import (
 )
 from .sketch import (
     Constraint,
-    EntailmentResult,
     Interpretation,
     Sketch,
     check_initial_model,

@@ -19,7 +19,6 @@ from .expr import holds, solutions
 from .footprint import CarrierBounds, Footprint, StructureRegistry
 from .rules import (
     CLOSED,
-    Match,
     MatchError,
     SaturationLimits,
     apply_rule,
@@ -106,11 +105,15 @@ def _registry(doc: Document, args) -> StructureRegistry:
         + ("" if doc.base_kind == "set" else ",M"))
 
 
-def _witness_json(counterexample) -> dict | None:
-    if counterexample is None:
+def _witness_json(witness) -> dict | None:
+    if witness is None:
         return None
-    structure, mapping = counterexample
+    structure, mapping = witness
     return {"structure": structure.name, "map": mapping.name_map()}
+
+
+def _map_json(m: Morphism | None) -> dict | None:
+    return None if m is None else m.name_map()
 
 
 def _emit(**fields) -> None:
@@ -159,8 +162,7 @@ def cmd_entail(doc: Document, args) -> int:
     reg = _registry(doc, args)
     res = entails(left.context, left.constraints, right.constraints, reg)
     _emit(command="entail", left=args.left, right=args.right,
-          registry=res.registry, holds=res.holds,
-          counterexample=_witness_json(res.counterexample))
+          registry=res.registry, holds=res.holds, counterexample=_witness_json(res.witness))
     return 0 if res.holds else 1
 
 
@@ -171,8 +173,7 @@ def cmd_morphism(doc: Document, args) -> int:
     reg = _registry(doc, args)
     res = check_sketch_morphism(phi, src, dst, reg)
     _emit(command="morphism", src=args.src, dst=args.dst, map=phi.name_map(),
-          registry=res.registry, holds=res.holds,
-          counterexample=_witness_json(res.counterexample))
+          registry=res.registry, holds=res.holds, counterexample=_witness_json(res.witness))
     return 0 if res.holds else 1
 
 
@@ -201,7 +202,7 @@ def cmd_match(doc: Document, args) -> int:
     host = _named(doc.sketches, args.host, "sketch")
     found = find_matches(rule.lhs, host)
     _emit(command="match", rule=args.rule, host=args.host,
-          matches=[m.morphism.name_map() for m in found], count=len(found))
+          matches=[m.name_map() for m in found], count=len(found))
     return 0
 
 
@@ -209,10 +210,9 @@ def cmd_closed(doc: Document, args) -> int:
     rule = _named(doc.rules, args.rule, "rule")
     host = _named(doc.sketches, args.host, "sketch")
     res = is_closed(host, rule)
-    failing = res.failing_match.morphism.name_map() if res.failing_match else None
     _emit(command="closed", rule=args.rule, host=args.host,
-          closed=res.closed, failing_match=failing)
-    return 0 if res.closed else 1
+          closed=res.holds, failing_match=_map_json(res.witness))
+    return 0 if res.holds else 1
 
 
 def cmd_conservative(doc: Document, args) -> int:
@@ -220,9 +220,8 @@ def cmd_conservative(doc: Document, args) -> int:
     st = _named(doc.structures, args.structure, "structure")
     res = is_conservative(st, rule)
     _emit(command="conservative", rule=args.rule, structure=args.structure,
-          conservative=res.conservative,
-          witness=res.witness.name_map() if res.witness else None)
-    return 0 if res.conservative else 1
+          conservative=res.holds, witness=_map_json(res.witness))
+    return 0 if res.holds else 1
 
 
 def cmd_sound(doc: Document, args) -> int:
@@ -230,8 +229,8 @@ def cmd_sound(doc: Document, args) -> int:
     reg = _registry(doc, args)
     res = is_sound(rule, reg)
     _emit(command="sound", rule=args.rule, registry=res.registry,
-          sound=res.sound, counterexample=_witness_json(res.counterexample))
-    return 0 if res.sound else 1
+          sound=res.holds, counterexample=_witness_json(res.witness))
+    return 0 if res.holds else 1
 
 
 def cmd_apply(doc: Document, args) -> int:
@@ -242,7 +241,7 @@ def cmd_apply(doc: Document, args) -> int:
         raise MatchError(
             f"{phi.name_map()!r} is not a match of rule {args.rule!r} in "
             f"sketch {args.host!r}")
-    res = apply_rule(host, rule, Match(phi))
+    res = apply_rule(host, rule, phi)
     _emit(command="apply", rule=args.rule, host=args.host, at=phi.name_map(),
           sketch=jsonio.sketch_json(res.sketch),
           host_injection=res.host_injection.name_map(),

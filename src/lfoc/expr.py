@@ -47,28 +47,40 @@ from .category import (
     precompose,
     pushout,
 )
-from .footprint import Footprint, Report, Structure
+from .footprint import Footprint, Structure, Verdict
 
 
 def _node(cls):
     """A frozen dataclass whose hash is computed once per instance.
 
     Memo tables hash expression trees over and over; the generated hash
-    would walk the whole tree every time.
+    would walk the whole tree every time, and recursively.
     """
     cls = dataclass(frozen=True)(cls)
-    field_hash = cls.__hash__
-
-    def __hash__(self) -> int:
-        try:
-            return self._hash
-        except AttributeError:
-            h = field_hash(self)
-            object.__setattr__(self, "_hash", h)
-            return h
-
-    cls.__hash__ = __hash__
+    cls._field_hash = cls.__hash__
+    cls.__hash__ = _hash
     return cls
+
+
+def _hash(e) -> int:
+    try:
+        return e._hash
+    except AttributeError:
+        pass
+    # store the unhashed nodes below e children first, so that every
+    # generated hash finds its children's hashes already stored
+    stack = [(e, False)]
+    while stack:
+        node, expanded = stack.pop()
+        if hasattr(node, "_hash"):
+            continue
+        kids = () if expanded else children(node)
+        if kids:
+            stack.append((node, True))
+            stack += [(kid, False) for kid in kids]
+        else:
+            object.__setattr__(node, "_hash", node._field_hash())
+    return e._hash
 
 
 @_node
@@ -234,11 +246,18 @@ def features(e: Expr, index: SearchIndex | None = None) -> tuple[str, ...]:
 # ---------------------------------------------------------------------------
 # Well-formedness
 
-def wf_check(e: Expr, footprint: Footprint) -> Report:
-    """Boundary and arity agreement of every node against a footprint."""
-    problems: list[str] = []
+def wf_check(e: Expr, footprint: Footprint) -> Verdict:
+    """Boundary and arity agreement of every node against a footprint.
 
-    def walk(node: Expr, path: str) -> None:
+    Walks iteratively; the witness is the tuple of problems, in preorder.
+    """
+    problems: list[str] = []
+    # (node, path, the arity its connective parent expects, or None)
+    stack: list[tuple] = [(e, "expr", None)]
+    while stack:
+        node, path, expected = stack.pop()
+        if expected is not None and node.arity != expected:
+            problems.append(f"{path}: arity {node.arity!r} differs from {expected!r}")
         if node.arity.kind != footprint.kind:
             problems.append(f"{path}: arity {node.arity!r} is not a {footprint.kind}")
         if isinstance(node, Atomic):
@@ -255,16 +274,10 @@ def wf_check(e: Expr, footprint: Footprint) -> Report:
                     f"{path}: binding ends at {node.binding.cod!r}, "
                     f"expected the expression arity {node.arity!r}")
         elif isinstance(node, (And, Or)):
-            for side, kid in (("left", node.left), ("right", node.right)):
-                if kid.arity != node.arity:
-                    problems.append(
-                        f"{path}.{side}: arity {kid.arity!r} differs from {node.arity!r}")
-                walk(kid, f"{path}.{side}")
+            stack += [(node.right, f"{path}.right", node.arity),
+                      (node.left, f"{path}.left", node.arity)]
         elif isinstance(node, Not):
-            if node.body.arity != node.arity:
-                problems.append(
-                    f"{path}.body: arity {node.body.arity!r} differs from {node.arity!r}")
-            walk(node.body, f"{path}.body")
+            stack.append((node.body, f"{path}.body", node.arity))
         elif isinstance(node, (CondExists, CondForall)):
             if node.var.dom != node.arity:
                 problems.append(
@@ -277,11 +290,9 @@ def wf_check(e: Expr, footprint: Footprint) -> Report:
                 problems.append(
                     f"{path}.body: arity {node.body.arity!r} differs from the "
                     f"quantifier target {node.var.cod!r}")
-            walk(node.premise, f"{path}.premise")
-            walk(node.body, f"{path}.body")
-
-    walk(e, "expr")
-    return Report(not problems, tuple(problems))
+            stack += [(node.body, f"{path}.body", None),
+                      (node.premise, f"{path}.premise", None)]
+    return Verdict(not problems, tuple(problems) or None)
 
 
 def is_constructive(e: Expr, *, strict: bool = False) -> bool:
@@ -291,14 +302,14 @@ def is_constructive(e: Expr, *, strict: bool = False) -> bool:
     must be Top; solutions of strict expressions are preserved by
     post-composition with structure homomorphisms.
     """
-    if isinstance(e, (Not, CondForall)):
-        return False
-    if isinstance(e, CondExists):
-        if strict and not isinstance(e.premise, Top):
+    stack = [e]
+    while stack:
+        node = stack.pop()
+        if isinstance(node, (Not, CondForall)) or (
+                strict and isinstance(node, CondExists) and not isinstance(node.premise, Top)):
             return False
-        return (is_constructive(e.premise, strict=strict)
-                and is_constructive(e.body, strict=strict))
-    return all(is_constructive(k, strict=strict) for k in children(e))
+        stack += children(node)
+    return True
 
 
 # ---------------------------------------------------------------------------

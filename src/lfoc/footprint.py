@@ -42,14 +42,16 @@ STRUCTURE_ENUMERATION_CAP = 500_000
 
 
 @dataclass(frozen=True)
-class Report:
-    """Outcome of a validation pass: ok, or a list of problems."""
+class Verdict:
+    """Whether a checked property holds, and if not, what witnesses the
+    failure; a registry-relative check also names its registry."""
 
-    ok: bool
-    problems: tuple[str, ...] = ()
+    holds: bool
+    witness: object = None
+    registry: str | None = None
 
     def __bool__(self) -> bool:
-        return self.ok
+        return self.holds
 
 
 class Footprint:
@@ -71,10 +73,6 @@ class Footprint:
         self.kind = kind
         self.features = feats
         self._hash = hash((kind, tuple(feats.items())))
-
-    @property
-    def feature_names(self) -> tuple[str, ...]:
-        return tuple(self.features)
 
     def arity(self, feature: str) -> CatObject:
         try:
@@ -175,9 +173,9 @@ def _structure(name: str, footprint: Footprint, carrier: CatObject,
     return st
 
 
-def validate_structure(structure: Structure) -> Report:
+def validate_structure(structure: Structure) -> Verdict:
     """Check that every listed morphism really maps the feature's arity
-    into the carrier."""
+    into the carrier; the witness is the tuple of problems."""
     problems = []
     fp = structure.footprint
     for fname in fp.features:
@@ -194,7 +192,7 @@ def validate_structure(structure: Structure) -> Report:
                 problems.append(
                     f"feature {fname!r}: morphism {m!r} ends at {m.cod!r}, "
                     f"expected the carrier {structure.carrier!r}")
-    return Report(not problems, tuple(problems))
+    return Verdict(not problems, tuple(problems) or None)
 
 
 def is_structure_hom(s: Morphism, src: Structure, dst: Structure) -> bool:

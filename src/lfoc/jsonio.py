@@ -11,9 +11,7 @@ import json
 
 from .category import CatObject, FinSet, Morphism, PushoutResult
 from .expr import And, Atomic, Bot, CondExists, CondForall, Expr, Not, Or, Top
-from .footprint import Footprint, Structure
-from .rules import SketchRule
-from .sketch import Constraint, Interpretation, Sketch
+from .sketch import Constraint, Sketch
 
 SCHEMA = "lfoc/1"
 
@@ -63,31 +61,6 @@ def constraint_json(c: Constraint) -> dict:
 def sketch_json(sk: Sketch) -> dict:
     return {"context": object_json(sk.context),
             "constraints": [constraint_json(c) for c in sk.sorted_constraints()]}
-
-
-def footprint_json(fp: Footprint) -> dict:
-    return {"kind": fp.kind,
-            "features": {name: object_json(arity) for name, arity in fp.features.items()}}
-
-
-def structure_json(st: Structure) -> dict:
-    return {"name": st.name,
-            "carrier": object_json(st.carrier),
-            "interpretation": {
-                fname: [m.name_map() for m in st.interp(fname)]
-                for fname in st.footprint.features}}
-
-
-def interpretation_json(i: Interpretation) -> dict:
-    return {"structure": i.structure.name,
-            "map": i.map.name_map()}
-
-
-def rule_json(rule: SketchRule) -> dict:
-    return {"name": rule.name,
-            "lhs": sketch_json(rule.lhs),
-            "rhs": sketch_json(rule.rhs),
-            "morphism": morphism_json(rule.morphism, embed_objects=False)}
 
 
 def pushout_json(po: PushoutResult) -> dict:

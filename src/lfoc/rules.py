@@ -2,16 +2,19 @@
 
 A rule L =r=> R rewrites sketches.  A match of a pattern sketch G in a
 host K is a context morphism under which every translated pattern
-constraint is already present in K.  Applying a rule at a match pushes
-the rule morphism out against the match and unions the translated host
-and right-hand constraints; when the rule morphism is an identity the
-context is unchanged and constraints are only added.
+constraint is already present in K; matches are plain morphisms.
+Applying a rule at a match pushes the rule morphism out against the
+match and unions the translated host and right-hand constraints; when
+the rule morphism is an identity the context is unchanged and
+constraints are only added.
 
 A structure is *conservative* for a rule when every left-hand model
 extends along the rule morphism to a right-hand model; a rule is
 *sound* over a registry when all its structures are conservative.  A
 sketch is *closed* under a rule when every left-hand match factors
-through a right-hand match.  Conservativity of a structure and
+through a right-hand match.  These checks return a `Verdict` whose
+witness, when the property fails, is the left-hand model or match that
+does not extend or factor.  Conservativity of a structure and
 closedness of its maximal sketch over the rule's expressions agree;
 `check_equivalence` computes both sides independently.
 """
@@ -40,6 +43,7 @@ from .footprint import (
     Footprint,
     Structure,
     StructureRegistry,
+    Verdict,
     enumerate_structures,
 )
 from .sketch import (
@@ -77,13 +81,6 @@ class SketchRule:
                 f"rhs context {self.rhs.context!r}")
 
 
-@dataclass(frozen=True)
-class Match:
-    """A context morphism under which all pattern constraints land in the host."""
-
-    morphism: Morphism
-
-
 def is_match(phi: Morphism, pattern: Sketch, host: Sketch) -> bool:
     if phi.dom != pattern.context or phi.cod != host.context:
         raise CategoryError(
@@ -93,11 +90,10 @@ def is_match(phi: Morphism, pattern: Sketch, host: Sketch) -> bool:
                for c in pattern.constraints)
 
 
-def find_matches(pattern: Sketch, host: Sketch) -> tuple[Match, ...]:
+def find_matches(pattern: Sketch, host: Sketch) -> tuple[Morphism, ...]:
     """All matches of the pattern in the host, in hom-set order."""
-    index = SearchIndex()
-    found = _match_tuples(pattern, host, index)
-    return tuple(Match(from_images(pattern.context, host.context, m)) for m in found)
+    found = _match_tuples(pattern, host, SearchIndex())
+    return tuple(from_images(pattern.context, host.context, m) for m in found)
 
 
 def _match_tuples(pattern: Sketch, host: Sketch, index: SearchIndex) -> list[tuple[int, ...]]:
@@ -122,23 +118,14 @@ def _factored(host: Sketch, rule: SketchRule, index: SearchIndex) -> set:
 # ---------------------------------------------------------------------------
 # Conservativity and soundness
 
-@dataclass(frozen=True)
-class ConservativityResult:
-    conservative: bool
-    witness: Morphism | None = None  # an lhs model with no rhs extension
-
-    def __bool__(self) -> bool:
-        return self.conservative
-
-
-def is_conservative(structure: Structure, rule: SketchRule) -> ConservativityResult:
+def is_conservative(structure: Structure, rule: SketchRule) -> Verdict:
     """Does every lhs model of the structure extend along the rule
-    morphism to an rhs model?"""
+    morphism to an rhs model?  The witness is an lhs model that does not."""
     return _conservative(structure, rule, SearchIndex())
 
 
 def _conservative(structure: Structure, rule: SketchRule,
-                  index: SearchIndex) -> ConservativityResult:
+                  index: SearchIndex) -> Verdict:
     ev = _Evaluator(structure, index)
     carrier = structure.carrier
     r = rule.morphism.images
@@ -147,32 +134,23 @@ def _conservative(structure: Structure, rule: SketchRule,
     for a in hom_search(rule.lhs.context, carrier,
                         constraint_atoms(rule.lhs.sorted_constraints(), ev), index):
         if a not in extended:
-            return ConservativityResult(False, from_images(rule.lhs.context, carrier, a))
-    return ConservativityResult(True)
+            return Verdict(False, from_images(rule.lhs.context, carrier, a))
+    return Verdict(True)
 
 
-@dataclass(frozen=True)
-class SoundnessResult:
-    sound: bool
-    registry: str
-    counterexample: tuple[Structure, Morphism] | None = None
-
-    def __bool__(self) -> bool:
-        return self.sound
-
-
-def is_sound(rule: SketchRule, registry: StructureRegistry) -> SoundnessResult:
+def is_sound(rule: SketchRule, registry: StructureRegistry) -> Verdict:
     """Is every registry structure conservative for the rule?
 
     Structures are checked in registry order, each restriction to the
-    rule's features once.
+    rule's features once.  The witness is a (structure, lhs model) pair
+    that does not extend.
     """
     index = SearchIndex()
     for structure in registry.first_per_restriction(_rule_features(rule, index)):
         res = _conservative(structure, rule, index)
         if not res:
-            return SoundnessResult(False, registry.description, (structure, res.witness))
-    return SoundnessResult(True, registry.description)
+            return Verdict(False, (structure, res.witness), registry.description)
+    return Verdict(True, registry=registry.description)
 
 
 def _rule_features(rule: SketchRule, index: SearchIndex) -> tuple[str, ...]:
@@ -184,24 +162,15 @@ def _rule_features(rule: SketchRule, index: SearchIndex) -> tuple[str, ...]:
 # ---------------------------------------------------------------------------
 # Closedness and application
 
-@dataclass(frozen=True)
-class ClosednessResult:
-    closed: bool
-    failing_match: Match | None = None
-
-    def __bool__(self) -> bool:
-        return self.closed
-
-
-def is_closed(host: Sketch, rule: SketchRule) -> ClosednessResult:
+def is_closed(host: Sketch, rule: SketchRule) -> Verdict:
     """Does every lhs match factor through an rhs match along the rule
-    morphism?"""
+    morphism?  The witness is an lhs match that does not."""
     index = SearchIndex()
     factored = _factored(host, rule, index)
     for m in _match_tuples(rule.lhs, host, index):
         if m not in factored:
-            return ClosednessResult(False, Match(from_images(rule.lhs.context, host.context, m)))
-    return ClosednessResult(True)
+            return Verdict(False, from_images(rule.lhs.context, host.context, m))
+    return Verdict(True)
 
 
 @dataclass(frozen=True)
@@ -214,24 +183,23 @@ class AppliedRule:
     rhs_injection: Morphism
 
 
-def apply_rule(host: Sketch, rule: SketchRule, m: Match, name: str = "") -> AppliedRule:
+def apply_rule(host: Sketch, rule: SketchRule, m: Morphism, name: str = "") -> AppliedRule:
     """Rewrite the host at a match.
 
     The new context is the pushout of the rule morphism against the
     match; constraints are the translated host constraints together with
     the translated rhs constraints.  A non-match is rejected.
     """
-    if not is_match(m.morphism, rule.lhs, host):
-        raise MatchError(
-            f"{m.morphism!r} is not a match of {rule.lhs!r} in {host!r}")
+    if not is_match(m, rule.lhs, host):
+        raise MatchError(f"{m!r} is not a match of {rule.lhs!r} in {host!r}")
     if rule.morphism == identity(rule.lhs.context):
         # context unchanged, constraints only added
         host_inj = identity(host.context)
-        rhs_inj = m.morphism
+        rhs_inj = m
         constraints = set(host.constraints)
         context = host.context
     else:
-        po = pushout(rule.morphism, m.morphism)
+        po = pushout(rule.morphism, m)
         host_inj = po.inj_right
         rhs_inj = po.inj_left
         constraints = {translate_constraint(host_inj, c) for c in host.constraints}
@@ -302,8 +270,8 @@ def saturate(host: Sketch, rules: Sequence[SketchRule],
                     continue
                 if steps >= limits.max_steps:
                     return SaturationResult(current, BUDGET_EXHAUSTED, steps)
-                match = Match(from_images(rule.lhs.context, current.context, m))
-                result = apply_rule(current, rule, match)
+                result = apply_rule(
+                    current, rule, from_images(rule.lhs.context, current.context, m))
                 if not limits.admits(result.sketch.context):
                     return SaturationResult(current, BUDGET_EXHAUSTED, steps)
                 current = result.sketch

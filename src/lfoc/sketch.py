@@ -37,7 +37,7 @@ from .category import (
     pushout,
 )
 from .expr import Atomic, Expr, _Evaluator, canonicalize, features, holds, solutions
-from .footprint import Structure, StructureRegistry, is_structure_hom
+from .footprint import Structure, StructureRegistry, Verdict, is_structure_hom
 
 
 class Constraint:
@@ -183,23 +183,12 @@ def models(sketch: Sketch, structure: Structure) -> tuple[Interpretation, ...]:
                  for a in found)
 
 
-@dataclass(frozen=True)
-class EntailmentResult:
-    """Registry-bounded entailment verdict, with a counterexample when it fails."""
-
-    holds: bool
-    registry: str
-    counterexample: tuple[Structure, Morphism] | None = None
-
-    def __bool__(self) -> bool:
-        return self.holds
-
-
 def entails(context: CatObject, premises: Iterable[Constraint],
             conclusions: Iterable[Constraint],
-            registry: StructureRegistry) -> EntailmentResult:
+            registry: StructureRegistry) -> Verdict:
     """Does every registry interpretation satisfying the premises also
-    satisfy the conclusions?
+    satisfy the conclusions?  The witness is a (structure, map) that
+    satisfies the premises but not the conclusions.
 
     Structures are checked in registry order, each restriction to the
     mentioned features once.
@@ -217,13 +206,13 @@ def entails(context: CatObject, premises: Iterable[Constraint],
         post = constraint_atoms(conclusions, ev)
         for a in hom_search(context, structure.carrier, pre, index):
             if not all(precompose(b, a) in sols for b, sols in post):
-                return EntailmentResult(False, registry.description, (
-                    structure, from_images(context, structure.carrier, a)))
-    return EntailmentResult(True, registry.description)
+                return Verdict(False, (structure, from_images(context, structure.carrier, a)),
+                               registry.description)
+    return Verdict(True, registry=registry.description)
 
 
 def check_sketch_morphism(phi: Morphism, src: Sketch, dst: Sketch,
-                          registry: StructureRegistry) -> EntailmentResult:
+                          registry: StructureRegistry) -> Verdict:
     """Is phi a sketch morphism, i.e. are the translated source
     constraints entailed by the target's constraints over the registry?"""
     if phi.dom != src.context or phi.cod != dst.context:
@@ -287,19 +276,10 @@ def structure_to_sketch_max(structure: Structure, exprs: Iterable[Expr],
     return Sketch(name or f"max({structure.name})", structure.carrier, constraints)
 
 
-@dataclass(frozen=True)
-class InitialModelResult:
-    holds: bool
-    registry: str
-    counterexample: tuple[Structure, Morphism] | None = None
-
-    def __bool__(self) -> bool:
-        return self.holds
-
-
-def check_initial_model(structure: Structure, registry: StructureRegistry) -> InitialModelResult:
+def check_initial_model(structure: Structure, registry: StructureRegistry) -> Verdict:
     """Is the identity interpretation initial among registry models of
-    the minimal sketch?
+    the minimal sketch?  The witness is a (structure, map) model that is
+    no structure homomorphism.
 
     For every model (a, V) there must be exactly one structure
     homomorphism s with identity;s = a.  Only s = a itself satisfies the
@@ -309,8 +289,8 @@ def check_initial_model(structure: Structure, registry: StructureRegistry) -> In
     for other in registry:
         for m in models(sk, other):
             if not is_structure_hom(m.map, structure, other):
-                return InitialModelResult(False, registry.description, (other, m.map))
-    return InitialModelResult(True, registry.description)
+                return Verdict(False, (other, m.map), registry.description)
+    return Verdict(True, registry=registry.description)
 
 
 def sketches_isomorphic(a: Sketch, b: Sketch) -> bool:

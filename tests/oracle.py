@@ -18,7 +18,9 @@ pass; `test_lexer.py` holds the new tokens, positions and errors to it.
 
 `substitute`, `rename_expr` and `canonicalize` are the recursive walks
 that `expr` replaced with one iterative transport walk;
-`test_transport.py` holds the engine to them.
+`test_transport.py` holds the engine to them.  `wf_check` and
+`is_constructive` are the recursive walks that `expr` replaced with
+stack loops; `test_recursion.py` holds the engine to them.
 """
 
 from __future__ import annotations
@@ -37,20 +39,10 @@ from lfoc.category import (
     pushout,
 )
 from lfoc.dsl import ParseError
-from lfoc.expr import And, Atomic, Bot, CondExists, CondForall, Expr, Not, Or, Top
-from lfoc.footprint import Structure, StructureRegistry, enumerate_carriers
-from lfoc.rules import (
-    BUDGET_EXHAUSTED,
-    CLOSED,
-    ClosednessResult,
-    ConservativityResult,
-    Match,
-    SaturationResult,
-    SoundnessResult,
-    apply_rule,
-    is_match,
-)
-from lfoc.sketch import EntailmentResult, Interpretation, translate_constraint
+from lfoc.expr import And, Atomic, Bot, CondExists, CondForall, Expr, Not, Or, Top, children
+from lfoc.footprint import Footprint, Structure, StructureRegistry, Verdict, enumerate_carriers
+from lfoc.rules import BUDGET_EXHAUSTED, CLOSED, SaturationResult, apply_rule, is_match
+from lfoc.sketch import Interpretation, translate_constraint
 
 
 class Evaluator:
@@ -109,7 +101,7 @@ def models(sketch, structure) -> tuple:
                  if all(compose(binding, a) in sols for binding, sols in wanted))
 
 
-def entails(context, premises, conclusions, registry) -> EntailmentResult:
+def entails(context, premises, conclusions, registry) -> Verdict:
     premises, conclusions = list(premises), list(conclusions)
     for structure in registry:
         ev = Evaluator(structure)
@@ -118,11 +110,11 @@ def entails(context, premises, conclusions, registry) -> EntailmentResult:
         for a in hom_set(context, structure.carrier):
             if all(compose(b, a) in sols for b, sols in pre):
                 if not all(compose(b, a) in sols for b, sols in post):
-                    return EntailmentResult(False, registry.description, (structure, a))
-    return EntailmentResult(True, registry.description)
+                    return Verdict(False, (structure, a), registry.description)
+    return Verdict(True, registry=registry.description)
 
 
-def check_sketch_morphism(phi, src, dst, registry) -> EntailmentResult:
+def check_sketch_morphism(phi, src, dst, registry) -> Verdict:
     translated = [translate_constraint(phi, c) for c in src.constraints]
     return entails(dst.context, dst.constraints, translated, registry)
 
@@ -144,23 +136,23 @@ def find_matches(pattern, host) -> tuple:
                  if is_match(phi, pattern, host))
 
 
-def is_conservative(structure, rule) -> ConservativityResult:
+def is_conservative(structure, rule) -> Verdict:
     rhs_maps = {m.map for m in models(rule.rhs, structure)}
     for m in models(rule.lhs, structure):
         extends = any(compose(rule.morphism, b) == m.map
                       for b in hom_set(rule.rhs.context, structure.carrier)
                       if b in rhs_maps)
         if not extends:
-            return ConservativityResult(False, m.map)
-    return ConservativityResult(True)
+            return Verdict(False, m.map)
+    return Verdict(True)
 
 
-def is_sound(rule, registry) -> SoundnessResult:
+def is_sound(rule, registry) -> Verdict:
     for structure in registry:
         res = is_conservative(structure, rule)
         if not res:
-            return SoundnessResult(False, registry.description, (structure, res.witness))
-    return SoundnessResult(True, registry.description)
+            return Verdict(False, (structure, res.witness), registry.description)
+    return Verdict(True, registry=registry.description)
 
 
 def axiom_filtered_registry(footprint, bounds, rules) -> StructureRegistry:
@@ -170,12 +162,12 @@ def axiom_filtered_registry(footprint, bounds, rules) -> StructureRegistry:
     return StructureRegistry(keep, f"axioms[{names}]({bounds.describe()})")
 
 
-def is_closed(host, rule) -> ClosednessResult:
+def is_closed(host, rule) -> Verdict:
     factored = {compose(rule.morphism, b) for b in find_matches(rule.rhs, host)}
     for phi in find_matches(rule.lhs, host):
         if phi not in factored:
-            return ClosednessResult(False, Match(phi))
-    return ClosednessResult(True)
+            return Verdict(False, phi)
+    return Verdict(True)
 
 
 def saturate(host, rules, limits) -> SaturationResult:
@@ -190,7 +182,7 @@ def saturate(host, rules, limits) -> SaturationResult:
                     continue
                 if steps >= limits.max_steps:
                     return SaturationResult(current, BUDGET_EXHAUSTED, steps)
-                result = apply_rule(current, rule, Match(phi))
+                result = apply_rule(current, rule, phi)
                 if not limits.admits(result.sketch.context):
                     return SaturationResult(current, BUDGET_EXHAUSTED, steps)
                 current = result.sketch
@@ -365,3 +357,70 @@ def canonicalize(e: Expr) -> Expr:
         return node(e.arity, canonicalize(e.premise), compose(e.var, iso),
                     canonicalize(rename_expr(e.body, iso)))
     return e
+
+
+def wf_check(e: Expr, footprint: Footprint) -> Verdict:
+    """Boundary and arity agreement of every node against a footprint."""
+    problems: list[str] = []
+
+    def walk(node: Expr, path: str) -> None:
+        if node.arity.kind != footprint.kind:
+            problems.append(f"{path}: arity {node.arity!r} is not a {footprint.kind}")
+        if isinstance(node, Atomic):
+            if node.feature not in footprint.features:
+                problems.append(f"{path}: unknown feature {node.feature!r}")
+            else:
+                want = footprint.features[node.feature]
+                if node.binding.dom != want:
+                    problems.append(
+                        f"{path}: binding starts at {node.binding.dom!r}, "
+                        f"expected the arity {want!r} of {node.feature!r}")
+            if node.binding.cod != node.arity:
+                problems.append(
+                    f"{path}: binding ends at {node.binding.cod!r}, "
+                    f"expected the expression arity {node.arity!r}")
+        elif isinstance(node, (And, Or)):
+            for side, kid in (("left", node.left), ("right", node.right)):
+                if kid.arity != node.arity:
+                    problems.append(
+                        f"{path}.{side}: arity {kid.arity!r} differs from {node.arity!r}")
+                walk(kid, f"{path}.{side}")
+        elif isinstance(node, Not):
+            if node.body.arity != node.arity:
+                problems.append(
+                    f"{path}.body: arity {node.body.arity!r} differs from {node.arity!r}")
+            walk(node.body, f"{path}.body")
+        elif isinstance(node, (CondExists, CondForall)):
+            if node.var.dom != node.arity:
+                problems.append(
+                    f"{path}: quantifier morphism starts at {node.var.dom!r}, "
+                    f"expected {node.arity!r}")
+            if node.premise.arity != node.arity:
+                problems.append(
+                    f"{path}.premise: arity {node.premise.arity!r} differs from {node.arity!r}")
+            if node.body.arity != node.var.cod:
+                problems.append(
+                    f"{path}.body: arity {node.body.arity!r} differs from the "
+                    f"quantifier target {node.var.cod!r}")
+            walk(node.premise, f"{path}.premise")
+            walk(node.body, f"{path}.body")
+
+    walk(e, "expr")
+    return Verdict(not problems, tuple(problems) or None)
+
+
+def is_constructive(e: Expr, *, strict: bool = False) -> bool:
+    """No negation and no conditional-forall anywhere.
+
+    With ``strict=True`` additionally every conditional-exists premise
+    must be Top; solutions of strict expressions are preserved by
+    post-composition with structure homomorphisms.
+    """
+    if isinstance(e, (Not, CondForall)):
+        return False
+    if isinstance(e, CondExists):
+        if strict and not isinstance(e.premise, Top):
+            return False
+        return (is_constructive(e.premise, strict=strict)
+                and is_constructive(e.body, strict=strict))
+    return all(is_constructive(k, strict=strict) for k in children(e))

@@ -343,7 +343,7 @@ def test_criterion_05_universal_rules_sound():
                  unfold_conjunction_rule(conj(e1, e2)),
                  modus_ponens_rule(implication)):
         res = is_sound(rule, registry)
-        assert res.sound, (rule.name, res.counterexample)
+        assert res.holds, (rule.name, res.witness)
 
 
 # ---------------------------------------------------------------------------

@@ -255,10 +255,9 @@ def test_conjunctive_exists_over_a_hom_set_past_the_cap_answers(capsys, tmp_path
 
 
 # Expressions nested past the recursion limit are bad input: exit 2 with
-# an error line, never a traceback.  Shapes: a 500-term `and` chain, a
-# 3000-deep `not` chain and 3000 nested parentheses.
+# an error line, never a traceback.  Shapes: a 3000-deep `not` chain and
+# 3000 nested parentheses.
 DEEP_EXPRS = {
-    "and": " and ".join(["male([p->p])"] * 500),
     "not": "not " * 3000 + "male([p->p])",
     "parens": "(" * 3000 + "male([p->p])" + ")" * 3000,
 }
@@ -274,6 +273,17 @@ def test_deeply_nested_expression_is_refused_with_exit_2(capsys, tmp_path, shape
     assert code == 2 and payload is None
     assert err.startswith("error:") and "nested too deeply" in err
     assert "Traceback" not in err
+
+
+def test_long_and_chain_is_solved(capsys, tmp_path):
+    path = tmp_path / "long.lfoc"
+    chain = " and ".join(["male([p->p])"] * 5000)
+    path.write_text(Path(FOL).read_text(encoding="utf-8")
+                    + f"expr long : P1 = {chain};\n", encoding="utf-8")
+    code, payload, _ = run(capsys, "solve", str(path), "--expr", "long",
+                           "--structure", "Smiths")
+    assert code == 0
+    assert payload["solutions"] == [{"p": "bob"}, {"p": "dave"}]
 
 
 def test_repeated_calls_share_one_parser(capsys, monkeypatch, entail_doc):

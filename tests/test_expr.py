@@ -167,7 +167,7 @@ def test_wf_check_flags_problems():
     # binding out of the wrong arity
     bad_binding = Atomic(P1, "likes", identity(P1))
     report = wf_check(bad_binding, FP)
-    assert not report and any("likes" in p for p in report.problems)
+    assert not report and any("likes" in p for p in report.witness)
     # mismatched conjunction arities, built via the raw node
     mixed = And(P1, top(P1), top(P2))
     assert not wf_check(mixed, FP)

@@ -83,7 +83,7 @@ def test_validate_structure_reports_wrong_domain():
     st = Structure("bad", FOL, FAMILY, {"male": [bad]})
     report = validate_structure(st)
     assert not report
-    assert any("male" in p for p in report.problems)
+    assert any("male" in p for p in report.witness)
 
 
 def test_validate_structure_reports_wrong_codomain():
@@ -91,7 +91,7 @@ def test_validate_structure_reports_wrong_codomain():
     stray = morphism(P1, other, {"p": "zz"})
     st = Structure("bad", FOL, FAMILY, {"male": [stray]})
     report = validate_structure(st)
-    assert not report and any("male" in p for p in report.problems)
+    assert not report and any("male" in p for p in report.witness)
 
 
 def test_validate_cat_loop_structure():

@@ -54,6 +54,9 @@ SWEEP = {
              "--max-carrier", "2"),
             ("morphism", "--src", "ParentEdge", "--dst", "ParentEdge",
              "--map", "[q1->q2; q2->q1]", "--max-carrier", "2"),
+            ("conservative", "--rule", "give_child", "--structure", "Smiths"),
+            ("equiv", "--rule", "give_child", "--structure", "Smiths"),
+            ("check", "--expr", "sibling", "--structure", "Smiths", "--at", "[p->alice]"),
         ]),
     "alc": (
         "mor into1 : C1 -> C2 = [x1->x1];\n"
@@ -82,6 +85,8 @@ SWEEP = {
              "--max-carrier", "2"),
             ("morphism", "--src", "HappyPeople", "--dst", "Kids", "--map", "into1",
              "--max-carrier", "2"),
+            ("equiv", "--rule", "gci_happy", "--structure", "World"),
+            ("check", "--expr", "happy_person", "--structure", "World", "--at", "[x1->ann]"),
         ]),
     "cat": (
         "mor loop1 : ID_ARITY -> TWO_LOOPS = [pv->pv; pe->pe1];\n"
@@ -108,6 +113,10 @@ SWEEP = {
              "--max-carrier", "1,2"),
             ("morphism", "--src", "WithIdLoop", "--dst", "OneLoop",
              "--map", "[pv->pv; pe->pe]", "--max-carrier", "1,2"),
+            ("conservative", "--rule", "id_exists", "--structure", "OneObj"),
+            ("equiv", "--rule", "id_exists", "--structure", "OneObj"),
+            ("check", "--expr", "loop_is_id", "--structure", "OneObj",
+             "--at", "[pv->pv; pe->pe]"),
         ]),
     "ua": (
         "mor leg1 : ONE -> SPAN = [pv->pv1];\n"
@@ -137,6 +146,9 @@ SWEEP = {
              "--max-carrier", "2,1"),
             ("morphism", "--src", "FinalPt", "--dst", "ProdCone", "--map", "leg1",
              "--max-carrier", "2,1"),
+            ("conservative", "--rule", "prod_exists", "--structure", "Cone"),
+            ("equiv", "--rule", "prod_exists", "--structure", "Cone"),
+            ("check", "--expr", "is_final", "--structure", "Cone", "--at", "[pv->pv1]"),
         ]),
 }
 

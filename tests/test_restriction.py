@@ -108,10 +108,10 @@ def _same(got, want):
     name and value) and map."""
     assert bool(got) == bool(want)
     assert got.registry == want.registry
-    if want.counterexample is None:
-        assert got.counterexample is None
+    if want.witness is None:
+        assert got.witness is None
         return
-    (st_got, map_got), (st_want, map_want) = got.counterexample, want.counterexample
+    (st_got, map_got), (st_want, map_want) = got.witness, want.witness
     assert st_got.name == st_want.name
     assert st_got == st_want
     assert map_got == map_want

@@ -19,7 +19,6 @@ from lfoc.footprint import (
     StructureRegistry,
 )
 from lfoc.rules import (
-    Match,
     MatchError,
     SketchRule,
     apply_rule,
@@ -103,7 +102,7 @@ def test_find_matches_requires_constraints_present():
     host = Sketch("host", K, [Constraint(MARK, morphism(P1, K, {"p": "k1"}))])
     pattern = Sketch("pat", P1, [Constraint(MARK, identity(P1))])
     got = find_matches(pattern, host)
-    assert [m.morphism.mapping["p"] for m in got] == ["k1"]
+    assert [m.mapping["p"] for m in got] == ["k1"]
     free = Sketch("free", P1, [])
     assert len(find_matches(free, host)) == 2
 
@@ -139,7 +138,7 @@ def test_is_sound_over_registry():
     bad = intro_rule(MARK)
     res = is_sound(bad, reg)
     assert not res and res.registry == reg.description
-    structure, witness = res.counterexample
+    structure, witness = res.witness
     assert witness is not None
 
 
@@ -148,8 +147,8 @@ def test_is_closed_and_apply():
     host = Sketch("host", FinGraph(("a", "b"), ()), [])
     res = is_closed(host, rule)
     assert not res
-    assert res.failing_match is not None
-    first = res.failing_match
+    assert res.witness is not None
+    first = res.witness
     out = apply_rule(host, rule, first)
     assert len(out.sketch.context.vertices) == 2
     assert len(out.sketch.context.edges) == 1
@@ -164,7 +163,7 @@ def test_apply_rejects_non_match():
     pattern = Sketch("pat", P1, [Constraint(MARK, identity(P1))])
     rule = SketchRule("r", pattern, pattern, identity(P1))
     with pytest.raises(MatchError):
-        apply_rule(host, rule, Match(morphism(P1, K, {"p": "k"})))
+        apply_rule(host, rule, morphism(P1, K, {"p": "k"}))
 
 
 def test_apply_identity_rule_keeps_context():

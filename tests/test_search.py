@@ -190,8 +190,7 @@ def test_matches_conservativity_and_closedness_match_oracle(seed, kind):
             host_cs.extend(translate_constraint(phi, c) for c in pattern.constraints
                            if rng.random() < 0.9)
     host = Sketch("", host_ctx, host_cs)
-    assert (tuple(m.morphism for m in find_matches(pattern, host))
-            == oracle.find_matches(pattern, host))
+    assert find_matches(pattern, host) == oracle.find_matches(pattern, host)
 
     rhs_ctx = _extend_object(rng, pattern_ctx)
     r = random_morphism(rng, pattern_ctx, rhs_ctx) if rng.random() < 0.5 else None

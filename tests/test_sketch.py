@@ -159,7 +159,7 @@ def test_entails_conjunction_unfolding():
     strong = Constraint(conj(MARK, bot(P1)), identity(P1))
     res2 = entails(K, [left], [strong], reg)
     assert not res2
-    counter_structure, counter_map = res2.counterexample
+    counter_structure, counter_map = res2.witness
     assert compose(left.binding, counter_map) in set(
         s for s in counter_structure.interp("mark"))
 
@@ -276,4 +276,4 @@ def test_initial_model_check_does_not_enumerate_carrier_maps():
     st = Structure("big", fp, big, {"mark": [morphism(P1, big, {"p": b}) for b in big.elements]})
     other = Structure("small", fp, small, {"mark": [morphism(P1, small, {"p": "s3"})]})
     res = check_initial_model(st, StructureRegistry.explicit([other]))
-    assert res.holds and res.counterexample is None
+    assert res.holds and res.witness is None

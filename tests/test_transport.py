@@ -6,7 +6,7 @@ non-injective morphisms into targets whose names collide with bound,
 pushout and canonical names, they must give the oracle's expression,
 with the same repr.  They must also return on expressions nested far
 past Python's recursion limit; those results are checked by walking
-them iteratively, since `==` and `hash` on expressions still recurse.
+them iteratively, since `==` on expressions still recurses.
 """
 
 from __future__ import annotations
