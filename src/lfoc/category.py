@@ -640,81 +640,68 @@ class PushoutResult:
     inj_right: Morphism
 
 
-def _merge_names(left: tuple[str, ...], right: tuple[str, ...],
-                 glue: Iterable[tuple[str, str]]):
-    """Quotient the disjoint union of two name lists.
-
-    Returns the apex name list (first-occurrence order, scanning left
-    names then right names) and the two injection name maps.  Each
-    class is named after its least original name, tagged by the side
-    that name came from ("l." or "r.", left winning ties).
-    """
-    items = [("l", n) for n in left] + [("r", n) for n in right]
-    parent = {it: it for it in items}
-
-    def find(x):
-        root = x
-        while parent[root] != root:
-            root = parent[root]
-        while parent[x] != root:
-            parent[x], x = root, parent[x]
-        return root
-
-    for ln, rn in glue:
-        ra, rb = find(("l", ln)), find(("r", rn))
-        if ra != rb:
-            parent[ra] = rb
-
-    classes: dict[tuple[str, str], list[tuple[str, str]]] = {}
-    order = []
-    for it in items:
-        root = find(it)
-        if root not in classes:
-            classes[root] = []
-            order.append(root)
-        classes[root].append(it)
-
-    names = {}
-    for root in order:
-        side, base = min(classes[root], key=lambda p: (p[1], 0 if p[0] == "l" else 1))
-        names[root] = f"{side}.{base}"
-    apex_names = tuple(names[root] for root in order)
-    left_map = {n: names[find(("l", n))] for n in left}
-    right_map = {n: names[find(("r", n))] for n in right}
-    return apex_names, left_map, right_map
-
-
 def pushout(f: Morphism, g: Morphism) -> PushoutResult:
     """Pushout of the span (f: X -> A, g: X -> B).
 
-    Apex names are deterministic: each glued class is named after its
-    least original member, tagged by side.  Glue pairs never mix
-    vertices with edges, so one quotient of A's names and B's names
-    covers both.
+    The apex quotients positions: A's names, then B's names shifted by
+    |A|.  A union-find glues f(x) to g(x) for each x of X and roots each
+    class at its first position; the classes in the order of their roots
+    are the apex order (vertices before edges for graphs, which glue
+    never mixes).  Each class is named after its least original name,
+    tagged by the side that name came from ("l." or "r.", left winning
+    ties), and a glued edge runs between the classes of its root's
+    endpoints.
     """
     if f.dom != getattr(g, "dom", None):
         raise CategoryError(
             f"pushout needs a span with one common domain, got {f!r} from "
             f"{f.dom!r} and {g!r} from {getattr(g, 'dom', None)!r}")
     a, b = f.cod, g.cod
-    glue = [(a.names[p], b.names[q]) for p, q in zip(f.images, g.images)]
-    apex_names, lmap, rmap = _merge_names(a.names, b.names, glue)
+    na = a.size
+    names = a.names + b.names
+    root = list(range(len(names)))
+
+    def find(p: int) -> int:
+        while root[p] != p:
+            root[p] = root[root[p]]
+            p = root[p]
+        return p
+
+    for p, q in zip(f.images, g.images):
+        p, q = find(p), find(na + q)
+        if p < q:
+            root[q] = p
+        elif q < p:
+            root[p] = q
+
+    cls = [find(p) for p in range(len(names))]
+    # per class, in the order of the roots, the position of its least name
+    least: dict[int, int] = {}
+    for p, r in enumerate(cls):
+        q = least.get(r)
+        if q is None or names[p] < names[q]:
+            least[r] = p
+    label = {r: ("l." if q < na else "r.") + names[q] for r, q in least.items()}
     if isinstance(a, FinSet):
-        apex = FinSet(apex_names)
+        order = list(least)
+        apex = FinSet(label.values())
     else:
-        vertices = {lmap[v] for v in a.vertices} | {rmap[v] for v in b.vertices}
-        # endpoints of a glued edge follow any member; well defined since f, g
-        # are homomorphisms
-        ends = {}
-        for side, obj in ((lmap, a), (rmap, b)):
-            for e, s, t in obj.edge_triples():
-                ends.setdefault(side[e], (side[s], side[t]))
-        apex = FinGraph([n for n in apex_names if n in vertices],
-                        [(n, *ends[n]) for n in apex_names if n not in vertices])
-    pos = apex.position
-    result = PushoutResult(apex,
-                           from_images(a, apex, tuple(pos[lmap[n]] for n in a.names)),
-                           from_images(b, apex, tuple(pos[rmap[n]] for n in b.names)))
+        va, vb = len(a.vertices), na + len(b.vertices)
+        order = [r for r in least if r < va or na <= r < vb]
+        edges = [r for r in least if not (r < va or na <= r < vb)]
+
+        def ends(r: int) -> tuple[str, str]:
+            obj, base = (a, 0) if r < na else (b, na)
+            e = names[r]
+            return (label[cls[base + obj.position[obj.src[e]]]],
+                    label[cls[base + obj.position[obj.tgt[e]]]])
+
+        apex = FinGraph([label[r] for r in order], [(label[r], *ends(r)) for r in edges])
+        order += edges
+    at = {r: i for i, r in enumerate(order)}
+    images = tuple(at[r] for r in cls)
+    result = PushoutResult(apex, from_images(a, apex, images[:na]),
+                           from_images(b, apex, images[na:]))
     if compose(f, result.inj_left) != compose(g, result.inj_right):
         raise AssertionError("pushout square failed to commute")
     return result

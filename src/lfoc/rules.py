@@ -12,22 +12,27 @@ A structure is *conservative* for a rule when every left-hand model
 extends along the rule morphism to a right-hand model; a rule is
 *sound* over a registry when all its structures are conservative.  A
 sketch is *closed* under a rule when every left-hand match factors
-through a right-hand match.  These checks return a `Verdict` whose
-witness, when the property fails, is the left-hand model or match that
-does not extend or factor.  Conservativity of a structure and
-closedness of its maximal sketch over the rule's expressions agree;
-`check_equivalence` computes both sides independently.
+through a right-hand match.  The two are one property over two
+relations, so one search decides both: the first left-hand solution in
+hom-set order that is no r;b for a right-hand solution b, where the
+solutions are models of a structure or matches in a host, and the
+right-hand side is searched only once a left-hand solution exists.
+Saturation applies a rule at that first solution among its matches.
+These checks return a `Verdict` whose witness, when the property fails,
+is the left-hand model or match that does not extend or factor.
+Conservativity of a structure and closedness of its maximal sketch over
+the rule's expressions agree; `check_equivalence` computes both sides
+independently.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Literal, Sequence
+from typing import Callable, Literal, Sequence
 
 from .category import (
     CatObject,
     CategoryError,
-    FinGraph,
     FinSet,
     Morphism,
     SearchIndex,
@@ -92,27 +97,36 @@ def is_match(phi: Morphism, pattern: Sketch, host: Sketch) -> bool:
 
 def find_matches(pattern: Sketch, host: Sketch) -> tuple[Morphism, ...]:
     """All matches of the pattern in the host, in hom-set order."""
-    found = _match_tuples(pattern, host, SearchIndex())
+    found = hom_search(pattern.context, host.context, _matching(host)(pattern))
     return tuple(from_images(pattern.context, host.context, m) for m in found)
 
 
-def _match_tuples(pattern: Sketch, host: Sketch, index: SearchIndex) -> list[tuple[int, ...]]:
-    """Image tuples of the matches: a pattern constraint lands on a host
-    constraint with the same canonical expression and the translated
-    binding, so the host bindings grouped by expression are the relations."""
+def _matching(host: Sketch) -> Callable[[Sketch], list]:
+    """Hom-search atoms for matches in the host: a pattern constraint
+    lands on a host constraint with the same canonical expression and
+    the translated binding, so the host bindings grouped by expression
+    are the relations."""
     bindings: dict[Expr, set] = {}
     for c in host.constraints:
         bindings.setdefault(c.canonical, set()).add(c.binding.images)
-    atoms = [(c.binding.images, bindings.get(c.canonical, ()))
-             for c in pattern.constraints]
-    return hom_search(pattern.context, host.context, atoms, index)
+    return lambda pattern: [(c.binding.images, bindings.get(c.canonical, ()))
+                            for c in pattern.constraints]
 
 
-def _factored(host: Sketch, rule: SketchRule, index: SearchIndex) -> set:
-    """The lhs matches that factor through an rhs match along the rule
-    morphism, as image tuples."""
-    r = rule.morphism.images
-    return {precompose(r, b) for b in _match_tuples(rule.rhs, host, index)}
+def _unfactored(rule: SketchRule, cod: CatObject, atoms: Callable[[Sketch], list],
+                index: SearchIndex) -> tuple[int, ...] | None:
+    """The first lhs solution in hom-set order that is no r;b for an rhs
+    solution b, or None.  `atoms` gives a sketch's hom-search atoms into
+    cod; the rhs is searched only when an lhs solution exists."""
+    found = hom_search(rule.lhs.context, cod, atoms(rule.lhs), index)
+    if found:
+        r = rule.morphism.images
+        factored = {precompose(r, b)
+                    for b in hom_search(rule.rhs.context, cod, atoms(rule.rhs), index)}
+        for a in found:
+            if a not in factored:
+                return a
+    return None
 
 
 # ---------------------------------------------------------------------------
@@ -128,14 +142,10 @@ def _conservative(structure: Structure, rule: SketchRule,
                   index: SearchIndex) -> Verdict:
     ev = _Evaluator(structure, index)
     carrier = structure.carrier
-    r = rule.morphism.images
-    extended = {precompose(r, b) for b in hom_search(
-        rule.rhs.context, carrier, constraint_atoms(rule.rhs.sorted_constraints(), ev), index)}
-    for a in hom_search(rule.lhs.context, carrier,
-                        constraint_atoms(rule.lhs.sorted_constraints(), ev), index):
-        if a not in extended:
-            return Verdict(False, from_images(rule.lhs.context, carrier, a))
-    return Verdict(True)
+    a = _unfactored(rule, carrier, lambda sk: constraint_atoms(sk.constraints, ev), index)
+    if a is None:
+        return Verdict(True)
+    return Verdict(False, from_images(rule.lhs.context, carrier, a))
 
 
 def is_sound(rule: SketchRule, registry: StructureRegistry) -> Verdict:
@@ -165,12 +175,10 @@ def _rule_features(rule: SketchRule, index: SearchIndex) -> tuple[str, ...]:
 def is_closed(host: Sketch, rule: SketchRule) -> Verdict:
     """Does every lhs match factor through an rhs match along the rule
     morphism?  The witness is an lhs match that does not."""
-    index = SearchIndex()
-    factored = _factored(host, rule, index)
-    for m in _match_tuples(rule.lhs, host, index):
-        if m not in factored:
-            return Verdict(False, from_images(rule.lhs.context, host.context, m))
-    return Verdict(True)
+    m = _unfactored(rule, host.context, _matching(host), SearchIndex())
+    if m is None:
+        return Verdict(True)
+    return Verdict(False, from_images(rule.lhs.context, host.context, m))
 
 
 @dataclass(frozen=True)
@@ -224,13 +232,8 @@ class SaturationLimits:
     def admits(self, context: CatObject) -> bool:
         if isinstance(context, FinSet):
             return self.max_elements is None or len(context.elements) <= self.max_elements
-        if isinstance(context, FinGraph):
-            if self.max_vertices is not None and len(context.vertices) > self.max_vertices:
-                return False
-            if self.max_edges is not None and len(context.edges) > self.max_edges:
-                return False
-            return True
-        return True
+        return ((self.max_vertices is None or len(context.vertices) <= self.max_vertices)
+                and (self.max_edges is None or len(context.edges) <= self.max_edges))
 
 
 SaturationStatus = Literal["closed", "budget-exhausted"]
@@ -251,7 +254,8 @@ def saturate(host: Sketch, rules: Sequence[SketchRule],
 
     Scheduling is fair and deterministic: each sweep visits the rules in
     declared order and their matches in canonical hom-set order, and
-    restarts after every application.  Constraint-set deduplication
+    restarts after every application, grouping the host's constraint
+    bindings by expression once per step.  Constraint-set deduplication
     prevents re-adding; an application whose result would exceed a
     context-size budget is not committed.
     """
@@ -259,29 +263,20 @@ def saturate(host: Sketch, rules: Sequence[SketchRule],
     current = host
     index = SearchIndex()
     while True:
-        applied = False
+        atoms = _matching(current)
         for rule in rules:
-            # the host only changes when an application restarts the sweep
-            factored = None
-            for m in _match_tuples(rule.lhs, current, index):
-                if factored is None:
-                    factored = _factored(current, rule, index)
-                if m in factored:
-                    continue
-                if steps >= limits.max_steps:
-                    return SaturationResult(current, BUDGET_EXHAUSTED, steps)
-                result = apply_rule(
-                    current, rule, from_images(rule.lhs.context, current.context, m))
-                if not limits.admits(result.sketch.context):
-                    return SaturationResult(current, BUDGET_EXHAUSTED, steps)
-                current = result.sketch
-                steps += 1
-                applied = True
+            m = _unfactored(rule, current.context, atoms, index)
+            if m is not None:
                 break
-            if applied:
-                break
-        if not applied:
+        else:
             return SaturationResult(current, CLOSED, steps)
+        if steps >= limits.max_steps:
+            return SaturationResult(current, BUDGET_EXHAUSTED, steps)
+        result = apply_rule(current, rule, from_images(rule.lhs.context, current.context, m))
+        if not limits.admits(result.sketch.context):
+            return SaturationResult(current, BUDGET_EXHAUSTED, steps)
+        current = result.sketch
+        steps += 1
 
 
 # ---------------------------------------------------------------------------

@@ -177,7 +177,7 @@ def models(sketch: Sketch, structure: Structure) -> tuple[Interpretation, ...]:
             f"sketch context {sketch.context!r} and carrier "
             f"{structure.carrier!r} have different kinds")
     ev = _Evaluator(structure)
-    atoms = constraint_atoms(sketch.sorted_constraints(), ev)
+    atoms = constraint_atoms(sketch.constraints, ev)
     found = hom_search(sketch.context, structure.carrier, atoms, ev.index)
     return tuple(Interpretation(from_images(sketch.context, structure.carrier, a), structure)
                  for a in found)
@@ -219,7 +219,7 @@ def check_sketch_morphism(phi: Morphism, src: Sketch, dst: Sketch,
         raise CategoryError(
             f"morphism {phi!r} does not run between the contexts "
             f"{src.context!r} and {dst.context!r}")
-    translated = [translate_constraint(phi, c) for c in src.sorted_constraints()]
+    translated = [translate_constraint(phi, c) for c in src.constraints]
     return entails(dst.context, dst.constraints, translated, registry)
 
 

@@ -21,22 +21,31 @@ that `expr` replaced with one iterative transport walk;
 `test_transport.py` holds the engine to them.  `wf_check` and
 `is_constructive` are the recursive walks that `expr` replaced with
 stack loops; `test_recursion.py` holds the engine to them.
+
+`pushout` and `_merge_names` are the name-keyed quotient that
+`category.pushout` replaced with a union-find over positions;
+`test_pushout.py` holds the apex and both injections to them, and
+`substitute` above pushes out through them.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from typing import Iterable
 
 from lfoc.category import (
     CategoryError,
+    FinGraph,
+    FinSet,
     Morphism,
+    PushoutResult,
     canonical_copy,
     compose,
+    from_images,
     hom_set,
     inverse,
     is_isomorphism,
-    pushout,
 )
 from lfoc.dsl import ParseError
 from lfoc.expr import And, Atomic, Bot, CondExists, CondForall, Expr, Not, Or, Top, children
@@ -424,3 +433,83 @@ def is_constructive(e: Expr, *, strict: bool = False) -> bool:
         return (is_constructive(e.premise, strict=strict)
                 and is_constructive(e.body, strict=strict))
     return all(is_constructive(k, strict=strict) for k in children(e))
+
+
+def _merge_names(left: tuple[str, ...], right: tuple[str, ...],
+                 glue: Iterable[tuple[str, str]]):
+    """Quotient the disjoint union of two name lists.
+
+    Returns the apex name list (first-occurrence order, scanning left
+    names then right names) and the two injection name maps.  Each
+    class is named after its least original name, tagged by the side
+    that name came from ("l." or "r.", left winning ties).
+    """
+    items = [("l", n) for n in left] + [("r", n) for n in right]
+    parent = {it: it for it in items}
+
+    def find(x):
+        root = x
+        while parent[root] != root:
+            root = parent[root]
+        while parent[x] != root:
+            parent[x], x = root, parent[x]
+        return root
+
+    for ln, rn in glue:
+        ra, rb = find(("l", ln)), find(("r", rn))
+        if ra != rb:
+            parent[ra] = rb
+
+    classes: dict[tuple[str, str], list[tuple[str, str]]] = {}
+    order = []
+    for it in items:
+        root = find(it)
+        if root not in classes:
+            classes[root] = []
+            order.append(root)
+        classes[root].append(it)
+
+    names = {}
+    for root in order:
+        side, base = min(classes[root], key=lambda p: (p[1], 0 if p[0] == "l" else 1))
+        names[root] = f"{side}.{base}"
+    apex_names = tuple(names[root] for root in order)
+    left_map = {n: names[find(("l", n))] for n in left}
+    right_map = {n: names[find(("r", n))] for n in right}
+    return apex_names, left_map, right_map
+
+
+def pushout(f: Morphism, g: Morphism) -> PushoutResult:
+    """Pushout of the span (f: X -> A, g: X -> B).
+
+    Apex names are deterministic: each glued class is named after its
+    least original member, tagged by side.  Glue pairs never mix
+    vertices with edges, so one quotient of A's names and B's names
+    covers both.
+    """
+    if f.dom != getattr(g, "dom", None):
+        raise CategoryError(
+            f"pushout needs a span with one common domain, got {f!r} from "
+            f"{f.dom!r} and {g!r} from {getattr(g, 'dom', None)!r}")
+    a, b = f.cod, g.cod
+    glue = [(a.names[p], b.names[q]) for p, q in zip(f.images, g.images)]
+    apex_names, lmap, rmap = _merge_names(a.names, b.names, glue)
+    if isinstance(a, FinSet):
+        apex = FinSet(apex_names)
+    else:
+        vertices = {lmap[v] for v in a.vertices} | {rmap[v] for v in b.vertices}
+        # endpoints of a glued edge follow any member; well defined since f, g
+        # are homomorphisms
+        ends = {}
+        for side, obj in ((lmap, a), (rmap, b)):
+            for e, s, t in obj.edge_triples():
+                ends.setdefault(side[e], (side[s], side[t]))
+        apex = FinGraph([n for n in apex_names if n in vertices],
+                        [(n, *ends[n]) for n in apex_names if n not in vertices])
+    pos = apex.position
+    result = PushoutResult(apex,
+                           from_images(a, apex, tuple(pos[lmap[n]] for n in a.names)),
+                           from_images(b, apex, tuple(pos[rmap[n]] for n in b.names)))
+    if compose(f, result.inj_left) != compose(g, result.inj_right):
+        raise AssertionError("pushout square failed to commute")
+    return result

@@ -286,6 +286,20 @@ def test_long_and_chain_is_solved(capsys, tmp_path):
     assert payload["solutions"] == [{"p": "bob"}, {"p": "dave"}]
 
 
+def test_models_of_a_sketch_with_a_long_and_chain(capsys, tmp_path):
+    # models reads the constraint set without ordering it by repr
+    path = tmp_path / "long.lfoc"
+    chain = " and ".join(["male([p->p])"] * 5000)
+    path.write_text(Path(FOL).read_text(encoding="utf-8")
+                    + f"expr deep : P1 = {chain};\n"
+                    + "sketch DeepSk { context P1; constraint deep @ [p->p]; };\n",
+                    encoding="utf-8")
+    code, payload, _ = run(capsys, "models", str(path), "--sketch", "DeepSk",
+                           "--structure", "Smiths")
+    assert code == 0
+    assert payload["models"] == [{"p": "bob"}, {"p": "dave"}]
+
+
 def test_repeated_calls_share_one_parser(capsys, monkeypatch, entail_doc):
     calls = [
         ("solve", FOL, "--expr", "sibling", "--structure", "Smiths"),

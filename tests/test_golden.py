@@ -153,14 +153,37 @@ SWEEP = {
 }
 
 
+# per fixture: commands appended to the sweep later, run on a document
+# that also carries their own extra definitions; kept apart because a new
+# object would change the document text that `elemdiag` prints above
+LATER = {
+    "cat": (
+        "obj HOST3 { v a b c; e l1: a->a; e l2: a->a; };\n"
+        "sketch LoopedHost {\n"
+        "  context HOST3;\n"
+        "  constraint two_ids @ [pv->a; pe1->l1; pe2->l2];\n"
+        "};\n"
+        "mor edge_l : ID_ARITY -> TWO_LOOPS = [pv->pv; pe->pe2];\n"
+        "mor edge_r : ID_ARITY -> HOST3 = [pv->a; pe->l1];\n",
+        [
+            ("saturate", "--host", "LoopedHost", "--rules", "id_exists,id_unique"),
+            ("pushout", "--left", "edge_l", "--right", "edge_r"),
+        ]),
+}
+
+
 def render(name: str, directory: Path) -> str:
     """The sweep's transcript for one fixture: per command a header line
     with its exit code and arguments, then its stdout."""
     extra, commands = SWEEP[name]
+    later_extra, later = LATER.get(name, ("", []))
+    text = fixture_path(name).read_text(encoding="utf-8") + extra
     path = directory / f"{name}.lfoc"
-    path.write_text(fixture_path(name).read_text(encoding="utf-8") + extra, encoding="utf-8")
+    path.write_text(text, encoding="utf-8")
+    later_path = directory / f"{name}_later.lfoc"
+    later_path.write_text(text + later_extra, encoding="utf-8")
     chunks = []
-    for command in commands:
+    for path, command in [(path, c) for c in commands] + [(later_path, c) for c in later]:
         out = io.StringIO()
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
             code = main([command[0], str(path), *command[1:]])

@@ -11,7 +11,8 @@ from lfoc.category import (
     inclusion,
     morphism,
 )
-from lfoc.expr import atom, conj, cond_exists, exists_along, top
+from lfoc.category import HOM_ENUMERATION_CAP
+from lfoc.expr import Bot, atom, conj, cond_exists, exists_along, top
 from lfoc.footprint import (
     CarrierBounds,
     Footprint,
@@ -128,6 +129,28 @@ def test_is_conservative_uniqueness_rule():
     })
     # lhs model picking pe1=l1, pe2=l2 cannot factor through one loop
     assert not is_conservative(both_ids, rule)
+
+
+# A rule whose lhs has no solution: its rhs hom set, 4^12 maps from the
+# 12-element context into a 4-element carrier or host, is past the cap,
+# and is never searched because there is nothing to extend or factor.
+X12 = FinSet(tuple(f"x{i}" for i in range(12)))
+FOUR = FinSet(("c1", "c2", "c3", "c4"))
+
+
+def empty_lhs_rule() -> SketchRule:
+    lhs = Sketch("lhs", X12, [Constraint(Bot(X12), identity(X12))])
+    return SketchRule("never", lhs, Sketch("rhs", X12, []), identity(X12))
+
+
+def test_empty_lhs_skips_the_rhs_search_for_conservativity():
+    assert 4 ** 12 > HOM_ENUMERATION_CAP
+    assert is_conservative(Structure("four", FP, FOUR, {}), empty_lhs_rule())
+
+
+def test_empty_lhs_skips_the_rhs_search_for_closedness():
+    host = Sketch("host", FOUR, [Constraint(MARK, morphism(P1, FOUR, {"p": "c1"}))])
+    assert is_closed(host, empty_lhs_rule())
 
 
 def test_is_sound_over_registry():
