@@ -66,7 +66,6 @@ from .expr import (
 from .dsl import (
     Document,
     ParseError,
-    format_expr,
     format_morphism_literal,
     parse_document,
     parse_morphism_literal,
@@ -121,7 +120,6 @@ from .sketch import (
     structure_to_sketch_max,
     structure_to_sketch_min,
     translate_constraint,
-    translate_sketch,
 )
 
 __version__ = "0.1.0"

@@ -331,8 +331,7 @@ def hom_set(dom: CatObject, cod: CatObject) -> tuple[Morphism, ...]:
 
     The order is lexicographic over the domain's ordered name list
     (vertices before edges for graphs), with candidate images taken in
-    the codomain's declared order.  Nothing is cached: a call's own
-    `SearchIndex` keeps the image tuples it needs (`index.homs`).
+    the codomain's declared order.  Nothing is cached.
     """
     return tuple(from_images(dom, cod, b) for b in hom_search(dom, cod))
 
@@ -368,7 +367,7 @@ def hom_search(dom: CatObject, cod: CatObject, atoms=(),
         if variables:
             reduced.append((variables, relation))
     if not reduced:
-        return list(index.homs(dom, cod))
+        return _homs(dom, cod)
     n = dom.size
     full = [a for a in reduced if len(a[0]) == n]
     if full:
@@ -377,10 +376,37 @@ def hom_search(dom: CatObject, cod: CatObject, atoms=(),
         others = [a for a in reduced if a is not chosen]
         return sorted(b for b in chosen[1]
                       if all(tuple(b[p] for p in v) in f for v, f in others))
-    return _join(dom, cod, reduced, index)
+    return _join(dom, cod, reduced)
 
 
-def _join(dom: CatObject, cod: CatObject, atoms, index: SearchIndex) -> list[tuple[int, ...]]:
+def _homs(dom: CatObject, cod: CatObject) -> list[tuple[int, ...]]:
+    """All of hom(dom, cod) as tuples; refused by estimate past the cap."""
+    if isinstance(dom, FinSet):
+        estimate = len(cod.elements) ** len(dom.elements)
+        if estimate > HOM_ENUMERATION_CAP:
+            raise EnumerationLimitError(
+                f"hom set {dom!r} -> {cod!r} has {estimate} candidates "
+                f"(cap {HOM_ENUMERATION_CAP})", estimate)
+        return list(itertools.product(range(len(cod.elements)), repeat=len(dom.elements)))
+    estimate = (len(cod.vertices) ** len(dom.vertices)
+                * max(1, len(cod.edges)) ** len(dom.edges))
+    if estimate > HOM_ENUMERATION_CAP:
+        raise EnumerationLimitError(
+            f"hom set {dom!r} -> {cod!r} has up to {estimate} candidates "
+            f"(cap {HOM_ENUMERATION_CAP})", estimate)
+    return _join(dom, cod, ())
+
+
+def _edges_between(cod: FinGraph) -> dict[tuple[int, int], list[int]]:
+    """Edge positions of cod keyed by (source, target) positions."""
+    pos = cod.position
+    ends: dict[tuple[int, int], list[int]] = {}
+    for e in cod.edges:
+        ends.setdefault((pos[cod.src[e]], pos[cod.tgt[e]]), []).append(pos[e])
+    return ends
+
+
+def _join(dom: CatObject, cod: CatObject, atoms) -> list[tuple[int, ...]]:
     n = dom.size
     # one trie per atom, its levels in the order of its positions; built
     # from sorted facts, so every node lists its keys in ascending order
@@ -399,7 +425,7 @@ def _join(dom: CatObject, cod: CatObject, atoms, index: SearchIndex) -> list[tup
         nv, ends = n, None
         vertices = range(len(cod.elements))
     else:
-        nv, ends = len(dom.vertices), index.edges_between(cod)
+        nv, ends = len(dom.vertices), _edges_between(cod)
         vertices = range(len(cod.vertices))
         pos = dom.position
         endpoints = [(pos[dom.src[e]], pos[dom.tgt[e]]) for e in dom.edges]
@@ -439,23 +465,19 @@ def _join(dom: CatObject, cod: CatObject, atoms, index: SearchIndex) -> list[tup
 
 
 class SearchIndex:
-    """Lookups shared by the hom searches of one call.
+    """Memo tables shared by the hom searches and evaluations of one call.
 
-    It holds the reading plan per atom binding, the edge index per graph
-    carrier and hom sets as tuples per object pair.  For the evaluator
-    it also holds the features each expression mentions (`mentions`)
-    and solution sets keyed by expression and structure restriction
-    (`solved`).  A caller that searches many structures (a registry)
-    creates one and passes it down, so all of this is computed once per
-    call; nothing outlives the call.
+    It holds the reading plan per atom binding (`plan`), the features
+    each expression mentions (`mentions`) and solution sets keyed by
+    expression and structure restriction (`solved`).  A caller that
+    searches many structures (a registry) creates one and passes it
+    down, so each is computed once per call; nothing outlives the call.
     """
 
-    __slots__ = ("_plans", "_ends", "_homs", "mentions", "solved")
+    __slots__ = ("_plans", "mentions", "solved")
 
     def __init__(self):
         self._plans: dict[tuple[int, ...], tuple] = {}
-        self._ends: dict[FinGraph, dict[tuple[int, int], tuple[int, ...]]] = {}
-        self._homs: dict[tuple[CatObject, CatObject], tuple[tuple[int, ...], ...]] = {}
         self.mentions: dict = {}
         self.solved: dict = {}
 
@@ -478,41 +500,6 @@ class SearchIndex:
                 columns = None
             plan = self._plans[binding] = (variables, columns, repeats)
         return plan
-
-    def edges_between(self, cod: FinGraph) -> dict[tuple[int, int], tuple[int, ...]]:
-        """Edge positions of cod keyed by (source, target) positions."""
-        ends = self._ends.get(cod)
-        if ends is None:
-            pos = cod.position
-            lists: dict[tuple[int, int], list[int]] = {}
-            for e in cod.edges:
-                lists.setdefault((pos[cod.src[e]], pos[cod.tgt[e]]), []).append(pos[e])
-            ends = self._ends[cod] = {k: tuple(v) for k, v in lists.items()}
-        return ends
-
-    def homs(self, dom: CatObject, cod: CatObject) -> tuple[tuple[int, ...], ...]:
-        """All of hom(dom, cod) as tuples; refused by estimate past the cap."""
-        key = (dom, cod)
-        out = self._homs.get(key)
-        if out is None:
-            if isinstance(dom, FinSet):
-                estimate = len(cod.elements) ** len(dom.elements)
-                if estimate > HOM_ENUMERATION_CAP:
-                    raise EnumerationLimitError(
-                        f"hom set {dom!r} -> {cod!r} has {estimate} candidates "
-                        f"(cap {HOM_ENUMERATION_CAP})", estimate)
-                out = tuple(itertools.product(range(len(cod.elements)),
-                                              repeat=len(dom.elements)))
-            else:
-                estimate = (len(cod.vertices) ** len(dom.vertices)
-                            * max(1, len(cod.edges)) ** len(dom.edges))
-                if estimate > HOM_ENUMERATION_CAP:
-                    raise EnumerationLimitError(
-                        f"hom set {dom!r} -> {cod!r} has up to {estimate} candidates "
-                        f"(cap {HOM_ENUMERATION_CAP})", estimate)
-                out = tuple(_join(dom, cod, (), self))
-            self._homs[key] = out
-        return out
 
 
 def precompose(binding: tuple[int, ...], images: tuple[int, ...]) -> tuple[int, ...]:

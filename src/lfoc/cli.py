@@ -409,7 +409,8 @@ def main(argv=None) -> int:
     except ParseError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (CategoryError, MatchError, EnumerationLimitError, OSError) as exc:
+    except (CategoryError, MatchError, EnumerationLimitError, OSError,
+            UnicodeDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except RecursionError:

@@ -291,7 +291,7 @@ class _Parser:
         try:
             with open(path, encoding="utf-8") as fh:
                 text = fh.read()
-        except OSError as exc:
+        except (OSError, UnicodeDecodeError) as exc:
             self.fail(f"cannot import {target!r}: {exc}", at)
         imported = _parse(text, source=path, base_dir=os.path.dirname(path),
                           visited=self.visited | {path})
@@ -888,9 +888,3 @@ def print_document(doc: Document) -> str:
     """Render a document to .lfoc text.  Parsing the output yields a
     structurally identical document (synthesized names included)."""
     return _Printer(doc).render()
-
-
-def format_expr(e: Expr, doc: Document | None = None) -> str:
-    """One-line rendering of an expression term."""
-    printer = _Printer(doc or Document("set" if isinstance(e.arity, FinSet) else "graph"))
-    return printer.term(e)

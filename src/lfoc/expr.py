@@ -26,12 +26,16 @@ so ill-formed candidates can be built and then reported on by
 `substitute` translates an expression along a morphism of its arity,
 and `canonicalize` names every quantifier target positionally.  Both
 are one iterative walk, `_transport`, not limited by nesting depth.
+`postorder` is the one iterative walk over the nodes themselves, each
+node once and after its children: a node's first hash, `features` and
+`is_constructive` go through it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from operator import is_
+from typing import Callable, Iterator
 
 from .category import (
     CatObject,
@@ -67,19 +71,10 @@ def _hash(e) -> int:
         return e._hash
     except AttributeError:
         pass
-    # store the unhashed nodes below e children first, so that every
-    # generated hash finds its children's hashes already stored
-    stack = [(e, False)]
-    while stack:
-        node, expanded = stack.pop()
-        if hasattr(node, "_hash"):
-            continue
-        kids = () if expanded else children(node)
-        if kids:
-            stack.append((node, True))
-            stack += [(kid, False) for kid in kids]
-        else:
-            object.__setattr__(node, "_hash", node._field_hash())
+    # children first, so that every generated hash finds its children's
+    # hashes already stored
+    for node in postorder(e, lambda node: hasattr(node, "_hash")):
+        object.__setattr__(node, "_hash", node._field_hash())
     return e._hash
 
 
@@ -210,36 +205,46 @@ def children(e: Expr) -> tuple[Expr, ...]:
     return ()
 
 
+def postorder(e: Expr, done: Callable[[Expr], bool] = lambda node: False) -> Iterator[Expr]:
+    """Every node below `e` once, each after its children, iteratively.
+
+    A node for which `done` holds is skipped with its subtree.  `done` is
+    asked as the walk reaches a node, so it sees what the caller did with
+    the nodes yielded before.
+    """
+    seen: set[int] = set()
+    stack = [(e, False)]
+    while stack:
+        node, expanded = stack.pop()
+        if expanded:
+            yield node
+        elif id(node) not in seen and not done(node):
+            seen.add(id(node))
+            stack.append((node, True))
+            stack += [(kid, False) for kid in reversed(children(node))]
+
+
 def features(e: Expr, index: SearchIndex | None = None) -> tuple[str, ...]:
     """The feature names `e` mentions, sorted.
 
     Over a structure, `e` reads only these features' interpretations and
-    the carrier.  Walks iteratively; with an index, every visited node's
-    answer is kept in `index.mentions` for the rest of the call.
+    the carrier.  With an index, every visited node's answer is kept in
+    `index.mentions` for the rest of the call.
     """
     memo = {} if index is None else index.mentions
     known = memo.get(e)
     if known is not None:
         return known
-    stack = [(e, False)]
-    while stack:
-        node, expanded = stack.pop()
-        if node in memo:
-            continue
-        kids = children(node)
+    for node in postorder(e, memo.__contains__):
         if isinstance(node, Atomic):
             memo[node] = (node.feature,)
-        elif not kids:
-            memo[node] = ()
-        elif expanded:
-            names = memo[kids[0]]
-            for kid in kids[1:]:
-                if memo[kid] != names:
-                    names = tuple(sorted(set(names).union(memo[kid])))
-            memo[node] = names
-        else:
-            stack.append((node, True))
-            stack += [(kid, False) for kid in kids]
+            continue
+        kids = children(node)
+        names = memo[kids[0]] if kids else ()
+        for kid in kids[1:]:
+            if memo[kid] != names:
+                names = tuple(sorted(set(names).union(memo[kid])))
+        memo[node] = names
     return memo[e]
 
 
@@ -302,38 +307,33 @@ def is_constructive(e: Expr, *, strict: bool = False) -> bool:
     must be Top; solutions of strict expressions are preserved by
     post-composition with structure homomorphisms.
     """
-    stack = [e]
-    while stack:
-        node = stack.pop()
-        if isinstance(node, (Not, CondForall)) or (
-                strict and isinstance(node, CondExists) and not isinstance(node.premise, Top)):
-            return False
-        stack += children(node)
-    return True
+    return not any(
+        isinstance(node, (Not, CondForall))
+        or (strict and isinstance(node, CondExists) and not isinstance(node.premise, Top))
+        for node in postorder(e))
 
 
 # ---------------------------------------------------------------------------
 # Semantics
 
 class _Evaluator:
-    """Solution sets over one structure, memoized per sub-expression.
+    """Solution sets over one structure.
 
     Internally a solution set is a frozenset of image tuples (see
     `hom_search`).  Atoms and conjunctions go through one hom search;
     `or` and `not` are set algebra, and quantifiers project solutions
     along their variable declaration.  An `exists` with a `top` premise
     never enumerates hom(X, carrier); `top`, `not`, `forall` and other
-    premises do.  Pass a `SearchIndex` to share lookups across the
-    structures of one call: a solution set is then also shared by every
-    structure with the same restriction to the features its expression
-    mentions.
+    premises do.  Solutions are memoized once, in `index.solved`, keyed
+    by the expression and the structure's restriction to the features
+    it mentions.  Pass a `SearchIndex` to share that memo across the
+    structures of one call: every structure with the same restriction
+    then reuses a solution set.
     """
 
     def __init__(self, structure: Structure, index: SearchIndex | None = None):
         self.structure = structure
         self.index = SearchIndex() if index is None else index
-        self.memo: dict[Expr, frozenset] = {}
-        self._facts: dict[tuple[str, CatObject], frozenset] = {}
 
     def solutions(self, e: Expr) -> frozenset:
         """The solutions of `e` as a frozenset of morphisms."""
@@ -341,13 +341,10 @@ class _Evaluator:
         return frozenset(from_images(e.arity, carrier, b) for b in self.tuples(e))
 
     def tuples(self, e: Expr) -> frozenset:
-        out = self.memo.get(e)
+        key = (e, self.structure.restriction(features(e, self.index)))
+        out = self.index.solved.get(key)
         if out is None:
-            key = (e, self.structure.restriction(features(e, self.index)))
-            out = self.index.solved.get(key)
-            if out is None:
-                out = self.index.solved[key] = self._compute(e)
-            self.memo[e] = out
+            out = self.index.solved[key] = self._compute(e)
         return out
 
     def _compute(self, e: Expr) -> frozenset:
@@ -383,8 +380,7 @@ class _Evaluator:
         """The hom-search atoms of a conjunction, or None if a conjunct is bot.
 
         Atomic conjuncts become their feature's facts; `top` adds
-        nothing; any other conjunct, or one already solved, adds its
-        solutions at the full arity.
+        nothing; any other conjunct adds its solutions at the full arity.
         """
         arity = e.arity
         every = tuple(range(arity.size))
@@ -394,10 +390,7 @@ class _Evaluator:
             node = stack.pop()
             if node.arity is not arity and node.arity != arity:
                 raise CategoryError(f"conjunct arity {node.arity!r} differs from {arity!r}")
-            solved = self.memo.get(node) if node is not e else None
-            if solved is not None:
-                atoms.append((every, solved))
-            elif isinstance(node, And):
+            if isinstance(node, And):
                 stack += (node.right, node.left)
             elif isinstance(node, Atomic):
                 if node.binding.cod is not arity and node.binding.cod != arity:
@@ -417,14 +410,9 @@ class _Evaluator:
 
         A listed morphism with another domain or codomain never matches.
         """
-        key = (feature, arity)
-        out = self._facts.get(key)
-        if out is None:
-            carrier = self.structure.carrier
-            out = self._facts[key] = frozenset(
-                m.images for m in self.structure.interp(feature)
-                if m.dom == arity and m.cod == carrier)
-        return out
+        carrier = self.structure.carrier
+        return frozenset(m.images for m in self.structure.interp(feature)
+                         if m.dom == arity and m.cod == carrier)
 
 
 def solutions(e: Expr, structure: Structure) -> tuple[Morphism, ...]:

@@ -31,9 +31,9 @@ from .category import (
     FinGraph,
     FinSet,
     Morphism,
-    SearchIndex,
     compose,
     from_images,
+    hom_search,
     isomorphisms,
 )
 
@@ -274,10 +274,10 @@ def enumerate_carriers(kind: str, bounds: CarrierBounds) -> Iterator[CatObject]:
 def count_structures(footprint: Footprint, bounds: CarrierBounds) -> int:
     """Exact number of structures `enumerate_structures` would yield
     (before isomorphism dedup)."""
-    return _count_structures(footprint, bounds, SearchIndex())
+    return _count_structures(footprint, bounds)
 
 
-def _count_structures(footprint: Footprint, bounds: CarrierBounds, index: SearchIndex,
+def _count_structures(footprint: Footprint, bounds: CarrierBounds,
                       cap: int | None = None) -> int:
     # per carrier 2^(sum of hom-set sizes); a set hom set has |C|^|A|
     # members, a graph hom set is searched as tuples, never as morphisms.
@@ -290,7 +290,7 @@ def _count_structures(footprint: Footprint, bounds: CarrierBounds, index: Search
             if footprint.kind == SET:
                 homs += carrier.size ** arity.size
             else:
-                homs += len(index.homs(arity, carrier))
+                homs += len(hom_search(arity, carrier))
         total += 1 << homs
         if cap is not None and total > cap and footprint.kind == GRAPH:
             break
@@ -311,11 +311,11 @@ def _count_text(n: int) -> str:
     return f"about {lead // 10}.{lead % 10}e{e}"
 
 
-def _subsets(arity: CatObject, carrier: CatObject,
-             index: SearchIndex) -> list[tuple[tuple[Morphism, ...], frozenset]]:
+def _subsets(arity: CatObject,
+             carrier: CatObject) -> list[tuple[tuple[Morphism, ...], frozenset]]:
     """Every subset of hom(arity, carrier) as a tuple and a frozenset,
     in binary counting order over the hom-set list."""
-    homs = [from_images(arity, carrier, b) for b in index.homs(arity, carrier)]
+    homs = [from_images(arity, carrier, b) for b in hom_search(arity, carrier)]
     out = []
     for pick in range(2 ** len(homs)):
         chosen = tuple(h for i, h in enumerate(homs) if pick >> i & 1)
@@ -333,8 +333,7 @@ def enumerate_structures(footprint: Footprint, bounds: CarrierBounds, *,
     start if the total would exceed `cap`; for graphs the refusal counts
     carriers only until the cap is passed and says "at least".
     """
-    index = SearchIndex()
-    total = _count_structures(footprint, bounds, index, cap)
+    total = _count_structures(footprint, bounds, cap)
     if total > cap:
         at_least = "at least " if footprint.kind == GRAPH else ""
         raise EnumerationLimitError(
@@ -346,7 +345,7 @@ def enumerate_structures(footprint: Footprint, bounds: CarrierBounds, *,
     for carrier in enumerate_carriers(footprint.kind, bounds):
         # built once per carrier and shared by its structures, so equal
         # restrictions hold the same frozensets
-        choices = [_subsets(arity, carrier, index) for arity in footprint.features.values()]
+        choices = [_subsets(arity, carrier) for arity in footprint.features.values()]
         for picks in itertools.product(*choices):
             st = _structure(f"S{number}", footprint, carrier,
                             dict(zip(names, [tup for tup, _ in picks])),

@@ -334,18 +334,13 @@ class EquivalenceResult:
         return self.agree
 
 
-def rule_expressions(rule: SketchRule) -> tuple[Expr, ...]:
-    """The expressions occurring in the rule's constraints, deduplicated."""
-    return tuple(dict.fromkeys(c.expr for sk in (rule.lhs, rule.rhs)
-                               for c in sk.sorted_constraints()))
-
-
 def check_equivalence(structure: Structure, rule: SketchRule) -> EquivalenceResult:
     """Compare conservativity of the structure with closedness of its
     maximal sketch over the rule's expressions.  The two sides are
     computed independently and must agree."""
     conservative = bool(is_conservative(structure, rule))
-    maximal = structure_to_sketch_max(structure, rule_expressions(rule))
+    maximal = structure_to_sketch_max(
+        structure, {c.expr for sk in (rule.lhs, rule.rhs) for c in sk.constraints})
     closed = bool(is_closed(maximal, rule))
     return EquivalenceResult(conservative == closed, conservative, closed)
 

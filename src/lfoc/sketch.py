@@ -137,11 +137,6 @@ def translate_constraint(phi: Morphism, c: Constraint) -> Constraint:
     return Constraint(c.expr, compose(c.binding, phi))
 
 
-def translate_sketch(phi: Morphism, s: Sketch, name: str = "") -> Sketch:
-    return Sketch(name or s.name, phi.cod,
-                  (translate_constraint(phi, c) for c in s.constraints))
-
-
 def reduct(phi: Morphism, i: Interpretation) -> Interpretation:
     """Restrict an interpretation along a context morphism by pre-composition."""
     return Interpretation(compose(phi, i.map), i.structure)

@@ -1,6 +1,8 @@
 """End-to-end command line tests: exit codes, JSON payloads, determinism."""
 
+import gc
 import json
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -366,3 +368,67 @@ def test_oversized_graph_registry_is_refused_without_walking_every_carrier(capsy
     assert err.startswith("error: enumeration would yield at least ")
     assert err.endswith(" structures (cap 500000)\n") and err.count("\n") == 1
     assert len(visited) < 20
+
+
+def test_document_that_is_not_utf8_is_refused_with_exit_2(capsys, tmp_path):
+    path = tmp_path / "bad.lfoc"
+    path.write_bytes(b"base set;\nobj P1 { p\xff };\n")
+    code, payload, err = run(capsys, "solve", str(path), "--expr", "e", "--structure", "S")
+    assert code == 2 and payload is None
+    assert err.startswith("error:") and "utf-8" in err and err.count("\n") == 1
+
+
+def test_import_that_is_not_utf8_is_a_parse_error(capsys, tmp_path):
+    (tmp_path / "bad.lfoc").write_bytes(b"base set;\nobj P1 { p\xff };\n")
+    path = tmp_path / "main.lfoc"
+    path.write_text('base set;\nimport "bad.lfoc";\n', encoding="utf-8")
+    code, payload, err = run(capsys, "solve", str(path), "--expr", "e", "--structure", "S")
+    assert code == 2 and payload is None
+    assert err.startswith("error:") and err.count("\n") == 1
+    assert "cannot import 'bad.lfoc'" in err and ":2:" in err
+
+
+def test_registry_file_that_is_not_utf8_is_refused_with_exit_2(capsys, tmp_path):
+    path = tmp_path / "bad.lfoc"
+    path.write_bytes(b"base graph;\n\xc3\n")
+    code, payload, err = run(capsys, "sound", CAT, "--rule", "id_unique",
+                             "--registry", str(path))
+    assert code == 2 and payload is None
+    assert err.startswith("error:") and "utf-8" in err and err.count("\n") == 1
+
+
+def test_equiv_on_a_rule_with_a_long_and_chain(capsys, tmp_path):
+    # the maximal sketch takes the rule's expressions as a set, unordered
+    path = tmp_path / "long.lfoc"
+    chain = " and ".join(["male([p->p])"] * 5000)
+    path.write_text(Path(FOL).read_text(encoding="utf-8")
+                    + f"expr deep : P1 = {chain};\n"
+                    + "sketch DeepSk { context P1; constraint deep @ [p->p]; };\n"
+                    + "sketch AnyP { context P1; };\n"
+                    + "rule deep_intro : AnyP => DeepSk;\n",
+                    encoding="utf-8")
+    code, payload, _ = run(capsys, "equiv", str(path), "--rule", "deep_intro",
+                           "--structure", "Smiths")
+    assert code == 0
+    assert (payload["agree"], payload["conservative"], payload["closed"]) == (True, False, False)
+
+
+def test_repeated_calls_keep_no_state(capsys):
+    # every memo lives and dies with its call, so a long-lived process
+    # running the same check again and again does not grow; collected
+    # first, since a call's garbage holds reference cycles
+    argv = ["sound", CAT, "--rule", "id_unique", "--max-carrier", "2,2"]
+    first = main(argv)
+    expected = capsys.readouterr().out
+    tracemalloc.start()
+    try:
+        gc.collect()
+        before = tracemalloc.get_traced_memory()[0]
+        for _ in range(20):
+            assert main(argv) == first
+            assert capsys.readouterr().out == expected
+        gc.collect()
+        grown = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert grown < 64 * 1024

@@ -1,0 +1,67 @@
+"""The exit-code contract under mutated input: 0, 1 or 2 and never a
+traceback.
+
+Each example mutates one fixture document (with its golden-sweep extra
+definitions) at the byte level: bytes are inserted, deleted or replaced
+by punctuation, keywords, names and the invalid UTF-8 bytes 0xff and
+0xc3.  The document then runs through that fixture's golden-sweep
+commands in-process.  No exception may escape `main`, the exit code
+must be 0, 1 or 2, and every exit 2 prints exactly one stderr line,
+starting with ``error:``.
+"""
+
+from __future__ import annotations
+
+import contextlib
+import io
+
+from hypothesis import HealthCheck, given, settings, strategies as st
+
+from lfoc.cli import main
+from lfoc.fixtures import FIXTURES, fixture_path
+from test_golden import SWEEP
+
+FRAGMENTS = (
+    b"{", b"}", b"[", b"]", b"(", b")", b";", b":", b",", b".", b"@", b"=",
+    b"->", b"=>", b"//", b'"', b" ", b"\n",
+    b"base", b"set", b"graph", b"import", b"obj", b"mor", b"footprint", b"feature",
+    b"expr", b"structure", b"carrier", b"sketch", b"context", b"constraint", b"rule",
+    b"via", b"v", b"e", b"top", b"bot", b"and", b"or", b"not", b"exists", b"forall",
+    b"given", b"into",
+    b"p", b"q1", b"x1", b"pv", b"pe", b"alice", b"P1", b"Smiths",
+    b"\xff", b"\xc3",
+)
+
+DOCUMENTS = {name: (fixture_path(name).read_text(encoding="utf-8")
+                    + SWEEP[name][0]).encode("utf-8")
+             for name in FIXTURES}
+
+
+@st.composite
+def mutated(draw):
+    name = draw(st.sampled_from(FIXTURES))
+    data = DOCUMENTS[name]
+    for _ in range(draw(st.integers(1, 3))):
+        pos = draw(st.integers(0, len(data)))
+        op = draw(st.sampled_from(("insert", "delete", "replace")))
+        piece = b"" if op == "delete" else draw(st.sampled_from(FRAGMENTS))
+        cut = 0 if op == "insert" else draw(st.integers(1, 4))
+        data = data[:pos] + piece + data[pos + cut:]
+    return name, data
+
+
+@settings(max_examples=200, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(mutated())
+def test_mutated_documents_keep_the_exit_code_contract(tmp_path, example):
+    name, data = example
+    path = tmp_path / f"{name}.lfoc"
+    path.write_bytes(data)
+    for command in SWEEP[name][1]:
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            code = main([command[0], str(path), *command[1:]])
+        assert code in (0, 1, 2), (command, code)
+        if code == 2:
+            lines = err.getvalue().splitlines()
+            assert len(lines) == 1 and lines[0].startswith("error:"), (command, lines)

@@ -7,7 +7,9 @@ on ill-formed nodes they must give the recursive walks' answers
 order and words.  The first hash of an expression stores every node's
 generated dataclass hash without recursing.  All of them, and the
 `Constraint` and `Sketch` built on an expression, must return on chains
-nested far past Python's recursion limit.
+nested far past Python's recursion limit.  `postorder`, the walk under
+the first hash, `features` and `is_constructive`, yields every node of a
+DAG once and after its children, and skips what its `done` rules out.
 """
 
 from __future__ import annotations
@@ -30,6 +32,7 @@ from lfoc.expr import (
     atom,
     children,
     is_constructive,
+    postorder,
     top,
     wf_check,
 )
@@ -122,3 +125,35 @@ def test_constraint_and_sketch_on_a_deep_not_chain():
     assert c in sk.constraints
     assert hash(Constraint(e, identity(P1))) == hash(c)
     assert hash(_not_chain(MARK, 5000)) == hash(e)
+
+
+def _check_postorder(e, order):
+    place = {id(node): i for i, node in enumerate(order)}
+    assert len(place) == len(order), "a node came twice"
+    assert order[-1] is e
+    for node in order:
+        assert all(place[id(kid)] < place[id(node)] for kid in children(node))
+
+
+def test_postorder_yields_a_shared_node_once_after_its_children():
+    shared = And(P1, MARK, top(P1))
+    only_right = atom("other", identity(P1))
+    left = Not(P1, shared)
+    right = And(P1, shared, only_right)
+    e = Or(P1, left, right)
+    order = list(postorder(e))
+    _check_postorder(e, order)
+    assert {id(n) for n in order} == {id(n) for n in (e, left, right, shared, MARK,
+                                                      shared.right, only_right)}
+    # pruning the right branch keeps what the left branch reaches
+    pruned = list(postorder(e, lambda node: node is right))
+    assert [n for n in order if n is not right and n is not only_right] == pruned
+
+
+def test_postorder_returns_on_a_deep_or_chain():
+    e = MARK
+    for _ in range(5000):
+        e = Or(P1, e, MARK)
+    order = list(postorder(e))
+    _check_postorder(e, order)
+    assert len(order) == 5001 and order[0] is MARK
