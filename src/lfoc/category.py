@@ -271,6 +271,22 @@ def from_images(dom: CatObject, cod: CatObject, images: tuple[int, ...]) -> Morp
     return m
 
 
+def is_graph_homomorphism(dom: FinGraph, cod: FinGraph, images: tuple[int, ...]) -> bool:
+    """Do these positions in cod (vertices, then edges of dom) send
+    vertices to vertices and edges to edges between the images of their
+    endpoints?  `GraphMorphism` checks the same on names."""
+    nv, cv = len(dom.vertices), len(cod.vertices)
+    if any(p >= cv for p in images[:nv]) or any(p < cv for p in images[nv:]):
+        return False
+    dpos, cpos, names = dom.position, cod.position, cod.names
+    for e, p in zip(dom.edges, images[nv:]):
+        d = names[p]
+        if (cpos[cod.src[d]] != images[dpos[dom.src[e]]]
+                or cpos[cod.tgt[d]] != images[dpos[dom.tgt[e]]]):
+            return False
+    return True
+
+
 def morphism(dom: CatObject, cod: CatObject, mapping: Mapping[str, str]) -> Morphism:
     """Build a morphism from one combined name-to-name mapping.
 
@@ -460,7 +476,10 @@ def _join(dom: CatObject, cod: CatObject, atoms) -> list[tuple[int, ...]]:
         for k, node in zip(ks, live):
             tries[k] = node
 
-    extend(0)
+    try:
+        extend(0)
+    finally:
+        del extend  # the closure refers to itself: free it without the collector
     return out
 
 
@@ -549,18 +568,23 @@ def isomorphisms(a: CatObject, b: CatObject) -> tuple[Morphism, ...]:
 def _injections(candidates: list[list[int]]) -> Iterator[tuple[int, ...]]:
     """Tuples of distinct picks, one from each list, in lexicographic order."""
     chosen: list[int] = []
-
-    def extend(i: int) -> Iterator[tuple[int, ...]]:
+    tried = [0]  # per depth up to len(chosen): candidates of its list tried
+    while tried:
+        i = len(chosen)
         if i == len(candidates):
             yield tuple(chosen)
-            return
-        for c in candidates[i]:
-            if c not in chosen:
-                chosen.append(c)
-                yield from extend(i + 1)
-                chosen.pop()
-
-    return extend(0)
+        else:
+            options, k = candidates[i], tried[-1]
+            while k < len(options) and options[k] in chosen:
+                k += 1
+            if k < len(options):
+                tried[-1] = k + 1
+                chosen.append(options[k])
+                tried.append(0)
+                continue
+        tried.pop()
+        if chosen:
+            chosen.pop()
 
 
 def objects_isomorphic(a: CatObject, b: CatObject) -> bool:

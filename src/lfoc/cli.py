@@ -409,8 +409,7 @@ def main(argv=None) -> int:
     except ParseError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (CategoryError, MatchError, EnumerationLimitError, OSError,
-            UnicodeDecodeError) as exc:
+    except (CategoryError, MatchError, EnumerationLimitError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except RecursionError:

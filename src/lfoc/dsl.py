@@ -56,8 +56,10 @@ from .category import (
     FinGraph,
     FinSet,
     Morphism,
+    from_images,
     identity,
     inclusion,
+    is_graph_homomorphism,
     morphism,
 )
 from .expr import (
@@ -95,30 +97,78 @@ class ParseError(ValueError):
         self.source = source
 
 
-# One regex pass lexes a whole text.  Each match skips whitespace (space,
+# The token grammar, as one regex: each match skips whitespace (space,
 # tab, CR, LF; not `\s`) and `//` comments, then captures one token: a
 # run of word characters with dotted continuations (`\w` is exactly
 # `isalnum()` or "_"), a string with its quotes kept, "->" or "=>", any
 # other single character, or "" at the end of the text.  Strings keep
 # their quotes so that no string equals a name, a punctuation mark or
 # the end-of-text token "".  Runs that start with a non-letter and
-# single characters outside _PUNCT are rejected after the pass.
+# single characters outside _PUNCT are rejected.  `_lex` reaches the
+# same tokens by splitting; `_position` (the error path) and chunks the
+# split cannot settle run this regex.
 _TOKEN = re.compile(r'(?:[ \t\r\n]+|//[^\n]*)*(\w+(?:\.\w+)*|"[^"\n]*"|[-=]>|.|\Z)')
 _PUNCT = frozenset(("->", "=>", *"{}[]();:,.@="))
+# strings and comments, found leftmost-first as `_TOKEN` finds them
+_CUT = re.compile(r'("[^"\n]*"|//[^\n]*)')
+_RUN = re.compile(r"\w+(?:\.\w+)*")
+_SPACES = str.maketrans("\t\r\n", "   ")
+# what str.split() also splits ASCII text on, but the grammar does not
+_ASCII_SPLIT_ONLY = "\v\f\x1c\x1d\x1e\x1f"
 
 
 def _lex(text: str, source: str) -> tuple[list[str], set[str]]:
-    """The tokens of `text`, ending in "", and the set of its names."""
-    tokens = _TOKEN.findall(text)
-    if tokens[-2:] == ["", ""]:  # the text ends in whitespace or a comment
-        tokens.pop()
+    """The tokens of `text`, ending in "", and the set of its names.
+
+    Strings and comments are cut out first.  In the rest, the marks
+    that are always tokens get spaces around them and the text is split
+    at its whitespace.  A chunk that is neither a name run nor
+    punctuation (`x=y`, `a.`, a stray character) is lexed by `_TOKEN`."""
+    tokens: list[str] = []
+    pieces = _CUT.split(text) if '"' in text or "//" in text else [text]
+    for i, piece in enumerate(pieces):
+        if i % 2:
+            if piece[0] == '"':
+                tokens.append(piece)
+            continue
+        piece = piece.replace("->", " -> ").replace("=>", " => ")
+        for mark in "{}[]();:,@":
+            piece = piece.replace(mark, f" {mark} ")
+        if piece.isascii() and not any(c in piece for c in _ASCII_SPLIT_ONLY):
+            chunks = piece.split()
+        else:
+            chunks = list(filter(None, piece.translate(_SPACES).split(" ")))
+        del piece  # hold one padded piece at a time
+        if tokens:
+            tokens += chunks
+        else:
+            tokens = chunks
+    del pieces
     names: set[str] = set()
+    relexed: dict[str, list[str]] = {}
     bad = []
-    for tok in set(tokens).difference(_PUNCT, ("",)):
-        if tok[0].isalpha() or tok[0] == "_":
-            names.add(tok)
-        elif tok[0] != '"' or len(tok) == 1:
-            bad.append(tok)
+    for chunk in set(tokens).difference(_PUNCT):
+        if _RUN.fullmatch(chunk):
+            parts = (chunk,)
+        elif chunk[0] == '"' == chunk[-1] and len(chunk) > 1:
+            continue  # a string: no split chunk is shaped like one
+        else:
+            parts = relexed[chunk] = _TOKEN.findall(chunk)[:-1]
+        for tok in parts:
+            if tok[0].isalpha() or tok[0] == "_":
+                names.add(tok)
+            elif tok not in _PUNCT:
+                bad.append(tok)
+    if relexed:
+        spliced: list[str] = []
+        for tok in tokens:
+            parts = relexed.get(tok)
+            if parts is None:
+                spliced.append(tok)
+            else:
+                spliced += parts
+        tokens = spliced
+    tokens.append("")
     if bad:
         at = min(map(tokens.index, bad))
         ch = tokens[at][0]
@@ -198,6 +248,9 @@ class _Parser:
         # declaration wins); clashing arities are reported at use sites
         self.features: dict[str, CatObject] = {}
         self.feature_clashes: set[str] = set()
+        # the parts of `literal_plan`, per domain and per codomain
+        self.templates: dict[CatObject, list[str] | None] = {}
+        self.targets: dict[CatObject, dict[str, int]] = {}
 
     # -- token plumbing ------------------------------------------------
     #
@@ -384,6 +437,90 @@ class _Parser:
         except CategoryError as exc:
             self.fail(str(exc), at)
 
+    def literal_plan(self, dom: CatObject, cod: CatObject) -> tuple | None:
+        """How `match_literal` reads literals dom -> cod, or None when no
+        literal can take its path.
+
+        The plan is dom's literal in declared order with the images left
+        out, `[ n1 -> ; n2 -> … ]`, the literal's width in tokens, and
+        the positions in cod of its names that are name tokens of this
+        text.  Parts are kept per object for this parse."""
+        if dom.kind != cod.kind:
+            return None
+        template = self.templates.get(dom, False)
+        if template is False:
+            template = None
+            if self.names.issuperset(dom.names):
+                template = ["["]
+                for n in dom.names:
+                    template += (n, "->", ";")
+                if dom.names:
+                    template.pop()
+                template.append("]")
+            self.templates[dom] = template
+        if template is None:
+            return None
+        targets = self.targets.get(cod)
+        if targets is None:
+            targets = cod.position
+            if not self.names.issuperset(cod.names):
+                targets = {n: p for n, p in targets.items() if n in self.names}
+            self.targets[cod] = targets
+        return template, len(template) + len(template) // 3, targets
+
+    def match_literal(self, dom: CatObject, cod: CatObject, plan: tuple | None) -> Morphism | None:
+        """The literal at the cursor, read by `plan`, when it lists dom in
+        declared order and its images form a morphism dom -> cod; the
+        cursor moves past it.  Otherwise None, the cursor unmoved.
+
+        One slice and one list comparison against the template find such
+        a literal; its images are then read as positions in cod."""
+        if plan is None:
+            return None
+        template, width, targets = plan
+        start = self.pos
+        seg = self.tokens[start:start + width]
+        images = seg[3::4]
+        del seg[3::4]
+        if seg != template:
+            return None
+        images = tuple(map(targets.get, images))
+        if None in images or (isinstance(dom, FinGraph)
+                              and not is_graph_homomorphism(dom, cod, images)):
+            return None
+        self.pos = start + width
+        return from_images(dom, cod, images)
+
+    def parse_literal(self, dom: CatObject, cod: CatObject,
+                      closer: str | None = None) -> Morphism:
+        """A morphism literal dom -> cod, then `closer` if given.
+
+        A literal `match_literal` does not take is read entry by entry,
+        `closer` is expected, and only then is the map validated by name:
+        the same morphism or the same first error as ever."""
+        mor = self.match_literal(dom, cod, self.literal_plan(dom, cod))
+        if mor is None:
+            mapping, open_at = self.parse_morlit_entries()
+            if closer is not None:
+                self.expect_punct(closer)
+            return self.build_morphism(dom, cod, mapping, open_at)
+        if closer is not None:
+            self.expect_punct(closer)
+        return mor
+
+    def parse_literals(self, dom: CatObject, cod: CatObject) -> list[Morphism]:
+        """Comma-separated morphism literals dom -> cod, one plan for all."""
+        plan = self.literal_plan(dom, cod)
+        out: list[Morphism] = []
+        while True:
+            mor = self.match_literal(dom, cod, plan)
+            if mor is None:
+                mapping, open_at = self.parse_morlit_entries()
+                mor = self.build_morphism(dom, cod, mapping, open_at)
+            out.append(mor)
+            if not self.accept_punct(","):
+                return out
+
     def parse_mor(self) -> None:
         name_at = self.pos
         name = self.expect_name()
@@ -392,10 +529,8 @@ class _Parser:
         self.expect_punct("->")
         cod = self.resolve(self.doc.objects, "object")
         self.expect_punct("=")
-        mapping, open_at = self.parse_morlit_entries()
-        self.expect_punct(";")
-        self.define(self.doc.morphisms, name, name_at,
-                    self.build_morphism(dom, cod, mapping, open_at))
+        mor = self.parse_literal(dom, cod, ";")
+        self.define(self.doc.morphisms, name, name_at, mor)
 
     # -- footprints ------------------------------------------------------
 
@@ -545,10 +680,7 @@ class _Parser:
             if feature_arity is None:
                 self.fail(f"unknown feature {tok!r}", at)
             self.advance()
-            mapping, open_at = self.parse_morlit_entries()
-            self.expect_punct(")")
-            binding = self.build_morphism(feature_arity, arity, mapping, open_at)
-            return atom(tok, binding)
+            return atom(tok, self.parse_literal(feature_arity, arity, ")"))
         ref = self.doc.exprs.get(tok)
         if ref is None:
             self.fail(f"unknown expression {tok!r}", at)
@@ -575,13 +707,8 @@ class _Parser:
             feat = self.advance()
             if feat not in fp.features:
                 self.fail(f"footprint {fp_name!r} has no feature {feat!r}", self.pos - 1)
-            listed = interp.setdefault(feat, [])
-            while True:
-                mapping, open_at = self.parse_morlit_entries()
-                listed.append(self.build_morphism(fp.features[feat], carrier,
-                                                  mapping, open_at))
-                if not self.accept_punct(","):
-                    break
+            interp.setdefault(feat, []).extend(
+                self.parse_literals(fp.features[feat], carrier))
             self.expect_punct(";")
         self.expect_punct("}")
         self.expect_punct(";")
@@ -607,8 +734,7 @@ class _Parser:
             e = self.resolve(self.doc.exprs, "expression")
             self.expect_punct("@")
             if self.peek() == "[":
-                mapping, open_at = self.parse_morlit_entries()
-                binding = self.build_morphism(e.arity, context, mapping, open_at)
+                binding = self.parse_literal(e.arity, context)
             else:
                 binding = self.resolve(self.doc.morphisms, "morphism")
                 if binding.dom != e.arity or binding.cod != context:
@@ -630,8 +756,7 @@ class _Parser:
         if self.at_name("via"):
             self.advance()
             if self.peek() == "[":
-                mapping, open_at = self.parse_morlit_entries()
-                mor = self.build_morphism(lhs.context, rhs.context, mapping, open_at)
+                mor = self.parse_literal(lhs.context, rhs.context)
             else:
                 mor = self.resolve(self.doc.morphisms, "morphism")
                 if mor.dom != lhs.context or mor.cod != rhs.context:
@@ -674,20 +799,36 @@ def parse_document(text: str, *, source: str = "<input>",
 def parse_path(path: str | os.PathLike) -> Document:
     """Parse a .lfoc file; imports resolve relative to its directory."""
     path = os.fspath(path)
-    with open(path, encoding="utf-8") as fh:
-        text = fh.read()
     resolved = os.path.normpath(path)
-    return _parse(text, source=resolved, base_dir=os.path.dirname(resolved),
+    with open(path, "rb") as fh:
+        raw = fh.read()
+    try:
+        text = raw.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        before = _newlines(raw[:exc.start].decode("utf-8"))
+        line_start = before.rfind("\n") + 1
+        raise ParseError(f"not UTF-8: {exc}", before.count("\n") + 1,
+                         len(before) - line_start + 1, resolved) from None
+    return _parse(_newlines(text), source=resolved, base_dir=os.path.dirname(resolved),
                   visited=frozenset({resolved}))
+
+
+def _newlines(text: str) -> str:
+    """`text` with "\r\n" and "\r" read as "\n", as a file opened in text mode reads."""
+    return text.replace("\r\n", "\n").replace("\r", "\n")
 
 
 def parse_morphism_literal(text: str, dom: CatObject, cod: CatObject) -> Morphism:
     """Parse a standalone morphism literal such as "[a->x; b->y]"."""
     parser = _Parser(text, "<morphism>", None, frozenset())
-    mapping, open_at = parser.parse_morlit_entries()
+    mor = parser.match_literal(dom, cod, parser.literal_plan(dom, cod))
+    if mor is None:
+        mapping, open_at = parser.parse_morlit_entries()
     if parser.peek() != "":
         parser.fail("trailing input after the morphism literal")
-    return parser.build_morphism(dom, cod, mapping, open_at)
+    if mor is None:
+        mor = parser.build_morphism(dom, cod, mapping, open_at)
+    return mor
 
 
 # ---------------------------------------------------------------------------

@@ -16,6 +16,7 @@ from lfoc.category import (
     SetMorphism,
     canonical_copy,
     compose,
+    hom_search,
     hom_set,
     identity,
     inclusion,
@@ -322,3 +323,22 @@ def test_hom_set_keeps_nothing_after_the_call():
         tracemalloc.stop()
     # the 3 125 morphisms alone take several hundred KB
     assert grown < 20_000
+
+
+@pytest.mark.parametrize("search", [
+    # a constrained search: one atom binds the first two names
+    lambda: hom_search(XYZ, FinSet(("p", "q", "r", "u")), [((0, 1), {(0, 1), (1, 2), (2, 3)})]),
+    # the unconstrained graph search runs the same join
+    lambda: hom_search(CYCLE3, CYCLE3),
+    # parallel edges make the edge bijections branch
+    lambda: isomorphisms(*(2 * [FinGraph(("a", "b"), (("e1", "a", "b"), ("e2", "a", "b"),
+                                                       ("e3", "b", "a")))])),
+], ids=["constrained", "graph", "isomorphisms"])
+def test_searches_leave_no_reference_cycles(search):
+    gc.collect()
+    gc.disable()
+    try:
+        assert search()
+        assert gc.collect() == 0
+    finally:
+        gc.enable()

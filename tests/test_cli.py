@@ -397,6 +397,21 @@ def test_registry_file_that_is_not_utf8_is_refused_with_exit_2(capsys, tmp_path)
     assert err.startswith("error:") and "utf-8" in err and err.count("\n") == 1
 
 
+def test_file_that_is_not_utf8_is_named_at_its_first_bad_byte(capsys, tmp_path):
+    registry = tmp_path / "registry.lfoc"
+    registry.write_bytes(b"base graph;\r\n// \xc3\xa9t\xc3\xa9\n  \xc3\n")
+    code, payload, err = run(capsys, "sound", CAT, "--rule", "id_unique",
+                             "--registry", str(registry))
+    assert code == 2 and payload is None
+    assert err == (f"error: {registry}:3:3: not UTF-8: 'utf-8' codec can't decode "
+                   f"byte 0xc3 in position 24: invalid continuation byte\n")
+    document = tmp_path / "document.lfoc"
+    document.write_bytes(b"\xff")
+    code, payload, err = run(capsys, "sound", str(document), "--rule", "id_unique",
+                             "--registry", str(registry))
+    assert code == 2 and err.startswith(f"error: {document}:1:1: not UTF-8: ")
+
+
 def test_equiv_on_a_rule_with_a_long_and_chain(capsys, tmp_path):
     # the maximal sketch takes the rule's expressions as a set, unordered
     path = tmp_path / "long.lfoc"

@@ -25,13 +25,13 @@ from lfoc.fixtures import FIXTURES, fixture_path
 # characters (letters, "_", digits, superscript two, one half, an
 # Arabic-Indic digit), punctuation, the four whitespace characters,
 # whitespace it rejects (form feed, no-break space, vertical tab, line
-# separator), comments and strings
+# separator, next line, file and unit separators), comments and strings
 FRAGMENTS = (
     "a", "b", "x", "Z", "_", "é", "ß", "1", "0", "²", "½", "٣",
     "{", "}", "[", "]", "(", ")", ";", ":", ",", ".", "@", "=", "-", ">", "/",
     "->", "=>", "//", '"', '""', '"a b"', '"//"',
     " ", "\t", "\r", "\n", "\f", "\u00a0", "\v", "\u2028", "#", "\\",
-    "obj", "base", "x.y", "a.", ".b", "// c\n",
+    "\x85", "\x1c", "\x1f", "obj", "base", "x.y", "a.", ".b", "// c\n",
 )
 
 TEXTS = st.lists(st.sampled_from(FRAGMENTS), max_size=40).map("".join)
@@ -94,6 +94,8 @@ def test_fixtures_lex_like_oracle(name):
     "", "   ", "// only", "x // end", "x\n// end", "x\n  // end\n", "x //a//b",
     '""', '"" ""', 'x "', 'x "a\nb"', "a.b.c", "a..b", "a.", "1a", "²a", "½a", "a²½",
     "x\fy", "x\u00a0y", "\r\n\tx", "- >", "=>->", "/ /", "/",
+    "-=>", "==>", "->>", "=->", "-->", "x=y", "a[b", "x;y", "p->q]", "a.(b", "x\x85y",
+    "x\x1cy", "a\vb", "é->x;", '// "x\n"y"', 'x " y // z', '"a"b"', 'x "a\nb"',
 ])
 def test_edge_texts_lex_like_oracle(text):
     assert_lexes_like_oracle(text)
