@@ -95,7 +95,7 @@ def test_fixtures_lex_like_oracle(name):
     '""', '"" ""', 'x "', 'x "a\nb"', "a.b.c", "a..b", "a.", "1a", "²a", "½a", "a²½",
     "x\fy", "x\u00a0y", "\r\n\tx", "- >", "=>->", "/ /", "/",
     "-=>", "==>", "->>", "=->", "-->", "x=y", "a[b", "x;y", "p->q]", "a.(b", "x\x85y",
-    "x\x1cy", "a\vb", "é->x;", '// "x\n"y"', 'x " y // z', '"a"b"', 'x "a\nb"',
+    "x\x1cy", "a\vb", "é->x;", '// "x\n"y"', 'x " y // z', '"a"b"',
 ])
 def test_edge_texts_lex_like_oracle(text):
     assert_lexes_like_oracle(text)
