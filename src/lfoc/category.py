@@ -271,22 +271,6 @@ def from_images(dom: CatObject, cod: CatObject, images: tuple[int, ...]) -> Morp
     return m
 
 
-def is_graph_homomorphism(dom: FinGraph, cod: FinGraph, images: tuple[int, ...]) -> bool:
-    """Do these positions in cod (vertices, then edges of dom) send
-    vertices to vertices and edges to edges between the images of their
-    endpoints?  `GraphMorphism` checks the same on names."""
-    nv, cv = len(dom.vertices), len(cod.vertices)
-    if any(p >= cv for p in images[:nv]) or any(p < cv for p in images[nv:]):
-        return False
-    dpos, cpos, names = dom.position, cod.position, cod.names
-    for e, p in zip(dom.edges, images[nv:]):
-        d = names[p]
-        if (cpos[cod.src[d]] != images[dpos[dom.src[e]]]
-                or cpos[cod.tgt[d]] != images[dpos[dom.tgt[e]]]):
-            return False
-    return True
-
-
 def morphism(dom: CatObject, cod: CatObject, mapping: Mapping[str, str]) -> Morphism:
     """Build a morphism from one combined name-to-name mapping.
 

@@ -59,7 +59,6 @@ from .category import (
     from_images,
     identity,
     inclusion,
-    is_graph_homomorphism,
     morphism,
 )
 from .expr import (
@@ -113,8 +112,6 @@ _PUNCT = frozenset(("->", "=>", *"{}[]();:,.@="))
 _CUT = re.compile(r'("[^"\n]*"|//[^\n]*)')
 _RUN = re.compile(r"\w+(?:\.\w+)*")
 _SPACES = str.maketrans("\t\r\n", "   ")
-# what str.split() also splits ASCII text on, but the grammar does not
-_ASCII_SPLIT_ONLY = "\v\f\x1c\x1d\x1e\x1f"
 
 
 def _lex(text: str, source: str) -> tuple[list[str], set[str]]:
@@ -134,10 +131,7 @@ def _lex(text: str, source: str) -> tuple[list[str], set[str]]:
         piece = piece.replace("->", " -> ").replace("=>", " => ")
         for mark in "{}[]();:,@":
             piece = piece.replace(mark, f" {mark} ")
-        if piece.isascii() and not any(c in piece for c in _ASCII_SPLIT_ONLY):
-            chunks = piece.split()
-        else:
-            chunks = list(filter(None, piece.translate(_SPACES).split(" ")))
+        chunks = list(filter(None, piece.translate(_SPACES).split(" ")))
         del piece  # hold one padded piece at a time
         if tokens:
             tokens += chunks
@@ -342,9 +336,8 @@ class _Parser:
         if path in self.visited:
             self.fail(f"import cycle through {target!r}", at)
         try:
-            with open(path, encoding="utf-8") as fh:
-                text = fh.read()
-        except (OSError, UnicodeDecodeError) as exc:
+            text = _read(path)
+        except (OSError, ParseError) as exc:
             self.fail(f"cannot import {target!r}: {exc}", at)
         imported = _parse(text, source=path, base_dir=os.path.dirname(path),
                           visited=self.visited | {path})
@@ -439,13 +432,13 @@ class _Parser:
 
     def literal_plan(self, dom: CatObject, cod: CatObject) -> tuple | None:
         """How `match_literal` reads literals dom -> cod, or None when no
-        literal can take its path.
+        literal can take its path: every map between sets, no graph map.
 
         The plan is dom's literal in declared order with the images left
         out, `[ n1 -> ; n2 -> … ]`, the literal's width in tokens, and
         the positions in cod of its names that are name tokens of this
         text.  Parts are kept per object for this parse."""
-        if dom.kind != cod.kind:
+        if not (isinstance(dom, FinSet) and isinstance(cod, FinSet)):
             return None
         template = self.templates.get(dom, False)
         if template is False:
@@ -468,13 +461,14 @@ class _Parser:
             self.targets[cod] = targets
         return template, len(template) + len(template) // 3, targets
 
-    def match_literal(self, dom: CatObject, cod: CatObject, plan: tuple | None) -> Morphism | None:
-        """The literal at the cursor, read by `plan`, when it lists dom in
-        declared order and its images form a morphism dom -> cod; the
-        cursor moves past it.  Otherwise None, the cursor unmoved.
+    def match_literal(self, dom: CatObject, cod: CatObject) -> Morphism | None:
+        """The literal at the cursor when it maps sets, lists dom in
+        declared order and sends each name to a name of cod; the cursor
+        moves past it.  Otherwise None, the cursor unmoved.
 
         One slice and one list comparison against the template find such
         a literal; its images are then read as positions in cod."""
+        plan = self.literal_plan(dom, cod)
         if plan is None:
             return None
         template, width, targets = plan
@@ -485,8 +479,7 @@ class _Parser:
         if seg != template:
             return None
         images = tuple(map(targets.get, images))
-        if None in images or (isinstance(dom, FinGraph)
-                              and not is_graph_homomorphism(dom, cod, images)):
+        if None in images:
             return None
         self.pos = start + width
         return from_images(dom, cod, images)
@@ -498,7 +491,7 @@ class _Parser:
         A literal `match_literal` does not take is read entry by entry,
         `closer` is expected, and only then is the map validated by name:
         the same morphism or the same first error as ever."""
-        mor = self.match_literal(dom, cod, self.literal_plan(dom, cod))
+        mor = self.match_literal(dom, cod)
         if mor is None:
             mapping, open_at = self.parse_morlit_entries()
             if closer is not None:
@@ -507,19 +500,6 @@ class _Parser:
         if closer is not None:
             self.expect_punct(closer)
         return mor
-
-    def parse_literals(self, dom: CatObject, cod: CatObject) -> list[Morphism]:
-        """Comma-separated morphism literals dom -> cod, one plan for all."""
-        plan = self.literal_plan(dom, cod)
-        out: list[Morphism] = []
-        while True:
-            mor = self.match_literal(dom, cod, plan)
-            if mor is None:
-                mapping, open_at = self.parse_morlit_entries()
-                mor = self.build_morphism(dom, cod, mapping, open_at)
-            out.append(mor)
-            if not self.accept_punct(","):
-                return out
 
     def parse_mor(self) -> None:
         name_at = self.pos
@@ -707,8 +687,11 @@ class _Parser:
             feat = self.advance()
             if feat not in fp.features:
                 self.fail(f"footprint {fp_name!r} has no feature {feat!r}", self.pos - 1)
-            interp.setdefault(feat, []).extend(
-                self.parse_literals(fp.features[feat], carrier))
+            listed = interp.setdefault(feat, [])
+            while True:
+                listed.append(self.parse_literal(fp.features[feat], carrier))
+                if not self.accept_punct(","):
+                    break
             self.expect_punct(";")
         self.expect_punct("}")
         self.expect_punct(";")
@@ -799,7 +782,16 @@ def parse_document(text: str, *, source: str = "<input>",
 def parse_path(path: str | os.PathLike) -> Document:
     """Parse a .lfoc file; imports resolve relative to its directory."""
     path = os.fspath(path)
+    text = _read(path)
     resolved = os.path.normpath(path)
+    return _parse(text, source=resolved, base_dir=os.path.dirname(resolved),
+                  visited=frozenset({resolved}))
+
+
+def _read(path: str) -> str:
+    """The text of a .lfoc file, with "\r\n" and "\r" read as "\n" as in
+    text mode.  A file that is not UTF-8 is a ParseError at the line and
+    column of its first bad byte."""
     with open(path, "rb") as fh:
         raw = fh.read()
     try:
@@ -808,20 +800,19 @@ def parse_path(path: str | os.PathLike) -> Document:
         before = _newlines(raw[:exc.start].decode("utf-8"))
         line_start = before.rfind("\n") + 1
         raise ParseError(f"not UTF-8: {exc}", before.count("\n") + 1,
-                         len(before) - line_start + 1, resolved) from None
-    return _parse(_newlines(text), source=resolved, base_dir=os.path.dirname(resolved),
-                  visited=frozenset({resolved}))
+                         len(before) - line_start + 1, path) from None
+    del raw  # free the bytes before the newline pass copies the text
+    return _newlines(text)
 
 
 def _newlines(text: str) -> str:
-    """`text` with "\r\n" and "\r" read as "\n", as a file opened in text mode reads."""
     return text.replace("\r\n", "\n").replace("\r", "\n")
 
 
 def parse_morphism_literal(text: str, dom: CatObject, cod: CatObject) -> Morphism:
     """Parse a standalone morphism literal such as "[a->x; b->y]"."""
     parser = _Parser(text, "<morphism>", None, frozenset())
-    mor = parser.match_literal(dom, cod, parser.literal_plan(dom, cod))
+    mor = parser.match_literal(dom, cod)
     if mor is None:
         mapping, open_at = parser.parse_morlit_entries()
     if parser.peek() != "":
