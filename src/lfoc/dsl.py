@@ -242,7 +242,7 @@ class _Parser:
         # declaration wins); clashing arities are reported at use sites
         self.features: dict[str, CatObject] = {}
         self.feature_clashes: set[str] = set()
-        # the parts of `literal_plan`, per domain and per codomain
+        # `match_literal`'s templates per domain and positions per codomain
         self.templates: dict[CatObject, list[str] | None] = {}
         self.targets: dict[CatObject, dict[str, int]] = {}
 
@@ -430,14 +430,16 @@ class _Parser:
         except CategoryError as exc:
             self.fail(str(exc), at)
 
-    def literal_plan(self, dom: CatObject, cod: CatObject) -> tuple | None:
-        """How `match_literal` reads literals dom -> cod, or None when no
-        literal can take its path: every map between sets, no graph map.
+    def match_literal(self, dom: CatObject, cod: CatObject) -> Morphism | None:
+        """The literal at the cursor when it maps sets, lists dom in
+        declared order and sends each name to a name of cod; the cursor
+        moves past it.  Otherwise None, the cursor unmoved.
 
-        The plan is dom's literal in declared order with the images left
-        out, `[ n1 -> ; n2 -> … ]`, the literal's width in tokens, and
-        the positions in cod of its names that are name tokens of this
-        text.  Parts are kept per object for this parse."""
+        dom's template is its literal in declared order with the images
+        left out, `[ n1 -> ; n2 -> … ]`: one slice and one list
+        comparison find a literal that fits it.  The images are then read
+        as positions in cod, of the names that are name tokens of this
+        text.  Templates and positions are kept per object for this parse."""
         if not (isinstance(dom, FinSet) and isinstance(cod, FinSet)):
             return None
         template = self.templates.get(dom, False)
@@ -459,20 +461,8 @@ class _Parser:
             if not self.names.issuperset(cod.names):
                 targets = {n: p for n, p in targets.items() if n in self.names}
             self.targets[cod] = targets
-        return template, len(template) + len(template) // 3, targets
-
-    def match_literal(self, dom: CatObject, cod: CatObject) -> Morphism | None:
-        """The literal at the cursor when it maps sets, lists dom in
-        declared order and sends each name to a name of cod; the cursor
-        moves past it.  Otherwise None, the cursor unmoved.
-
-        One slice and one list comparison against the template find such
-        a literal; its images are then read as positions in cod."""
-        plan = self.literal_plan(dom, cod)
-        if plan is None:
-            return None
-        template, width, targets = plan
         start = self.pos
+        width = len(template) + len(template) // 3  # one image per "->"
         seg = self.tokens[start:start + width]
         images = seg[3::4]
         del seg[3::4]
