@@ -242,7 +242,7 @@ class _Parser:
         # declaration wins); clashing arities are reported at use sites
         self.features: dict[str, CatObject] = {}
         self.feature_clashes: set[str] = set()
-        # `match_literal`'s templates per domain and positions per codomain
+        # the parts of `literal_plan`, per domain and per codomain
         self.templates: dict[CatObject, list[str] | None] = {}
         self.targets: dict[CatObject, dict[str, int]] = {}
 
@@ -430,16 +430,15 @@ class _Parser:
         except CategoryError as exc:
             self.fail(str(exc), at)
 
-    def match_literal(self, dom: CatObject, cod: CatObject) -> Morphism | None:
-        """The literal at the cursor when it maps sets, lists dom in
-        declared order and sends each name to a name of cod; the cursor
-        moves past it.  Otherwise None, the cursor unmoved.
+    def literal_plan(self, dom: CatObject, cod: CatObject) -> tuple | None:
+        """How `match_literal` reads literals dom -> cod, or None when
+        every such literal is read entry by entry: maps between graphs,
+        and domains with a name that is not a name token of this text.
 
-        dom's template is its literal in declared order with the images
-        left out, `[ n1 -> ; n2 -> … ]`: one slice and one list
-        comparison find a literal that fits it.  The images are then read
-        as positions in cod, of the names that are name tokens of this
-        text.  Templates and positions are kept per object for this parse."""
+        The plan is dom's template, its literal in declared order with
+        the images left out (`[ n1 -> ; n2 -> … ]`), the literal's width
+        in tokens, and the positions in cod of its names that are name
+        tokens of this text.  Parts are kept per object for this parse."""
         if not (isinstance(dom, FinSet) and isinstance(cod, FinSet)):
             return None
         template = self.templates.get(dom, False)
@@ -461,8 +460,19 @@ class _Parser:
             if not self.names.issuperset(cod.names):
                 targets = {n: p for n, p in targets.items() if n in self.names}
             self.targets[cod] = targets
+        return template, len(template) + len(template) // 3, targets
+
+    def match_literal(self, dom: CatObject, cod: CatObject, plan: tuple | None) -> Morphism | None:
+        """The literal at the cursor when `plan` reads it: it lists dom in
+        declared order and sends each name to a name of cod.  The cursor
+        moves past it.  Otherwise None, the cursor unmoved.
+
+        One slice and one list comparison against the template find such
+        a literal; its images are then read as positions in cod."""
+        if plan is None:
+            return None
+        template, width, targets = plan
         start = self.pos
-        width = len(template) + len(template) // 3  # one image per "->"
         seg = self.tokens[start:start + width]
         images = seg[3::4]
         del seg[3::4]
@@ -474,14 +484,15 @@ class _Parser:
         self.pos = start + width
         return from_images(dom, cod, images)
 
-    def parse_literal(self, dom: CatObject, cod: CatObject,
+    def parse_literal(self, dom: CatObject, cod: CatObject, plan: tuple | None,
                       closer: str | None = None) -> Morphism:
-        """A morphism literal dom -> cod, then `closer` if given.
+        """A morphism literal dom -> cod, then `closer` if given; `plan` is
+        `literal_plan(dom, cod)`.
 
         A literal `match_literal` does not take is read entry by entry,
         `closer` is expected, and only then is the map validated by name:
         the same morphism or the same first error as ever."""
-        mor = self.match_literal(dom, cod)
+        mor = self.match_literal(dom, cod, plan)
         if mor is None:
             mapping, open_at = self.parse_morlit_entries()
             if closer is not None:
@@ -499,7 +510,7 @@ class _Parser:
         self.expect_punct("->")
         cod = self.resolve(self.doc.objects, "object")
         self.expect_punct("=")
-        mor = self.parse_literal(dom, cod, ";")
+        mor = self.parse_literal(dom, cod, self.literal_plan(dom, cod), ";")
         self.define(self.doc.morphisms, name, name_at, mor)
 
     # -- footprints ------------------------------------------------------
@@ -650,7 +661,9 @@ class _Parser:
             if feature_arity is None:
                 self.fail(f"unknown feature {tok!r}", at)
             self.advance()
-            return atom(tok, self.parse_literal(feature_arity, arity, ")"))
+            binding = self.parse_literal(
+                feature_arity, arity, self.literal_plan(feature_arity, arity), ")")
+            return atom(tok, binding)
         ref = self.doc.exprs.get(tok)
         if ref is None:
             self.fail(f"unknown expression {tok!r}", at)
@@ -677,9 +690,11 @@ class _Parser:
             feat = self.advance()
             if feat not in fp.features:
                 self.fail(f"footprint {fp_name!r} has no feature {feat!r}", self.pos - 1)
+            arity = fp.features[feat]
+            plan = self.literal_plan(arity, carrier)  # one per feature line
             listed = interp.setdefault(feat, [])
             while True:
-                listed.append(self.parse_literal(fp.features[feat], carrier))
+                listed.append(self.parse_literal(arity, carrier, plan))
                 if not self.accept_punct(","):
                     break
             self.expect_punct(";")
@@ -707,7 +722,8 @@ class _Parser:
             e = self.resolve(self.doc.exprs, "expression")
             self.expect_punct("@")
             if self.peek() == "[":
-                binding = self.parse_literal(e.arity, context)
+                binding = self.parse_literal(e.arity, context,
+                                             self.literal_plan(e.arity, context))
             else:
                 binding = self.resolve(self.doc.morphisms, "morphism")
                 if binding.dom != e.arity or binding.cod != context:
@@ -729,7 +745,8 @@ class _Parser:
         if self.at_name("via"):
             self.advance()
             if self.peek() == "[":
-                mor = self.parse_literal(lhs.context, rhs.context)
+                mor = self.parse_literal(lhs.context, rhs.context,
+                                         self.literal_plan(lhs.context, rhs.context))
             else:
                 mor = self.resolve(self.doc.morphisms, "morphism")
                 if mor.dom != lhs.context or mor.cod != rhs.context:
@@ -802,7 +819,7 @@ def _newlines(text: str) -> str:
 def parse_morphism_literal(text: str, dom: CatObject, cod: CatObject) -> Morphism:
     """Parse a standalone morphism literal such as "[a->x; b->y]"."""
     parser = _Parser(text, "<morphism>", None, frozenset())
-    mor = parser.match_literal(dom, cod)
+    mor = parser.match_literal(dom, cod, parser.literal_plan(dom, cod))
     if mor is None:
         mapping, open_at = parser.parse_morlit_entries()
     if parser.peek() != "":

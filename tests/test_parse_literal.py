@@ -2,8 +2,8 @@
 
 Every site that knows a literal's domain and codomain before its "["
 (`mor`, structure facts, sketch constraints, atoms, rule `via` and
-`parse_morphism_literal`) reads literals that list the domain in
-declared order by matching a template, and everything else entry by
+`parse_morphism_literal`) reads maps between sets that list the domain
+in declared order by matching a template, and everything else entry by
 entry.  Set and graph literals are generated in order, permuted, with a
 duplicate, missing or extra entry, an unknown image, a vertex/edge kind
 mix or a non-homomorphic edge image, and sometimes followed by the wrong
