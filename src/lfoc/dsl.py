@@ -117,9 +117,9 @@ _SPACES = str.maketrans("\t\r\n", "   ")
 def _lex(text: str, source: str) -> tuple[list[str], set[str]]:
     """The tokens of `text`, ending in "", and the set of its names.
 
-    Strings and comments are cut out first.  In the rest, the marks
-    that are always tokens get spaces around them and the text is split
-    at its whitespace.  A chunk that is neither a name run nor
+    Strings and comments are cut out first.  In the rest, tabs and line
+    breaks become spaces, the marks that are always tokens get spaces
+    around them, and the text is split at its spaces.  A chunk that is neither a name run nor
     punctuation (`x=y`, `a.`, a stray character) is lexed by `_TOKEN`."""
     tokens: list[str] = []
     pieces = _CUT.split(text) if '"' in text or "//" in text else [text]
@@ -128,11 +128,12 @@ def _lex(text: str, source: str) -> tuple[list[str], set[str]]:
             if piece[0] == '"':
                 tokens.append(piece)
             continue
-        piece = piece.replace("->", " -> ").replace("=>", " => ")
+        piece = piece.translate(_SPACES).replace("->", " -> ").replace("=>", " => ")
         for mark in "{}[]();:,@":
             piece = piece.replace(mark, f" {mark} ")
-        chunks = list(filter(None, piece.translate(_SPACES).split(" ")))
+        chunks = piece.split(" ")
         del piece  # hold one padded piece at a time
+        chunks = list(filter(None, chunks))
         if tokens:
             tokens += chunks
         else:
