@@ -119,8 +119,9 @@ def _lex(text: str, source: str) -> tuple[list[str], set[str]]:
 
     Strings and comments are cut out first.  In the rest, tabs and line
     breaks become spaces, the marks that are always tokens get spaces
-    around them, and the text is split at its spaces.  A chunk that is neither a name run nor
-    punctuation (`x=y`, `a.`, a stray character) is lexed by `_TOKEN`."""
+    around them, and the text is split at its spaces.  A chunk that is
+    neither a name run nor punctuation (`x=y`, `a.`, a stray character)
+    is lexed by `_TOKEN`."""
     tokens: list[str] = []
     pieces = _CUT.split(text) if '"' in text or "//" in text else [text]
     for i, piece in enumerate(pieces):
@@ -491,8 +492,8 @@ class _Parser:
         `literal_plan(dom, cod)`.
 
         A literal `match_literal` does not take is read entry by entry,
-        `closer` is expected, and only then is the map validated by name:
-        the same morphism or the same first error as ever."""
+        `closer` is expected, and only then is the map validated by name,
+        so either path gives the same morphism or the same first error."""
         mor = self.match_literal(dom, cod, plan)
         if mor is None:
             mapping, open_at = self.parse_morlit_entries()
