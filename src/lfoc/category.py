@@ -70,6 +70,8 @@ class FinSet:
         return len(self.elements)
 
     def __eq__(self, other: object) -> bool:
+        if self is other:
+            return True
         if not isinstance(other, FinSet):
             return NotImplemented
         return self.elements == other.elements
@@ -122,6 +124,8 @@ class FinGraph:
         return self._triples
 
     def __eq__(self, other: object) -> bool:
+        if self is other:
+            return True
         if not isinstance(other, FinGraph):
             return NotImplemented
         return self.vertices == other.vertices and self._triples == other._triples

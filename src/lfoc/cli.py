@@ -406,10 +406,7 @@ def main(argv=None) -> int:
     try:
         doc = parse_path(args.file)
         return args.func(doc, args)
-    except ParseError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (CategoryError, MatchError, EnumerationLimitError, OSError) as exc:
+    except (ParseError, CategoryError, MatchError, EnumerationLimitError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except RecursionError:

@@ -78,7 +78,7 @@ from .expr import (
     disj,
     neg,
 )
-from .footprint import Footprint, Structure
+from .footprint import Footprint, Structure, _structure
 from .rules import SketchRule
 from .sketch import Constraint, Sketch
 
@@ -464,13 +464,13 @@ class _Parser:
             self.targets[cod] = targets
         return template, len(template) + len(template) // 3, targets
 
-    def match_literal(self, dom: CatObject, cod: CatObject, plan: tuple | None) -> Morphism | None:
+    def match_literal(self, dom: CatObject, cod: CatObject, plan: tuple | None) -> tuple | None:
         """The literal at the cursor when `plan` reads it: it lists dom in
         declared order and sends each name to a name of cod.  The cursor
         moves past it.  Otherwise None, the cursor unmoved.
 
         One slice and one list comparison against the template find such
-        a literal; its images are then read as positions in cod."""
+        a literal; its image tuple is then read as positions in cod."""
         if plan is None:
             return None
         template, width, targets = plan
@@ -484,7 +484,7 @@ class _Parser:
         if None in images:
             return None
         self.pos = start + width
-        return from_images(dom, cod, images)
+        return images
 
     def parse_literal(self, dom: CatObject, cod: CatObject, plan: tuple | None,
                       closer: str | None = None) -> Morphism:
@@ -494,15 +494,15 @@ class _Parser:
         A literal `match_literal` does not take is read entry by entry,
         `closer` is expected, and only then is the map validated by name,
         so either path gives the same morphism or the same first error."""
-        mor = self.match_literal(dom, cod, plan)
-        if mor is None:
+        images = self.match_literal(dom, cod, plan)
+        if images is None:
             mapping, open_at = self.parse_morlit_entries()
             if closer is not None:
                 self.expect_punct(closer)
             return self.build_morphism(dom, cod, mapping, open_at)
         if closer is not None:
             self.expect_punct(closer)
-        return mor
+        return from_images(dom, cod, images)
 
     def parse_mor(self) -> None:
         name_at = self.pos
@@ -687,23 +687,24 @@ class _Parser:
             self.fail("a structure body starts with 'carrier'", self.pos - 1)
         carrier = self.resolve(self.doc.objects, "object")
         self.expect_punct(";")
-        interp: dict[str, list[Morphism]] = {}
+        facts: dict[str, set[tuple[int, ...]]] = {f: set() for f in fp.features}
         while self.peek() in self.names:
             feat = self.advance()
             if feat not in fp.features:
                 self.fail(f"footprint {fp_name!r} has no feature {feat!r}", self.pos - 1)
             arity = fp.features[feat]
             plan = self.literal_plan(arity, carrier)  # one per feature line
-            listed = interp.setdefault(feat, [])
             while True:
-                listed.append(self.parse_literal(arity, carrier, plan))
+                images = self.match_literal(arity, carrier, plan)
+                facts[feat].add(self.parse_literal(arity, carrier, None).images
+                                if images is None else images)
                 if not self.accept_punct(","):
                     break
             self.expect_punct(";")
         self.expect_punct("}")
         self.expect_punct(";")
         try:
-            st = Structure(name, fp, carrier, interp)
+            st = _structure(name, fp, carrier, {f: frozenset(b) for f, b in facts.items()})
         except CategoryError as exc:
             self.fail(str(exc), name_at)
         self.define(self.doc.structures, name, name_at, st)
@@ -821,14 +822,14 @@ def _newlines(text: str) -> str:
 def parse_morphism_literal(text: str, dom: CatObject, cod: CatObject) -> Morphism:
     """Parse a standalone morphism literal such as "[a->x; b->y]"."""
     parser = _Parser(text, "<morphism>", None, frozenset())
-    mor = parser.match_literal(dom, cod, parser.literal_plan(dom, cod))
-    if mor is None:
+    images = parser.match_literal(dom, cod, parser.literal_plan(dom, cod))
+    if images is None:
         mapping, open_at = parser.parse_morlit_entries()
     if parser.peek() != "":
         parser.fail("trailing input after the morphism literal")
-    if mor is None:
-        mor = parser.build_morphism(dom, cod, mapping, open_at)
-    return mor
+    if images is None:
+        return parser.build_morphism(dom, cod, mapping, open_at)
+    return from_images(dom, cod, images)
 
 
 # ---------------------------------------------------------------------------
@@ -846,6 +847,9 @@ class _Printer:
         self.exprs = dict(doc.exprs)
         self.sketches = dict(doc.sketches)
         self.counters = {"obj": 0, "expr": 0, "sketch": 0}
+        # each value's first name (written last, so it wins)
+        self.object_names = {v: k for k, v in reversed(self.objects.items())}
+        self.expr_names = {v: k for k, v in reversed(self.exprs.items())}
 
     def fresh(self, prefix: str, namespace: dict) -> str:
         while True:
@@ -855,19 +859,17 @@ class _Printer:
                 return name
 
     def object_name(self, obj: CatObject) -> str:
-        for name, value in self.objects.items():
-            if value == obj:
-                return name
-        name = self.fresh("obj", self.objects)
-        self.objects[name] = obj
+        name = self.object_names.get(obj)
+        if name is None:
+            name = self.object_names[obj] = self.fresh("obj", self.objects)
+            self.objects[name] = obj
         return name
 
     def expr_name(self, e: Expr) -> str:
-        for name, value in self.exprs.items():
-            if value == e:
-                return name
-        name = self.fresh("expr", self.exprs)
-        self.exprs[name] = e
+        name = self.expr_names.get(e)
+        if name is None:
+            name = self.expr_names[e] = self.fresh("expr", self.exprs)
+            self.exprs[name] = e
         return name
 
     def sketch_name(self, sk: Sketch) -> str:

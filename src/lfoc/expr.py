@@ -319,15 +319,15 @@ def is_constructive(e: Expr, *, strict: bool = False) -> bool:
 class _Evaluator:
     """Solution sets over one structure.
 
-    Internally a solution set is a frozenset of image tuples (see
-    `hom_search`).  Atoms and conjunctions go through one hom search;
-    `or` and `not` are set algebra, and quantifiers project solutions
-    along their variable declaration.  An `exists` with a `top` premise
-    never enumerates hom(X, carrier); `top`, `not`, `forall` and other
-    premises do.  Solutions are memoized once, in `index.solved`, keyed
-    by the expression and the structure's restriction to the features
-    it mentions.  Pass a `SearchIndex` to share that memo across the
-    structures of one call: every structure with the same restriction
+    A solution set, like a structure's facts, is a frozenset of image
+    tuples (see `hom_search`).  Atoms and conjunctions go through one hom
+    search; `or` and `not` are set algebra, and quantifiers project
+    solutions along their variable declaration.  An `exists` with a `top`
+    premise never enumerates hom(X, carrier); `top`, `not`, `forall` and
+    other premises do.  Solutions are memoized once, in `index.solved`,
+    keyed by the expression and the structure's restriction to the
+    features it mentions.  Pass a `SearchIndex` to share that memo across
+    the structures of one call: every structure with the same restriction
     then reuses a solution set.
     """
 
@@ -397,22 +397,19 @@ class _Evaluator:
                     raise CategoryError(
                         f"atom binding ends at {node.binding.cod!r}, "
                         f"expected the arity {arity!r}")
-                atoms.append((node.binding.images,
-                              self._listed(node.feature, node.binding.dom)))
+                facts = self.structure.facts.get(node.feature)
+                if facts is None:
+                    raise CategoryError(f"structure has no feature {node.feature!r}")
+                # facts start at the feature's arity: none matches a binding from elsewhere
+                want = self.structure.footprint.features[node.feature]
+                if node.binding.dom is not want and node.binding.dom != want:
+                    facts = frozenset()
+                atoms.append((node.binding.images, facts))
             elif isinstance(node, Bot):
                 return None
             elif not isinstance(node, Top):
                 atoms.append((every, self.tuples(node)))
         return atoms
-
-    def _listed(self, feature: str, arity: CatObject) -> frozenset:
-        """Image tuples of the feature's listed morphisms arity -> carrier.
-
-        A listed morphism with another domain or codomain never matches.
-        """
-        carrier = self.structure.carrier
-        return frozenset(m.images for m in self.structure.interp(feature)
-                         if m.dom == arity and m.cod == carrier)
 
 
 def solutions(e: Expr, structure: Structure) -> tuple[Morphism, ...]:

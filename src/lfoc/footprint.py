@@ -2,8 +2,8 @@
 
 A footprint declares feature symbols, each with an arity object of the
 footprint's kind.  A structure interprets every feature as a set of
-morphisms from its arity into one shared carrier; a feature "holds" of
-exactly the morphisms listed for it.
+morphisms from its arity into one shared carrier, its facts, kept as
+image tuples; a feature "holds" of exactly its facts.
 
 Structures are plain values: equality compares footprint, carrier, and
 interpretation (names are labels for reporting only).  Validation is a
@@ -11,8 +11,8 @@ separate step so that ill-formed candidates can be constructed and then
 reported on.
 
 A check that mentions only some features reads a structure only through
-its restriction: the carrier plus those features' interpretations.
-Registry checks decide each restriction once per call.
+its restriction: the carrier plus those features' facts.  Registry
+checks decide each restriction once per call.
 """
 
 from __future__ import annotations
@@ -35,6 +35,7 @@ from .category import (
     from_images,
     hom_search,
     isomorphisms,
+    precompose,
 )
 
 # Refuse structure enumerations beyond this many structures by default.
@@ -93,83 +94,85 @@ class Footprint:
 
 
 class Structure:
-    """A carrier object plus one morphism set per feature.
-
-    Missing features are filled in with the empty interpretation; the
-    listed morphisms are kept as given (validate separately with
-    `validate_structure`).
+    """A carrier object plus, in `facts`, one frozenset per feature of
+    the image tuples of its morphisms arity -> carrier.  A listed
+    morphism from or into another object is a stray: kept aside in
+    listed order for `validate_structure`, it never holds.
     """
 
-    __slots__ = ("name", "footprint", "carrier", "interpretation", "_sets", "_hash")
+    __slots__ = ("name", "footprint", "carrier", "facts", "_strays", "_hash")
 
     def __init__(self, name: str, footprint: Footprint, carrier: CatObject,
                  interpretation: Mapping[str, Iterable[Morphism]] | None = None):
-        if carrier.kind != footprint.kind:
-            raise CategoryError(
-                f"carrier {carrier!r} is a {carrier.kind} but footprint "
-                f"{footprint.name!r} is over {footprint.kind}s")
-        interp: dict[str, tuple[Morphism, ...]] = {}
+        self._start(name, footprint, carrier, {})
         given = dict(interpretation or {})
         unknown = sorted(set(given) - set(footprint.features))
         if unknown:
             raise CategoryError(f"interpretation mentions unknown features: {unknown}")
-        for fname in footprint.features:
-            interp[fname] = tuple(dict.fromkeys(given.get(fname, ())))
+        for fname, arity in footprint.features.items():
+            facts, strays = set(), {}
+            for m in given.get(fname, ()):
+                if m.dom == arity and m.cod == carrier:
+                    facts.add(m.images)
+                else:
+                    strays[m] = None
+            self.facts[fname] = frozenset(facts)
+            if strays:
+                self._strays[fname] = strays
+
+    def _start(self, name: str, footprint: Footprint, carrier: CatObject, facts: dict) -> None:
+        if carrier.kind != footprint.kind:
+            raise CategoryError(
+                f"carrier {carrier!r} is a {carrier.kind} but footprint "
+                f"{footprint.name!r} is over {footprint.kind}s")
         self.name = name
         self.footprint = footprint
         self.carrier = carrier
-        self.interpretation = interp
-        self._sets = {f: frozenset(ms) for f, ms in interp.items()}
+        self.facts = facts
+        self._strays: dict[str, dict[Morphism, None]] = {}  # feature -> strays, if any
         self._hash = None
 
     def interp(self, feature: str) -> tuple[Morphism, ...]:
-        if feature not in self.interpretation:
+        """The feature's morphisms: its facts in hom-set order, then its
+        strays."""
+        facts = self.facts.get(feature)
+        if facts is None:
             raise CategoryError(f"structure has no feature {feature!r}")
-        return self.interpretation[feature]
+        arity, carrier = self.footprint.features[feature], self.carrier
+        return (*[from_images(arity, carrier, b) for b in sorted(facts)],
+                *self._strays.get(feature, ()))
 
-    def interp_set(self, feature: str) -> frozenset:
-        if feature not in self._sets:
-            raise CategoryError(f"structure has no feature {feature!r}")
-        return self._sets[feature]
+    def _count(self, feature: str) -> int:
+        return len(self.facts[feature]) + len(self._strays.get(feature, ()))
 
     def restriction(self, features: Iterable[str]) -> tuple:
-        """The carrier and the interpretations of `features` (None for a
-        feature the footprint lacks): all that a check mentioning only
-        these features reads of the structure."""
-        return (self.carrier, *map(self._sets.get, features))
+        """The carrier and the facts of `features` (None for a feature the
+        footprint lacks): all that a check mentioning only these features
+        reads of the structure."""
+        return (self.carrier, *map(self.facts.get, features))
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Structure):
             return NotImplemented
         return (self.footprint == other.footprint and self.carrier == other.carrier
-                and self._sets == other._sets)
+                and self.facts == other.facts and self._strays == other._strays)
 
     def __hash__(self) -> int:
         if self._hash is None:
-            self._hash = hash((self.footprint, self.carrier, tuple(sorted(self._sets.items()))))
+            self._hash = hash((self.footprint, self.carrier, tuple(sorted(self.facts.items()))))
         return self._hash
 
     def __repr__(self) -> str:
-        counts = ", ".join(f"{f}:{len(ms)}" for f, ms in self.interpretation.items())
+        counts = ", ".join(f"{f}:{self._count(f)}" for f in self.facts)
         return f"Structure({self.name or '?'} on {self.carrier!r}; {counts})"
 
 
 def _structure(name: str, footprint: Footprint, carrier: CatObject,
-               interpretation: dict[str, tuple[Morphism, ...]],
-               sets: dict[str, frozenset]) -> Structure:
-    """A structure from parts that already form one, unchecked and shared.
-
-    Only for `interpretation` listing, for every feature of the
-    footprint, distinct morphisms into the carrier, and `sets` holding
-    the same morphisms as frozensets.
-    """
+               facts: dict[str, frozenset]) -> Structure:
+    """A structure with these facts and no strays, unchecked but for the
+    carrier's kind: only for `facts` as a `Structure` would hold them."""
     st = object.__new__(Structure)
-    st.name = name
-    st.footprint = footprint
-    st.carrier = carrier
-    st.interpretation = interpretation
-    st._sets = sets
-    st._hash = None
+    st._start(name, footprint, carrier, facts)
     return st
 
 
@@ -178,9 +181,9 @@ def validate_structure(structure: Structure) -> Verdict:
     into the carrier; the witness is the tuple of problems."""
     problems = []
     fp = structure.footprint
-    for fname in fp.features:
+    for fname, strays in structure._strays.items():
         arity = fp.features[fname]
-        for m in structure.interp(fname):
+        for m in strays:
             if m.kind != fp.kind:
                 problems.append(f"feature {fname!r}: morphism {m!r} has kind {m.kind}")
                 continue
@@ -203,11 +206,11 @@ def is_structure_hom(s: Morphism, src: Structure, dst: Structure) -> bool:
         raise CategoryError(
             f"morphism {s!r} does not run between the carriers "
             f"{src.carrier!r} and {dst.carrier!r}")
-    for fname in src.footprint.features:
-        target = dst.interp_set(fname)
-        for a in src.interp(fname):
-            if compose(a, s) not in target:
-                return False
+    for f in src.footprint.features:
+        facts, strays = dst.facts[f], dst._strays.get(f, ())
+        if (any(precompose(a, s.images) not in facts for a in src.facts[f])
+                or any(compose(a, s) not in strays for a in src._strays.get(f, ()))):
+            return False
     return True
 
 
@@ -215,10 +218,12 @@ def structures_isomorphic(a: Structure, b: Structure) -> bool:
     """Is there a carrier isomorphism matching the interpretations exactly?"""
     if a.footprint != b.footprint:
         return False
-    if any(len(a.interp(f)) != len(b.interp(f)) for f in a.footprint.features):
+    if any(a._count(f) != b._count(f) for f in a.footprint.features):
         return False
     for iso in isomorphisms(a.carrier, b.carrier):
-        if all(frozenset(compose(m, iso) for m in a.interp(f)) == b.interp_set(f)
+        # strays first: one that cannot compose raises whatever the facts
+        if all({compose(m, iso) for m in a._strays.get(f, ())} == b._strays.get(f, {}).keys()
+               and {precompose(t, iso.images) for t in a.facts[f]} == b.facts[f]
                for f in a.footprint.features):
             return True
     return False
@@ -311,16 +316,12 @@ def _count_text(n: int) -> str:
     return f"about {lead // 10}.{lead % 10}e{e}"
 
 
-def _subsets(arity: CatObject,
-             carrier: CatObject) -> list[tuple[tuple[Morphism, ...], frozenset]]:
-    """Every subset of hom(arity, carrier) as a tuple and a frozenset,
+def _subsets(arity: CatObject, carrier: CatObject) -> list[frozenset]:
+    """Every subset of hom(arity, carrier) as a frozenset of image tuples,
     in binary counting order over the hom-set list."""
-    homs = [from_images(arity, carrier, b) for b in hom_search(arity, carrier)]
-    out = []
-    for pick in range(2 ** len(homs)):
-        chosen = tuple(h for i, h in enumerate(homs) if pick >> i & 1)
-        out.append((chosen, frozenset(chosen)))
-    return out
+    homs = hom_search(arity, carrier)
+    return [frozenset(h for i, h in enumerate(homs) if pick >> i & 1)
+            for pick in range(2 ** len(homs))]
 
 
 def enumerate_structures(footprint: Footprint, bounds: CarrierBounds, *,
@@ -347,9 +348,7 @@ def enumerate_structures(footprint: Footprint, bounds: CarrierBounds, *,
         # restrictions hold the same frozensets
         choices = [_subsets(arity, carrier) for arity in footprint.features.values()]
         for picks in itertools.product(*choices):
-            st = _structure(f"S{number}", footprint, carrier,
-                            dict(zip(names, [tup for tup, _ in picks])),
-                            dict(zip(names, [fs for _, fs in picks])))
+            st = _structure(f"S{number}", footprint, carrier, dict(zip(names, picks)))
             number += 1
             if dedup_isomorphic:
                 if any(structures_isomorphic(st, old) for old in kept):

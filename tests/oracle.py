@@ -26,15 +26,24 @@ stack loops; `test_recursion.py` holds the engine to them.
 `category.pushout` replaced with a union-find over positions;
 `test_pushout.py` holds the apex and both injections to them, and
 `substitute` above pushes out through them.
+
+`Structure`, `validate_structure`, `is_structure_hom` and
+`structures_isomorphic` keep every listed morphism as a `Morphism`,
+as `footprint` did before a structure kept its facts as image tuples
+(`structures_isomorphic` goes through `isomorphisms` above);
+`test_structure.py` holds the engine to them.  The registry oracles
+above build the engine's structures (`EngineStructure`), since they
+are compared with registries the engine builds.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Iterable
+from typing import Iterable, Mapping
 
 from lfoc.category import (
+    CatObject,
     CategoryError,
     FinGraph,
     FinSet,
@@ -49,7 +58,8 @@ from lfoc.category import (
 )
 from lfoc.dsl import ParseError
 from lfoc.expr import And, Atomic, Bot, CondExists, CondForall, Expr, Not, Or, Top, children
-from lfoc.footprint import Footprint, Structure, StructureRegistry, Verdict, enumerate_carriers
+from lfoc.footprint import Footprint, StructureRegistry, Verdict, enumerate_carriers
+from lfoc.footprint import Structure as EngineStructure
 from lfoc.rules import BUDGET_EXHAUSTED, CLOSED, SaturationResult, apply_rule, is_match
 from lfoc.sketch import Interpretation, translate_constraint
 
@@ -72,7 +82,7 @@ class Evaluator:
         carrier = self.structure.carrier
         hom = hom_set(e.arity, carrier)
         if isinstance(e, Atomic):
-            listed = self.structure.interp_set(e.feature)
+            listed = frozenset(self.structure.interp(e.feature))
             return frozenset(a for a in hom if compose(e.binding, a) in listed)
         if isinstance(e, Top):
             return frozenset(hom)
@@ -136,7 +146,7 @@ def enumerate_structures(footprint, bounds) -> list:
         for picks in itertools.product(*(range(2 ** len(homs[f])) for f in names)):
             interp = {f: tuple(h for i, h in enumerate(homs[f]) if pick >> i & 1)
                       for f, pick in zip(names, picks)}
-            out.append(Structure(f"S{len(out)}", footprint, carrier, interp))
+            out.append(EngineStructure(f"S{len(out)}", footprint, carrier, interp))
     return out
 
 
@@ -513,3 +523,119 @@ def pushout(f: Morphism, g: Morphism) -> PushoutResult:
     if compose(f, result.inj_left) != compose(g, result.inj_right):
         raise AssertionError("pushout square failed to commute")
     return result
+
+
+# ---------------------------------------------------------------------------
+# Structures that keep every listed morphism
+
+class Structure:
+    """A carrier object plus one morphism set per feature.
+
+    Missing features are filled in with the empty interpretation; the
+    listed morphisms are kept as given (validate separately with
+    `validate_structure`).
+    """
+
+    __slots__ = ("name", "footprint", "carrier", "interpretation", "_sets", "_hash")
+
+    def __init__(self, name: str, footprint: Footprint, carrier: CatObject,
+                 interpretation: Mapping[str, Iterable[Morphism]] | None = None):
+        if carrier.kind != footprint.kind:
+            raise CategoryError(
+                f"carrier {carrier!r} is a {carrier.kind} but footprint "
+                f"{footprint.name!r} is over {footprint.kind}s")
+        interp: dict[str, tuple[Morphism, ...]] = {}
+        given = dict(interpretation or {})
+        unknown = sorted(set(given) - set(footprint.features))
+        if unknown:
+            raise CategoryError(f"interpretation mentions unknown features: {unknown}")
+        for fname in footprint.features:
+            interp[fname] = tuple(dict.fromkeys(given.get(fname, ())))
+        self.name = name
+        self.footprint = footprint
+        self.carrier = carrier
+        self.interpretation = interp
+        self._sets = {f: frozenset(ms) for f, ms in interp.items()}
+        self._hash = None
+
+    def interp(self, feature: str) -> tuple[Morphism, ...]:
+        if feature not in self.interpretation:
+            raise CategoryError(f"structure has no feature {feature!r}")
+        return self.interpretation[feature]
+
+    def interp_set(self, feature: str) -> frozenset:
+        if feature not in self._sets:
+            raise CategoryError(f"structure has no feature {feature!r}")
+        return self._sets[feature]
+
+    def restriction(self, features: Iterable[str]) -> tuple:
+        """The carrier and the interpretations of `features` (None for a
+        feature the footprint lacks): all that a check mentioning only
+        these features reads of the structure."""
+        return (self.carrier, *map(self._sets.get, features))
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, Structure):
+            return NotImplemented
+        return (self.footprint == other.footprint and self.carrier == other.carrier
+                and self._sets == other._sets)
+
+    def __hash__(self) -> int:
+        if self._hash is None:
+            self._hash = hash((self.footprint, self.carrier, tuple(sorted(self._sets.items()))))
+        return self._hash
+
+    def __repr__(self) -> str:
+        counts = ", ".join(f"{f}:{len(ms)}" for f, ms in self.interpretation.items())
+        return f"Structure({self.name or '?'} on {self.carrier!r}; {counts})"
+
+
+def validate_structure(structure: Structure) -> Verdict:
+    """Check that every listed morphism really maps the feature's arity
+    into the carrier; the witness is the tuple of problems."""
+    problems = []
+    fp = structure.footprint
+    for fname in fp.features:
+        arity = fp.features[fname]
+        for m in structure.interp(fname):
+            if m.kind != fp.kind:
+                problems.append(f"feature {fname!r}: morphism {m!r} has kind {m.kind}")
+                continue
+            if m.dom != arity:
+                problems.append(
+                    f"feature {fname!r}: morphism {m!r} starts at {m.dom!r}, "
+                    f"expected the arity {arity!r}")
+            if m.cod != structure.carrier:
+                problems.append(
+                    f"feature {fname!r}: morphism {m!r} ends at {m.cod!r}, "
+                    f"expected the carrier {structure.carrier!r}")
+    return Verdict(not problems, tuple(problems) or None)
+
+
+def is_structure_hom(s: Morphism, src: Structure, dst: Structure) -> bool:
+    """Does the carrier morphism `s` preserve every feature?"""
+    if src.footprint != dst.footprint:
+        raise CategoryError("structure homomorphism check across different footprints")
+    if s.dom != src.carrier or s.cod != dst.carrier:
+        raise CategoryError(
+            f"morphism {s!r} does not run between the carriers "
+            f"{src.carrier!r} and {dst.carrier!r}")
+    for fname in src.footprint.features:
+        target = dst.interp_set(fname)
+        for a in src.interp(fname):
+            if compose(a, s) not in target:
+                return False
+    return True
+
+
+def structures_isomorphic(a: Structure, b: Structure) -> bool:
+    """Is there a carrier isomorphism matching the interpretations exactly?"""
+    if a.footprint != b.footprint:
+        return False
+    if any(len(a.interp(f)) != len(b.interp(f)) for f in a.footprint.features):
+        return False
+    for iso in isomorphisms(a.carrier, b.carrier):
+        if all(frozenset(compose(m, iso) for m in a.interp(f)) == b.interp_set(f)
+               for f in a.footprint.features):
+            return True
+    return False

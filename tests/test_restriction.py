@@ -179,13 +179,13 @@ def test_enumerated_structures_are_the_validated_ones(seed, kind):
     want = oracle.enumerate_structures(fp, bounds)
     assert [s.name for s in got] == [s.name for s in want]
     for s, w in zip(got, want):
-        validated = Structure(s.name, fp, s.carrier, s.interpretation)
+        validated = Structure(s.name, fp, s.carrier, {f: s.interp(f) for f in fp.features})
         assert s == validated == w
         assert hash(s) == hash(validated) == hash(w)
         assert repr(s) == repr(validated) == repr(w)
-        assert s.interpretation == w.interpretation
-        assert {f: s.interp_set(f) for f in fp.features} \
-            == {f: w.interp_set(f) for f in fp.features}
+        assert {f: s.interp(f) for f in fp.features} == {f: w.interp(f) for f in fp.features}
+        assert {f: frozenset(s.interp(f)) for f in fp.features} \
+            == {f: frozenset(w.interp(f)) for f in fp.features}
 
 
 def test_features_are_the_mentioned_ones_sorted():

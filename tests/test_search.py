@@ -87,13 +87,19 @@ def _stray(rng, arity, carrier):
     return [m for m in out if m is not None]
 
 
-def _structure(rng, fp, carrier):
+def _listing(rng, fp, carrier):
+    """Listed morphisms per feature: random facts in hom-set order, then
+    at times some strays."""
     base = random_structure(rng, fp, carrier, density=rng.choice((0.2, 0.5, 0.8)))
-    interp = {f: list(base.interp(f)) for f in fp.features}
+    listed = {f: list(base.interp(f)) for f in fp.features}
     for f, arity in fp.features.items():
         if rng.random() < 0.5:
-            interp[f].extend(_stray(rng, arity, carrier))
-    return Structure("S", fp, carrier, interp)
+            listed[f].extend(_stray(rng, arity, carrier))
+    return listed
+
+
+def _structure(rng, fp, carrier):
+    return Structure("S", fp, carrier, _listing(rng, fp, carrier))
 
 
 def _conjunction(rng, fp, arity):
