@@ -531,7 +531,7 @@ def isomorphisms(a: CatObject, b: CatObject) -> tuple[Morphism, ...]:
     nv = len(a.vertices) if a.kind == GRAPH else a.size
     if a.kind == GRAPH and nv != len(b.vertices):
         return ()
-    estimate = math.factorial(nv) * math.factorial(a.size - nv)
+    estimate = bijection_bound(a)
     if estimate > HOM_ENUMERATION_CAP:
         raise EnumerationLimitError(
             f"isomorphisms {a!r} -> {b!r} have up to {estimate} candidates "
@@ -551,6 +551,13 @@ def isomorphisms(a: CatObject, b: CatObject) -> tuple[Morphism, ...]:
         for edge_images in _injections([parallel[key] for key in wanted]):
             out.append(from_images(a, b, vertex_images + edge_images))
     return tuple(out)
+
+
+def bijection_bound(obj: CatObject) -> int:
+    """How many candidate bijections `isomorphisms` walks from `obj`:
+    n! for n elements; v! * e! for v vertices and e edges."""
+    nv = len(obj.vertices) if obj.kind == GRAPH else obj.size
+    return math.factorial(nv) * math.factorial(obj.size - nv)
 
 
 def _injections(candidates: list[list[int]]) -> Iterator[tuple[int, ...]]:

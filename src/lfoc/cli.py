@@ -94,6 +94,14 @@ def _registry(doc: Document, args) -> StructureRegistry:
         structures = list(reg_doc.structures.values())
         if not structures:
             raise CategoryError(f"registry file {args.registry!r} defines no structures")
+        # a feature read over another arity than the document's would hold
+        # nowhere; the registry refuses structures over another footprint
+        arities = {f: a for fp in doc.footprints.values() for f, a in fp.features.items()}
+        for f, arity in structures[0].footprint.features.items():
+            if arities.get(f, arity) != arity:
+                raise CategoryError(
+                    f"registry file {args.registry!r} declares feature {f!r} over "
+                    f"{arity!r}, but the document declares it over {arities[f]!r}")
         return StructureRegistry.explicit(
             structures, f"file({args.registry},n={len(structures)})")
     if args.max_carrier is not None:

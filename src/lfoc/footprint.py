@@ -12,18 +12,23 @@ reported on.
 
 A check that mentions only some features reads a structure only through
 its restriction: the carrier plus those features' facts.  Registry
-checks decide each restriction once per call.
+checks decide each restriction once per call.  Such a check does not
+change under an isomorphism of structures, so an exhaustive registry
+also skips a restriction that an automorphism of its carrier maps onto
+an earlier one.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+import operator
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Mapping, Sequence
 
 from .category import (
     GRAPH,
+    HOM_ENUMERATION_CAP,
     SET,
     CatObject,
     CategoryError,
@@ -31,6 +36,7 @@ from .category import (
     FinGraph,
     FinSet,
     Morphism,
+    bijection_bound,
     compose,
     from_images,
     hom_search,
@@ -73,7 +79,7 @@ class Footprint:
         self.name = name
         self.kind = kind
         self.features = feats
-        self._hash = hash((kind, tuple(feats.items())))
+        self._hash = hash((kind, frozenset(feats.items())))  # like ==, blind to feature order
 
     def arity(self, feature: str) -> CatObject:
         try:
@@ -282,23 +288,34 @@ def count_structures(footprint: Footprint, bounds: CarrierBounds) -> int:
     return _count_structures(footprint, bounds)
 
 
+def _hom_count(arity: CatObject, carrier: CatObject) -> int:
+    # a set hom set has |C|^|A| members; a graph hom set is searched as
+    # tuples, never as morphisms
+    if carrier.kind == SET:
+        return carrier.size ** arity.size
+    return len(hom_search(arity, carrier))
+
+
 def _count_structures(footprint: Footprint, bounds: CarrierBounds,
                       cap: int | None = None) -> int:
-    # per carrier 2^(sum of hom-set sizes); a set hom set has |C|^|A|
-    # members, a graph hom set is searched as tuples, never as morphisms.
-    # Graph carriers can be too many to walk, so with a cap the walk
-    # stops once the total passes it.
+    # per carrier 2^(sum of hom-set sizes).  Graph carriers can be too
+    # many to walk, so with a cap the walk stops once the total passes it.
     total = 0
     for carrier in enumerate_carriers(footprint.kind, bounds):
-        homs = 0
-        for arity in footprint.features.values():
-            if footprint.kind == SET:
-                homs += carrier.size ** arity.size
-            else:
-                homs += len(hom_search(arity, carrier))
-        total += 1 << homs
+        total += 1 << sum(_hom_count(a, carrier) for a in footprint.features.values())
         if cap is not None and total > cap and footprint.kind == GRAPH:
             break
+    return total
+
+
+def _checked_count(footprint: Footprint, bounds: CarrierBounds, cap: int) -> int:
+    """The number of structures within the bounds, refused past `cap`."""
+    total = _count_structures(footprint, bounds, cap)
+    if total > cap:
+        at_least = "at least " if footprint.kind == GRAPH else ""
+        raise EnumerationLimitError(
+            f"enumeration would yield {at_least}{_count_text(total)} structures (cap {cap})",
+            total)
     return total
 
 
@@ -316,45 +333,171 @@ def _count_text(n: int) -> str:
     return f"about {lead // 10}.{lead % 10}e{e}"
 
 
-def _subsets(arity: CatObject, carrier: CatObject) -> list[frozenset]:
-    """Every subset of hom(arity, carrier) as a frozenset of image tuples,
-    in binary counting order over the hom-set list."""
-    homs = hom_search(arity, carrier)
-    return [frozenset(h for i, h in enumerate(homs) if pick >> i & 1)
-            for pick in range(2 ** len(homs))]
-
-
 def enumerate_structures(footprint: Footprint, bounds: CarrierBounds, *,
                          dedup_isomorphic: bool = False,
                          cap: int = STRUCTURE_ENUMERATION_CAP) -> Iterator[Structure]:
     """All structures over canonical carriers within the bounds.
 
     Deterministic: carriers in `enumerate_carriers` order, feature
-    subsets in binary counting order over the hom-set list.  Refuses to
+    subsets in binary counting order over the hom-set list, the last
+    feature varying fastest; structure k is named S<k>.  Refuses to
     start if the total would exceed `cap`; for graphs the refusal counts
-    carriers only until the cap is passed and says "at least".
+    carriers only until the cap is passed and says "at least".  With
+    `dedup_isomorphic` only the first structure of each isomorphism class
+    is kept, under its own name.
     """
-    total = _count_structures(footprint, bounds, cap)
-    if total > cap:
-        at_least = "at least " if footprint.kind == GRAPH else ""
-        raise EnumerationLimitError(
-            f"enumeration would yield {at_least}{_count_text(total)} structures (cap {cap})",
-            total)
-    kept: list[Structure] = []
+    _checked_count(footprint, bounds, cap)
+    yield from _walk(footprint, bounds, footprint.features,
+                     "all" if dedup_isomorphic else "none")
+
+
+def _walk(footprint: Footprint, bounds: CarrierBounds, features: Iterable[str],
+          automorphisms: str) -> Iterator[Structure]:
+    """In registry order, the first structure of each restriction to
+    `features`: the one whose other features are empty.
+
+    An automorphism s of a carrier maps a structure onto an isomorphic
+    one on the same carrier, each fact h to h;s.  Unless `automorphisms`
+    is "none", the walk skips a structure when some automorphism maps
+    its restriction onto an earlier one.  "cheap" uses them only on a
+    carrier with no more candidate bijections than restrictions, and
+    none otherwise: under any subset of them the first structure that
+    fails an isomorphism-invariant check is still walked.  "all" uses
+    every automorphism and skips each carrier isomorphic to an earlier
+    one, so with every feature in `features` it keeps exactly the first
+    structure of each isomorphism class.
+    """
     names = tuple(footprint.features)
-    number = 0
+    walked = [f for f in names if f in features]  # footprint order is registry order
+    carriers_seen: set = set()
+    empty = frozenset()
+    number = 0  # the number of the carrier's first structure
     for carrier in enumerate_carriers(footprint.kind, bounds):
-        # built once per carrier and shared by its structures, so equal
-        # restrictions hold the same frozensets
-        choices = [_subsets(arity, carrier) for arity in footprint.features.values()]
-        for picks in itertools.product(*choices):
-            st = _structure(f"S{number}", footprint, carrier, dict(zip(names, picks)))
-            number += 1
-            if dedup_isomorphic:
-                if any(structures_isomorphic(st, old) for old in kept):
-                    continue
-                kept.append(st)
-            yield st
+        homs = {f: hom_search(footprint.features[f], carrier) for f in walked}
+        sizes = [1 << (len(homs[f]) if f in homs else _hom_count(arity, carrier))
+                 for f, arity in footprint.features.items()]
+        total = math.prod(sizes)
+        if automorphisms == "all":
+            key = _carrier_key(carrier)
+            if key in carriers_seen:
+                number += total
+                continue
+            carriers_seen.add(key)
+        walked_sizes = [1 << len(h) for h in homs.values()]
+        maps = []
+        if automorphisms == "all" or (automorphisms == "cheap" and 1 < bijection_bound(carrier)
+                                      <= min(math.prod(walked_sizes), HOM_ENUMERATION_CAP)):
+            maps = _pick_maps(carrier, list(homs.values()))
+        # the step in structure number of one pick of each walked feature
+        steps = [math.prod(sizes[names.index(f) + 1:]) for f in walked]
+        subsets = [_Subsets(hom) for hom in homs.values()]  # shared by equal restrictions
+        for picks in _least_picks(walked_sizes, maps):
+            facts = dict.fromkeys(names, empty)
+            facts.update(zip(walked, map(dict.__getitem__, subsets, picks)))
+            n = number + sum(map(operator.mul, picks, steps))
+            yield _structure(f"S{n}", footprint, carrier, facts)
+        number += total
+
+
+class _Subsets(dict):
+    """The subsets of a hom list as frozensets, keyed by their bit masks
+    over it and built on first use."""
+
+    __slots__ = ("homs",)
+
+    def __init__(self, homs: list[tuple[int, ...]]):
+        super().__init__({0: frozenset()})
+        self.homs = homs
+
+    def __missing__(self, mask: int) -> frozenset:
+        # the subset without the lowest bit's hom, plus that hom; building
+        # it first if need be recurses at most once per set bit
+        low = mask & -mask
+        subset = self[mask] = self[mask ^ low] | {self.homs[low.bit_length() - 1]}
+        return subset
+
+
+def _carrier_key(carrier: CatObject):
+    """Equal for two carriers exactly when they are isomorphic: a set's
+    size, or a graph's vertex count and its least sorted list of edge
+    ends over all vertex permutations."""
+    if carrier.kind == SET:
+        return carrier.size
+    pos, nv = carrier.position, len(carrier.vertices)
+    ends = [(pos[carrier.src[e]], pos[carrier.tgt[e]]) for e in carrier.edges]
+    return nv, min(tuple(sorted((p[s], p[t]) for s, t in ends))
+                   for p in itertools.permutations(range(nv)))
+
+
+def _pick_maps(carrier: CatObject, homs: list[list[tuple[int, ...]]]) -> list[list]:
+    """How each automorphism s of the carrier other than the identity
+    moves picks: per hom list, the bit tables of the map h -> h;s on
+    subset masks, or None when s fixes every hom of the list."""
+    positions = [{h: i for i, h in enumerate(hom)} for hom in homs]
+    maps = []
+    for s in isomorphisms(carrier, carrier):
+        levels = []
+        for hom, position in zip(homs, positions):
+            moved = [position[precompose(h, s.images)] for h in hom]
+            levels.append(None if moved == list(range(len(hom))) else _bit_tables(moved))
+        if any(levels):
+            maps.append(levels)
+    return maps
+
+
+def _bit_tables(moved: list[int]) -> list[list[int]]:
+    """Tables that send bit i of a mask to bit moved[i]: one per byte of
+    the mask, indexed by that byte's value."""
+    tables = []
+    for base in range(0, len(moved), 8):
+        chunk = moved[base:base + 8]
+        table = [0] * (1 << len(chunk))
+        for v in range(1, len(table)):
+            low = v & -v
+            table[v] = table[v ^ low] | 1 << chunk[low.bit_length() - 1]
+        tables.append(table)
+    return tables
+
+
+def _least_picks(sizes: list[int], maps: list[list]) -> Iterator[tuple[int, ...]]:
+    """Every tuple of picks, pick i below sizes[i], in lexicographic
+    order, but each that one of `maps` (from `_pick_maps`) sends to a
+    lexicographically smaller tuple.  A tuple is dropped at its first
+    position where a map that fixes the positions before it lowers the
+    pick, so a dropped prefix is never extended."""
+    if not maps:
+        yield from itertools.product(*map(range, sizes))
+        return
+    picks = [-1] * len(sizes)
+    fixing = [maps]  # fixing[i]: the maps that fix picks[:i]
+    i = 0
+    while i >= 0:
+        pick = picks[i] = picks[i] + 1
+        if pick == sizes[i]:
+            picks[i] = -1
+            fixing.pop()
+            i -= 1
+            continue
+        still = []
+        for levels in fixing[i]:
+            tables = levels[i]
+            if tables is None:
+                still.append(levels)
+                continue
+            image, rest = 0, pick
+            for table in tables:
+                image |= table[rest & 255]
+                rest >>= 8
+            if image < pick:
+                break
+            if image == pick:
+                still.append(levels)
+        else:
+            if i + 1 == len(sizes):
+                yield tuple(picks)
+            else:
+                fixing.append(still)
+                i += 1
 
 
 class StructureRegistry:
@@ -362,7 +505,8 @@ class StructureRegistry:
 
     Registries give entailment, soundness, and sketch-morphism checks
     their bounded semantics; every answer derived from a registry is
-    tagged with its description.
+    tagged with its description.  An exhaustive registry keeps its
+    bounds, not its structures, and builds them on demand.
     """
 
     def __init__(self, structures: Sequence[Structure], description: str):
@@ -373,7 +517,9 @@ class StructureRegistry:
         for st in structures:
             if st.footprint != fp:
                 raise CategoryError("registry structures must share one footprint")
-        self._structures = structures
+        self._structures: list[Structure] | None = structures
+        self._bounds: CarrierBounds | None = None  # set, in place of the list, when exhaustive
+        self._count = len(structures)
         self.footprint = fp
         self.description = description
 
@@ -388,27 +534,47 @@ class StructureRegistry:
     def exhaustive(cls, footprint: Footprint, bounds: CarrierBounds, *,
                    dedup_isomorphic: bool = False,
                    cap: int = STRUCTURE_ENUMERATION_CAP):
-        structures = list(enumerate_structures(
-            footprint, bounds, dedup_isomorphic=dedup_isomorphic, cap=cap))
         tag = bounds.describe() + (",iso_dedup" if dedup_isomorphic else "")
-        return cls(structures, f"exhaustive({tag})")
+        if dedup_isomorphic:
+            return cls(enumerate_structures(footprint, bounds, dedup_isomorphic=True, cap=cap),
+                       f"exhaustive({tag})")
+        registry = object.__new__(cls)
+        registry._structures = None
+        registry._bounds = bounds
+        registry._count = _checked_count(footprint, bounds, cap)
+        registry.footprint = footprint
+        registry.description = f"exhaustive({tag})"
+        return registry
 
     def __iter__(self) -> Iterator[Structure]:
-        return iter(self._structures)
+        if self._bounds is None:
+            return iter(self._structures)
+        # the exact count passed the registry's cap, so it passes as one
+        return enumerate_structures(self.footprint, self._bounds, cap=self._count)
 
     def first_per_restriction(self, features: Sequence[str]) -> Iterator[Structure]:
         """The structures in order, skipping each whose restriction to
         `features` an earlier one already has: a check mentioning only
-        these features gives both the same answer."""
-        seen = set()
-        for st in self._structures:
-            key = st.restriction(features)
-            if key not in seen:
-                seen.add(key)
-                yield st
+        these features gives both the same answer.  An exhaustive
+        registry builds only these, and also skips each that an
+        automorphism of its carrier maps onto an earlier restriction (see
+        `_walk`): the first structure failing an isomorphism-invariant
+        check stays."""
+        if self._bounds is not None:
+            return _walk(self.footprint, self._bounds, set(features), "cheap")
+        return _first_seen(self._structures, features)
 
     def __len__(self) -> int:
-        return len(self._structures)
+        return self._count
 
     def __repr__(self) -> str:
         return f"StructureRegistry({self.description}, {len(self)} structures)"
+
+
+def _first_seen(structures: list[Structure], features: Sequence[str]) -> Iterator[Structure]:
+    seen = set()
+    for st in structures:
+        key = st.restriction(features)
+        if key not in seen:
+            seen.add(key)
+            yield st

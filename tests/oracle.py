@@ -10,8 +10,12 @@ that `category.isomorphisms` replaced.
 The registry checks (`entails`, `check_sketch_morphism`, `is_sound`,
 `axiom_filtered_registry`) decide every structure from scratch, and
 `enumerate_structures` validates every structure it builds, as the
-engine did before it decided each restriction once per call;
-`test_restriction.py` holds the engine to them.
+engine did before it decided each restriction once per call and one
+structure per carrier automorphism orbit; `test_restriction.py` and
+`test_orbits.py` hold the engine to them.  `enumerate_isomorph_free`
+is the pairwise dedup that `enumerate_structures(dedup_isomorphic=True)`
+replaced: it tests each structure against every kept one with the
+engine's `structures_isomorphic`.
 
 `_lex` is the per-character lexer that `dsl` replaced with one regex
 pass; `test_lexer.py` holds the new tokens, positions and errors to it.
@@ -60,6 +64,7 @@ from lfoc.dsl import ParseError
 from lfoc.expr import And, Atomic, Bot, CondExists, CondForall, Expr, Not, Or, Top, children
 from lfoc.footprint import Footprint, StructureRegistry, Verdict, enumerate_carriers
 from lfoc.footprint import Structure as EngineStructure
+from lfoc.footprint import structures_isomorphic as structures_isomorphic_engine
 from lfoc.rules import BUDGET_EXHAUSTED, CLOSED, SaturationResult, apply_rule, is_match
 from lfoc.sketch import Interpretation, translate_constraint
 
@@ -148,6 +153,15 @@ def enumerate_structures(footprint, bounds) -> list:
                       for f, pick in zip(names, picks)}
             out.append(EngineStructure(f"S{len(out)}", footprint, carrier, interp))
     return out
+
+
+def enumerate_isomorph_free(footprint, bounds) -> list:
+    kept: list = []
+    for st in enumerate_structures(footprint, bounds):
+        if any(structures_isomorphic_engine(st, old) for old in kept):
+            continue
+        kept.append(st)
+    return kept
 
 
 def find_matches(pattern, host) -> tuple:

@@ -397,6 +397,24 @@ def test_registry_file_that_is_not_utf8_is_refused_with_exit_2(capsys, tmp_path)
     assert err.startswith("error:") and "utf-8" in err and err.count("\n") == 1
 
 
+def test_registry_file_with_another_feature_arity_is_refused(capsys, tmp_path):
+    main_doc = tmp_path / "main.lfoc"
+    main_doc.write_text(
+        "base set;\nobj P1 { p };\nfootprint F { feature male : P1; };\n"
+        "expr m : P1 = male([p->p]);\n"
+        "sketch Any { context P1; };\nsketch Male { context P1; constraint m @ [p->p]; };\n",
+        encoding="utf-8")
+    registry = tmp_path / "reg.lfoc"
+    registry.write_text(
+        "base set;\nobj Q1 { z };\nobj X { x };\nfootprint G { feature male : Q1; };\n"
+        "structure S : G { carrier X; male [z->x]; };\n",
+        encoding="utf-8")
+    code, payload, err = run(capsys, "entail", str(main_doc), "--left", "Any",
+                             "--right", "Male", "--registry", str(registry))
+    assert code == 2 and payload is None
+    assert err.startswith("error:") and "'male'" in err and err.count("\n") == 1
+
+
 def test_file_that_is_not_utf8_is_named_at_its_first_bad_byte(capsys, tmp_path):
     registry = tmp_path / "registry.lfoc"
     registry.write_bytes(b"base graph;\r\n// \xc3\xa9t\xc3\xa9\n  \xc3\n")

@@ -72,6 +72,14 @@ def test_structure_fills_missing_features():
     assert validate_structure(st)
 
 
+def test_equal_footprints_hash_equally_whatever_their_feature_order():
+    a = Footprint("A", "set", {"male": P1, "parent": P3})
+    b = Footprint("B", "set", {"parent": P3, "male": P1})
+    assert a == b and hash(a) == hash(b)
+    empty = {Structure("s", a, FAMILY), Structure("t", b, FAMILY)}
+    assert len(empty) == 1
+
+
 def test_structure_rejects_unknown_feature():
     with pytest.raises(CategoryError):
         Structure("bad", FOL, FAMILY, {"nope": []})
