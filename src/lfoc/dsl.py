@@ -111,17 +111,24 @@ _PUNCT = frozenset(("->", "=>", *"{}[]();:,.@="))
 # strings and comments, found leftmost-first as `_TOKEN` finds them
 _CUT = re.compile(r'("[^"\n]*"|//[^\n]*)')
 _RUN = re.compile(r"\w+(?:\.\w+)*")
-_SPACES = str.maketrans("\t\r\n", "   ")
+# tab and line breaks become spaces; every other character for which
+# `str.isspace()` holds becomes "\0", which `split()` keeps and `_TOKEN`
+# rejects as it rejects them
+_SPACES = str.maketrans(
+    "\t\r\n"
+    "\v\f\x1c\x1d\x1e\x1f\x85\xa0\u1680\u2000\u2001\u2002\u2003\u2004\u2005"
+    "\u2006\u2007\u2008\u2009\u200a\u2028\u2029\u202f\u205f\u3000",
+    "   " + "\0" * 25)
 
 
 def _lex(text: str, source: str) -> tuple[list[str], set[str]]:
     """The tokens of `text`, ending in "", and the set of its names.
 
     Strings and comments are cut out first.  In the rest, tabs and line
-    breaks become spaces, the marks that are always tokens get spaces
-    around them, and the text is split at its spaces.  A chunk that is
-    neither a name run nor punctuation (`x=y`, `a.`, a stray character)
-    is lexed by `_TOKEN`."""
+    breaks become spaces and other whitespace "\0" (`_SPACES`), the marks
+    that are always tokens get spaces around them, and one `split()`
+    cuts the text at its spaces.  A chunk that is neither a name run nor
+    punctuation (`x=y`, `a.`, a stray character) is lexed by `_TOKEN`."""
     tokens: list[str] = []
     pieces = _CUT.split(text) if '"' in text or "//" in text else [text]
     for i, piece in enumerate(pieces):
@@ -132,9 +139,8 @@ def _lex(text: str, source: str) -> tuple[list[str], set[str]]:
         piece = piece.translate(_SPACES).replace("->", " -> ").replace("=>", " => ")
         for mark in "{}[]();:,@":
             piece = piece.replace(mark, f" {mark} ")
-        chunks = piece.split(" ")
+        chunks = piece.split()
         del piece  # hold one padded piece at a time
-        chunks = list(filter(None, chunks))
         if tokens:
             tokens += chunks
         else:
@@ -167,7 +173,7 @@ def _lex(text: str, source: str) -> tuple[list[str], set[str]]:
     tokens.append("")
     if bad:
         at = min(map(tokens.index, bad))
-        ch = tokens[at][0]
+        ch = text[_token_at(text, at).start(1)]  # "\0" may stand for another character
         if ch == '"':
             message = "unterminated string"
         elif ch.isdigit():
@@ -178,12 +184,17 @@ def _lex(text: str, source: str) -> tuple[list[str], set[str]]:
     return tokens, names
 
 
+def _token_at(text: str, index: int) -> re.Match:
+    """The `_TOKEN` match of token `index` of `text`."""
+    return next(itertools.islice(_TOKEN.finditer(text), index, None))
+
+
 def _position(text: str, index: int) -> tuple[int, int]:
     """(line, column) of token `index` of `text`, both from 1.
 
     A comment does not advance the column, so the end of a text whose
     last line ends in a comment sits at that comment's start."""
-    match = next(itertools.islice(_TOKEN.finditer(text), index, None))
+    match = _token_at(text, index)
     at = match.start(1)
     line_start = text.rfind("\n", 0, at) + 1
     if at == len(text):
@@ -433,14 +444,14 @@ class _Parser:
             self.fail(str(exc), at)
 
     def literal_plan(self, dom: CatObject, cod: CatObject) -> tuple | None:
-        """How `match_literal` reads literals dom -> cod, or None when
+        """How `match_literals` reads literals dom -> cod, or None when
         every such literal is read entry by entry: maps between graphs,
         and domains with a name that is not a name token of this text.
 
         The plan is dom's template, its literal in declared order with
-        the images left out (`[ n1 -> ; n2 -> … ]`), the literal's width
-        in tokens, and the positions in cod of its names that are name
-        tokens of this text.  Parts are kept per object for this parse."""
+        None for the images (`[ n1 -> None ; n2 -> None … ]`), and the
+        positions in cod of its names that are name tokens of this text.
+        Parts are kept per object for this parse."""
         if not (isinstance(dom, FinSet) and isinstance(cod, FinSet)):
             return None
         template = self.templates.get(dom, False)
@@ -449,7 +460,7 @@ class _Parser:
             if self.names.issuperset(dom.names):
                 template = ["["]
                 for n in dom.names:
-                    template += (n, "->", ";")
+                    template += (n, "->", None, ";")
                 if dom.names:
                     template.pop()
                 template.append("]")
@@ -462,39 +473,68 @@ class _Parser:
             if not self.names.issuperset(cod.names):
                 targets = {n: p for n, p in targets.items() if n in self.names}
             self.targets[cod] = targets
-        return template, len(template) + len(template) // 3, targets
+        return template, targets
 
-    def match_literal(self, dom: CatObject, cod: CatObject, plan: tuple | None) -> tuple | None:
-        """The literal at the cursor when `plan` reads it: it lists dom in
+    def match_literals(self, plan: tuple | None, count: int = 1) -> list[tuple] | None:
+        """The image tuples of the `count` literals at the cursor, one
+        token apart, when `plan` reads them all: each lists dom in
         declared order and sends each name to a name of cod.  The cursor
-        moves past it.  Otherwise None, the cursor unmoved.
+        moves to the token after the last.  Otherwise None, the cursor
+        unmoved.  The tokens between the literals are not looked at.
 
-        One slice and one list comparison against the template find such
-        a literal; its image tuple is then read as positions in cod."""
+        The literals are read as columns: token j of every literal is
+        `body[j::stride]`.  A template column must hold only its token
+        (so a short body fails at the "]" column), an image column only
+        names of cod, mapped to their positions in one pass."""
         if plan is None:
             return None
-        template, width, targets = plan
-        start = self.pos
-        seg = self.tokens[start:start + width]
-        images = seg[3::4]
-        del seg[3::4]
-        if seg != template:
-            return None
-        images = tuple(map(targets.get, images))
-        if None in images:
-            return None
-        self.pos = start + width
-        return images
+        template, targets = plan
+        stride = len(template) + 1
+        end = self.pos + count * stride - 1
+        body = self.tokens[self.pos:end]
+        columns = []
+        for j, tok in enumerate(template):
+            column = body[j::stride]
+            if tok is None:
+                column = list(map(targets.get, column))
+                if None in column:
+                    return None
+                columns.append(column)
+            elif column.count(tok) != count:
+                return None
+        self.pos = end
+        return list(zip(*columns)) if columns else [()] * count
+
+    def line_length(self, plan: tuple) -> int:
+        """How many literals the feature line at the cursor holds if all
+        take `plan`'s width: the token after each is ",", and after the
+        last ";".  0 if the tokens at those places say otherwise.
+
+        The separators are read in slices that double in length, so a
+        line costs time in proportion to its own length."""
+        stride = len(plan[0]) + 1
+        first = self.pos + stride - 1
+        count, step = 0, 8
+        while True:
+            seps = self.tokens[first:first + step * stride:stride]
+            if ";" in seps:
+                k = seps.index(";")
+                return count + k + 1 if seps[:k].count(",") == k else 0
+            if seps.count(",") < step:
+                return 0
+            count += step
+            first += step * stride
+            step *= 2
 
     def parse_literal(self, dom: CatObject, cod: CatObject, plan: tuple | None,
                       closer: str | None = None) -> Morphism:
         """A morphism literal dom -> cod, then `closer` if given; `plan` is
         `literal_plan(dom, cod)`.
 
-        A literal `match_literal` does not take is read entry by entry,
+        A literal `match_literals` does not take is read entry by entry,
         `closer` is expected, and only then is the map validated by name,
         so either path gives the same morphism or the same first error."""
-        images = self.match_literal(dom, cod, plan)
+        images = self.match_literals(plan)
         if images is None:
             mapping, open_at = self.parse_morlit_entries()
             if closer is not None:
@@ -502,7 +542,7 @@ class _Parser:
             return self.build_morphism(dom, cod, mapping, open_at)
         if closer is not None:
             self.expect_punct(closer)
-        return from_images(dom, cod, images)
+        return from_images(dom, cod, images[0])
 
     def parse_mor(self) -> None:
         name_at = self.pos
@@ -694,12 +734,17 @@ class _Parser:
                 self.fail(f"footprint {fp_name!r} has no feature {feat!r}", self.pos - 1)
             arity = fp.features[feat]
             plan = self.literal_plan(arity, carrier)  # one per feature line
-            while True:
-                images = self.match_literal(arity, carrier, plan)
-                facts[feat].add(self.parse_literal(arity, carrier, None).images
-                                if images is None else images)
-                if not self.accept_punct(","):
-                    break
+            count = plan and self.line_length(plan)
+            line = self.match_literals(plan, count) if count else None
+            if line is None:  # read literal by literal, for the same facts or first error
+                line = []
+                while True:
+                    images = self.match_literals(plan)
+                    line.append(self.parse_literal(arity, carrier, None).images
+                                if images is None else images[0])
+                    if not self.accept_punct(","):
+                        break
+            facts[feat].update(line)
             self.expect_punct(";")
         self.expect_punct("}")
         self.expect_punct(";")
@@ -822,14 +867,14 @@ def _newlines(text: str) -> str:
 def parse_morphism_literal(text: str, dom: CatObject, cod: CatObject) -> Morphism:
     """Parse a standalone morphism literal such as "[a->x; b->y]"."""
     parser = _Parser(text, "<morphism>", None, frozenset())
-    images = parser.match_literal(dom, cod, parser.literal_plan(dom, cod))
+    images = parser.match_literals(parser.literal_plan(dom, cod))
     if images is None:
         mapping, open_at = parser.parse_morlit_entries()
     if parser.peek() != "":
         parser.fail("trailing input after the morphism literal")
     if images is None:
         return parser.build_morphism(dom, cod, mapping, open_at)
-    return from_images(dom, cod, images)
+    return from_images(dom, cod, images[0])
 
 
 # ---------------------------------------------------------------------------

@@ -384,6 +384,8 @@ def _walk(footprint: Footprint, bounds: CarrierBounds, features: Iterable[str],
                 continue
             carriers_seen.add(key)
         walked_sizes = [1 << len(h) for h in homs.values()]
+        if automorphisms == "all":
+            _check_pick_maps(carrier, homs.values())
         maps = []
         if automorphisms == "all" or (automorphisms == "cheap" and 1 < bijection_bound(carrier)
                                       <= min(math.prod(walked_sizes), HOM_ENUMERATION_CAP)):
@@ -443,6 +445,18 @@ def _pick_maps(carrier: CatObject, homs: list[list[tuple[int, ...]]]) -> list[li
         if any(levels):
             maps.append(levels)
     return maps
+
+
+def _check_pick_maps(carrier: CatObject, homs: Iterable[list]) -> None:
+    """Refuse a carrier whose `_pick_maps` would pass HOM_ENUMERATION_CAP
+    bit-table entries: one automorphism needs a table per byte of each
+    hom list's masks, and there can be `bijection_bound` of them."""
+    entries = sum(1 << min(8, len(hom) - base) for hom in homs for base in range(0, len(hom), 8))
+    bound = bijection_bound(carrier) * max(entries, 1)
+    if bound > HOM_ENUMERATION_CAP:
+        raise EnumerationLimitError(
+            f"automorphisms of carrier {carrier!r} need up to {bound} bit-table "
+            f"entries (cap {HOM_ENUMERATION_CAP})", bound)
 
 
 def _bit_tables(moved: list[int]) -> list[list[int]]:

@@ -7,7 +7,8 @@ input surface, JSON is the output surface.
 
 from __future__ import annotations
 
-import json
+import itertools
+from json.encoder import encode_basestring_ascii
 
 from .category import CatObject, FinSet, Morphism, PushoutResult
 from .expr import And, Atomic, Bot, CondExists, CondForall, Expr, Not, Or, Top
@@ -74,4 +75,53 @@ def payload(**fields) -> dict:
 
 
 def dump(data: dict) -> str:
-    return json.dumps(data, sort_keys=True, indent=2) + "\n"
+    """`json.dumps(data, sort_keys=True, indent=2) + "\\n"`, for payloads of
+    dicts with str keys, lists, str, int, bool and None; any other type,
+    a subclass included, is a TypeError.
+
+    One walk with an explicit stack, so depth costs no recursion.  Each
+    value is appended once to one list as one piece: its key, the value
+    (or a container's opening line) and the separator that follows it.
+    A container that closes takes the separator off its last piece and
+    appends its closing line, so no subtree is copied again per level."""
+    pieces: list[str] = []
+    stack: list[tuple] = []  # per open container: its parent's items, separator and closer
+    items = iter((("", data),))
+    sep = closer = ""
+    while True:
+        for prefix, value in items:
+            cls = value.__class__
+            if cls is str:
+                text = encode_basestring_ascii(value)
+            elif cls is dict or cls is list:
+                if value:
+                    stack.append((items, sep, closer))
+                    indent = "\n" + "  " * len(stack)
+                    if cls is dict:
+                        keys = sorted(value)
+                        # a key that is not a str is a TypeError here
+                        items = zip([encode_basestring_ascii(k) + ": " for k in keys],
+                                    map(value.__getitem__, keys))
+                        opener, closer = "{", indent[:-2] + "}" + sep
+                    else:
+                        items = zip(itertools.repeat(""), value)
+                        opener, closer = "[", indent[:-2] + "]" + sep
+                    sep = "," + indent
+                    pieces.append(prefix + opener + indent)
+                    break
+                text = "{}" if cls is dict else "[]"
+            elif cls is int:
+                text = int.__repr__(value)
+            elif cls is bool:
+                text = "true" if value else "false"
+            elif value is None:
+                text = "null"
+            else:
+                raise TypeError(f"cannot write {cls.__name__} as JSON")
+            pieces.append(prefix + text + sep)
+        else:
+            if not stack:
+                return "".join(pieces) + "\n"
+            pieces[-1] = pieces[-1][:-len(sep)]
+            pieces.append(closer)
+            items, sep, closer = stack.pop()

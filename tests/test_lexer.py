@@ -25,13 +25,15 @@ from lfoc.fixtures import FIXTURES, fixture_path
 # characters (letters, "_", digits, superscript two, one half, an
 # Arabic-Indic digit), punctuation, the four whitespace characters,
 # whitespace it rejects (form feed, no-break space, vertical tab, line
-# separator, next line, file and unit separators), comments and strings
+# separator, next line, file and unit separators, ideographic space), the
+# NUL character that `_lex` puts in their place, comments and strings
 FRAGMENTS = (
     "a", "b", "x", "Z", "_", "é", "ß", "1", "0", "²", "½", "٣",
     "{", "}", "[", "]", "(", ")", ";", ":", ",", ".", "@", "=", "-", ">", "/",
     "->", "=>", "//", '"', '""', '"a b"', '"//"',
     " ", "\t", "\r", "\n", "\f", "\u00a0", "\v", "\u2028", "#", "\\",
-    "\x85", "\x1c", "\x1f", "obj", "base", "x.y", "a.", ".b", "// c\n",
+    "\x85", "\x1c", "\x1f", "\u3000", "\0", "x\0y\fz", "obj", "base", "x.y", "a.", ".b",
+    "// c\n",
 )
 
 TEXTS = st.lists(st.sampled_from(FRAGMENTS), max_size=40).map("".join)
@@ -105,3 +107,9 @@ def test_word_characters_are_exactly_alphanumerics_and_underscore():
     word = re.compile(r"\w")
     assert not [c for c in map(chr, range(sys.maxunicode + 1))
                 if bool(word.match(c)) != (c.isalnum() or c == "_")]
+
+
+def test_spaces_table_sends_other_whitespace_to_nul():
+    spaces = {c for c in map(chr, range(sys.maxunicode + 1)) if c.isspace()}
+    table = {chr(c): chr(to) for c, to in dsl._SPACES.items()}
+    assert table == {c: " " if c in "\t\r\n" else "\0" for c in spaces - {" "}}

@@ -18,12 +18,20 @@ import io
 import random
 import time
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 import oracle
 from helpers import random_morphism
 from lfoc import footprint
-from lfoc.category import FinGraph, FinSet, bijection_bound, identity, morphism
+from lfoc.category import (
+    EnumerationLimitError,
+    FinGraph,
+    FinSet,
+    bijection_bound,
+    identity,
+    morphism,
+)
 from lfoc.cli import main
 from lfoc.expr import atom, conj
 from lfoc.fixtures import load_fixture
@@ -260,3 +268,22 @@ def test_dedup_of_the_fixture_footprints_is_quick():
         assert len(got) == kept
         # the pairwise loop took 165.8 s (FOL) and 4.2 s (CAT)
         assert spent < (1.0 if fixture == "fol" else 0.2)
+
+
+def test_dedup_on_a_seven_element_carrier_keeps_the_pairwise_loops_structures():
+    fp = Footprint("U", "set", {"mark": FinSet(("p",))})
+    bounds = CarrierBounds(max_elements=7)
+    got = list(enumerate_structures(fp, bounds, dedup_isomorphic=True))
+    want = oracle.enumerate_isomorph_free(fp, bounds)
+    assert [(s.name, s) for s in got] == [(s.name, s) for s in want]
+
+
+def test_dedup_refuses_a_carrier_whose_automorphism_tables_pass_the_cap():
+    fp = Footprint("U", "set", {"mark": FinSet(("p",))})
+    start = time.process_time()
+    with pytest.raises(EnumerationLimitError) as info:
+        list(enumerate_structures(fp, CarrierBounds(max_elements=11), dedup_isomorphic=True))
+    assert time.process_time() - start < 1.0
+    # 8! automorphisms of the 8-element set, 256 table entries each
+    assert info.value.estimate == 40320 * 256
+    assert "x8}" in str(info.value)

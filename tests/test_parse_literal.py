@@ -11,6 +11,12 @@ closing token.  The result must be the morphism `category.morphism`
 builds from the name map, or the error the entry-by-entry reading gives:
 a duplicate entry at the "[", then, at sites that read their closing
 token first, that token, then the name map's `CategoryError` at the "[".
+
+Structure feature lines of 1-40 set literals, read as columns when every
+literal is template-shaped, must give the fact set or the first error of
+reading them literal by literal: lines mix template literals with
+permuted ones, bad literals, repeated facts, empty domains, and a
+missing or trailing ",".
 """
 
 from __future__ import annotations
@@ -19,6 +25,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from lfoc.category import CategoryError, FinGraph, FinSet, morphism
+from lfoc import dsl
 from lfoc.dsl import ParseError, parse_document, parse_morphism_literal
 
 SITES = ("mor", "structure", "constraint", "atom", "via", "standalone")
@@ -187,3 +194,107 @@ def test_programmatic_names_that_are_not_name_tokens(text, dom, cod, message):
     with pytest.raises(ParseError) as info:
         parse_morphism_literal(text, FinSet(dom), FinSet(cod))
     assert str(info.value) == f"<morphism>:{message}"
+
+
+LINE_FLAWS = ("none", "none", "permuted", "unknown image", "duplicate entry", "missing entry",
+              "extra entry", "repeated fact", "missing comma", "trailing comma", "wrong closer")
+
+
+@st.composite
+def feature_lines(draw):
+    """(dom, cod, line): the line's items in order, each a literal's
+    entries or a separator token."""
+    dom = FinSet(draw(st.lists(st.sampled_from("abcd"), unique=True, max_size=4)))
+    cod = FinSet(draw(st.lists(st.sampled_from("xyza"), unique=True, min_size=1, max_size=4)))
+    images = st.sampled_from(cod.elements)
+    literals = [[(n, draw(images)) for n in dom.elements] for _ in range(draw(st.integers(1, 40)))]
+    flaw, i = draw(st.sampled_from(LINE_FLAWS)), draw(st.integers(0, len(literals) - 1))
+    entries = literals[i]
+    if flaw == "permuted":
+        literals[i] = draw(st.permutations(entries))
+    elif flaw == "unknown image" and entries:
+        j = draw(st.integers(0, len(entries) - 1))
+        entries[j] = (entries[j][0], "nowhere")
+    elif flaw == "duplicate entry" and entries:
+        entries.insert(draw(st.integers(0, len(entries))), (entries[0][0], draw(images)))
+    elif flaw == "missing entry" and entries:
+        del entries[draw(st.integers(0, len(entries) - 1))]
+    elif flaw == "extra entry":
+        entries.insert(draw(st.integers(0, len(entries))), ("extra", draw(images)))
+    elif flaw == "repeated fact":
+        literals.insert(draw(st.integers(0, len(literals))), list(entries))
+    line: list = []
+    for k, entries in enumerate(literals):
+        line.append(entries)
+        if not (flaw == "missing comma" and k == i and k + 1 < len(literals)):
+            line.append(",")
+    line[-1] = {"trailing comma": ",", "wrong closer": "}"}.get(flaw, ";")
+    if flaw == "trailing comma":
+        line.append(";")
+    return dom, cod, line
+
+
+def read_literal_by_literal(dom, cod, line):
+    """The facts, or the first error and the index in `line` it sits at,
+    as a literal-by-literal reader meets them."""
+    facts, k = set(), 0
+    while True:
+        entries = line[k]
+        if isinstance(entries, str):
+            return None, f"expected '[', found {entries!r}", k
+        if len({src for src, _ in entries}) < len(entries):
+            src = next(s for j, (s, _) in enumerate(entries) if s in dict(entries[:j]))
+            return None, f"duplicate entry for {src!r}", k
+        try:
+            facts.add(morphism(dom, cod, dict(entries)))
+        except CategoryError as exc:
+            return None, str(exc), k
+        k += 1
+        if line[k] == ",":
+            k += 1
+        elif line[k] == ";":
+            return facts, None, None
+        else:
+            found = "[" if isinstance(line[k], list) else line[k]
+            return None, f"expected ';', found {found!r}", k
+
+
+@settings(max_examples=400, deadline=None)
+@given(feature_lines(), st.sampled_from(SPACINGS), st.sampled_from(SEPARATORS),
+       st.sampled_from((", ", ",", " ,\n  ")))
+def test_feature_lines_read_like_literal_by_literal(case, arrow, separator, comma):
+    dom, cod, line = case
+    text, _, _ = site_text("set", dom, cod, "", "structure", True)
+    text = text[:text.rindex("f ") + 2]
+    starts = []
+    for item in line:
+        starts.append(len(text))
+        if isinstance(item, str):
+            text += comma if item == "," else " " + item
+            starts[-1] += item != ","
+        else:
+            text += "[" + separator.join(f"{s}{arrow}{d}" for s, d in item) + "]"
+    text += "\n};"
+    facts, message, at = read_literal_by_literal(dom, cod, line)
+    if facts is not None:
+        assert set(parse_document(text).structures["S"].interp("f")) == facts
+        return
+    with pytest.raises(ParseError) as info:
+        parse_document(text)
+    line_no, col = position(text, starts[at])
+    assert (str(info.value), info.value.line, info.value.col) == (
+        f"<input>:{line_no}:{col}: {message}", line_no, col)
+
+
+def test_a_line_of_template_literals_is_read_in_one_match(monkeypatch):
+    counts = []
+    real = dsl._Parser.match_literals
+    monkeypatch.setattr(dsl._Parser, "match_literals",
+                        lambda self, plan, count=1: counts.append(count) or real(self, plan, count))
+    dom, cod = FinSet(("a", "b")), FinSet(("x", "y", "z"))
+    literals = [f"[a->{cod.elements[i % 3]}; b->{cod.elements[i // 3 % 3]}]" for i in range(40)]
+    text, _, _ = site_text("set", dom, cod, "", "structure", True)
+    text = text[:text.rindex("f ") + 2] + ", ".join(literals) + ";\n};"
+    facts = parse_document(text).structures["S"].interp("f")
+    assert counts == [40] and len(set(facts)) == 9
+
