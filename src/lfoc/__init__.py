@@ -17,10 +17,8 @@ from .category import (
     EnumerationLimitError,
     FinGraph,
     FinSet,
-    GraphMorphism,
     Morphism,
     PushoutResult,
-    SetMorphism,
     compose,
     hom_set,
     identity,

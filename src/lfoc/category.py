@@ -19,6 +19,7 @@ import itertools
 import math
 from collections import Counter
 from dataclasses import dataclass
+from types import MappingProxyType
 from typing import Iterable, Iterator, Mapping, Union
 
 SET = "set"
@@ -54,20 +55,29 @@ def _positions(names: tuple[str, ...], what: str, start: int = 0) -> dict[str, i
 
 
 class FinSet:
-    """A finite set presented as an ordered list of distinct names."""
+    """A finite set presented as an ordered list of distinct names.
+
+    It is read as the graph with these vertices and no edges: it has the
+    graph attributes, so the engine's graph code serves sets too.
+    """
 
     kind = SET
-    __slots__ = ("elements", "names", "position", "_hash")
+    edges: tuple[str, ...] = ()
+    src = tgt = MappingProxyType({})
+    __slots__ = ("elements", "vertices", "names", "position", "_hash")
 
     def __init__(self, elements: Iterable[str] = ()):
         elements = tuple(elements)
         self.position = _positions(elements, "element")
-        self.elements = self.names = elements
+        self.elements = self.vertices = self.names = elements
         self._hash = hash((SET, elements))
 
     @property
     def size(self) -> int:
         return len(self.elements)
+
+    def edge_triples(self) -> tuple[tuple[str, str, str], ...]:
+        return ()
 
     def __eq__(self, other: object) -> bool:
         if self is other:
@@ -147,9 +157,9 @@ class Morphism:
     `images` holds, for each name of dom in declared order (vertices
     before edges for graphs), the position of its image in cod.names;
     it is also the tuple a hom search returns, and lexicographic order on
-    it is hom-set order.  `SetMorphism`, `GraphMorphism` and `morphism`
-    validate name maps; everything the engine derives from valid
-    morphisms is built unchecked by `from_images`.
+    it is hom-set order.  The constructor does not check that the images
+    form a morphism: it is for composites, inverses, hom-search results
+    and the like.  `morphism` validates a name map.
     """
 
     __slots__ = ("dom", "cod", "images", "_hash")
@@ -169,18 +179,6 @@ class Morphism:
         names = self.cod.names
         return {x: names[p] for x, p in zip(self.dom.names, self.images)}
 
-    mapping = property(name_map)
-
-    @property
-    def vertex_map(self) -> dict[str, str]:
-        names = self.cod.names
-        return {v: names[p] for v, p in zip(self.dom.vertices, self.images)}
-
-    @property
-    def edge_map(self) -> dict[str, str]:
-        names, nv = self.cod.names, len(self.dom.vertices)
-        return {e: names[p] for e, p in zip(self.dom.edges, self.images[nv:])}
-
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Morphism):
             return NotImplemented
@@ -193,109 +191,50 @@ class Morphism:
         return "map{%s}" % ", ".join(f"{x}->{y}" for x, y in self.name_map().items())
 
 
-class SetMorphism(Morphism):
-    """A total map between finite sets, validated from a name map."""
-
-    kind = SET
-    __slots__ = ()
-
-    def __init__(self, dom: FinSet, cod: FinSet, mapping: Mapping[str, str]):
-        if not isinstance(dom, FinSet) or not isinstance(cod, FinSet):
-            raise CategoryError("set morphism endpoints must be finite sets")
-        images = []
-        for x in dom.elements:
-            if x not in mapping:
-                raise CategoryError(f"map is not total: no image for element {x!r}")
-            y = mapping[x]
-            if y not in cod.position:
-                raise CategoryError(f"image {y!r} of {x!r} is not in the codomain {cod!r}")
-            images.append(cod.position[y])
-        if len(mapping) != len(images):
-            extra = sorted(set(mapping) - set(dom.elements))
-            raise CategoryError(f"map mentions names outside the domain: {extra}")
-        super().__init__(dom, cod, tuple(images))
-
-
-class GraphMorphism(Morphism):
-    """A multigraph homomorphism, validated from vertex and edge name maps."""
-
-    kind = GRAPH
-    __slots__ = ()
-
-    def __init__(self, dom: FinGraph, cod: FinGraph, vertex_map: Mapping[str, str],
-                 edge_map: Mapping[str, str]):
-        if not isinstance(dom, FinGraph) or not isinstance(cod, FinGraph):
-            raise CategoryError("graph morphism endpoints must be graphs")
-        nv = len(cod.vertices)
-        images = []
-        for v in dom.vertices:
-            if v not in vertex_map:
-                raise CategoryError(f"map is not total: no image for vertex {v!r}")
-            w = vertex_map[v]
-            if cod.position.get(w, nv) >= nv:
-                raise CategoryError(f"image {w!r} of vertex {v!r} is not in the codomain")
-            images.append(cod.position[w])
-        for e in dom.edges:
-            if e not in edge_map:
-                raise CategoryError(f"map is not total: no image for edge {e!r}")
-            d = edge_map[e]
-            if cod.position.get(d, -1) < nv:
-                raise CategoryError(f"image {d!r} of edge {e!r} is not in the codomain")
-            # homomorphism law: sources and targets must be preserved
-            s, t = vertex_map[dom.src[e]], vertex_map[dom.tgt[e]]
-            if cod.src[d] != s:
-                raise CategoryError(
-                    f"edge {e!r}: image {d!r} has source {cod.src[d]!r} "
-                    f"but the vertex map sends {dom.src[e]!r} to {s!r}")
-            if cod.tgt[d] != t:
-                raise CategoryError(
-                    f"edge {e!r}: image {d!r} has target {cod.tgt[d]!r} "
-                    f"but the vertex map sends {dom.tgt[e]!r} to {t!r}")
-            images.append(cod.position[d])
-        if len(vertex_map) != len(dom.vertices):
-            extra = sorted(set(vertex_map) - set(dom.vertices))
-            raise CategoryError(f"vertex map mentions names outside the domain: {extra}")
-        if len(edge_map) != len(dom.edges):
-            extra = sorted(set(edge_map) - set(dom.edges))
-            raise CategoryError(f"edge map mentions names outside the domain: {extra}")
-        super().__init__(dom, cod, tuple(images))
-
-
-_CLASSES = {SET: SetMorphism, GRAPH: GraphMorphism}
-
-
-def from_images(dom: CatObject, cod: CatObject, images: tuple[int, ...]) -> Morphism:
-    """The morphism dom -> cod with these image positions, unchecked.
-
-    Only for images that already form a morphism: composites, inverses,
-    hom-search results and the like.
-    """
-    m = object.__new__(_CLASSES[dom.kind])
-    Morphism.__init__(m, dom, cod, images)
-    return m
-
-
 def morphism(dom: CatObject, cod: CatObject, mapping: Mapping[str, str]) -> Morphism:
-    """Build a morphism from one combined name-to-name mapping.
+    """The morphism dom -> cod given by a name-to-name mapping, validated.
 
-    For graphs the mapping is split into vertex and edge parts by the
-    domain's namespaces.
+    The map must be total on dom's names and mention no other name, send
+    each name into cod, vertices to vertices and edges to edges, and
+    preserve every edge's source and target.
     """
     if dom.kind != cod.kind:
         raise CategoryError(f"kind mismatch: {dom!r} is a {dom.kind}, {cod!r} is a {cod.kind}")
-    if isinstance(dom, FinSet):
-        return SetMorphism(dom, cod, mapping)
-    nv = len(dom.vertices)
-    vmap = {k: v for k, v in mapping.items() if dom.position.get(k, nv) < nv}
-    emap = {k: v for k, v in mapping.items() if dom.position.get(k, -1) >= nv}
-    if len(vmap) + len(emap) != len(mapping):
-        extra = sorted(set(mapping) - set(vmap) - set(emap))
-        raise CategoryError(f"map mentions names outside the domain: {extra}")
-    return GraphMorphism(dom, cod, vmap, emap)
+    is_set = dom.kind == SET
+    if not is_set and any(x not in dom.position for x in mapping):
+        raise _outside(dom, mapping)
+    nv, cod_nv = len(dom.vertices), len(cod.vertices)
+    images = []
+    for i, x in enumerate(dom.names):
+        what = "element" if is_set else "vertex" if i < nv else "edge"
+        if x not in mapping:
+            raise CategoryError(f"map is not total: no image for {what} {x!r}")
+        y = mapping[x]
+        p = cod.position.get(y)
+        if p is None or (p < cod_nv) != (i < nv):
+            raise CategoryError(f"image {y!r} of {x!r} is not in the codomain {cod!r}" if is_set
+                                else f"image {y!r} of {what} {x!r} is not in the codomain")
+        if i >= nv:
+            # homomorphism law: sources and targets must be preserved
+            for end, at, to in (("source", dom.src, cod.src), ("target", dom.tgt, cod.tgt)):
+                v = mapping[at[x]]
+                if to[y] != v:
+                    raise CategoryError(
+                        f"edge {x!r}: image {y!r} has {end} {to[y]!r} "
+                        f"but the vertex map sends {at[x]!r} to {v!r}")
+        images.append(p)
+    if len(mapping) != len(images):
+        raise _outside(dom, mapping)
+    return Morphism(dom, cod, tuple(images))
+
+
+def _outside(dom: CatObject, mapping: Mapping[str, str]) -> CategoryError:
+    extra = sorted(set(mapping) - set(dom.names))
+    return CategoryError(f"map mentions names outside the domain: {extra}")
 
 
 def identity(obj: CatObject) -> Morphism:
-    return from_images(obj, obj, tuple(range(obj.size)))
+    return Morphism(obj, obj, tuple(range(obj.size)))
 
 
 def inclusion(sub: CatObject, obj: CatObject) -> Morphism:
@@ -310,7 +249,7 @@ def compose(f: Morphism, g: Morphism) -> Morphism:
             f"cannot compose: the first morphism ends at {f.cod!r} "
             f"but the second starts at {getattr(g, 'dom', None)!r}")
     images = g.images
-    return from_images(f.dom, g.cod, tuple(images[p] for p in f.images))
+    return Morphism(f.dom, g.cod, tuple(images[p] for p in f.images))
 
 
 def is_extension(b: Morphism, t: Morphism, a: Morphism) -> bool:
@@ -337,7 +276,7 @@ def hom_set(dom: CatObject, cod: CatObject) -> tuple[Morphism, ...]:
     (vertices before edges for graphs), with candidate images taken in
     the codomain's declared order.  Nothing is cached.
     """
-    return tuple(from_images(dom, cod, b) for b in hom_search(dom, cod))
+    return tuple(Morphism(dom, cod, b) for b in hom_search(dom, cod))
 
 
 def hom_search(dom: CatObject, cod: CatObject, atoms=(),
@@ -385,23 +324,19 @@ def hom_search(dom: CatObject, cod: CatObject, atoms=(),
 
 def _homs(dom: CatObject, cod: CatObject) -> list[tuple[int, ...]]:
     """All of hom(dom, cod) as tuples; refused by estimate past the cap."""
-    if isinstance(dom, FinSet):
-        estimate = len(cod.elements) ** len(dom.elements)
-        if estimate > HOM_ENUMERATION_CAP:
-            raise EnumerationLimitError(
-                f"hom set {dom!r} -> {cod!r} has {estimate} candidates "
-                f"(cap {HOM_ENUMERATION_CAP})", estimate)
-        return list(itertools.product(range(len(cod.elements)), repeat=len(dom.elements)))
     estimate = (len(cod.vertices) ** len(dom.vertices)
                 * max(1, len(cod.edges)) ** len(dom.edges))
     if estimate > HOM_ENUMERATION_CAP:
+        up_to = "" if dom.kind == SET else "up to "
         raise EnumerationLimitError(
-            f"hom set {dom!r} -> {cod!r} has up to {estimate} candidates "
+            f"hom set {dom!r} -> {cod!r} has {up_to}{estimate} candidates "
             f"(cap {HOM_ENUMERATION_CAP})", estimate)
+    if not dom.edges:
+        return list(itertools.product(range(len(cod.vertices)), repeat=len(dom.vertices)))
     return _join(dom, cod, ())
 
 
-def _edges_between(cod: FinGraph) -> dict[tuple[int, int], list[int]]:
+def _edges_between(cod: CatObject) -> dict[tuple[int, int], list[int]]:
     """Edge positions of cod keyed by (source, target) positions."""
     pos = cod.position
     ends: dict[tuple[int, int], list[int]] = {}
@@ -425,14 +360,10 @@ def _join(dom: CatObject, cod: CatObject, atoms) -> list[tuple[int, ...]]:
         for p in variables:
             at[p].append(len(tries))
         tries.append(root)
-    if isinstance(dom, FinSet):
-        nv, ends = n, None
-        vertices = range(len(cod.elements))
-    else:
-        nv, ends = len(dom.vertices), _edges_between(cod)
-        vertices = range(len(cod.vertices))
-        pos = dom.position
-        endpoints = [(pos[dom.src[e]], pos[dom.tgt[e]]) for e in dom.edges]
+    nv, ends = len(dom.vertices), _edges_between(cod)
+    vertices = range(len(cod.vertices))
+    pos = dom.position
+    endpoints = [(pos[dom.src[e]], pos[dom.tgt[e]]) for e in dom.edges]
 
     out: list[tuple[int, ...]] = []
     b = [0] * n
@@ -520,28 +451,22 @@ def precompose(binding: tuple[int, ...], images: tuple[int, ...]) -> tuple[int, 
 def isomorphisms(a: CatObject, b: CatObject) -> tuple[Morphism, ...]:
     """All isomorphisms a -> b, in hom-set order.
 
-    Bijections are enumerated directly: permutations of the names of a
-    set, or of the vertices of a graph, each followed by the bijections
-    of edges that respect endpoints.  No hom set is built or cached.
+    Bijections are enumerated directly: permutations of the vertices
+    (a set's elements), each followed by the bijections of edges that
+    respect endpoints.  No hom set is built or cached.
     Refused past HOM_ENUMERATION_CAP candidate bijections (n! for n
     elements; v! * e! for v vertices and e edges).
     """
-    if a.kind != b.kind or a.size != b.size:
-        return ()
-    nv = len(a.vertices) if a.kind == GRAPH else a.size
-    if a.kind == GRAPH and nv != len(b.vertices):
+    nv = len(a.vertices)
+    if a.kind != b.kind or a.size != b.size or nv != len(b.vertices):
         return ()
     estimate = bijection_bound(a)
     if estimate > HOM_ENUMERATION_CAP:
         raise EnumerationLimitError(
             f"isomorphisms {a!r} -> {b!r} have up to {estimate} candidates "
             f"(cap {HOM_ENUMERATION_CAP})", estimate)
-    if a.kind == SET:
-        return tuple(from_images(a, b, p) for p in itertools.permutations(range(nv)))
     ends = [(a.position[a.src[e]], a.position[a.tgt[e]]) for e in a.edges]
-    parallel: dict[tuple[int, int], list[int]] = {}
-    for p, e in enumerate(b.edges, nv):
-        parallel.setdefault((b.position[b.src[e]], b.position[b.tgt[e]]), []).append(p)
+    parallel = _edges_between(b)
     out = []
     for vertex_images in itertools.permutations(range(nv)):
         wanted = [(vertex_images[s], vertex_images[t]) for s, t in ends]
@@ -549,15 +474,14 @@ def isomorphisms(a: CatObject, b: CatObject) -> tuple[Morphism, ...]:
         if any(len(parallel.get(key, ())) != n for key, n in needed.items()):
             continue
         for edge_images in _injections([parallel[key] for key in wanted]):
-            out.append(from_images(a, b, vertex_images + edge_images))
+            out.append(Morphism(a, b, vertex_images + edge_images))
     return tuple(out)
 
 
 def bijection_bound(obj: CatObject) -> int:
     """How many candidate bijections `isomorphisms` walks from `obj`:
     n! for n elements; v! * e! for v vertices and e edges."""
-    nv = len(obj.vertices) if obj.kind == GRAPH else obj.size
-    return math.factorial(nv) * math.factorial(obj.size - nv)
+    return math.factorial(len(obj.vertices)) * math.factorial(len(obj.edges))
 
 
 def _injections(candidates: list[list[int]]) -> Iterator[tuple[int, ...]]:
@@ -598,7 +522,7 @@ def inverse(m: Morphism) -> Morphism:
     images = [0] * len(m.images)
     for i, p in enumerate(m.images):
         images[p] = i
-    return from_images(m.cod, m.dom, tuple(images))
+    return Morphism(m.cod, m.dom, tuple(images))
 
 
 def renaming(obj: CatObject, mapping: Mapping[str, str]) -> Morphism:
@@ -609,7 +533,7 @@ def renaming(obj: CatObject, mapping: Mapping[str, str]) -> Morphism:
         target = FinGraph(
             tuple(mapping[v] for v in obj.vertices),
             tuple((mapping[e], mapping[s], mapping[t]) for e, s, t in obj.edge_triples()))
-    return from_images(obj, target, tuple(range(obj.size)))
+    return Morphism(obj, target, tuple(range(obj.size)))
 
 
 def canonical_copy(obj: CatObject) -> Morphism:
@@ -634,7 +558,7 @@ def initial_object(kind: str) -> CatObject:
 
 
 def initial_morphism(obj: CatObject) -> Morphism:
-    return from_images(initial_object(obj.kind), obj, ())
+    return Morphism(initial_object(obj.kind), obj, ())
 
 
 @dataclass(frozen=True)
@@ -688,26 +612,24 @@ def pushout(f: Morphism, g: Morphism) -> PushoutResult:
         if q is None or names[p] < names[q]:
             least[r] = p
     label = {r: ("l." if q < na else "r.") + names[q] for r, q in least.items()}
-    if isinstance(a, FinSet):
-        order = list(least)
-        apex = FinSet(label.values())
-    else:
-        va, vb = len(a.vertices), na + len(b.vertices)
-        order = [r for r in least if r < va or na <= r < vb]
-        edges = [r for r in least if not (r < va or na <= r < vb)]
+    va, vb = len(a.vertices), na + len(b.vertices)
+    order = [r for r in least if r < va or na <= r < vb]
+    edges = [r for r in least if not (r < va or na <= r < vb)]
 
-        def ends(r: int) -> tuple[str, str]:
-            obj, base = (a, 0) if r < na else (b, na)
-            e = names[r]
-            return (label[cls[base + obj.position[obj.src[e]]]],
-                    label[cls[base + obj.position[obj.tgt[e]]]])
+    def ends(r: int) -> tuple[str, str]:
+        obj, base = (a, 0) if r < na else (b, na)
+        e = names[r]
+        return (label[cls[base + obj.position[obj.src[e]]]],
+                label[cls[base + obj.position[obj.tgt[e]]]])
 
-        apex = FinGraph([label[r] for r in order], [(label[r], *ends(r)) for r in edges])
-        order += edges
+    vertices = [label[r] for r in order]
+    apex = (FinSet(vertices) if a.kind == SET
+            else FinGraph(vertices, [(label[r], *ends(r)) for r in edges]))
+    order += edges
     at = {r: i for i, r in enumerate(order)}
     images = tuple(at[r] for r in cls)
-    result = PushoutResult(apex, from_images(a, apex, images[:na]),
-                           from_images(b, apex, images[na:]))
+    result = PushoutResult(apex, Morphism(a, apex, images[:na]),
+                           Morphism(b, apex, images[na:]))
     if compose(f, result.inj_left) != compose(g, result.inj_right):
         raise AssertionError("pushout square failed to commute")
     return result

@@ -56,7 +56,6 @@ from .category import (
     FinGraph,
     FinSet,
     Morphism,
-    from_images,
     identity,
     inclusion,
     morphism,
@@ -542,7 +541,7 @@ class _Parser:
             return self.build_morphism(dom, cod, mapping, open_at)
         if closer is not None:
             self.expect_punct(closer)
-        return from_images(dom, cod, images[0])
+        return Morphism(dom, cod, images[0])
 
     def parse_mor(self) -> None:
         name_at = self.pos
@@ -874,7 +873,7 @@ def parse_morphism_literal(text: str, dom: CatObject, cod: CatObject) -> Morphis
         parser.fail("trailing input after the morphism literal")
     if images is None:
         return parser.build_morphism(dom, cod, mapping, open_at)
-    return from_images(dom, cod, images[0])
+    return Morphism(dom, cod, images[0])
 
 
 # ---------------------------------------------------------------------------

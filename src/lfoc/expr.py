@@ -44,7 +44,6 @@ from .category import (
     SearchIndex,
     canonical_copy,
     compose,
-    from_images,
     hom_search,
     identity,
     inverse,
@@ -338,7 +337,7 @@ class _Evaluator:
     def solutions(self, e: Expr) -> frozenset:
         """The solutions of `e` as a frozenset of morphisms."""
         carrier = self.structure.carrier
-        return frozenset(from_images(e.arity, carrier, b) for b in self.tuples(e))
+        return frozenset(Morphism(e.arity, carrier, b) for b in self.tuples(e))
 
     def tuples(self, e: Expr) -> frozenset:
         key = (e, self.structure.restriction(features(e, self.index)))
@@ -419,7 +418,7 @@ def solutions(e: Expr, structure: Structure) -> tuple[Morphism, ...]:
             f"expression arity {e.arity!r} and carrier {structure.carrier!r} "
             f"have different kinds")
     ev = _Evaluator(structure)
-    return tuple(from_images(e.arity, structure.carrier, b) for b in sorted(ev.tuples(e)))
+    return tuple(Morphism(e.arity, structure.carrier, b) for b in sorted(ev.tuples(e)))
 
 
 def holds(a: Morphism, e: Expr, structure: Structure) -> bool:

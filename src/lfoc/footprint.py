@@ -38,7 +38,6 @@ from .category import (
     Morphism,
     bijection_bound,
     compose,
-    from_images,
     hom_search,
     isomorphisms,
     precompose,
@@ -145,7 +144,7 @@ class Structure:
         if facts is None:
             raise CategoryError(f"structure has no feature {feature!r}")
         arity, carrier = self.footprint.features[feature], self.carrier
-        return (*[from_images(arity, carrier, b) for b in sorted(facts)],
+        return (*[Morphism(arity, carrier, b) for b in sorted(facts)],
                 *self._strays.get(feature, ()))
 
     def _count(self, feature: str) -> int:
@@ -190,8 +189,8 @@ def validate_structure(structure: Structure) -> Verdict:
     for fname, strays in structure._strays.items():
         arity = fp.features[fname]
         for m in strays:
-            if m.kind != fp.kind:
-                problems.append(f"feature {fname!r}: morphism {m!r} has kind {m.kind}")
+            if m.dom.kind != fp.kind:
+                problems.append(f"feature {fname!r}: morphism {m!r} has kind {m.dom.kind}")
                 continue
             if m.dom != arity:
                 problems.append(
@@ -267,9 +266,7 @@ def enumerate_carriers(kind: str, bounds: CarrierBounds) -> Iterator[CatObject]:
     every assignment of endpoints enumerated.
     """
     if kind == SET:
-        if bounds.max_elements is None:
-            raise CategoryError("set enumeration needs max_elements")
-        for n in range(bounds.max_elements + 1):
+        for n in _set_sizes(bounds):
             yield FinSet(tuple(f"x{i + 1}" for i in range(n)))
         return
     if bounds.max_vertices is None or bounds.max_edges is None:
@@ -280,6 +277,12 @@ def enumerate_carriers(kind: str, bounds: CarrierBounds) -> Iterator[CatObject]:
         for ne in range(max_ne + 1):
             for ends in itertools.product(itertools.product(vs, vs), repeat=ne):
                 yield FinGraph(vs, tuple((f"e{i + 1}", s, t) for i, (s, t) in enumerate(ends)))
+
+
+def _set_sizes(bounds: CarrierBounds) -> range:
+    if bounds.max_elements is None:
+        raise CategoryError("set enumeration needs max_elements")
+    return range(bounds.max_elements + 1)
 
 
 def count_structures(footprint: Footprint, bounds: CarrierBounds) -> int:
@@ -300,10 +303,22 @@ def _count_structures(footprint: Footprint, bounds: CarrierBounds,
                       cap: int | None = None) -> int:
     # per carrier 2^(sum of hom-set sizes).  Graph carriers can be too
     # many to walk, so with a cap the walk stops once the total passes it.
+    if footprint.kind == SET:
+        # n elements give 2^(sum of n^|A|): one exponent for all n when
+        # every arity is empty, else distinct exponents, so the total is
+        # one bit per carrier, set in time linear in its length
+        arities = [a.size for a in footprint.features.values()]
+        exponents = [sum(n ** k for k in arities) for n in _set_sizes(bounds)]
+        if not any(arities):
+            return len(exponents) << len(arities)
+        bits = bytearray(max(exponents, default=0) // 8 + 1)
+        for x in exponents:
+            bits[x >> 3] |= 1 << (x & 7)
+        return int.from_bytes(bits, "little")
     total = 0
-    for carrier in enumerate_carriers(footprint.kind, bounds):
+    for carrier in enumerate_carriers(GRAPH, bounds):
         total += 1 << sum(_hom_count(a, carrier) for a in footprint.features.values())
-        if cap is not None and total > cap and footprint.kind == GRAPH:
+        if cap is not None and total > cap:
             break
     return total
 
@@ -321,15 +336,28 @@ def _checked_count(footprint: Footprint, bounds: CarrierBounds, cap: int) -> int
 
 def _count_text(n: int) -> str:
     """n in full up to 20 digits; past that its two leading digits and
-    its power of ten (str() refuses ints past 4300 digits)."""
+    its power of ten (str() refuses ints past 4300 digits), read off n's
+    top 64 bits unless the range they leave for n spans two texts."""
     if n < 10 ** 20:
         return str(n)
-    e = int(math.log10(n))
-    while 10 ** e > n:
-        e -= 1
-    while 10 ** (e + 1) <= n:
-        e += 1
-    lead = n // 10 ** (e - 1)
+    import decimal  # here, not at module load: only a refusal needs it
+
+    s = n.bit_length() - 64
+    # at 40 digits the power and the products are off by far less than
+    # the slack of 1e-30
+    with decimal.localcontext(decimal.Context(prec=40, Emax=decimal.MAX_EMAX)):
+        scale, slack = decimal.Decimal(2) ** s, decimal.Decimal("1e-30")
+        ends = {(d.adjusted(), int(d.scaleb(1 - d.adjusted())))
+                for d in ((n >> s) * scale * (1 - slack), ((n >> s) + 1) * scale * (1 + slack))}
+    if len(ends) == 1:
+        (e, lead), = ends
+    else:
+        e = int(math.log10(n))
+        while 10 ** e > n:
+            e -= 1
+        while 10 ** (e + 1) <= n:
+            e += 1
+        lead = n // 10 ** (e - 1)
     return f"about {lead // 10}.{lead % 10}e{e}"
 
 

@@ -36,11 +36,9 @@ from .category import (
     FinSet,
     Morphism,
     SearchIndex,
-    from_images,
     hom_search,
     identity,
     precompose,
-    pushout,
 )
 from .expr import And, CondExists, Expr, _Evaluator
 from .footprint import (
@@ -56,6 +54,7 @@ from .sketch import (
     Sketch,
     constraint_atoms,
     constraint_features,
+    sketch_pushout,
     structure_to_sketch_max,
     translate_constraint,
 )
@@ -98,7 +97,7 @@ def is_match(phi: Morphism, pattern: Sketch, host: Sketch) -> bool:
 def find_matches(pattern: Sketch, host: Sketch) -> tuple[Morphism, ...]:
     """All matches of the pattern in the host, in hom-set order."""
     found = hom_search(pattern.context, host.context, _matching(host)(pattern))
-    return tuple(from_images(pattern.context, host.context, m) for m in found)
+    return tuple(Morphism(pattern.context, host.context, m) for m in found)
 
 
 def _matching(host: Sketch) -> Callable[[Sketch], list]:
@@ -145,7 +144,7 @@ def _conservative(structure: Structure, rule: SketchRule,
     a = _unfactored(rule, carrier, lambda sk: constraint_atoms(sk.constraints, ev), index)
     if a is None:
         return Verdict(True)
-    return Verdict(False, from_images(rule.lhs.context, carrier, a))
+    return Verdict(False, Morphism(rule.lhs.context, carrier, a))
 
 
 def is_sound(rule: SketchRule, registry: StructureRegistry) -> Verdict:
@@ -178,7 +177,7 @@ def is_closed(host: Sketch, rule: SketchRule) -> Verdict:
     m = _unfactored(rule, host.context, _matching(host), SearchIndex())
     if m is None:
         return Verdict(True)
-    return Verdict(False, from_images(rule.lhs.context, host.context, m))
+    return Verdict(False, Morphism(rule.lhs.context, host.context, m))
 
 
 @dataclass(frozen=True)
@@ -200,20 +199,14 @@ def apply_rule(host: Sketch, rule: SketchRule, m: Morphism, name: str = "") -> A
     """
     if not is_match(m, rule.lhs, host):
         raise MatchError(f"{m!r} is not a match of {rule.lhs!r} in {host!r}")
-    if rule.morphism == identity(rule.lhs.context):
-        # context unchanged, constraints only added
-        host_inj = identity(host.context)
-        rhs_inj = m
-        constraints = set(host.constraints)
-        context = host.context
-    else:
-        po = pushout(rule.morphism, m)
-        host_inj = po.inj_right
-        rhs_inj = po.inj_left
-        constraints = {translate_constraint(host_inj, c) for c in host.constraints}
-        context = po.apex
-    constraints.update(translate_constraint(rhs_inj, c) for c in rule.rhs.constraints)
-    return AppliedRule(Sketch(name or host.name, context, constraints), host_inj, rhs_inj)
+    if rule.morphism != identity(rule.lhs.context):
+        po = sketch_pushout(rule.morphism, m, rule.rhs, host, rule.lhs, name or host.name)
+        return AppliedRule(po.sketch, po.inj_right, po.inj_left)
+    # context and its names unchanged, constraints only added
+    constraints = set(host.constraints)
+    constraints.update(translate_constraint(m, c) for c in rule.rhs.constraints)
+    return AppliedRule(Sketch(name or host.name, host.context, constraints),
+                       identity(host.context), m)
 
 
 # ---------------------------------------------------------------------------
@@ -272,7 +265,7 @@ def saturate(host: Sketch, rules: Sequence[SketchRule],
             return SaturationResult(current, CLOSED, steps)
         if steps >= limits.max_steps:
             return SaturationResult(current, BUDGET_EXHAUSTED, steps)
-        result = apply_rule(current, rule, from_images(rule.lhs.context, current.context, m))
+        result = apply_rule(current, rule, Morphism(rule.lhs.context, current.context, m))
         if not limits.admits(result.sketch.context):
             return SaturationResult(current, BUDGET_EXHAUSTED, steps)
         current = result.sketch

@@ -29,7 +29,6 @@ from .category import (
     Morphism,
     SearchIndex,
     compose,
-    from_images,
     hom_search,
     identity,
     isomorphisms,
@@ -174,7 +173,7 @@ def models(sketch: Sketch, structure: Structure) -> tuple[Interpretation, ...]:
     ev = _Evaluator(structure)
     atoms = constraint_atoms(sketch.constraints, ev)
     found = hom_search(sketch.context, structure.carrier, atoms, ev.index)
-    return tuple(Interpretation(from_images(sketch.context, structure.carrier, a), structure)
+    return tuple(Interpretation(Morphism(sketch.context, structure.carrier, a), structure)
                  for a in found)
 
 
@@ -201,7 +200,7 @@ def entails(context: CatObject, premises: Iterable[Constraint],
         post = constraint_atoms(conclusions, ev)
         for a in hom_search(context, structure.carrier, pre, index):
             if not all(precompose(b, a) in sols for b, sols in post):
-                return Verdict(False, (structure, from_images(context, structure.carrier, a)),
+                return Verdict(False, (structure, Morphism(context, structure.carrier, a)),
                                registry.description)
     return Verdict(True, registry=registry.description)
 

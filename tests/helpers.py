@@ -13,24 +13,23 @@ import random
 from lfoc.category import (
     FinGraph,
     FinSet,
-    GraphMorphism,
     Morphism,
-    SetMorphism,
+    morphism,
 )
 from lfoc import expr as E
 
 
-def brute_force_set_homs(dom: FinSet, cod: FinSet) -> set[SetMorphism]:
+def brute_force_set_homs(dom: FinSet, cod: FinSet) -> set[Morphism]:
     """All total maps dom -> cod via raw product enumeration."""
     if not dom.elements:
-        return {SetMorphism(dom, cod, {})}
+        return {morphism(dom, cod, {})}
     out = set()
     for images in itertools.product(cod.elements, repeat=len(dom.elements)):
-        out.add(SetMorphism(dom, cod, dict(zip(dom.elements, images))))
+        out.add(morphism(dom, cod, dict(zip(dom.elements, images))))
     return out
 
 
-def brute_force_graph_homs(dom: FinGraph, cod: FinGraph) -> set[GraphMorphism]:
+def brute_force_graph_homs(dom: FinGraph, cod: FinGraph) -> set[Morphism]:
     """All graph homomorphisms via raw product enumeration, with the
     preservation law checked on plain dicts."""
     out = set()
@@ -46,7 +45,7 @@ def brute_force_graph_homs(dom: FinGraph, cod: FinGraph) -> set[GraphMorphism]:
                     ok = False
                     break
             if ok:
-                out.add(GraphMorphism(dom, cod, vmap, emap))
+                out.add(morphism(dom, cod, {**vmap, **emap}))
     return out
 
 
@@ -78,7 +77,7 @@ def random_morphism(rng: random.Random, dom, cod) -> Morphism | None:
     if isinstance(dom, FinSet):
         if dom.elements and not cod.elements:
             return None
-        return SetMorphism(dom, cod, {x: rng.choice(cod.elements) for x in dom.elements})
+        return morphism(dom, cod, {x: rng.choice(cod.elements) for x in dom.elements})
     if dom.vertices and not cod.vertices:
         return None
     for _ in range(64):
@@ -93,7 +92,7 @@ def random_morphism(rng: random.Random, dom, cod) -> Morphism | None:
                 break
             emap[e] = rng.choice(cands)
         if ok:
-            return GraphMorphism(dom, cod, vmap, emap)
+            return morphism(dom, cod, {**vmap, **emap})
     return None
 
 

@@ -55,7 +55,6 @@ from lfoc.category import (
     PushoutResult,
     canonical_copy,
     compose,
-    from_images,
     hom_set,
     inverse,
     is_isomorphism,
@@ -532,8 +531,8 @@ def pushout(f: Morphism, g: Morphism) -> PushoutResult:
                         [(n, *ends[n]) for n in apex_names if n not in vertices])
     pos = apex.position
     result = PushoutResult(apex,
-                           from_images(a, apex, tuple(pos[lmap[n]] for n in a.names)),
-                           from_images(b, apex, tuple(pos[rmap[n]] for n in b.names)))
+                           Morphism(a, apex, tuple(pos[lmap[n]] for n in a.names)),
+                           Morphism(b, apex, tuple(pos[rmap[n]] for n in b.names)))
     if compose(f, result.inj_left) != compose(g, result.inj_right):
         raise AssertionError("pushout square failed to commute")
     return result
@@ -612,8 +611,8 @@ def validate_structure(structure: Structure) -> Verdict:
     for fname in fp.features:
         arity = fp.features[fname]
         for m in structure.interp(fname):
-            if m.kind != fp.kind:
-                problems.append(f"feature {fname!r}: morphism {m!r} has kind {m.kind}")
+            if m.dom.kind != fp.kind:
+                problems.append(f"feature {fname!r}: morphism {m!r} has kind {m.dom.kind}")
                 continue
             if m.dom != arity:
                 problems.append(

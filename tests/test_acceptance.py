@@ -20,10 +20,10 @@ import time
 from lfoc.category import (
     FinGraph,
     FinSet,
-    SetMorphism,
     compose,
     hom_set,
     identity,
+    morphism,
     pushout,
 )
 from lfoc.expr import (
@@ -335,7 +335,7 @@ def test_criterion_05_universal_rules_sound():
     registry = StructureRegistry.exhaustive(fp, CarrierBounds(max_elements=2))
     assert len(registry) == 69  # 1 + 2*2 + 4*16
 
-    t = SetMorphism(p1, p2, {"p": "q1"})
+    t = morphism(p1, p2, {"p": "q1"})
     e1 = atom("mark", identity(p1))
     e2 = cond_exists(Top(p1), t, atom("likes", identity(p2)))
     implication = cond_exists(e1, t, atom("likes", identity(p2)))
@@ -441,10 +441,10 @@ def test_criterion_07_alc_against_direct_evaluator():
         roles = {r: {(a, b) for a in dom for b in dom if rng.random() < 0.3}
                  for r in _ROLES}
         carrier = FinSet(tuple(dom))
-        interp = {c: tuple(SetMorphism(fx.C1, carrier, {"x1": d}) for d in sorted(conc[c]))
+        interp = {c: tuple(morphism(fx.C1, carrier, {"x1": d}) for d in sorted(conc[c]))
                   for c in _CONCEPTS}
         interp.update(
-            {r: tuple(SetMorphism(fx.C2, carrier, {"x1": a, "x2": b})
+            {r: tuple(morphism(fx.C2, carrier, {"x1": a, "x2": b})
                       for a, b in sorted(roles[r])) for r in _ROLES})
         world = Structure("world", fp, carrier, interp)
 
@@ -458,12 +458,12 @@ def test_criterion_07_alc_against_direct_evaluator():
         ident = Interpretation(identity(carrier), world)
         for d in dom:
             c = _random_concept(rng, 2)
-            binding = SetMorphism(fx.C1, carrier, {"x1": d})
+            binding = morphism(fx.C1, carrier, {"x1": d})
             assert (satisfies(ident, Constraint(_alc_expr(c), binding))
                     == (d in _alc_ext(c, dom, conc, roles)))
         for r in _ROLES:
             for a, b in itertools.product(dom, repeat=2):
-                binding = SetMorphism(fx.C2, carrier, {"x1": a, "x2": b})
+                binding = morphism(fx.C2, carrier, {"x1": a, "x2": b})
                 assert (satisfies(ident, Constraint(fx.role_atom(r), binding))
                         == ((a, b) in roles[r]))
 

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import gc
 import itertools
+import random
 import tracemalloc
 
 import pytest
@@ -12,8 +13,6 @@ from lfoc.category import (
     EnumerationLimitError,
     FinGraph,
     FinSet,
-    GraphMorphism,
-    SetMorphism,
     canonical_copy,
     compose,
     hom_search,
@@ -30,7 +29,13 @@ from lfoc.category import (
     objects_isomorphic,
     pushout,
 )
-from helpers import brute_force_graph_homs, brute_force_homs, brute_force_set_homs
+from helpers import (
+    brute_force_graph_homs,
+    brute_force_homs,
+    brute_force_set_homs,
+    random_morphism,
+    random_set,
+)
 
 AB = FinSet(("a", "b"))
 XYZ = FinSet(("x", "y", "z"))
@@ -57,19 +62,19 @@ def test_fingraph_rejects_shared_vertex_edge_name():
 
 def test_set_morphism_must_be_total():
     with pytest.raises(CategoryError):
-        SetMorphism(AB, XYZ, {"a": "x"})
+        morphism(AB, XYZ, {"a": "x"})
 
 
 def test_set_morphism_image_must_land():
     with pytest.raises(CategoryError):
-        SetMorphism(AB, XYZ, {"a": "x", "b": "nope"})
+        morphism(AB, XYZ, {"a": "x", "b": "nope"})
 
 
 def test_graph_morphism_law_enforced():
     # sending the edge of PATH to the loop while separating the vertices
     # breaks source/target preservation
     with pytest.raises(CategoryError) as err:
-        GraphMorphism(PATH, CYCLE3, {"p": "c1", "q": "c3"}, {"f": "d1"})
+        morphism(PATH, CYCLE3, {"p": "c1", "q": "c3", "f": "d1"})
     assert "d1" in str(err.value)
 
 
@@ -124,7 +129,7 @@ def test_hom_set_path_and_loop():
 
 def test_hom_set_lexicographic_order():
     got = hom_set(AB, XYZ)
-    keys = [tuple(m.mapping[x] for x in AB.elements) for m in got]
+    keys = [tuple(m(x) for x in AB.elements) for m in got]
     assert keys == sorted(keys)
     assert keys[0] == ("x", "x") and keys[-1] == ("z", "z")
 
@@ -132,7 +137,7 @@ def test_hom_set_lexicographic_order():
 def test_hom_set_graph_order_vertices_then_edges():
     two_loops = FinGraph(("u",), (("l1", "u", "u"), ("l2", "u", "u")))
     got = hom_set(two_loops, two_loops)
-    keys = [(m.vertex_map["u"], m.edge_map["l1"], m.edge_map["l2"]) for m in got]
+    keys = [(m("u"), m("l1"), m("l2")) for m in got]
     assert keys == sorted(keys)
     assert len(got) == 4
 
@@ -162,14 +167,14 @@ def test_enumeration_cap_refuses_with_estimate():
 
 def test_is_extension():
     x = FinSet(("x",))
-    t = SetMorphism(x, AB, {"x": "a"})
-    a = SetMorphism(x, XYZ, {"x": "y"})
-    good = SetMorphism(AB, XYZ, {"a": "y", "b": "z"})
-    bad = SetMorphism(AB, XYZ, {"a": "x", "b": "z"})
+    t = morphism(x, AB, {"x": "a"})
+    a = morphism(x, XYZ, {"x": "y"})
+    good = morphism(AB, XYZ, {"a": "y", "b": "z"})
+    bad = morphism(AB, XYZ, {"a": "x", "b": "z"})
     assert is_extension(good, t, a)
     assert not is_extension(bad, t, a)
     with pytest.raises(CategoryError):
-        is_extension(good, t, SetMorphism(AB, XYZ, {"a": "x", "b": "x"}))
+        is_extension(good, t, morphism(AB, XYZ, {"a": "x", "b": "x"}))
 
 
 def test_isomorphisms_and_inverse():
@@ -193,7 +198,7 @@ def test_canonical_copy():
 
 def test_inclusion():
     inc = inclusion(AB, FinSet(("a", "b", "c")))
-    assert inc.mapping == {"a": "a", "b": "b"}
+    assert inc.name_map() == {"a": "a", "b": "b"}
     with pytest.raises(CategoryError):
         inclusion(XYZ, AB)
 
@@ -209,19 +214,19 @@ def test_initial():
 
 def test_pushout_set_example():
     x = FinSet(("x",))
-    f = SetMorphism(x, AB, {"x": "a"})
-    g = SetMorphism(x, FinSet(("c",)), {"x": "c"})
+    f = morphism(x, AB, {"x": "a"})
+    g = morphism(x, FinSet(("c",)), {"x": "c"})
     po = pushout(f, g)
     assert po.apex.size == 2
     assert compose(f, po.inj_left) == compose(g, po.inj_right)
     # a and c are glued; the class is named after the least original name
-    assert po.inj_left.mapping["a"] == po.inj_right.mapping["c"] == "l.a"
+    assert po.inj_left("a") == po.inj_right("c") == "l.a"
 
 
 def test_pushout_over_initial_is_disjoint_union():
     empty = FinSet(())
-    f = SetMorphism(empty, AB, {})
-    g = SetMorphism(empty, XYZ, {})
+    f = morphism(empty, AB, {})
+    g = morphism(empty, XYZ, {})
     po = pushout(f, g)
     assert po.apex.elements == ("l.a", "l.b", "r.x", "r.y", "r.z")
 
@@ -233,8 +238,8 @@ def test_pushout_needs_a_span():
 
 def test_pushout_graph_glues_loop():
     v = FinGraph(("n",), ())
-    into_loop = GraphMorphism(v, LOOP, {"n": "u"}, {})
-    into_path = GraphMorphism(v, PATH, {"n": "p"}, {})
+    into_loop = morphism(v, LOOP, {"n": "u"})
+    into_path = morphism(v, PATH, {"n": "p"})
     po = pushout(into_loop, into_path)
     assert len(po.apex.vertices) == 2
     assert len(po.apex.edges) == 2
@@ -246,7 +251,7 @@ def _check_universal_property(f, g):
     check that commuting cospans correspond one-to-one to mediators."""
     po = pushout(f, g)
     targets = ([FinSet(tuple(f"z{i}" for i in range(n))) for n in range(3)]
-               if isinstance(f, SetMorphism) else [LOOP, PATH, FinGraph((), ())])
+               if f.dom.kind == "set" else [LOOP, PATH, FinGraph((), ())])
     for c in targets:
         induced = {}
         for h in brute_force_homs(po.apex, c):
@@ -288,7 +293,7 @@ def composable_triples(draw):
     c = draw(small_sets.filter(lambda s: s.elements or not b.elements))
     d = draw(small_sets.filter(lambda s: s.elements or not c.elements))
     rng = draw(st.randoms(use_true_random=False))
-    pick = lambda dom, cod: SetMorphism(
+    pick = lambda dom, cod: morphism(
         dom, cod, {x: rng.choice(cod.elements) for x in dom.elements})
     return pick(a, b), pick(b, c), pick(c, d)
 
@@ -342,3 +347,46 @@ def test_searches_leave_no_reference_cycles(search):
         assert gc.collect() == 0
     finally:
         gc.enable()
+
+
+# ---------------------------------------------------------------------------
+# A finite set is the graph with its elements as vertices and no edges
+
+
+def _discrete(s: FinSet) -> FinGraph:
+    return FinGraph(s.elements, ())
+
+
+def _atoms(rng, dom: FinSet, cod: FinSet):
+    """Random atoms over dom: bindings with repeats, relations in cod."""
+    atoms = []
+    for _ in range(rng.randint(1, 2)):
+        k = rng.randint(0, 2)
+        binding = tuple(rng.randrange(dom.size) for _ in range(k)) if dom.size else ()
+        cells = list(itertools.product(range(cod.size), repeat=len(binding)))
+        atoms.append((binding, {r for r in cells if rng.random() < 0.6}))
+    return atoms
+
+
+@given(st.integers(min_value=0, max_value=2**32 - 1))
+@settings(max_examples=150, deadline=None)
+def test_a_set_is_read_as_its_discrete_graph(seed):
+    rng = random.Random(seed)
+    x, a, b = (random_set(rng, 3, p) for p in ("x", "a", "b"))
+    gx, ga, gb = _discrete(x), _discrete(a), _discrete(b)
+    assert hom_search(x, a) == hom_search(gx, ga)
+    atoms = _atoms(rng, x, a)
+    assert hom_search(x, a, atoms) == hom_search(gx, ga, atoms)
+    copy = canonical_copy(a).cod
+    assert ([m.images for m in isomorphisms(a, copy)]
+            == [m.images for m in isomorphisms(ga, _discrete(copy))])
+    assert ([m.images for m in isomorphisms(a, b)]
+            == [m.images for m in isomorphisms(ga, gb)])
+    f, g = random_morphism(rng, x, a), random_morphism(rng, x, b)
+    if f is None or g is None:
+        return
+    po = pushout(f, g)
+    gpo = pushout(morphism(gx, ga, f.name_map()), morphism(gx, gb, g.name_map()))
+    assert po.apex.elements == gpo.apex.vertices and not gpo.apex.edges
+    assert po.inj_left.images == gpo.inj_left.images
+    assert po.inj_right.images == gpo.inj_right.images

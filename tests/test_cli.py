@@ -2,6 +2,7 @@
 
 import gc
 import json
+import time
 import tracemalloc
 from pathlib import Path
 
@@ -15,6 +16,7 @@ from lfoc.footprint import CarrierBounds, count_structures
 
 FOL = str(fixture_path("fol"))
 CAT = str(fixture_path("cat"))
+ALC = str(fixture_path("alc"))
 
 
 def run(capsys, *argv):
@@ -348,6 +350,16 @@ def test_oversized_registry_is_refused_with_one_short_line(capsys, tmp_path):
     fp = parse_path(str(path)).footprints["F"]
     assert count_structures(fp, CarrierBounds(max_elements=60)) \
         == sum(2 ** n ** 3 for n in range(61))
+
+
+def test_oversized_set_registry_is_refused_in_time_linear_in_the_count(capsys):
+    # sum over n <= 6000 of 2^(n + n^2): the count has 36 million bits
+    start = time.perf_counter()
+    code, payload, err = run(capsys, "sound", ALC, "--rule", "gci_happy",
+                             "--max-carrier", "6000")
+    assert time.perf_counter() - start < 2
+    assert code == 2 and payload is None
+    assert err == "error: enumeration would yield about 1.5e10840692 structures (cap 500000)\n"
 
 
 def test_oversized_graph_registry_is_refused_without_walking_every_carrier(capsys, monkeypatch):

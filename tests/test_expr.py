@@ -7,7 +7,7 @@ import pytest
 from lfoc.category import (
     CategoryError,
     FinSet,
-    SetMorphism,
+    Morphism,
     compose,
     hom_set,
     identity,
@@ -67,7 +67,7 @@ def structure(marks=(), like_pairs=()) -> Structure:
 X = P1
 
 
-def assignment(value: str) -> SetMorphism:
+def assignment(value: str) -> Morphism:
     return morphism(X, CD, {"p": value})
 
 

@@ -1,13 +1,13 @@
 from __future__ import annotations
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from lfoc.category import (
     CategoryError,
     EnumerationLimitError,
     FinGraph,
     FinSet,
-    SetMorphism,
     compose,
     hom_set,
     morphism,
@@ -17,6 +17,7 @@ from lfoc.footprint import (
     Footprint,
     Structure,
     StructureRegistry,
+    _count_text,
     count_structures,
     enumerate_carriers,
     enumerate_structures,
@@ -203,3 +204,28 @@ def test_registry_descriptions():
     assert len(reg) == 3
     exp = StructureRegistry.explicit([family_structure()])
     assert exp.description == "explicit(n=1)"
+
+
+def test_set_counts_follow_from_carrier_sizes():
+    # an empty arity gives every carrier the same exponent, 0^0 = 1
+    for arities in ([], [FinSet(())], [P1, FinSet(())], [P1, P3]):
+        fp = Footprint("F", "set", {f"f{i}": a for i, a in enumerate(arities)})
+        bounds = CarrierBounds(max_elements=2)
+        assert count_structures(fp, bounds) == len(list(enumerate_structures(fp, bounds)))
+
+
+def _leading_digits(n: int) -> str:
+    digits = str(n)
+    return f"about {digits[0]}.{digits[1]}e{len(digits) - 1}"
+
+
+@given(st.integers(min_value=10, max_value=99), st.integers(min_value=19, max_value=4000),
+       st.integers(min_value=-2, max_value=2), st.integers(min_value=0, max_value=13000))
+@settings(max_examples=300, deadline=None)
+def test_count_text_reads_the_leading_digits_and_the_exponent(lead, k, off, bits):
+    # at a change of leading digits, and at a power of two
+    for n in (lead * 10 ** k + off, (1 << bits) + off):
+        if n >= 10 ** 20:
+            assert _count_text(n) == _leading_digits(n)
+        else:
+            assert _count_text(n) == str(n)

@@ -2,7 +2,7 @@
 constructors.
 
 The engine builds composites, identities, inverses, hom-set members,
-pushout injections and renamings with `from_images`; each must equal,
+pushout injections and renamings with `Morphism`; each must equal,
 hash like and print like the morphism the validated constructor builds
 from its name map.  Composites and inverses must also agree with the
 same operations on name maps.
@@ -19,7 +19,7 @@ from helpers import random_graph, random_morphism, random_set
 from lfoc.category import (
     CategoryError,
     FinGraph,
-    GraphMorphism,
+    FinSet,
     canonical_copy,
     compose,
     hom_set,
@@ -75,8 +75,51 @@ def test_unchecked_morphisms_equal_their_validated_rebuild(seed, kind):
 def test_graph_morphism_keeps_vertices_and_edges_apart():
     loop = FinGraph(("u",), (("l", "u", "u"),))
     with pytest.raises(CategoryError, match="image 'l' of vertex 'u'"):
-        GraphMorphism(loop, loop, {"u": "l"}, {"l": "l"})
+        morphism(loop, loop, {"u": "l", "l": "l"})
     with pytest.raises(CategoryError, match="image 'u' of edge 'l'"):
-        GraphMorphism(loop, loop, {"u": "u"}, {"l": "u"})
+        morphism(loop, loop, {"u": "u", "l": "u"})
     with pytest.raises(CategoryError):
         morphism(loop, loop, {"u": "l", "l": "l"})
+
+
+_AB, _XYZ = FinSet(("a", "b")), FinSet(("x", "y", "z"))
+_UV = FinGraph(("u", "v"), (("f", "u", "v"),))
+_PQR = FinGraph(("p", "q", "r"), (("g", "p", "q"), ("h", "q", "q"), ("k", "r", "q")))
+
+# (dom, cod, faulty name map, the exact message `morphism` raises)
+_FAULTS = [
+    (_AB, _XYZ, {"a": "x"}, "map is not total: no image for element 'b'"),
+    (_AB, _XYZ, {"a": "x", "b": "nope"},
+     "image 'nope' of 'b' is not in the codomain set{x, y, z}"),
+    (_AB, _XYZ, {"a": "x", "b": "y", "c": "z"},
+     "map mentions names outside the domain: ['c']"),
+    # a set map reports a missing name before names outside the domain
+    (_AB, _XYZ, {"a": "x", "c": "y"}, "map is not total: no image for element 'b'"),
+    (_UV, _PQR, {"u": "p", "f": "g"}, "map is not total: no image for vertex 'v'"),
+    (_UV, _PQR, {"u": "p", "v": "q"}, "map is not total: no image for edge 'f'"),
+    (_UV, _PQR, {"u": "p", "v": "nope", "f": "g"},
+     "image 'nope' of vertex 'v' is not in the codomain"),
+    (_UV, _PQR, {"u": "p", "v": "q", "f": "nope"},
+     "image 'nope' of edge 'f' is not in the codomain"),
+    (_UV, _PQR, {"u": "g", "v": "q", "f": "g"},
+     "image 'g' of vertex 'u' is not in the codomain"),
+    (_UV, _PQR, {"u": "p", "v": "q", "f": "q"},
+     "image 'q' of edge 'f' is not in the codomain"),
+    (_UV, _PQR, {"u": "q", "v": "q", "f": "g"},
+     "edge 'f': image 'g' has source 'p' but the vertex map sends 'u' to 'q'"),
+    (_UV, _PQR, {"u": "p", "v": "p", "f": "g"},
+     "edge 'f': image 'g' has target 'q' but the vertex map sends 'v' to 'p'"),
+    (_UV, _PQR, {"u": "p", "v": "q", "f": "g", "w": "p"},
+     "map mentions names outside the domain: ['w']"),
+    # a graph map reports names outside the domain first
+    (_UV, _PQR, {"u": "p", "f": "g", "w": "p"},
+     "map mentions names outside the domain: ['w']"),
+    (_AB, _UV, {}, "kind mismatch: set{a, b} is a set, graph{u, v; f: u->v} is a graph"),
+]
+
+
+@pytest.mark.parametrize("dom, cod, mapping, message", _FAULTS)
+def test_validator_messages(dom, cod, mapping, message):
+    with pytest.raises(CategoryError) as caught:
+        morphism(dom, cod, mapping)
+    assert str(caught.value) == message

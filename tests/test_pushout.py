@@ -14,7 +14,7 @@ from __future__ import annotations
 from hypothesis import given, settings, strategies as st
 
 import oracle
-from lfoc.category import FinGraph, FinSet, GraphMorphism, SetMorphism, pushout
+from lfoc.category import FinGraph, FinSet, Morphism, morphism, pushout
 
 POOL = tuple("abcdefghijkl")
 
@@ -25,9 +25,9 @@ def _names(rng, count: int) -> list[str]:
     return pool[:count]
 
 
-def _set_leg(rng, x: FinSet) -> SetMorphism:
+def _set_leg(rng, x: FinSet) -> Morphism:
     cod = FinSet(_names(rng, rng.randint(1 if x.elements else 0, 4)))
-    return SetMorphism(x, cod, {n: rng.choice(cod.elements) for n in x.elements})
+    return morphism(x, cod, {n: rng.choice(cod.elements) for n in x.elements})
 
 
 def _graph(rng, max_vertices: int, max_edges: int) -> FinGraph:
@@ -39,7 +39,7 @@ def _graph(rng, max_vertices: int, max_edges: int) -> FinGraph:
     return FinGraph(vertices, edges)
 
 
-def _graph_leg(rng, x: FinGraph) -> GraphMorphism:
+def _graph_leg(rng, x: FinGraph) -> Morphism:
     """A random homomorphism out of x: edges land on a fitting edge of a
     random graph where there is one, else on a fresh edge."""
     names = _names(rng, len(POOL))
@@ -57,7 +57,7 @@ def _graph_leg(rng, x: FinGraph) -> GraphMorphism:
             fitting = [edges[-1][0]]
         emap[e] = rng.choice(fitting)
     rng.shuffle(edges)
-    return GraphMorphism(x, FinGraph(vertices, edges), vmap, emap)
+    return morphism(x, FinGraph(vertices, edges), {**vmap, **emap})
 
 
 def _assert_same(f, g) -> None:
@@ -86,8 +86,8 @@ def test_least_name_from_the_right_and_ties():
     x = FinSet(("x", "y"))
     a = FinSet(("c", "b", "d"))
     b = FinSet(("b", "a"))
-    f = SetMorphism(x, a, {"x": "c", "y": "b"})
-    g = SetMorphism(x, b, {"x": "a", "y": "b"})
+    f = morphism(x, a, {"x": "c", "y": "b"})
+    g = morphism(x, b, {"x": "a", "y": "b"})
     po = pushout(f, g)
     # {c, a} is named after the right's a; {b, b} is a tie the left wins
     assert po.apex.elements == ("r.a", "l.b", "l.d")
@@ -96,7 +96,7 @@ def test_least_name_from_the_right_and_ties():
 
 def test_empty_span():
     empty = FinGraph((), ())
-    leg = GraphMorphism(empty, empty, {}, {})
+    leg = morphism(empty, empty, {})
     po = pushout(leg, leg)
     assert po.apex == empty and po.inj_left.images == po.inj_right.images == ()
     _assert_same(leg, leg)

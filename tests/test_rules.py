@@ -103,7 +103,7 @@ def test_find_matches_requires_constraints_present():
     host = Sketch("host", K, [Constraint(MARK, morphism(P1, K, {"p": "k1"}))])
     pattern = Sketch("pat", P1, [Constraint(MARK, identity(P1))])
     got = find_matches(pattern, host)
-    assert [m.mapping["p"] for m in got] == ["k1"]
+    assert [m("p") for m in got] == ["k1"]
     free = Sketch("free", P1, [])
     assert len(find_matches(free, host)) == 2
 
@@ -114,7 +114,7 @@ def test_is_conservative_loop_structure():
     res = is_conservative(loop_structure(with_id=False), rule)
     assert not res
     assert res.witness is not None
-    assert res.witness.vertex_map == {"pv": "c"}
+    assert res.witness.name_map() == {"pv": "c"}
 
 
 def test_is_conservative_uniqueness_rule():

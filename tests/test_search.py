@@ -25,10 +25,10 @@ from helpers import (
 from lfoc.category import (
     FinGraph,
     FinSet,
+    Morphism,
     SearchIndex,
     canonical_copy,
     compose,
-    from_images,
     hom_search,
     hom_set,
     identity,
@@ -273,7 +273,7 @@ def test_search_binds_in_hom_set_order_with_repeated_positions():
     assert got == [(0, 0, 1), (0, 1, 1), (1, 0, 0), (1, 1, 0)]
     assert got == sorted(got)
     index = SearchIndex()
-    assert [from_images(x, carrier, b) for b in hom_search(x, carrier, (), index)] \
+    assert [Morphism(x, carrier, b) for b in hom_search(x, carrier, (), index)] \
         == list(hom_set(x, carrier))
 
 

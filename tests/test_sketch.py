@@ -133,7 +133,7 @@ def test_models_in_hom_order():
     K = FinSet(("k",))
     sk = Sketch("s", K, [Constraint(MARK, morphism(P1, K, {"p": "k"}))])
     got = models(sk, st)
-    assert [m.map.mapping["k"] for m in got] == ["c"]
+    assert [m.map("k") for m in got] == ["c"]
     empty_sk = Sketch("s", K, [Constraint(bot(P1), morphism(P1, K, {"p": "k"}))])
     assert models(empty_sk, st) == ()
     free = Sketch("s", K, [])
