@@ -403,21 +403,16 @@ def _join(dom: CatObject, cod: CatObject, atoms) -> list[tuple[int, ...]]:
 
 
 class SearchIndex:
-    """Memo tables shared by the hom searches and evaluations of one call.
-
-    It holds the reading plan per atom binding (`plan`), the features
-    each expression mentions (`mentions`) and solution sets keyed by
-    expression and structure restriction (`solved`).  A caller that
-    searches many structures (a registry) creates one and passes it
-    down, so each is computed once per call; nothing outlives the call.
+    """The reading plan per atom binding (`plan`), shared by the hom
+    searches of one call.  A caller that searches many structures (a
+    registry) creates one and passes it down, so each plan is made once
+    per call; nothing outlives the call.
     """
 
-    __slots__ = ("_plans", "mentions", "solved")
+    __slots__ = ("_plans",)
 
     def __init__(self):
         self._plans: dict[tuple[int, ...], tuple] = {}
-        self.mentions: dict = {}
-        self.solved: dict = {}
 
     def plan(self, binding: tuple[int, ...]):
         """How to read an atom's facts at its distinct positions.

@@ -491,6 +491,20 @@ class _Parser:
         stride = len(template) + 1
         end = self.pos + count * stride - 1
         body = self.tokens[self.pos:end]
+        if count == 1:
+            # the template holds its images at 3, 7, ...: blank them in
+            # the body and compare the rest in one go
+            if len(body) != len(template):
+                return None
+            images = body[3::4]
+            body[3::4] = template[3::4]
+            if body != template:
+                return None
+            images = tuple(map(targets.get, images))
+            if None in images:
+                return None
+            self.pos = end
+            return [images]
         columns = []
         for j, tok in enumerate(template):
             column = body[j::stride]

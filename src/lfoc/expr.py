@@ -34,12 +34,15 @@ node once and after its children: a node's first hash, `features` and
 from __future__ import annotations
 
 from dataclasses import dataclass
-from operator import is_
+from functools import reduce
+from itertools import repeat
+from operator import and_, is_, or_
 from typing import Callable, Iterator
 
 from .category import (
     CatObject,
     CategoryError,
+    EnumerationLimitError,
     Morphism,
     SearchIndex,
     canonical_copy,
@@ -50,7 +53,7 @@ from .category import (
     precompose,
     pushout,
 )
-from .footprint import Footprint, Structure, Verdict
+from .footprint import Block, Footprint, Structure, Verdict
 
 
 def _node(cls):
@@ -223,17 +226,13 @@ def postorder(e: Expr, done: Callable[[Expr], bool] = lambda node: False) -> Ite
             stack += [(kid, False) for kid in reversed(children(node))]
 
 
-def features(e: Expr, index: SearchIndex | None = None) -> tuple[str, ...]:
+def features(e: Expr) -> tuple[str, ...]:
     """The feature names `e` mentions, sorted.
 
     Over a structure, `e` reads only these features' interpretations and
-    the carrier.  With an index, every visited node's answer is kept in
-    `index.mentions` for the rest of the call.
+    the carrier.
     """
-    memo = {} if index is None else index.mentions
-    known = memo.get(e)
-    if known is not None:
-        return known
+    memo: dict[Expr, tuple[str, ...]] = {}
     for node in postorder(e, memo.__contains__):
         if isinstance(node, Atomic):
             memo[node] = (node.feature,)
@@ -323,16 +322,15 @@ class _Evaluator:
     search; `or` and `not` are set algebra, and quantifiers project
     solutions along their variable declaration.  An `exists` with a `top`
     premise never enumerates hom(X, carrier); `top`, `not`, `forall` and
-    other premises do.  Solutions are memoized once, in `index.solved`,
-    keyed by the expression and the structure's restriction to the
-    features it mentions.  Pass a `SearchIndex` to share that memo across
-    the structures of one call: every structure with the same restriction
-    then reuses a solution set.
+    other premises do.  Solutions are memoized per expression.  Pass a
+    `SearchIndex` to share the hom searches' reading plans across the
+    structures of one call.
     """
 
     def __init__(self, structure: Structure, index: SearchIndex | None = None):
         self.structure = structure
         self.index = SearchIndex() if index is None else index
+        self.memo: dict[Expr, frozenset] = {}
 
     def solutions(self, e: Expr) -> frozenset:
         """The solutions of `e` as a frozenset of morphisms."""
@@ -340,10 +338,9 @@ class _Evaluator:
         return frozenset(Morphism(e.arity, carrier, b) for b in self.tuples(e))
 
     def tuples(self, e: Expr) -> frozenset:
-        key = (e, self.structure.restriction(features(e, self.index)))
-        out = self.index.solved.get(key)
+        out = self.memo.get(e)
         if out is None:
-            out = self.index.solved[key] = self._compute(e)
+            out = self.memo[e] = self._compute(e)
         return out
 
     def _compute(self, e: Expr) -> frozenset:
@@ -381,34 +378,184 @@ class _Evaluator:
         Atomic conjuncts become their feature's facts; `top` adds
         nothing; any other conjunct adds its solutions at the full arity.
         """
-        arity = e.arity
-        every = tuple(range(arity.size))
+        every = tuple(range(e.arity.size))
         atoms = []
-        stack = [e]
-        while stack:
-            node = stack.pop()
-            if node.arity is not arity and node.arity != arity:
-                raise CategoryError(f"conjunct arity {node.arity!r} differs from {arity!r}")
-            if isinstance(node, And):
-                stack += (node.right, node.left)
-            elif isinstance(node, Atomic):
-                if node.binding.cod is not arity and node.binding.cod != arity:
-                    raise CategoryError(
-                        f"atom binding ends at {node.binding.cod!r}, "
-                        f"expected the arity {arity!r}")
-                facts = self.structure.facts.get(node.feature)
-                if facts is None:
-                    raise CategoryError(f"structure has no feature {node.feature!r}")
-                # facts start at the feature's arity: none matches a binding from elsewhere
-                want = self.structure.footprint.features[node.feature]
-                if node.binding.dom is not want and node.binding.dom != want:
-                    facts = frozenset()
-                atoms.append((node.binding.images, facts))
-            elif isinstance(node, Bot):
+        for node, facts in _conjuncts(e, self.structure.facts, self.structure.footprint):
+            if isinstance(node, Bot):
                 return None
-            elif not isinstance(node, Top):
+            if isinstance(node, Atomic):
+                atoms.append((node.binding.images, frozenset() if facts is None else facts))
+            else:
                 atoms.append((every, self.tuples(node)))
         return atoms
+
+
+def _conjuncts(e: Expr, facts: dict, footprint: Footprint) -> Iterator[tuple[Expr, object]]:
+    """The conjuncts of `e` but `top`, left to right and checked, up to
+    a first `bot`: each atom with its feature's entry in `facts` (None
+    when its binding starts elsewhere than at the feature's arity, so
+    that no fact matches), any other conjunct with None."""
+    arity = e.arity
+    stack = [e]
+    while stack:
+        node = stack.pop()
+        if node.arity is not arity and node.arity != arity:
+            raise CategoryError(f"conjunct arity {node.arity!r} differs from {arity!r}")
+        if isinstance(node, And):
+            stack += (node.right, node.left)
+        elif isinstance(node, Atomic):
+            if node.binding.cod is not arity and node.binding.cod != arity:
+                raise CategoryError(
+                    f"atom binding ends at {node.binding.cod!r}, "
+                    f"expected the arity {arity!r}")
+            got = facts.get(node.feature)
+            if got is None:
+                raise CategoryError(f"structure has no feature {node.feature!r}")
+            want = footprint.features[node.feature]
+            yield node, got if node.binding.dom is want or node.binding.dom == want else None
+        elif isinstance(node, Bot):
+            yield node, None
+            return
+        elif not isinstance(node, Top):
+            yield node, None
+
+
+class _Unlisted(Exception):
+    """A hom set `_Masks` needs cannot be listed: past
+    HOM_ENUMERATION_CAP, or between objects of two kinds."""
+
+
+class _Masks:
+    """Solution masks over a block of structures on one carrier.
+
+    Bit j of a mask stands for the block's j-th structure, and an
+    expression's masks are one int per tuple of hom(arity, carrier), in
+    hom-set order: the structures over which that tuple solves it.
+    Atoms read their fact's mask; `and`, `or` and `not` are `&`, `|` and
+    complement; `exists` ORs the body's masks along its variable and
+    `forall` ANDs them.  So one int operation decides a node over the
+    whole block.
+
+    Nodes are visited and checked in `_Evaluator`'s order, so an
+    ill-formed expression raises the same error.  Every hom set is listed
+    no later than `_Evaluator` would search it; one that cannot be listed
+    raises `_Unlisted`, and so does a node whose arity `_Evaluator` would
+    not check, so the caller can decide the block with `_Evaluator`
+    instead.  `plans` holds the hom lists and index maps of the carrier,
+    shared by its blocks in one call.
+    """
+
+    def __init__(self, block: Block, footprint: Footprint, plans: dict):
+        self.block = block
+        self.footprint = footprint
+        self.plans = plans
+        self.all = (1 << block.width) - 1
+        self.memo: dict = {}
+
+    def homs(self, arity: CatObject) -> tuple[list, dict]:
+        """hom(arity, carrier) as a list of tuples and their positions."""
+        got = self.plans.get(arity)
+        if got is None:
+            try:
+                tuples = hom_search(arity, self.block.carrier)
+            except (CategoryError, EnumerationLimitError) as exc:
+                raise _Unlisted from exc
+            got = self.plans[arity] = (tuples, {a: i for i, a in enumerate(tuples)})
+        return got
+
+    def pullback(self, m: Morphism) -> list[int]:
+        """For each b in hom(m.cod, carrier), the position of m;b in
+        hom(m.dom, carrier)."""
+        key = ("pullback", m)
+        got = self.plans.get(key)
+        if got is None:
+            pos = self.homs(m.dom)[1]
+            t = m.images
+            got = self.plans[key] = [pos[precompose(t, b)] for b in self.homs(m.cod)[0]]
+        return got
+
+    def holding(self, bound: list[tuple[Expr, Morphism]], context: CatObject) -> list[int]:
+        """Per tuple a of hom(context, carrier), the mask of the structures
+        where every expression holds at binding;a, for the (expression,
+        binding) pairs in `bound`; their expressions are evaluated first,
+        in order."""
+        values = [self.masks(e) for e, _ in bound]
+        out = [self.all] * len(self.homs(context)[0])
+        for masks, (_, binding) in zip(values, bound):
+            out = list(map(and_, out, map(masks.__getitem__, self.pullback(binding))))
+        return out
+
+    def first(self, context: CatObject, failing: list[int]) -> tuple | None:
+        """The block's first structure failing at some tuple, with the
+        first such tuple as a map, or None; failing[i] masks the
+        structures failing at tuple i of hom(context, carrier)."""
+        anywhere = reduce(or_, failing, 0)
+        if not anywhere:
+            return None
+        low = anywhere & -anywhere
+        i = next(i for i, m in enumerate(failing) if m & low)
+        return (self.block.structure(low.bit_length() - 1),
+                Morphism(context, self.block.carrier, self.homs(context)[0][i]))
+
+    def masks(self, e: Expr) -> list[int]:
+        out = self.memo.get(e)
+        if out is None:
+            out = self.memo[e] = self._compute(e)
+        return out
+
+    def _compute(self, e: Expr) -> list[int]:
+        n = len(self.homs(e.arity)[0])
+        if isinstance(e, (Atomic, And, Top)):
+            return self._conjunction(e, n)
+        if isinstance(e, Bot):
+            return [0] * n
+        if isinstance(e, Or):
+            return list(map(or_, self._kid(e, e.left), self._kid(e, e.right)))
+        if isinstance(e, Not):
+            every = self.all
+            return [every ^ m for m in self._kid(e, e.body)]
+        if isinstance(e, (CondExists, CondForall)):
+            if e.var.dom != e.arity or e.body.arity != e.var.cod:
+                raise CategoryError(
+                    f"quantifier along {e.var!r} does not run from the arity "
+                    f"{e.arity!r} to the body arity {e.body.arity!r}")
+            every, into = self.all, self.pullback(e.var)
+            body = self.masks(e.body)
+            out = [0] * n
+            if isinstance(e, CondExists):
+                for i, m in zip(into, body):
+                    out[i] |= m
+                if isinstance(e.premise, Top):
+                    return out
+                return [(every ^ p) | w for p, w in zip(self._kid(e, e.premise), out)]
+            for i, m in zip(into, body):  # the spoiled: some extension fails the body
+                out[i] |= every ^ m
+            return [every ^ (p & s) for p, s in zip(self._kid(e, e.premise), out)]
+        raise TypeError(f"not an expression node: {e!r}")
+
+    def _kid(self, e: Expr, kid: Expr) -> list[int]:
+        if kid.arity != e.arity:
+            raise _Unlisted  # `_Evaluator` does not check this
+        return self.masks(kid)
+
+    def _conjunction(self, e: Expr, n: int) -> list[int]:
+        """The conjuncts' masks ANDed; all zero at a `bot`."""
+        out = [self.all] * n
+        for node, facts in _conjuncts(e, self.block.facts, self.footprint):
+            if isinstance(node, Bot):
+                return [0] * n
+            if not isinstance(node, Atomic):
+                out = list(map(and_, out, self.masks(node)))
+            elif facts is None:
+                out = [0] * n
+            else:
+                key = ("atom", node.binding)
+                at = self.plans.get(key)
+                if at is None:
+                    t = node.binding.images
+                    at = self.plans[key] = [precompose(t, a) for a in self.homs(e.arity)[0]]
+                out = list(map(and_, out, map(facts.get, at, repeat(0))))
+        return out
 
 
 def solutions(e: Expr, structure: Structure) -> tuple[Morphism, ...]:

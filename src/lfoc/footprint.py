@@ -11,11 +11,11 @@ separate step so that ill-formed candidates can be constructed and then
 reported on.
 
 A check that mentions only some features reads a structure only through
-its restriction: the carrier plus those features' facts.  Registry
-checks decide each restriction once per call.  Such a check does not
-change under an isomorphism of structures, so an exhaustive registry
-also skips a restriction that an automorphism of its carrier maps onto
-an earlier one.
+its restriction: the carrier plus those features' facts.  A registry
+lays itself out for such a check in blocks of structures on one
+carrier, each fact a mask with one bit per structure (`Block`), and an
+exhaustive registry puts the first structure of each restriction in a
+block once.
 """
 
 from __future__ import annotations
@@ -375,58 +375,51 @@ def enumerate_structures(footprint: Footprint, bounds: CarrierBounds, *,
     is kept, under its own name.
     """
     _checked_count(footprint, bounds, cap)
-    yield from _walk(footprint, bounds, footprint.features,
-                     "all" if dedup_isomorphic else "none")
+    yield from _walk(footprint, bounds, dedup_isomorphic)
 
 
-def _walk(footprint: Footprint, bounds: CarrierBounds, features: Iterable[str],
-          automorphisms: str) -> Iterator[Structure]:
-    """In registry order, the first structure of each restriction to
-    `features`: the one whose other features are empty.
-
-    An automorphism s of a carrier maps a structure onto an isomorphic
-    one on the same carrier, each fact h to h;s.  Unless `automorphisms`
-    is "none", the walk skips a structure when some automorphism maps
-    its restriction onto an earlier one.  "cheap" uses them only on a
-    carrier with no more candidate bijections than restrictions, and
-    none otherwise: under any subset of them the first structure that
-    fails an isomorphism-invariant check is still walked.  "all" uses
-    every automorphism and skips each carrier isomorphic to an earlier
-    one, so with every feature in `features` it keeps exactly the first
-    structure of each isomorphism class.
-    """
+def _carriers(footprint: Footprint, bounds: CarrierBounds,
+              features: Iterable[str]) -> Iterator[tuple]:
+    """Per carrier in registry order: the carrier, the hom lists of
+    `features` in footprint order, the number of its first structure and
+    the step in structure number of one pick of each of them."""
     names = tuple(footprint.features)
     walked = [f for f in names if f in features]  # footprint order is registry order
-    carriers_seen: set = set()
-    empty = frozenset()
-    number = 0  # the number of the carrier's first structure
+    number = 0
     for carrier in enumerate_carriers(footprint.kind, bounds):
         homs = {f: hom_search(footprint.features[f], carrier) for f in walked}
         sizes = [1 << (len(homs[f]) if f in homs else _hom_count(arity, carrier))
                  for f, arity in footprint.features.items()]
-        total = math.prod(sizes)
-        if automorphisms == "all":
+        steps = [math.prod(sizes[names.index(f) + 1:]) for f in walked]
+        yield carrier, homs, number, steps
+        number += math.prod(sizes)
+
+
+def _walk(footprint: Footprint, bounds: CarrierBounds, dedup: bool) -> Iterator[Structure]:
+    """Every structure in registry order or, with `dedup`, the first of
+    each isomorphism class.
+
+    An automorphism s of a carrier maps a structure onto an isomorphic
+    one on the same carrier, each fact h to h;s.  The dedup skips a
+    structure when some automorphism maps it onto an earlier one, and
+    skips each carrier isomorphic to an earlier one.
+    """
+    names = tuple(footprint.features)
+    carriers_seen: set = set()
+    for carrier, homs, number, steps in _carriers(footprint, bounds, names):
+        maps = []
+        if dedup:
             key = _carrier_key(carrier)
             if key in carriers_seen:
-                number += total
                 continue
             carriers_seen.add(key)
-        walked_sizes = [1 << len(h) for h in homs.values()]
-        if automorphisms == "all":
             _check_pick_maps(carrier, homs.values())
-        maps = []
-        if automorphisms == "all" or (automorphisms == "cheap" and 1 < bijection_bound(carrier)
-                                      <= min(math.prod(walked_sizes), HOM_ENUMERATION_CAP)):
             maps = _pick_maps(carrier, list(homs.values()))
-        # the step in structure number of one pick of each walked feature
-        steps = [math.prod(sizes[names.index(f) + 1:]) for f in walked]
-        subsets = [_Subsets(hom) for hom in homs.values()]  # shared by equal restrictions
-        for picks in _least_picks(walked_sizes, maps):
-            facts = dict.fromkeys(names, empty)
-            facts.update(zip(walked, map(dict.__getitem__, subsets, picks)))
+        subsets = [_Subsets(hom) for hom in homs.values()]
+        for picks in _least_picks([1 << len(h) for h in homs.values()], maps):
+            facts = dict(zip(names, map(dict.__getitem__, subsets, picks)))
             n = number + sum(map(operator.mul, picks, steps))
             yield _structure(f"S{n}", footprint, carrier, facts)
-        number += total
 
 
 class _Subsets(dict):
@@ -594,17 +587,19 @@ class StructureRegistry:
         # the exact count passed the registry's cap, so it passes as one
         return enumerate_structures(self.footprint, self._bounds, cap=self._count)
 
-    def first_per_restriction(self, features: Sequence[str]) -> Iterator[Structure]:
-        """The structures in order, skipping each whose restriction to
-        `features` an earlier one already has: a check mentioning only
-        these features gives both the same answer.  An exhaustive
-        registry builds only these, and also skips each that an
-        automorphism of its carrier maps onto an earlier restriction (see
-        `_walk`): the first structure failing an isomorphism-invariant
-        check stays."""
+    def blocks(self, features: Sequence[str]) -> Iterator[Block]:
+        """The structures in registry order as blocks on one carrier each,
+        laid out for a check that mentions only `features`.
+
+        An exhaustive registry numbers the restrictions to `features` on
+        each carrier, and a block holds the first structure of each of up
+        to BLOCK_WIDTH consecutive numbers.  An explicit registry cuts its
+        list into runs of structures on one carrier, up to BLOCK_WIDTH
+        each, so that blocks keep registry order.
+        """
         if self._bounds is not None:
-            return _walk(self.footprint, self._bounds, set(features), "cheap")
-        return _first_seen(self._structures, features)
+            return _restriction_blocks(self.footprint, self._bounds, features)
+        return _listed_blocks(self._structures, features)
 
     def __len__(self) -> int:
         return self._count
@@ -613,10 +608,93 @@ class StructureRegistry:
         return f"StructureRegistry({self.description}, {len(self)} structures)"
 
 
-def _first_seen(structures: list[Structure], features: Sequence[str]) -> Iterator[Structure]:
-    seen = set()
-    for st in structures:
-        key = st.restriction(features)
-        if key not in seen:
-            seen.add(key)
-            yield st
+# ---------------------------------------------------------------------------
+# Blocks: a registry laid out for bit-parallel checks
+
+# The most structures in one block: a mask over a block is one int of at
+# most this many bits.
+BLOCK_WIDTH = 1 << 12
+
+
+class Block:
+    """Structures on one carrier, bit j of a mask for the j-th of them.
+
+    `facts[f][h]` is the mask of the structures that hold fact h of
+    feature f, for each mentioned feature of the footprint (a fact no
+    structure holds may be missing).  `structure(j)` builds the j-th
+    structure.
+    """
+
+    __slots__ = ("carrier", "width", "facts", "structure")
+
+    def __init__(self, carrier: CatObject, width: int, facts: dict[str, dict[tuple, int]],
+                 structure):
+        self.carrier = carrier
+        self.width = width
+        self.facts = facts
+        self.structure = structure
+
+    def __iter__(self) -> Iterator[Structure]:
+        return map(self.structure, range(self.width))
+
+
+def _restriction_blocks(footprint: Footprint, bounds: CarrierBounds,
+                        features: Iterable[str]) -> Iterator[Block]:
+    """Number the restrictions on a carrier by concatenating the pick
+    masks of the mentioned features, the first feature highest: bit
+    offset_f + i of a number is fact homs[f][i], and numbers run in
+    registry order of the restrictions' first structures, those whose
+    other features are empty."""
+    for carrier, homs, number, steps in _carriers(footprint, bounds, set(features)):
+        offsets, bits = [], 0
+        for hom in reversed(homs.values()):
+            offsets.append(bits)
+            bits += len(hom)
+        offsets.reverse()
+        layout = list(zip(homs, homs.values(), offsets, steps))
+        subsets = [_Subsets(hom) for hom in homs.values()]
+        width = min(1 << bits, BLOCK_WIDTH)
+        for base in range(0, 1 << bits, width):
+            facts = {f: {h: _bit_pattern(offset + i, base, width) for i, h in enumerate(hom)}
+                     for f, hom, offset, _ in layout}
+            yield Block(carrier, width, facts,
+                        _decoder(footprint, carrier, number, base, layout, subsets))
+
+
+def _decoder(footprint: Footprint, carrier: CatObject, number: int, base: int,
+             layout: list[tuple], subsets: list[_Subsets]):
+    """Build structure j of a block: the first of restriction base + j."""
+    def structure(j: int) -> Structure:
+        r, n = base + j, number
+        facts = dict.fromkeys(footprint.features, frozenset())
+        for (f, hom, offset, step), subset in zip(layout, subsets):
+            pick = r >> offset & (1 << len(hom)) - 1
+            facts[f] = subset[pick]
+            n += pick * step
+        return _structure(f"S{n}", footprint, carrier, facts)
+    return structure
+
+
+def _bit_pattern(k: int, base: int, width: int) -> int:
+    """The mask over numbers base .. base+width-1 of those with bit k set;
+    base is a multiple of width, a power of two."""
+    if 1 << k >= width:
+        return (1 << width) - 1 if base >> k & 1 else 0
+    half = 1 << k
+    # the upper half of every period of 2*half bits
+    return ((1 << half) - 1 << half) * (((1 << width) - 1) // ((1 << 2 * half) - 1))
+
+
+def _listed_blocks(structures: list[Structure], features: Iterable[str]) -> Iterator[Block]:
+    features = [f for f in features if f in structures[0].footprint.features]
+    for carrier, run in itertools.groupby(structures, operator.attrgetter("carrier")):
+        run = list(run)
+        for start in range(0, len(run), BLOCK_WIDTH):
+            part = run[start:start + BLOCK_WIDTH]
+            facts = {}
+            for f in features:
+                masks = facts[f] = {}
+                for j, st in enumerate(part):
+                    for h in st.facts[f]:
+                        masks[h] = masks.get(h, 0) | 1 << j
+            yield Block(carrier, len(part), facts, part.__getitem__)

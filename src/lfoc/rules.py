@@ -40,7 +40,7 @@ from .category import (
     identity,
     precompose,
 )
-from .expr import And, CondExists, Expr, _Evaluator
+from .expr import And, CondExists, Expr, _Evaluator, _Masks
 from .footprint import (
     CarrierBounds,
     Footprint,
@@ -52,8 +52,11 @@ from .footprint import (
 from .sketch import (
     Constraint,
     Sketch,
+    bound_exprs,
     constraint_atoms,
     constraint_features,
+    merge_constraints,
+    registry_verdict,
     sketch_pushout,
     structure_to_sketch_max,
     translate_constraint,
@@ -150,22 +153,36 @@ def _conservative(structure: Structure, rule: SketchRule,
 def is_sound(rule: SketchRule, registry: StructureRegistry) -> Verdict:
     """Is every registry structure conservative for the rule?
 
-    Structures are checked in registry order, each restriction to the
-    rule's features once.  The witness is a (structure, lhs model) pair
-    that does not extend.
+    The witness is a (structure, lhs model) pair that does not extend:
+    the first such structure in registry order and its first such model
+    in hom-set order.  The registry is decided one block of structures at
+    a time, each restriction to the rule's features once: an lhs model a
+    extends when some rhs model b has r;b = a.  The rhs is evaluated only
+    over a block where some lhs model exists.
     """
     index = SearchIndex()
-    for structure in registry.first_per_restriction(_rule_features(rule, index)):
-        res = _conservative(structure, rule, index)
-        if not res:
-            return Verdict(False, (structure, res.witness), registry.description)
-    return Verdict(True, registry=registry.description)
+    lhs, rhs = bound_exprs(rule.lhs.constraints), bound_exprs(rule.rhs.constraints)
+
+    def by_masks(ms: _Masks):
+        modelled = ms.holding(lhs, rule.lhs.context)
+        if not any(modelled):
+            return None
+        factored = [0] * len(modelled)
+        for i, m in zip(ms.pullback(rule.morphism), ms.holding(rhs, rule.rhs.context)):
+            factored[i] |= m
+        return ms.first(rule.lhs.context, [m & ~f for m, f in zip(modelled, factored)])
+
+    def by_structure(st: Structure):
+        res = _conservative(st, rule, index)
+        return None if res else (st, res.witness)
+
+    return registry_verdict(registry, _rule_features(rule), by_masks, by_structure)
 
 
-def _rule_features(rule: SketchRule, index: SearchIndex) -> tuple[str, ...]:
+def _rule_features(rule: SketchRule) -> tuple[str, ...]:
     """The features a rule's constraints mention: all that its
     conservativity reads of a structure besides the carrier."""
-    return constraint_features(rule.lhs.constraints | rule.rhs.constraints, index)
+    return constraint_features(rule.lhs.constraints | rule.rhs.constraints)
 
 
 # ---------------------------------------------------------------------------
@@ -203,8 +220,8 @@ def apply_rule(host: Sketch, rule: SketchRule, m: Morphism, name: str = "") -> A
         po = sketch_pushout(rule.morphism, m, rule.rhs, host, rule.lhs, name or host.name)
         return AppliedRule(po.sketch, po.inj_right, po.inj_left)
     # context and its names unchanged, constraints only added
-    constraints = set(host.constraints)
-    constraints.update(translate_constraint(m, c) for c in rule.rhs.constraints)
+    constraints = merge_constraints(
+        host.constraints, [translate_constraint(m, c) for c in rule.rhs.constraints])
     return AppliedRule(Sketch(name or host.name, host.context, constraints),
                        identity(host.context), m)
 
@@ -345,7 +362,7 @@ def axiom_filtered_registry(footprint: Footprint, bounds: CarrierBounds,
     conservative for every given rule (semantics by axioms)."""
     index = SearchIndex()
     # per rule, the verdict for each restriction to its features
-    verdicts = [(r, _rule_features(r, index), {}) for r in rules]
+    verdicts = [(r, _rule_features(r), {}) for r in rules]
 
     def conservative(st: Structure) -> bool:
         for r, mentioned, decided in verdicts:

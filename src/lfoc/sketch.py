@@ -21,7 +21,7 @@ their expression, which also deduplicates constraint sets.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable
+from typing import Callable, Collection, Iterable, Sequence
 
 from .category import (
     CatObject,
@@ -35,12 +35,27 @@ from .category import (
     precompose,
     pushout,
 )
-from .expr import Atomic, Expr, _Evaluator, canonicalize, features, holds, solutions
+from .expr import (
+    Atomic,
+    Expr,
+    _Evaluator,
+    _Masks,
+    _Unlisted,
+    canonicalize,
+    features,
+    holds,
+    solutions,
+)
 from .footprint import Structure, StructureRegistry, Verdict, is_structure_hom
 
 
 class Constraint:
-    """An expression bound into a context: (expr, binding: arity -> K)."""
+    """An expression bound into a context: (expr, binding: arity -> K).
+
+    Its identity, the canonical expression with the binding, is computed
+    on first `hash`, `==` or `canonical`: a parsed document's constraints
+    are mostly never compared.
+    """
 
     __slots__ = ("expr", "binding", "_key", "_hash")
 
@@ -51,8 +66,15 @@ class Constraint:
                 f"expression arity is {expr.arity!r}")
         self.expr = expr
         self.binding = binding
-        self._key = (canonicalize(expr), binding)
-        self._hash = hash(self._key)
+        self._key = None
+        self._hash = None
+
+    def _identity(self) -> tuple:
+        key = self._key
+        if key is None:
+            key = self._key = (canonicalize(self.expr), self.binding)
+            self._hash = hash(key)
+        return key
 
     @property
     def context(self) -> CatObject:
@@ -61,30 +83,37 @@ class Constraint:
     @property
     def canonical(self) -> Expr:
         """The expression with its bound names in canonical form."""
-        return self._key[0]
+        return self._identity()[0]
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Constraint):
             return NotImplemented
-        return self._key == other._key
+        return self._identity() == other._identity()
 
     def __hash__(self) -> int:
+        if self._hash is None:
+            self._identity()
         return self._hash
 
     def __repr__(self) -> str:
         return f"Constraint({self.expr!r} @ {self.binding!r})"
 
     def sort_key(self) -> str:
-        return repr(self._key)
+        return repr(self._identity())
 
 
 class Sketch:
-    """A context object with a finite set of constraints on it."""
+    """A context object with a finite set of constraints on it.
 
-    __slots__ = ("name", "context", "constraints", "_hash", "_sorted")
+    The constraint set is built on first use, so that a sketch no command
+    reads never canonicalizes its constraints; their contexts are checked
+    at once.
+    """
+
+    __slots__ = ("name", "context", "_given", "_constraints", "_hash", "_sorted")
 
     def __init__(self, name: str, context: CatObject, constraints: Iterable[Constraint] = ()):
-        constraints = frozenset(constraints)
+        constraints = tuple(constraints)
         for c in constraints:
             if c.context != context:
                 raise CategoryError(
@@ -92,9 +121,17 @@ class Sketch:
                     f"sketch context {context!r}")
         self.name = name
         self.context = context
-        self.constraints = constraints
-        self._hash = hash((context, constraints))
+        self._given = constraints
+        self._constraints = None
+        self._hash = None
         self._sorted = None
+
+    @property
+    def constraints(self) -> frozenset[Constraint]:
+        if self._constraints is None:
+            self._constraints = frozenset(self._given)
+            self._given = None
+        return self._constraints
 
     def sorted_constraints(self) -> tuple[Constraint, ...]:
         if self._sorted is None:
@@ -107,6 +144,8 @@ class Sketch:
         return self.context == other.context and self.constraints == other.constraints
 
     def __hash__(self) -> int:
+        if self._hash is None:
+            self._hash = hash((self.context, self.constraints))
         return self._hash
 
     def __repr__(self) -> str:
@@ -152,9 +191,9 @@ def check_satisfaction_condition(phi: Morphism, c: Constraint, i: Interpretation
     return lhs == rhs
 
 
-def constraint_features(constraints: Iterable[Constraint], index: SearchIndex) -> tuple[str, ...]:
+def constraint_features(constraints: Iterable[Constraint]) -> tuple[str, ...]:
     """The features the constraints' expressions mention, sorted."""
-    return tuple(sorted({f for c in constraints for f in features(c.expr, index)}))
+    return tuple(sorted({f for c in constraints for f in features(c.expr)}))
 
 
 def constraint_atoms(constraints: Iterable[Constraint], ev: _Evaluator) -> list:
@@ -182,9 +221,11 @@ def entails(context: CatObject, premises: Iterable[Constraint],
             registry: StructureRegistry) -> Verdict:
     """Does every registry interpretation satisfying the premises also
     satisfy the conclusions?  The witness is a (structure, map) that
-    satisfies the premises but not the conclusions.
+    satisfies the premises but not the conclusions: the first such
+    structure in registry order, and its first such map in hom-set order.
 
-    Structures are checked in registry order, each restriction to the
+    The registry is decided one block of structures at a time (see
+    `StructureRegistry.blocks` and `expr._Masks`), each restriction to the
     mentioned features once.
     """
     premises = list(premises)
@@ -193,16 +234,57 @@ def entails(context: CatObject, premises: Iterable[Constraint],
         if c.context != context:
             raise CategoryError(f"constraint {c!r} does not live on {context!r}")
     index = SearchIndex()
-    mentioned = constraint_features(premises + conclusions, index)
-    for structure in registry.first_per_restriction(mentioned):
-        ev = _Evaluator(structure, index)
-        pre = constraint_atoms(premises, ev)
-        post = constraint_atoms(conclusions, ev)
-        for a in hom_search(context, structure.carrier, pre, index):
-            if not all(precompose(b, a) in sols for b, sols in post):
-                return Verdict(False, (structure, Morphism(context, structure.carrier, a)),
-                               registry.description)
+    pre, post = bound_exprs(premises), bound_exprs(conclusions)
+
+    def by_masks(ms: _Masks):
+        return ms.first(context, [p & ~q for p, q in zip(ms.holding(pre, context),
+                                                         ms.holding(post, context))])
+
+    return registry_verdict(
+        registry, constraint_features(premises + conclusions), by_masks,
+        lambda st: _unentailed(st, context, premises, conclusions, index))
+
+
+def registry_verdict(registry: StructureRegistry, features: Sequence[str],
+                     by_masks: Callable[[_Masks], tuple | None],
+                     by_structure: Callable[[Structure], tuple | None]) -> Verdict:
+    """The verdict of a check over the registry's blocks for `features`,
+    whose witness is the first (structure, map) in registry order.
+
+    `by_masks` finds a block's first witness from its masks, or None.  A
+    block whose hom sets the masks cannot list goes through
+    `by_structure` one structure at a time.  The hom lists of one
+    carrier serve its consecutive blocks.
+    """
+    carrier, plans = None, {}
+    for block in registry.blocks(features):
+        if block.carrier != carrier:
+            carrier, plans = block.carrier, {}
+        try:
+            witness = by_masks(_Masks(block, registry.footprint, plans))
+        except _Unlisted:
+            witness = next(filter(None, map(by_structure, block)), None)
+        if witness is not None:
+            return Verdict(False, witness, registry.description)
     return Verdict(True, registry=registry.description)
+
+
+def _unentailed(structure: Structure, context: CatObject, premises: list[Constraint],
+                conclusions: list[Constraint], index: SearchIndex):
+    """(structure, map) for the first map in hom-set order that satisfies
+    the premises but not the conclusions over one structure, or None."""
+    ev = _Evaluator(structure, index)
+    pre = constraint_atoms(premises, ev)
+    post = constraint_atoms(conclusions, ev)
+    for a in hom_search(context, structure.carrier, pre, index):
+        if not all(precompose(b, a) in sols for b, sols in post):
+            return structure, Morphism(context, structure.carrier, a)
+    return None
+
+
+def bound_exprs(constraints: Iterable[Constraint]) -> list[tuple[Expr, Morphism]]:
+    """The constraints as (expression, binding) pairs, for `_Masks`."""
+    return [(c.expr, c.binding) for c in constraints]
 
 
 def check_sketch_morphism(phi: Morphism, src: Sketch, dst: Sketch,
@@ -237,10 +319,32 @@ def sketch_pushout(f: Morphism, g: Morphism, left: Sketch, right: Sketch,
     if f.cod != left.context or g.cod != right.context:
         raise CategoryError("span legs must end at the two sketch contexts")
     po = pushout(f, g)
-    constraints = set()
-    constraints.update(translate_constraint(po.inj_left, c) for c in left.constraints)
-    constraints.update(translate_constraint(po.inj_right, c) for c in right.constraints)
+    constraints = merge_constraints(
+        [translate_constraint(po.inj_left, c) for c in left.constraints],
+        [translate_constraint(po.inj_right, c) for c in right.constraints])
     return SketchPushoutResult(Sketch(name, po.apex, constraints), po.inj_left, po.inj_right)
+
+
+def merge_constraints(*groups: Collection[Constraint]) -> list[Constraint]:
+    """The constraints of the groups, each equal pair kept once.
+
+    Equal constraints can differ in their expressions' bound names, which
+    shows in print.  An earlier group's constraint is kept, and within a
+    group the one whose expression has the smaller repr, so the choice
+    never depends on the order in which a set yields them.
+    """
+    kept: dict[Constraint, None] = {}
+    for group in groups:
+        fresh = dict.fromkeys(group)
+        if len(fresh) < len(group):  # equal constraints within the group
+            chosen: dict[Constraint, Constraint] = {}
+            for c in group:
+                other = chosen.setdefault(c, c)
+                if other.expr is not c.expr and repr(c.expr) < repr(other.expr):
+                    chosen[c] = c
+            fresh = dict.fromkeys(chosen.values())
+        kept.update(fresh)  # keeps an earlier group's key
+    return list(kept)
 
 
 # ---------------------------------------------------------------------------

@@ -10,9 +10,9 @@ that `category.isomorphisms` replaced.
 The registry checks (`entails`, `check_sketch_morphism`, `is_sound`,
 `axiom_filtered_registry`) decide every structure from scratch, and
 `enumerate_structures` validates every structure it builds, as the
-engine did before it decided each restriction once per call and one
-structure per carrier automorphism orbit; `test_restriction.py` and
-`test_orbits.py` hold the engine to them.  `enumerate_isomorph_free`
+engine did before it decided each restriction once per call, a block
+of structures at a time; `test_restriction.py`, `test_orbits.py` and
+`test_blocks.py` hold the engine to them.  `enumerate_isomorph_free`
 is the pairwise dedup that `enumerate_structures(dedup_isomorphic=True)`
 replaced: it tests each structure against every kept one with the
 engine's `structures_isomorphic`.

@@ -1,9 +1,11 @@
-"""Exhaustive registries walked one structure per automorphism orbit.
+"""Exhaustive registries laid out in blocks, and walked one structure
+per automorphism orbit.
 
-An exhaustive registry builds only the first structure of each
-restriction, and skips one when an automorphism of its carrier maps the
-restriction onto an earlier one; `enumerate_structures(dedup_isomorphic=
-True)` keeps one structure per isomorphism class the same way.  Verdicts,
+A registry check decides an exhaustive registry one block of
+restrictions at a time and builds only the structure it returns as a
+witness; `enumerate_structures(dedup_isomorphic=True)` keeps one
+structure per isomorphism class by skipping a structure that an
+automorphism of its carrier maps onto an earlier one.  Verdicts,
 registry descriptions and witnesses (structure name and map) must equal
 those of `tests/oracle.py`'s full scan, and the dedup must keep the
 structures, names and order of the pairwise loop it replaced.  Set
@@ -118,7 +120,8 @@ def test_walk_keeps_the_first_structure_of_every_class(seed, kind):
         return
     fp, used, bounds = picked
     mentioned = rng.sample(sorted(used.features), rng.randint(0, len(used.features)))
-    walked = list(StructureRegistry.exhaustive(fp, bounds).first_per_restriction(mentioned))
+    walked = [s for block in StructureRegistry.exhaustive(fp, bounds).blocks(mentioned)
+              for s in block]
     everything = list(enumerate_structures(fp, bounds))
     order = {s.name: i for i, s in enumerate(everything)}
     numbers = [order[s.name] for s in walked]
@@ -158,10 +161,16 @@ def test_first_counterexample_on_a_carrier_with_automorphisms():
     _same(got, oracle.entails(p2, pair, back, registry))
     carrier = got.witness[0].carrier
     assert carrier.size == 2 and bijection_bound(carrier) == 2
-    walked = list(registry.first_per_restriction(("r",)))
-    assert len(walked) < sum(2 ** (n * n) for n in range(4))
+    # the failing check builds its witness and no other structure
+    built = []
+    real = footprint._structure
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(footprint, "_structure", lambda *a: built.append(a[0]) or real(*a))
+        again = entails(p2, pair, back, registry)
+    _same(again, got)
+    assert built == [got.witness[0].name]
 
-    # a check that holds scans every walked structure
+    # a check that holds decides every restriction
     both = [Constraint(conj(atom("r", identity(p2)), atom("r", flipped)), identity(p2))]
     _same(entails(p2, both, back, registry), oracle.entails(p2, both, back, registry))
 
@@ -207,20 +216,19 @@ def _run(argv):
     return code, out.getvalue()
 
 
-def test_exhaustive_entail_builds_one_structure_per_orbit(tmp_path, monkeypatch):
+def test_exhaustive_entail_builds_no_structure_when_it_holds(tmp_path, monkeypatch):
     built = []
     real = footprint._structure
     monkeypatch.setattr(footprint, "_structure", lambda *a: built.append(a[0]) or real(*a))
     code, _ = _run(["entail", _cat_document(tmp_path), "--left", "Both2", "--right", "Split2",
                     "--max-carrier", "2,2"])
     assert code == 0
-    # of 3 189 structures, 51 differ in `ident`; automorphisms skip 5 of
-    # these: a swap of two loops on one vertex, and on two carriers with
-    # a loop on each vertex, a swap of the vertices with their loops
-    assert len(built) == 46
+    # of 3 189 structures, 51 differ in `ident`; the check decides them
+    # from masks and builds none
+    assert built == []
 
 
-def test_cost_rule_keeps_large_carriers_away_from_isomorphisms(tmp_path, monkeypatch):
+def test_registry_checks_never_ask_for_isomorphisms(tmp_path, monkeypatch):
     path = tmp_path / "unary.lfoc"
     path.write_text(
         "base set;\nobj P1 { p };\nfootprint U { feature mark : P1; };\n"
@@ -240,8 +248,8 @@ def test_cost_rule_keeps_large_carriers_away_from_isomorphisms(tmp_path, monkeyp
     code, _ = _run(["entail", str(path), "--left", "Anyone", "--right", "Taut",
                     "--max-carrier", "12"])
     assert code == 0
-    # n! bijections against 2^n restrictions: only n <= 3 pays
-    assert sizes == [2, 3]
+    # restrictions are decided as masks, never compared up to isomorphism
+    assert sizes == []
 
 
 @settings(max_examples=40, deadline=None)

@@ -3,9 +3,9 @@
 A check reads a structure only through its restriction: the carrier plus
 the interpretations of the features the check's expressions mention.
 `entails`, `check_sketch_morphism`, `is_sound` and
-`axiom_filtered_registry` decide each restriction once per call, and the
-evaluator shares solution sets between structures with equal
-restrictions.  Verdicts, registry descriptions and witnesses (structure
+`axiom_filtered_registry` decide each restriction once per call: the
+first three a block of restrictions at a time, the last through a
+verdict per restriction.  Verdicts, registry descriptions and witnesses (structure
 name and map) must equal those of `tests/oracle.py`, which decides every
 structure from scratch.  Footprints carry a `spare` feature that no
 constraint mentions, so exhaustive registries repeat every restriction;
