@@ -279,47 +279,78 @@ def hom_set(dom: CatObject, cod: CatObject) -> tuple[Morphism, ...]:
     return tuple(Morphism(dom, cod, b) for b in hom_search(dom, cod))
 
 
-def hom_search(dom: CatObject, cod: CatObject, atoms=(),
-               index: SearchIndex | None = None) -> list[tuple[int, ...]]:
+def hom_search(dom: CatObject, cod: CatObject, atoms=(), index: SearchIndex | None = None
+               ) -> list[tuple[int, ...]] | dict[tuple[int, ...], int]:
     """Every b: dom -> cod with delta;b in R for each atom, in hom-set order.
 
     An atom (binding, relation) stands for a morphism delta: A -> dom and
-    a set R of morphisms A -> cod: `binding` holds the positions in dom
-    of delta's images of A's names, and `relation` holds image tuples in
-    cod, both in A's name order.  Results are image tuples.
+    a relation R of morphisms A -> cod: `binding` holds the positions in
+    dom of delta's images of A's names, and `relation` holds image tuples
+    in cod, both in A's name order.  A relation is a set of tuples, or a
+    dict from tuples to int masks: then bit j of a mask says whether the
+    tuple is in the j-th of several relations, such as one per structure
+    of a block.  With only sets the result is a list of image tuples;
+    with a dict it is a dict from each b to the AND of its atoms' masks
+    (a set counting as all bits), leaving out 0.
 
     Names of dom are bound one at a time in declared order, each to the
     candidates every atom over it still allows (Generic Join); an edge's
-    candidates come from the edges between its bound endpoints.  With no
-    constraining atom this is all of hom(dom, cod), refused by estimate
-    past HOM_ENUMERATION_CAP; otherwise the search refuses once its
-    output passes the cap.
+    candidates come from the edges between its bound endpoints; a
+    complete binding ANDs its atoms' masks.  With no constraining atom
+    this is all of hom(dom, cod), refused by estimate past
+    HOM_ENUMERATION_CAP; otherwise the search refuses once its output
+    passes the cap.
     """
     if dom.kind != cod.kind:
         raise CategoryError(f"kind mismatch: {dom!r} is a {dom.kind}, {cod!r} is a {cod.kind}")
     if index is None:
         index = SearchIndex()
+    masked = any(type(relation) is dict for _, relation in atoms)
+    const = -1  # the masks of the atoms that bind no name
     reduced = []
     for binding, relation in atoms:
         variables, columns, repeats = index.plan(binding)
+        if not variables:
+            # an atom that binds no name holds of every b or of none
+            const &= _mask(relation, ())
+            if not const:
+                return {} if masked else []
+            continue
         if columns is not None:
-            relation = {tuple(r[c] for c in columns) for r in relation
-                        if all(r[j] == r[k] for j, k in repeats)}
+            if type(relation) is dict:
+                relation = {tuple(r[c] for c in columns): m for r, m in relation.items()
+                            if all(r[j] == r[k] for j, k in repeats)}
+            else:
+                relation = {tuple(r[c] for c in columns) for r in relation
+                            if all(r[j] == r[k] for j, k in repeats)}
         if not relation:
-            return []
-        if variables:
-            reduced.append((variables, relation))
+            return {} if masked else []
+        reduced.append((variables, relation))
     if not reduced:
-        return _homs(dom, cod)
+        homs = _homs(dom, cod)
+        return dict.fromkeys(homs, const) if masked else homs
     n = dom.size
     full = [a for a in reduced if len(a[0]) == n]
     if full:
         # one atom binds every name: its facts are the candidates
         chosen = min(full, key=lambda a: len(a[1]))
         others = [a for a in reduced if a is not chosen]
-        return sorted(b for b in chosen[1]
-                      if all(tuple(b[p] for p in v) in f for v, f in others))
-    return _join(dom, cod, reduced)
+        out = {}
+        for b in sorted(chosen[1]):
+            m = const & _mask(chosen[1], b)
+            for v, f in others:
+                m &= _mask(f, tuple(b[p] for p in v))
+            if m:
+                out[b] = m
+        return out if masked else list(out)
+    return _join(dom, cod, reduced, const if masked else None)
+
+
+def _mask(relation, fact: tuple) -> int:
+    """The mask of a fact in a relation: a set holds it at every bit."""
+    if type(relation) is dict:
+        return relation.get(fact, 0)
+    return -1 if fact in relation else 0
 
 
 def _homs(dom: CatObject, cod: CatObject) -> list[tuple[int, ...]]:
@@ -333,7 +364,7 @@ def _homs(dom: CatObject, cod: CatObject) -> list[tuple[int, ...]]:
             f"(cap {HOM_ENUMERATION_CAP})", estimate)
     if not dom.edges:
         return list(itertools.product(range(len(cod.vertices)), repeat=len(dom.vertices)))
-    return _join(dom, cod, ())
+    return _join(dom, cod, (), None)
 
 
 def _edges_between(cod: CatObject) -> dict[tuple[int, int], list[int]]:
@@ -345,18 +376,24 @@ def _edges_between(cod: CatObject) -> dict[tuple[int, int], list[int]]:
     return ends
 
 
-def _join(dom: CatObject, cod: CatObject, atoms) -> list[tuple[int, ...]]:
+def _join(dom: CatObject, cod: CatObject, atoms, const: int | None) -> list | dict:
+    """The search over atoms that each bind some name, as a list of
+    tuples, or with `const` (the AND of the masks that bind no name) not
+    None, as a dict of masks."""
     n = dom.size
     # one trie per atom, its levels in the order of its positions; built
-    # from sorted facts, so every node lists its keys in ascending order
+    # from sorted facts, so every node lists its keys in ascending order.
+    # A leaf holds the fact's mask, -1 for a set
     tries: list[dict] = []
     at: list[list[int]] = [[] for _ in range(n)]
     for variables, facts in atoms:
         root: dict = {}
+        masked = type(facts) is dict
         for fact in sorted(facts):
             node = root
-            for v in fact:
+            for v in fact[:-1]:
                 node = node.setdefault(v, {})
+            node[fact[-1]] = facts[fact] if masked else -1
         for p in variables:
             at[p].append(len(tries))
         tries.append(root)
@@ -365,12 +402,20 @@ def _join(dom: CatObject, cod: CatObject, atoms) -> list[tuple[int, ...]]:
     pos = dom.position
     endpoints = [(pos[dom.src[e]], pos[dom.tgt[e]]) for e in dom.edges]
 
-    out: list[tuple[int, ...]] = []
+    out = [] if const is None else {}
     b = [0] * n
 
     def extend(i: int) -> None:
         if i == n:
-            out.append(tuple(b))
+            if const is None:
+                out.append(tuple(b))
+            else:
+                # every trie is at the leaf of its fact: AND their masks
+                mask = const
+                for leaf in tries:
+                    mask &= leaf
+                if mask:
+                    out[tuple(b)] = mask
             if len(out) > HOM_ENUMERATION_CAP:
                 raise EnumerationLimitError(
                     f"hom search {dom!r} -> {cod!r} has over {HOM_ENUMERATION_CAP} "

@@ -258,6 +258,9 @@ def cmd_apply(doc: Document, args) -> int:
 
 
 def cmd_saturate(doc: Document, args) -> int:
+    for flag in ("max_steps", "max_elements", "max_vertices", "max_edges"):
+        if (getattr(args, flag) or 0) < 0:
+            raise CategoryError(f"--{flag.replace('_', '-')} must be non-negative")
     host = _named(doc.sketches, args.host, "sketch")
     rules = [_named(doc.rules, name.strip(), "rule")
              for name in args.rules.split(",") if name.strip()]
@@ -411,6 +414,11 @@ _PARSER = build_parser()
 
 def main(argv=None) -> int:
     args = _PARSER.parse_args(argv)
+    # argparse reads `--flag=--` as an empty list, skipping its `type`
+    empty = next((name for name, value in vars(args).items() if value == []), None)
+    if empty is not None:
+        print(f"error: --{empty.replace('_', '-')} expects a value", file=sys.stderr)
+        return 2
     try:
         doc = parse_path(args.file)
         return args.func(doc, args)

@@ -23,6 +23,11 @@ so ill-formed candidates can be built and then reported on by
 `wf_check`; the lowercase helper functions (`conj`, `exists_along`,
 ...) do insist on well-formed input.
 
+`_Evaluator` computes solutions over a block of structures on one
+carrier, each solution with the mask of the structures it solves the
+expression over; a single structure is the block of width 1.  Every
+command and registry check evaluates through it.
+
 `substitute` translates an expression along a morphism of its arity,
 and `canonicalize` names every quantifier target positionally.  Both
 are one iterative walk, `_transport`, not limited by nesting depth.
@@ -34,15 +39,12 @@ node once and after its children: a node's first hash, `features` and
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import reduce
-from itertools import repeat
-from operator import and_, is_, or_
+from operator import is_
 from typing import Callable, Iterator
 
 from .category import (
     CatObject,
     CategoryError,
-    EnumerationLimitError,
     Morphism,
     SearchIndex,
     canonical_copy,
@@ -50,7 +52,6 @@ from .category import (
     hom_search,
     identity,
     inverse,
-    precompose,
     pushout,
 )
 from .footprint import Block, Footprint, Structure, Verdict
@@ -315,46 +316,62 @@ def is_constructive(e: Expr, *, strict: bool = False) -> bool:
 # Semantics
 
 class _Evaluator:
-    """Solution sets over one structure.
+    """Solutions over a block of structures on one carrier, as masks.
 
-    A solution set, like a structure's facts, is a frozenset of image
-    tuples (see `hom_search`).  Atoms and conjunctions go through one hom
-    search; `or` and `not` are set algebra, and quantifiers project
-    solutions along their variable declaration.  An `exists` with a `top`
-    premise never enumerates hom(X, carrier); `top`, `not`, `forall` and
-    other premises do.  Solutions are memoized per expression.  Pass a
+    The value of an expression maps each tuple of hom(arity, carrier)
+    (see `hom_search`) that solves it over some structure of the block to
+    the mask of those structures, bit j for the j-th, leaving out mask 0.
+    A single `Structure` is the block of width 1: its value maps each
+    solution to 1.  Atoms and conjunctions are one hom search over the
+    facts' masks; `or` ORs masks, `not` complements them, and quantifiers
+    project masks along their variable declaration.  An `exists` with a
+    `top` premise never lists hom(arity, carrier); `top`, `not`, `forall`
+    and other premises do.  Values are memoized per expression.  Pass a
     `SearchIndex` to share the hom searches' reading plans across the
-    structures of one call.
+    blocks or structures of one call.
     """
 
-    def __init__(self, structure: Structure, index: SearchIndex | None = None):
+    def __init__(self, structure: Structure | Block, index: SearchIndex | None = None):
         self.structure = structure
+        self.carrier = structure.carrier
+        self.full = (1 << structure.width) - 1
         self.index = SearchIndex() if index is None else index
-        self.memo: dict[Expr, frozenset] = {}
+        self.memo: dict[Expr, dict] = {}
 
     def solutions(self, e: Expr) -> frozenset:
-        """The solutions of `e` as a frozenset of morphisms."""
-        carrier = self.structure.carrier
-        return frozenset(Morphism(e.arity, carrier, b) for b in self.tuples(e))
+        """The solutions of `e`, over some structure, as a frozenset of
+        morphisms."""
+        carrier = self.carrier
+        return frozenset(Morphism(e.arity, carrier, b) for b in self.masks(e))
 
-    def tuples(self, e: Expr) -> frozenset:
+    def tuples(self, e: Expr):
+        """The tuples that solve `e` over some structure, as a set view."""
+        return self.masks(e).keys()
+
+    def masks(self, e: Expr) -> dict:
         out = self.memo.get(e)
         if out is None:
             out = self.memo[e] = self._compute(e)
         return out
 
-    def _compute(self, e: Expr) -> frozenset:
+    def holding(self, context: CatObject, atoms: list) -> dict:
+        """Per tuple of hom(context, carrier), in hom-set order, the mask
+        of the structures where every hom-search atom holds of it (a set
+        of facts holding in all of them), leaving out mask 0."""
+        found = hom_search(context, self.carrier, atoms, self.index)
+        return found if type(found) is dict else dict.fromkeys(found, self.full)
+
+    def _compute(self, e: Expr) -> dict:
+        full = self.full
         if isinstance(e, (Atomic, And, Top)):
             atoms = self._conjuncts(e)
-            if atoms is None:
-                return frozenset()
-            return frozenset(hom_search(e.arity, self.structure.carrier, atoms, self.index))
+            return {} if atoms is None else self.holding(e.arity, atoms)
         if isinstance(e, Bot):
-            return frozenset()
+            return {}
         if isinstance(e, Or):
-            return self.tuples(e.left) | self.tuples(e.right)
+            return _or(self.masks(e.left), self.masks(e.right))
         if isinstance(e, Not):
-            return self.tuples(Top(e.arity)) - self.tuples(e.body)
+            return _complement(self.masks(Top(e.arity)), self.masks(e.body), full)
         if isinstance(e, (CondExists, CondForall)):
             if e.var.dom != e.arity or e.body.arity != e.var.cod:
                 raise CategoryError(
@@ -362,200 +379,94 @@ class _Evaluator:
                     f"{e.arity!r} to the body arity {e.body.arity!r}")
             t = e.var.images
             if isinstance(e, CondExists):
-                witnessed = frozenset(precompose(t, b) for b in self.tuples(e.body))
+                witnessed = _along(t, self.masks(e.body))
                 if isinstance(e.premise, Top):
                     return witnessed
-                return (self.tuples(Top(e.arity)) - self.tuples(e.premise)) | witnessed
-            # extensions of a along t are the b with t;b = a
-            spoiled = {precompose(t, b)
-                       for b in self.tuples(Top(e.var.cod)) - self.tuples(e.body)}
-            return self.tuples(Top(e.arity)) - (self.tuples(e.premise) & spoiled)
+                every, premise = self.masks(Top(e.arity)), self.masks(e.premise)
+                return _or(_complement(every, premise, full), witnessed)
+            # extensions of a along t are the b with t;b = a; the spoiled
+            # are the a with some extension failing the body
+            extensions = self.masks(Top(e.var.cod))
+            spoiled = _along(t, _complement(extensions, self.masks(e.body), full))
+            every, premise = self.masks(Top(e.arity)), self.masks(e.premise)
+            return _complement(every, _and(premise, spoiled), full)
         raise TypeError(f"not an expression node: {e!r}")
 
     def _conjuncts(self, e: Expr) -> list | None:
-        """The hom-search atoms of a conjunction, or None if a conjunct is bot.
-
-        Atomic conjuncts become their feature's facts; `top` adds
-        nothing; any other conjunct adds its solutions at the full arity.
-        """
-        every = tuple(range(e.arity.size))
+        """The hom-search atoms of a conjunction, its conjuncts checked left
+        to right, or None at a `bot`: an atom reads its feature's facts
+        (none if its binding starts elsewhere than at the feature's
+        arity), `top` adds nothing and any other conjunct its masks."""
+        arity, facts = e.arity, self.structure.facts
+        features = self.structure.footprint.features
+        every = tuple(range(arity.size))
         atoms = []
-        for node, facts in _conjuncts(e, self.structure.facts, self.structure.footprint):
-            if isinstance(node, Bot):
+        stack = [e]
+        while stack:
+            node = stack.pop()
+            if node.arity is not arity and node.arity != arity:
+                raise CategoryError(f"conjunct arity {node.arity!r} differs from {arity!r}")
+            if isinstance(node, And):
+                stack += (node.right, node.left)
+            elif isinstance(node, Atomic):
+                binding = node.binding
+                if binding.cod is not arity and binding.cod != arity:
+                    raise CategoryError(
+                        f"atom binding ends at {binding.cod!r}, expected the arity {arity!r}")
+                got = facts.get(node.feature)
+                if got is None:
+                    raise CategoryError(f"structure has no feature {node.feature!r}")
+                want = features[node.feature]
+                atoms.append((binding.images,
+                              got if binding.dom is want or binding.dom == want else ()))
+            elif isinstance(node, Bot):
                 return None
-            if isinstance(node, Atomic):
-                atoms.append((node.binding.images, frozenset() if facts is None else facts))
-            else:
-                atoms.append((every, self.tuples(node)))
+            elif not isinstance(node, Top):
+                atoms.append((every, self.masks(node)))
         return atoms
 
 
-def _conjuncts(e: Expr, facts: dict, footprint: Footprint) -> Iterator[tuple[Expr, object]]:
-    """The conjuncts of `e` but `top`, left to right and checked, up to
-    a first `bot`: each atom with its feature's entry in `facts` (None
-    when its binding starts elsewhere than at the feature's arity, so
-    that no fact matches), any other conjunct with None."""
-    arity = e.arity
-    stack = [e]
-    while stack:
-        node = stack.pop()
-        if node.arity is not arity and node.arity != arity:
-            raise CategoryError(f"conjunct arity {node.arity!r} differs from {arity!r}")
-        if isinstance(node, And):
-            stack += (node.right, node.left)
-        elif isinstance(node, Atomic):
-            if node.binding.cod is not arity and node.binding.cod != arity:
-                raise CategoryError(
-                    f"atom binding ends at {node.binding.cod!r}, "
-                    f"expected the arity {arity!r}")
-            got = facts.get(node.feature)
-            if got is None:
-                raise CategoryError(f"structure has no feature {node.feature!r}")
-            want = footprint.features[node.feature]
-            yield node, got if node.binding.dom is want or node.binding.dom == want else None
-        elif isinstance(node, Bot):
-            yield node, None
-            return
-        elif not isinstance(node, Top):
-            yield node, None
+# -- operations on masks, each value a dict from tuples to nonzero masks ------
+
+def _or(left: dict, right: dict) -> dict:
+    if len(left) < len(right):
+        left, right = right, left
+    out = left.copy()
+    for a, m in right.items():
+        out[a] = out.get(a, 0) | m
+    return out
 
 
-class _Unlisted(Exception):
-    """A hom set `_Masks` needs cannot be listed: past
-    HOM_ENUMERATION_CAP, or between objects of two kinds."""
+def _and(left: dict, right: dict) -> dict:
+    if len(left) > len(right):
+        left, right = right, left
+    return {a: both for a, m in left.items() if (both := m & right.get(a, 0))}
 
 
-class _Masks:
-    """Solution masks over a block of structures on one carrier.
+def _complement(every: dict, value: dict, full: int) -> dict:
+    """The complement of `value` within `every`, the top value."""
+    # a copy of `every` hashes no tuple, so drop the keys of a small value
+    # from it, and build the complement of a large one afresh
+    if 2 * len(value) < len(every):
+        out = every.copy()
+        for a in value:
+            out.pop(a, None)
+    else:
+        out = dict.fromkeys(every.keys() - value.keys(), full)
+    if set(value.values()) - {full}:
+        out.update((a, full ^ m) for a, m in value.items() if m != full and a in every)
+    return out
 
-    Bit j of a mask stands for the block's j-th structure, and an
-    expression's masks are one int per tuple of hom(arity, carrier), in
-    hom-set order: the structures over which that tuple solves it.
-    Atoms read their fact's mask; `and`, `or` and `not` are `&`, `|` and
-    complement; `exists` ORs the body's masks along its variable and
-    `forall` ANDs them.  So one int operation decides a node over the
-    whole block.
 
-    Nodes are visited and checked in `_Evaluator`'s order, so an
-    ill-formed expression raises the same error.  Every hom set is listed
-    no later than `_Evaluator` would search it; one that cannot be listed
-    raises `_Unlisted`, and so does a node whose arity `_Evaluator` would
-    not check, so the caller can decide the block with `_Evaluator`
-    instead.  `plans` holds the hom lists and index maps of the carrier,
-    shared by its blocks in one call.
-    """
-
-    def __init__(self, block: Block, footprint: Footprint, plans: dict):
-        self.block = block
-        self.footprint = footprint
-        self.plans = plans
-        self.all = (1 << block.width) - 1
-        self.memo: dict = {}
-
-    def homs(self, arity: CatObject) -> tuple[list, dict]:
-        """hom(arity, carrier) as a list of tuples and their positions."""
-        got = self.plans.get(arity)
-        if got is None:
-            try:
-                tuples = hom_search(arity, self.block.carrier)
-            except (CategoryError, EnumerationLimitError) as exc:
-                raise _Unlisted from exc
-            got = self.plans[arity] = (tuples, {a: i for i, a in enumerate(tuples)})
-        return got
-
-    def pullback(self, m: Morphism) -> list[int]:
-        """For each b in hom(m.cod, carrier), the position of m;b in
-        hom(m.dom, carrier)."""
-        key = ("pullback", m)
-        got = self.plans.get(key)
-        if got is None:
-            pos = self.homs(m.dom)[1]
-            t = m.images
-            got = self.plans[key] = [pos[precompose(t, b)] for b in self.homs(m.cod)[0]]
-        return got
-
-    def holding(self, bound: list[tuple[Expr, Morphism]], context: CatObject) -> list[int]:
-        """Per tuple a of hom(context, carrier), the mask of the structures
-        where every expression holds at binding;a, for the (expression,
-        binding) pairs in `bound`; their expressions are evaluated first,
-        in order."""
-        values = [self.masks(e) for e, _ in bound]
-        out = [self.all] * len(self.homs(context)[0])
-        for masks, (_, binding) in zip(values, bound):
-            out = list(map(and_, out, map(masks.__getitem__, self.pullback(binding))))
-        return out
-
-    def first(self, context: CatObject, failing: list[int]) -> tuple | None:
-        """The block's first structure failing at some tuple, with the
-        first such tuple as a map, or None; failing[i] masks the
-        structures failing at tuple i of hom(context, carrier)."""
-        anywhere = reduce(or_, failing, 0)
-        if not anywhere:
-            return None
-        low = anywhere & -anywhere
-        i = next(i for i, m in enumerate(failing) if m & low)
-        return (self.block.structure(low.bit_length() - 1),
-                Morphism(context, self.block.carrier, self.homs(context)[0][i]))
-
-    def masks(self, e: Expr) -> list[int]:
-        out = self.memo.get(e)
-        if out is None:
-            out = self.memo[e] = self._compute(e)
-        return out
-
-    def _compute(self, e: Expr) -> list[int]:
-        n = len(self.homs(e.arity)[0])
-        if isinstance(e, (Atomic, And, Top)):
-            return self._conjunction(e, n)
-        if isinstance(e, Bot):
-            return [0] * n
-        if isinstance(e, Or):
-            return list(map(or_, self._kid(e, e.left), self._kid(e, e.right)))
-        if isinstance(e, Not):
-            every = self.all
-            return [every ^ m for m in self._kid(e, e.body)]
-        if isinstance(e, (CondExists, CondForall)):
-            if e.var.dom != e.arity or e.body.arity != e.var.cod:
-                raise CategoryError(
-                    f"quantifier along {e.var!r} does not run from the arity "
-                    f"{e.arity!r} to the body arity {e.body.arity!r}")
-            every, into = self.all, self.pullback(e.var)
-            body = self.masks(e.body)
-            out = [0] * n
-            if isinstance(e, CondExists):
-                for i, m in zip(into, body):
-                    out[i] |= m
-                if isinstance(e.premise, Top):
-                    return out
-                return [(every ^ p) | w for p, w in zip(self._kid(e, e.premise), out)]
-            for i, m in zip(into, body):  # the spoiled: some extension fails the body
-                out[i] |= every ^ m
-            return [every ^ (p & s) for p, s in zip(self._kid(e, e.premise), out)]
-        raise TypeError(f"not an expression node: {e!r}")
-
-    def _kid(self, e: Expr, kid: Expr) -> list[int]:
-        if kid.arity != e.arity:
-            raise _Unlisted  # `_Evaluator` does not check this
-        return self.masks(kid)
-
-    def _conjunction(self, e: Expr, n: int) -> list[int]:
-        """The conjuncts' masks ANDed; all zero at a `bot`."""
-        out = [self.all] * n
-        for node, facts in _conjuncts(e, self.block.facts, self.footprint):
-            if isinstance(node, Bot):
-                return [0] * n
-            if not isinstance(node, Atomic):
-                out = list(map(and_, out, self.masks(node)))
-            elif facts is None:
-                out = [0] * n
-            else:
-                key = ("atom", node.binding)
-                at = self.plans.get(key)
-                if at is None:
-                    t = node.binding.images
-                    at = self.plans[key] = [precompose(t, a) for a in self.homs(e.arity)[0]]
-                out = list(map(and_, out, map(facts.get, at, repeat(0))))
-        return out
+def _along(t: tuple[int, ...], value: dict) -> dict:
+    """The value's masks ORed per t;b, for each of its tuples b."""
+    images = (tuple([b[p] for p in t]) for b in value)
+    if len(set(value.values())) == 1:  # one mask: nothing to OR
+        return dict.fromkeys(images, next(iter(value.values())))
+    out: dict = {}
+    for a, m in zip(images, value.values()):
+        out[a] = out.get(a, 0) | m
+    return out
 
 
 def solutions(e: Expr, structure: Structure) -> tuple[Morphism, ...]:
@@ -565,7 +476,7 @@ def solutions(e: Expr, structure: Structure) -> tuple[Morphism, ...]:
             f"expression arity {e.arity!r} and carrier {structure.carrier!r} "
             f"have different kinds")
     ev = _Evaluator(structure)
-    return tuple(Morphism(e.arity, structure.carrier, b) for b in sorted(ev.tuples(e)))
+    return tuple(Morphism(e.arity, structure.carrier, b) for b in sorted(ev.masks(e)))
 
 
 def holds(a: Morphism, e: Expr, structure: Structure) -> bool:
@@ -576,8 +487,7 @@ def holds(a: Morphism, e: Expr, structure: Structure) -> bool:
     if a.cod != structure.carrier:
         raise CategoryError(
             f"assignment ends at {a.cod!r} but the carrier is {structure.carrier!r}")
-    ev = _Evaluator(structure)
-    return a.images in ev.tuples(e)
+    return a.images in _Evaluator(structure).masks(e)
 
 
 # ---------------------------------------------------------------------------

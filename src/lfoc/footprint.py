@@ -106,6 +106,7 @@ class Structure:
     """
 
     __slots__ = ("name", "footprint", "carrier", "facts", "_strays", "_hash")
+    width = 1  # read as a block (see `Block`), a structure is a block of one
 
     def __init__(self, name: str, footprint: Footprint, carrier: CatObject,
                  interpretation: Mapping[str, Iterable[Morphism]] | None = None):
@@ -299,66 +300,109 @@ def _hom_count(arity: CatObject, carrier: CatObject) -> int:
     return len(hom_search(arity, carrier))
 
 
+# A set count past the cap is built in full only up to this many bits;
+# past that its refusal reads the top bits off the largest exponents.
+_EXACT_BITS = 1 << 16
+
+
 def _count_structures(footprint: Footprint, bounds: CarrierBounds,
                       cap: int | None = None) -> int:
     # per carrier 2^(sum of hom-set sizes).  Graph carriers can be too
-    # many to walk, so with a cap the walk stops once the total passes it.
+    # many to walk, and a set count far past the cap too large to build,
+    # so with a cap these are walked until the total passes it: a lower
+    # bound
     if footprint.kind == SET:
-        # n elements give 2^(sum of n^|A|): one exponent for all n when
-        # every arity is empty, else distinct exponents, so the total is
-        # one bit per carrier, set in time linear in its length
-        arities = [a.size for a in footprint.features.values()]
-        exponents = [sum(n ** k for k in arities) for n in _set_sizes(bounds)]
-        if not any(arities):
-            return len(exponents) << len(arities)
-        bits = bytearray(max(exponents, default=0) // 8 + 1)
-        for x in exponents:
-            bits[x >> 3] |= 1 << (x & 7)
-        return int.from_bytes(bits, "little")
+        sizes = _set_sizes(bounds)
+        if not any(a.size for a in footprint.features.values()):
+            return len(sizes) << len(footprint.features)  # n^0 is 1 for every n
+        if cap is None or not _far_past(footprint, sizes, cap):
+            return _set_top_bits(footprint, sizes, None)[0]
+        terms = (1 << _set_exponent(footprint, n) for n in sizes)
+    else:
+        terms = (1 << sum(_hom_count(a, carrier) for a in footprint.features.values())
+                 for carrier in enumerate_carriers(GRAPH, bounds))
     total = 0
-    for carrier in enumerate_carriers(GRAPH, bounds):
-        total += 1 << sum(_hom_count(a, carrier) for a in footprint.features.values())
+    for term in terms:
+        total += term
         if cap is not None and total > cap:
             break
     return total
+
+
+def _set_exponent(footprint: Footprint, n: int) -> int:
+    """log2 of the number of structures on n elements: sum of n^|A|,
+    increasing in n unless every arity is empty."""
+    return sum(n ** a.size for a in footprint.features.values())
+
+
+def _far_past(footprint: Footprint, sizes: range, cap: int) -> bool:
+    """Is the set count past `cap` by its largest term alone, which has
+    more than _EXACT_BITS bits?"""
+    top = _set_exponent(footprint, sizes[-1]) if sizes else 0
+    return top > max(_EXACT_BITS, cap.bit_length())
+
+
+def _set_top_bits(footprint: Footprint, sizes: range, bits: int | None) -> tuple[int, int]:
+    """The set count's top `bits` bits (all for None) and their shift:
+    the terms within `bits` of the largest, the others being less than
+    one unit of the shift in all, as the exponents are distinct."""
+    s = 0 if bits is None else max(0, _set_exponent(footprint, sizes[-1]) + 1 - bits)
+    top = 0
+    for n in reversed(sizes):
+        x = _set_exponent(footprint, n)
+        if x < s:
+            break
+        top += 1 << (x - s)
+    return top, s
 
 
 def _checked_count(footprint: Footprint, bounds: CarrierBounds, cap: int) -> int:
     """The number of structures within the bounds, refused past `cap`."""
     total = _count_structures(footprint, bounds, cap)
     if total > cap:
-        at_least = "at least " if footprint.kind == GRAPH else ""
+        sizes = _set_sizes(bounds) if footprint.kind == SET else None
+        if sizes is not None and _far_past(footprint, sizes, cap):
+            text = _leading_text(lambda bits: _set_top_bits(footprint, sizes, bits))
+        else:
+            text = ("at least " if sizes is None else "") + _count_text(total)
         raise EnumerationLimitError(
-            f"enumeration would yield {at_least}{_count_text(total)} structures (cap {cap})",
-            total)
+            f"enumeration would yield {text} structures (cap {cap})", total)
     return total
 
 
 def _count_text(n: int) -> str:
     """n in full up to 20 digits; past that its two leading digits and
-    its power of ten (str() refuses ints past 4300 digits), read off n's
-    top 64 bits unless the range they leave for n spans two texts."""
-    if n < 10 ** 20:
-        return str(n)
+    its power of ten (str() refuses ints past 4300 digits)."""
+    def top_bits(bits: int) -> tuple[int, int]:
+        s = max(0, n.bit_length() - bits)
+        return n >> s, s
+    return _leading_text(top_bits)
+
+
+def _leading_text(top_bits) -> str:
+    """`_count_text` of a count given by `top_bits(k)`: its top k bits
+    and their shift s, so that the count is at least top * 2^s and below
+    (top + 1) * 2^s, and exactly top * 2^s when s is 0.  The two ends
+    give the text when they agree; else twice the bits are read."""
     import decimal  # here, not at module load: only a refusal needs it
 
-    s = n.bit_length() - 64
-    # at 40 digits the power and the products are off by far less than
-    # the slack of 1e-30
-    with decimal.localcontext(decimal.Context(prec=40, Emax=decimal.MAX_EMAX)):
-        scale, slack = decimal.Decimal(2) ** s, decimal.Decimal("1e-30")
-        ends = {(d.adjusted(), int(d.scaleb(1 - d.adjusted())))
-                for d in ((n >> s) * scale * (1 - slack), ((n >> s) + 1) * scale * (1 + slack))}
-    if len(ends) == 1:
-        (e, lead), = ends
-    else:
-        e = int(math.log10(n))
-        while 10 ** e > n:
-            e -= 1
-        while 10 ** (e + 1) <= n:
-            e += 1
-        lead = n // 10 ** (e - 1)
-    return f"about {lead // 10}.{lead % 10}e{e}"
+    bits = 128  # past 10^20, so a shift of 0 below that
+    while True:
+        top, s = top_bits(bits)
+        if not s and top < 10 ** 20:
+            return str(top)
+        # at this precision the power and the products are off by far
+        # less than the slack, and the slack is far less than 2^-bits
+        prec = bits * 3 // 10 + 12
+        with decimal.localcontext(decimal.Context(prec=prec, Emax=decimal.MAX_EMAX)):
+            scale = decimal.Decimal(2) ** s
+            slack = decimal.Decimal(10) ** (10 - prec) if s else 0
+            ends = {(d.adjusted(), int(d.scaleb(1 - d.adjusted())))
+                    for d in (top * scale * (1 - slack), (top + bool(s)) * scale * (1 + slack))}
+        if len(ends) == 1:
+            (e, lead), = ends
+            return f"about {lead // 10}.{lead % 10}e{e}"
+        bits *= 2
 
 
 def enumerate_structures(footprint: Footprint, bounds: CarrierBounds, *,
@@ -620,15 +664,16 @@ class Block:
     """Structures on one carrier, bit j of a mask for the j-th of them.
 
     `facts[f][h]` is the mask of the structures that hold fact h of
-    feature f, for each mentioned feature of the footprint (a fact no
-    structure holds may be missing).  `structure(j)` builds the j-th
+    feature f, for each mentioned feature of the footprint; a fact no
+    structure holds is missing.  `structure(j)` builds the j-th
     structure.
     """
 
-    __slots__ = ("carrier", "width", "facts", "structure")
+    __slots__ = ("footprint", "carrier", "width", "facts", "structure")
 
-    def __init__(self, carrier: CatObject, width: int, facts: dict[str, dict[tuple, int]],
-                 structure):
+    def __init__(self, footprint: Footprint, carrier: CatObject, width: int,
+                 facts: dict[str, dict[tuple, int]], structure):
+        self.footprint = footprint
         self.carrier = carrier
         self.width = width
         self.facts = facts
@@ -655,9 +700,10 @@ def _restriction_blocks(footprint: Footprint, bounds: CarrierBounds,
         subsets = [_Subsets(hom) for hom in homs.values()]
         width = min(1 << bits, BLOCK_WIDTH)
         for base in range(0, 1 << bits, width):
-            facts = {f: {h: _bit_pattern(offset + i, base, width) for i, h in enumerate(hom)}
+            facts = {f: {h: m for i, h in enumerate(hom)
+                         if (m := _bit_pattern(offset + i, base, width))}
                      for f, hom, offset, _ in layout}
-            yield Block(carrier, width, facts,
+            yield Block(footprint, carrier, width, facts,
                         _decoder(footprint, carrier, number, base, layout, subsets))
 
 
@@ -686,7 +732,8 @@ def _bit_pattern(k: int, base: int, width: int) -> int:
 
 
 def _listed_blocks(structures: list[Structure], features: Iterable[str]) -> Iterator[Block]:
-    features = [f for f in features if f in structures[0].footprint.features]
+    fp = structures[0].footprint
+    features = [f for f in features if f in fp.features]
     for carrier, run in itertools.groupby(structures, operator.attrgetter("carrier")):
         run = list(run)
         for start in range(0, len(run), BLOCK_WIDTH):
@@ -697,4 +744,4 @@ def _listed_blocks(structures: list[Structure], features: Iterable[str]) -> Iter
                 for j, st in enumerate(part):
                     for h in st.facts[f]:
                         masks[h] = masks.get(h, 0) | 1 << j
-            yield Block(carrier, len(part), facts, part.__getitem__)
+            yield Block(fp, carrier, len(part), facts, part.__getitem__)

@@ -13,13 +13,15 @@ extends along the rule morphism to a right-hand model; a rule is
 *sound* over a registry when all its structures are conservative.  A
 sketch is *closed* under a rule when every left-hand match factors
 through a right-hand match.  The two are one property over two
-relations, so one search decides both: the first left-hand solution in
-hom-set order that is no r;b for a right-hand solution b, where the
-solutions are models of a structure or matches in a host, and the
-right-hand side is searched only once a left-hand solution exists.
-Saturation applies a rule at that first solution among its matches.
-These checks return a `Verdict` whose witness, when the property fails,
-is the left-hand model or match that does not extend or factor.
+relations: the left-hand solutions in hom-set order that are no r;b for
+a right-hand solution b, where the right-hand side is searched only once
+a left-hand solution exists.  Conservativity and soundness search the
+models of the evaluator's holding masks (`_unextended`), one structure
+being a block of one, so the failing masks name the structures too;
+closedness and saturation search matches in a host (`_unfactored`), and
+saturation applies a rule at the first unfactored match.  These checks
+return a `Verdict` whose witness, when the property fails, is the
+left-hand model or match that does not extend or factor.
 Conservativity of a structure and closedness of its maximal sketch over
 the rule's expressions agree; `check_equivalence` computes both sides
 independently.
@@ -40,7 +42,7 @@ from .category import (
     identity,
     precompose,
 )
-from .expr import And, CondExists, Expr, _Evaluator, _Masks
+from .expr import And, CondExists, Expr, _Evaluator
 from .footprint import (
     CarrierBounds,
     Footprint,
@@ -52,11 +54,10 @@ from .footprint import (
 from .sketch import (
     Constraint,
     Sketch,
-    bound_exprs,
-    constraint_atoms,
     constraint_features,
     merge_constraints,
     registry_verdict,
+    satisfied,
     sketch_pushout,
     structure_to_sketch_max,
     translate_constraint,
@@ -137,17 +138,10 @@ def _unfactored(rule: SketchRule, cod: CatObject, atoms: Callable[[Sketch], list
 def is_conservative(structure: Structure, rule: SketchRule) -> Verdict:
     """Does every lhs model of the structure extend along the rule
     morphism to an rhs model?  The witness is an lhs model that does not."""
-    return _conservative(structure, rule, SearchIndex())
-
-
-def _conservative(structure: Structure, rule: SketchRule,
-                  index: SearchIndex) -> Verdict:
-    ev = _Evaluator(structure, index)
-    carrier = structure.carrier
-    a = _unfactored(rule, carrier, lambda sk: constraint_atoms(sk.constraints, ev), index)
-    if a is None:
+    unextended = _unextended(_Evaluator(structure), rule)
+    if not unextended:
         return Verdict(True)
-    return Verdict(False, Morphism(rule.lhs.context, carrier, a))
+    return Verdict(False, Morphism(rule.lhs.context, structure.carrier, next(iter(unextended))))
 
 
 def is_sound(rule: SketchRule, registry: StructureRegistry) -> Verdict:
@@ -156,27 +150,25 @@ def is_sound(rule: SketchRule, registry: StructureRegistry) -> Verdict:
     The witness is a (structure, lhs model) pair that does not extend:
     the first such structure in registry order and its first such model
     in hom-set order.  The registry is decided one block of structures at
-    a time, each restriction to the rule's features once: an lhs model a
-    extends when some rhs model b has r;b = a.  The rhs is evaluated only
-    over a block where some lhs model exists.
+    a time, each restriction to the rule's features once.
     """
-    index = SearchIndex()
-    lhs, rhs = bound_exprs(rule.lhs.constraints), bound_exprs(rule.rhs.constraints)
+    return registry_verdict(registry, _rule_features(rule), rule.lhs.context,
+                            lambda ev: _unextended(ev, rule))
 
-    def by_masks(ms: _Masks):
-        modelled = ms.holding(lhs, rule.lhs.context)
-        if not any(modelled):
-            return None
-        factored = [0] * len(modelled)
-        for i, m in zip(ms.pullback(rule.morphism), ms.holding(rhs, rule.rhs.context)):
-            factored[i] |= m
-        return ms.first(rule.lhs.context, [m & ~f for m, f in zip(modelled, factored)])
 
-    def by_structure(st: Structure):
-        res = _conservative(st, rule, index)
-        return None if res else (st, res.witness)
-
-    return registry_verdict(registry, _rule_features(rule), by_masks, by_structure)
+def _unextended(ev: _Evaluator, rule: SketchRule) -> dict:
+    """Per lhs model a in hom-set order, the mask of the structures where
+    it does not extend: where no rhs model b has r;b = a.  The rhs is
+    evaluated only once some lhs model exists."""
+    modelled = ev.holding(rule.lhs.context, satisfied(ev, rule.lhs.constraints))
+    if not modelled:
+        return {}
+    r = rule.morphism.images
+    factored: dict = {}
+    for b, m in ev.holding(rule.rhs.context, satisfied(ev, rule.rhs.constraints)).items():
+        a = precompose(r, b)
+        factored[a] = factored.get(a, 0) | m
+    return {a: f for a, m in modelled.items() if (f := m & ~factored.get(a, 0))}
 
 
 def _rule_features(rule: SketchRule) -> tuple[str, ...]:
@@ -369,7 +361,7 @@ def axiom_filtered_registry(footprint: Footprint, bounds: CarrierBounds,
             key = st.restriction(mentioned)
             ok = decided.get(key)
             if ok is None:
-                ok = decided[key] = bool(_conservative(st, r, index))
+                ok = decided[key] = not _unextended(_Evaluator(st, index), r)
             if not ok:
                 return False
         return True

@@ -14,6 +14,14 @@ functors interact so that satisfaction is invariant:
 
 `check_satisfaction_condition` evaluates both sides independently.
 
+Satisfaction is read off the one evaluator (`expr._Evaluator`): the
+constraints' masks are the atoms of a holding search over the context,
+whose result maps each interpretation to the structures it satisfies
+them in.  `models` runs it over one structure; `entails` (and
+`check_sketch_morphism` through it) over each block of a registry,
+where `registry_verdict` turns the masks of the failing structures into
+the first witness in registry order.
+
 Constraints compare equal up to canonical renaming of bound names in
 their expression, which also deduplicates constraint sets.
 """
@@ -21,6 +29,8 @@ their expression, which also deduplicates constraint sets.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import reduce
+from operator import or_
 from typing import Callable, Collection, Iterable, Sequence
 
 from .category import (
@@ -29,7 +39,6 @@ from .category import (
     Morphism,
     SearchIndex,
     compose,
-    hom_search,
     identity,
     isomorphisms,
     precompose,
@@ -39,8 +48,6 @@ from .expr import (
     Atomic,
     Expr,
     _Evaluator,
-    _Masks,
-    _Unlisted,
     canonicalize,
     features,
     holds,
@@ -196,10 +203,10 @@ def constraint_features(constraints: Iterable[Constraint]) -> tuple[str, ...]:
     return tuple(sorted({f for c in constraints for f in features(c.expr)}))
 
 
-def constraint_atoms(constraints: Iterable[Constraint], ev: _Evaluator) -> list:
+def satisfied(ev: _Evaluator, constraints: Iterable[Constraint]) -> list:
     """Hom-search atoms for interpretations satisfying the constraints:
-    each binding with the solutions of its expression."""
-    return [(c.binding.images, ev.tuples(c.expr)) for c in constraints]
+    each binding with the masks of its expression, evaluated in order."""
+    return [(c.binding.images, ev.masks(c.expr)) for c in constraints]
 
 
 def models(sketch: Sketch, structure: Structure) -> tuple[Interpretation, ...]:
@@ -210,8 +217,7 @@ def models(sketch: Sketch, structure: Structure) -> tuple[Interpretation, ...]:
             f"sketch context {sketch.context!r} and carrier "
             f"{structure.carrier!r} have different kinds")
     ev = _Evaluator(structure)
-    atoms = constraint_atoms(sketch.constraints, ev)
-    found = hom_search(sketch.context, structure.carrier, atoms, ev.index)
+    found = ev.holding(sketch.context, satisfied(ev, sketch.constraints))
     return tuple(Interpretation(Morphism(sketch.context, structure.carrier, a), structure)
                  for a in found)
 
@@ -225,66 +231,52 @@ def entails(context: CatObject, premises: Iterable[Constraint],
     structure in registry order, and its first such map in hom-set order.
 
     The registry is decided one block of structures at a time (see
-    `StructureRegistry.blocks` and `expr._Masks`), each restriction to the
-    mentioned features once.
+    `StructureRegistry.blocks` and `registry_verdict`): the premises'
+    holding search gives, per map, the structures it satisfies them in,
+    and a conclusion's masks at the map take out those it satisfies.
     """
     premises = list(premises)
     conclusions = list(conclusions)
     for c in premises + conclusions:
         if c.context != context:
             raise CategoryError(f"constraint {c!r} does not live on {context!r}")
-    index = SearchIndex()
-    pre, post = bound_exprs(premises), bound_exprs(conclusions)
 
-    def by_masks(ms: _Masks):
-        return ms.first(context, [p & ~q for p, q in zip(ms.holding(pre, context),
-                                                         ms.holding(post, context))])
+    def failing(ev: _Evaluator) -> dict:
+        pre, post = satisfied(ev, premises), satisfied(ev, conclusions)
+        out = {}
+        for a, m in ev.holding(context, pre).items():
+            held = m
+            for b, masks in post:
+                held &= masks.get(precompose(b, a), 0)
+            if held != m:
+                out[a] = m ^ held
+        return out
 
-    return registry_verdict(
-        registry, constraint_features(premises + conclusions), by_masks,
-        lambda st: _unentailed(st, context, premises, conclusions, index))
+    return registry_verdict(registry, constraint_features(premises + conclusions),
+                            context, failing)
 
 
 def registry_verdict(registry: StructureRegistry, features: Sequence[str],
-                     by_masks: Callable[[_Masks], tuple | None],
-                     by_structure: Callable[[Structure], tuple | None]) -> Verdict:
+                     context: CatObject, failing: Callable[[_Evaluator], dict]) -> Verdict:
     """The verdict of a check over the registry's blocks for `features`,
     whose witness is the first (structure, map) in registry order.
 
-    `by_masks` finds a block's first witness from its masks, or None.  A
-    block whose hom sets the masks cannot list goes through
-    `by_structure` one structure at a time.  The hom lists of one
-    carrier serve its consecutive blocks.
+    `failing` maps an evaluator over a block to the masks of the
+    structures that fail the check at each map of hom(context, carrier),
+    in hom-set order; the first structure is the lowest bit set in any
+    of them, and its map the first where it is set.
     """
-    carrier, plans = None, {}
+    index = SearchIndex()
     for block in registry.blocks(features):
-        if block.carrier != carrier:
-            carrier, plans = block.carrier, {}
-        try:
-            witness = by_masks(_Masks(block, registry.footprint, plans))
-        except _Unlisted:
-            witness = next(filter(None, map(by_structure, block)), None)
-        if witness is not None:
+        found = failing(_Evaluator(block, index))
+        if found:
+            low = reduce(or_, found.values())
+            low &= -low
+            a = next(a for a, m in found.items() if m & low)
+            witness = (block.structure(low.bit_length() - 1),
+                       Morphism(context, block.carrier, a))
             return Verdict(False, witness, registry.description)
     return Verdict(True, registry=registry.description)
-
-
-def _unentailed(structure: Structure, context: CatObject, premises: list[Constraint],
-                conclusions: list[Constraint], index: SearchIndex):
-    """(structure, map) for the first map in hom-set order that satisfies
-    the premises but not the conclusions over one structure, or None."""
-    ev = _Evaluator(structure, index)
-    pre = constraint_atoms(premises, ev)
-    post = constraint_atoms(conclusions, ev)
-    for a in hom_search(context, structure.carrier, pre, index):
-        if not all(precompose(b, a) in sols for b, sols in post):
-            return structure, Morphism(context, structure.carrier, a)
-    return None
-
-
-def bound_exprs(constraints: Iterable[Constraint]) -> list[tuple[Expr, Morphism]]:
-    """The constraints as (expression, binding) pairs, for `_Masks`."""
-    return [(c.expr, c.binding) for c in constraints]
 
 
 def check_sketch_morphism(phi: Morphism, src: Sketch, dst: Sketch,

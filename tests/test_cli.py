@@ -176,6 +176,35 @@ def test_apply_and_non_match(capsys):
     assert "not a match" in err
 
 
+@pytest.mark.parametrize("flag", ["--max-steps", "--max-elements", "--max-vertices",
+                                  "--max-edges"])
+def test_negative_saturation_budgets_are_bad_input(capsys, flag):
+    code, payload, err = run(capsys, "saturate", CAT, "--host", "AnyVertex",
+                             "--rules", "id_exists", flag, "-1")
+    assert code == 2 and payload is None
+    assert err == f"error: {flag} must be non-negative\n"
+
+
+@pytest.mark.parametrize("argv", [
+    ("saturate", CAT, "--host", "AnyVertex", "--rules", "id_exists", "--max-steps=--"),
+    ("sound", CAT, "--rule", "id_unique", "--max-carrier=--"),
+    ("solve", FOL, "--expr=--", "--structure", "Smiths"),
+])
+def test_an_option_given_a_double_dash_is_bad_input(capsys, argv):
+    # argparse reads `--flag=--` as an empty list and skips the flag's type
+    code, payload, err = run(capsys, *argv)
+    flag = argv[-1].split("=")[0] if argv[-1].endswith("=--") else "--expr"
+    assert code == 2 and payload is None
+    assert err == f"error: {flag} expects a value\n"
+
+
+def test_a_zero_step_budget_is_exhausted(capsys):
+    code, payload, _ = run(capsys, "saturate", CAT, "--host", "AnyVertex",
+                           "--rules", "id_exists", "--max-steps", "0")
+    assert code == 1
+    assert payload["status"] == "budget-exhausted" and payload["steps"] == 0
+
+
 def test_saturate_closed_and_budget(capsys):
     code, payload, _ = run(capsys, "saturate", CAT, "--host", "AnyVertex",
                            "--rules", "id_exists", "--max-steps", "5")
@@ -360,6 +389,27 @@ def test_oversized_set_registry_is_refused_in_time_linear_in_the_count(capsys):
     assert time.perf_counter() - start < 2
     assert code == 2 and payload is None
     assert err == "error: enumeration would yield about 1.5e10840692 structures (cap 500000)\n"
+
+
+def test_oversized_set_registry_is_refused_in_bounded_memory(capsys):
+    # sum over n <= 20000 of 2^(n + n^2): the count has 400 million bits,
+    # about 50 MB; the refusal reads its top bits off the largest exponents
+    tracemalloc.start()
+    try:
+        code, payload, err = run(capsys, "sound", ALC, "--rule", "gci_happy",
+                                 "--max-carrier", "20000")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 2 and payload is None
+    assert err == "error: enumeration would yield about 2.9e120424039 structures (cap 500000)\n"
+    assert peak < 40_000_000
+    start = time.perf_counter()
+    code, payload, err = run(capsys, "sound", ALC, "--rule", "gci_happy",
+                             "--max-carrier", "1000000000")
+    assert time.perf_counter() - start < 1
+    assert code == 2 and err == ("error: enumeration would yield about "
+                                 "3.4e301029996266041186 structures (cap 500000)\n")
 
 
 def test_oversized_graph_registry_is_refused_without_walking_every_carrier(capsys, monkeypatch):

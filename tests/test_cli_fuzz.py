@@ -65,3 +65,67 @@ def test_mutated_documents_keep_the_exit_code_contract(tmp_path, example):
         if code == 2:
             lines = err.getvalue().splitlines()
             assert len(lines) == 1 and lines[0].startswith("error:"), (command, lines)
+
+
+# The numeric flags of the registry and saturation commands, as the
+# golden sweep passes them, given other values: negative, zero, empty,
+# not an integer, or signed with "+".  Set registries are also bounded
+# at 1 000 to 5 000 elements, which they refuse at once; graph registries
+# and saturation budgets stay at most 3, as a graph registry far past the
+# cap is refused only after walking up to the cap's number of carriers.
+NUMERIC = {
+    "saturate": ("--max-steps", "--max-elements", "--max-vertices", "--max-edges"),
+    "sound": ("--max-carrier",),
+    "entail": ("--max-carrier",),
+}
+FLAGGED = [(name, command) for name in FIXTURES for command in SWEEP[name][1]
+           if command[0] in NUMERIC]
+NUMBERS = st.one_of(st.integers(-5000, -1).map(str), st.integers(0, 3).map(str),
+                    st.integers(0, 3).map("+{}".format))
+LARGE = st.integers(1000, 5000).map(str)
+OTHERS = st.sampled_from(("", " ", "x", "1.5", "1e3", "--", "-", "+", "0x2", "2,", ","))
+
+
+@st.composite
+def flagged(draw):
+    name, command = draw(st.sampled_from(FLAGGED))
+    flag = draw(st.sampled_from(NUMERIC[command[0]]))
+    values = [NUMBERS, OTHERS]
+    if flag == "--max-carrier" and name in ("fol", "alc"):
+        values.append(LARGE)
+    parts = draw(st.lists(st.one_of(values), min_size=1,
+                          max_size=2 if flag == "--max-carrier" else 1))
+    value = ",".join(parts)
+    argv = list(command[1:])
+    if flag in argv:
+        del argv[argv.index(flag):argv.index(flag) + 2]
+    together = draw(st.booleans())
+    argv += [f"{flag}={value}"] if together else [flag, value]
+    negative = any(p.strip().startswith("-") and p.strip()[1:].isdigit() for p in parts)
+    return name, command[0], argv, negative
+
+
+@settings(max_examples=150, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(flagged())
+def test_mutated_numeric_flags_keep_the_exit_code_contract(tmp_path, example):
+    name, command, argv, negative = example
+    path = tmp_path / f"{name}.lfoc"
+    path.write_bytes(DOCUMENTS[name])
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        try:
+            code = main([command, str(path), *argv])
+        except SystemExit as exc:  # argparse refuses a value it cannot read
+            code, usage = exc.code, True
+        else:
+            usage = False
+    assert code in (0, 1, 2), (argv, code)
+    if negative:
+        assert code == 2, argv
+    if code == 2:
+        lines = err.getvalue().splitlines()
+        if usage:
+            assert lines[-1].startswith(f"lfoc {command}: error:"), (argv, lines)
+        else:
+            assert len(lines) == 1 and lines[0].startswith("error:"), (argv, lines)

@@ -229,3 +229,29 @@ def test_count_text_reads_the_leading_digits_and_the_exponent(lead, k, off, bits
             assert _count_text(n) == _leading_digits(n)
         else:
             assert _count_text(n) == str(n)
+
+
+@given(st.lists(st.integers(min_value=0, max_value=3), min_size=1, max_size=3),
+       st.integers(min_value=0, max_value=100), st.integers(min_value=0, max_value=70),
+       st.integers(min_value=0, max_value=3000))
+@settings(max_examples=150, deadline=None)
+def test_a_set_refusal_reads_the_count_off_its_largest_exponents(arities, n, exact_bits, cap):
+    # with the exact count built only up to `exact_bits` bits, the text of
+    # a refusal is the exact count's, and its estimate a lower bound past
+    # the cap
+    from lfoc import footprint as fpm
+
+    fp = Footprint("F", "set", {f"f{i}": FinSet(tuple(f"a{j}" for j in range(k)))
+                                for i, k in enumerate(arities)})
+    bounds = CarrierBounds(max_elements=n)
+    exact = count_structures(fp, bounds)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(fpm, "_EXACT_BITS", exact_bits)
+        if exact <= cap:
+            assert len(StructureRegistry.exhaustive(fp, bounds, cap=cap)) == exact
+            return
+        with pytest.raises(EnumerationLimitError) as err:
+            StructureRegistry.exhaustive(fp, bounds, cap=cap)
+    assert str(err.value) == (f"enumeration would yield {_count_text(exact)} structures "
+                              f"(cap {cap})")
+    assert cap < err.value.estimate <= exact

@@ -1,0 +1,118 @@
+"""Laws of the logic that tie the evaluator's node kinds together.
+
+No law needs a second implementation: each compares the engine with
+itself on generated input.
+
+* sol(e) is the disjoint union of sol(e and p) and sol(e and not p);
+* sol(e or f) is sol(e) union sol(f), and sol(not not e) is sol(e);
+* a conditional forall is the negated conditional exists of the negated
+  body under the same premise, or the premise fails;
+* an exhaustive registry and the explicit registry of its structures, in
+  its order, give the same `entails` and `is_sound` verdicts and
+  witnesses.
+
+Expressions come from `helpers.random_expr` (every node kind, non-`top`
+premises), structures from `helpers.random_structure`, on set and graph
+carriers.
+"""
+
+from __future__ import annotations
+
+import random
+
+from hypothesis import given, settings, strategies as st
+
+from helpers import random_expr, random_graph, random_morphism, random_structure
+from lfoc.category import FinSet
+from lfoc.expr import cond_exists, cond_forall, conj, disj, neg, solutions
+from lfoc.footprint import Footprint, StructureRegistry
+from lfoc.rules import is_sound
+from lfoc.sketch import entails
+from test_orbits import _footprint
+from test_restriction import _rule
+from test_search import _constraints, _small
+
+SEEDS = st.integers(min_value=0, max_value=2**32 - 1)
+KINDS = st.sampled_from(["set", "graph"])
+LAWS = settings(max_examples=80, deadline=None)
+
+
+def _setting(rng, kind):
+    """A footprint, a structure over it and an arity for expressions."""
+    if kind == "set":
+        features = {f"f{i}": FinSet(tuple(f"a{j}" for j in range(rng.randint(0, 2))))
+                    for i in range(rng.randint(1, 2))}
+    else:
+        features = {f"f{i}": random_graph(rng, 1, 2, f"a{i}") for i in range(rng.randint(1, 2))}
+    fp = Footprint("FP", kind, features)
+    structure = random_structure(rng, fp, _small(rng, kind, 3, "c"), rng.choice((0.2, 0.5, 0.8)))
+    return fp, structure, _small(rng, kind, 2, "x")
+
+
+def _sol(e, structure) -> set:
+    return set(solutions(e, structure))
+
+
+@LAWS
+@given(seed=SEEDS, kind=KINDS)
+def test_a_partition_splits_the_solutions(seed, kind):
+    rng = random.Random(seed)
+    fp, structure, x = _setting(rng, kind)
+    e, p = random_expr(rng, fp, x, 2), random_expr(rng, fp, x, 1)
+    yes, no = _sol(conj(e, p), structure), _sol(conj(e, neg(p)), structure)
+    assert not yes & no
+    assert yes | no == _sol(e, structure)
+
+
+@LAWS
+@given(seed=SEEDS, kind=KINDS)
+def test_or_is_union_and_not_not_is_the_identity(seed, kind):
+    rng = random.Random(seed)
+    fp, structure, x = _setting(rng, kind)
+    e, f = random_expr(rng, fp, x, 2), random_expr(rng, fp, x, 2)
+    assert _sol(disj(e, f), structure) == _sol(e, structure) | _sol(f, structure)
+    assert _sol(neg(neg(e)), structure) == _sol(e, structure)
+
+
+@LAWS
+@given(seed=SEEDS, kind=KINDS)
+def test_forall_is_not_exists_not_under_the_same_premise(seed, kind):
+    rng = random.Random(seed)
+    fp, structure, x = _setting(rng, kind)
+    y = _small(rng, kind, 3, "y")
+    t = random_morphism(rng, x, y)
+    if t is None:
+        return
+    premise, body = random_expr(rng, fp, x, 1), random_expr(rng, fp, y, 1)
+    every = _sol(cond_forall(premise, t, body), structure)
+    assert every == (_sol(neg(cond_exists(premise, t, neg(body))), structure)
+                     | _sol(neg(premise), structure))
+
+
+def _same_verdict(got, want):
+    assert bool(got) == bool(want)
+    if want.witness is None:
+        assert got.witness is None
+        return
+    (st_got, map_got), (st_want, map_want) = got.witness, want.witness
+    assert st_got.name == st_want.name and st_got == st_want
+    assert map_got == map_want
+
+
+@LAWS
+@given(seed=SEEDS, kind=KINDS)
+def test_an_exhaustive_registry_checks_as_its_listed_structures(seed, kind):
+    rng = random.Random(seed)
+    picked = _footprint(rng, kind, 300)
+    if picked is None:
+        return
+    fp, used, bounds = picked
+    exhaustive = StructureRegistry.exhaustive(fp, bounds)
+    listed = StructureRegistry.explicit(list(exhaustive))
+    context = _small(rng, kind, 3, "k")
+    premises = _constraints(rng, used, context, rng.randint(0, 2))
+    conclusions = _constraints(rng, used, context, rng.randint(1, 2))
+    _same_verdict(entails(context, premises, conclusions, listed),
+                  entails(context, premises, conclusions, exhaustive))
+    rule = _rule(rng, used, kind)
+    _same_verdict(is_sound(rule, listed), is_sound(rule, exhaustive))

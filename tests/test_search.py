@@ -291,3 +291,51 @@ def test_search_refuses_once_its_output_passes_the_cap(monkeypatch):
         assert exc.estimate == 6
     else:
         raise AssertionError("the search passed the cap")
+
+
+@settings(max_examples=200, deadline=None)
+@given(seed=SEEDS, kind=KINDS, width=st.integers(min_value=1, max_value=8))
+def test_masked_search_is_the_scan_of_each_bit(seed, kind, width):
+    # relations carry masks of `width` bits (0 included, as absent) or are
+    # sets (every bit); the search's tuples and masks must be those of a
+    # brute-force scan of hom(dom, cod), bit by bit, in hom-set order
+    from helpers import brute_force_homs
+
+    rng = random.Random(seed)
+    dom, cod = _small(rng, kind, 3, "d"), _small(rng, kind, 3, "c")
+    empty = FinSet(()) if kind == "set" else FinGraph((), ())
+    atoms = []
+    for _ in range(rng.randint(1, 4)):
+        r = rng.random()
+        if r < 0.15:  # a nullary feature
+            a, delta = empty, Morphism(empty, dom, ())
+        elif r < 0.3:  # one atom binds every name
+            a, delta = dom, identity(dom)
+        else:  # bindings repeat positions at random
+            a = _small(rng, kind, 3, "a")
+            delta = random_morphism(rng, a, dom)
+            if delta is None:
+                continue
+        facts = sorted(m.images for m in brute_force_homs(a, cod))
+        if rng.random() < 0.3:
+            relation = {h for h in facts if rng.random() < 0.6}
+        else:
+            relation = {h: rng.randrange(1 << width) for h in facts if rng.random() < 0.8}
+        atoms.append((delta.images, relation))
+
+    def holds(relation, fact, bit):
+        if isinstance(relation, dict):
+            return relation.get(fact, 0) >> bit & 1
+        return fact in relation
+
+    scanned = {}
+    for b in sorted(m.images for m in brute_force_homs(dom, cod)):
+        mask = sum(1 << j for j in range(width)
+                   if all(holds(rel, tuple(b[p] for p in binding), j) for binding, rel in atoms))
+        if mask:
+            scanned[b] = mask
+    got = hom_search(dom, cod, atoms, SearchIndex())
+    if any(isinstance(rel, dict) for _, rel in atoms):
+        assert list(got.items()) == list(scanned.items())
+    else:
+        assert got == list(scanned)
