@@ -319,8 +319,16 @@ def _add_registry_flags(sub: argparse.ArgumentParser) -> None:
                      help="footprint for --max-carrier when several are declared")
 
 
+class _Parser(argparse.ArgumentParser):
+    """Raises its refusals, so that `main` prints each as one line; its
+    subcommand parsers are of this class too."""
+
+    def error(self, message: str):
+        raise argparse.ArgumentError(None, message)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="lfoc",
         description="Solve, check, and rewrite first-order constraint sketches.")
     subs = parser.add_subparsers(dest="command", required=True)
@@ -413,16 +421,16 @@ _PARSER = build_parser()
 
 
 def main(argv=None) -> int:
-    args = _PARSER.parse_args(argv)
-    # argparse reads `--flag=--` as an empty list, skipping its `type`
-    empty = next((name for name, value in vars(args).items() if value == []), None)
-    if empty is not None:
-        print(f"error: --{empty.replace('_', '-')} expects a value", file=sys.stderr)
-        return 2
     try:
+        args = _PARSER.parse_args(argv)
+        # argparse reads `--flag=--` as an empty list, skipping its `type`
+        empty = next((name for name, value in vars(args).items() if value == []), None)
+        if empty is not None:
+            raise argparse.ArgumentError(None, f"--{empty.replace('_', '-')} expects a value")
         doc = parse_path(args.file)
         return args.func(doc, args)
-    except (ParseError, CategoryError, MatchError, EnumerationLimitError, OSError) as exc:
+    except (argparse.ArgumentError, ParseError, CategoryError, MatchError,
+            EnumerationLimitError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except RecursionError:

@@ -15,11 +15,16 @@ its restriction: the carrier plus those features' facts.  A registry
 lays itself out for such a check in blocks of structures on one
 carrier, each fact a mask with one bit per structure (`Block`), and an
 exhaustive registry puts the first structure of each restriction in a
-block once.
+block once.  Laid out over every feature, these blocks are the one walk
+of an exhaustive registry: `enumerate_structures` yields their
+structures, keeping with `dedup_isomorphic` the bits of a mask that no
+carrier automorphism lowers, and `rules.axiom_filtered_registry` keeps
+the bits that no rule fails.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import operator
@@ -150,12 +155,6 @@ class Structure:
 
     def _count(self, feature: str) -> int:
         return len(self.facts[feature]) + len(self._strays.get(feature, ()))
-
-    def restriction(self, features: Iterable[str]) -> tuple:
-        """The carrier and the facts of `features` (None for a feature the
-        footprint lacks): all that a check mentioning only these features
-        reads of the structure."""
-        return (self.carrier, *map(self.facts.get, features))
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Structure):
@@ -418,8 +417,8 @@ def enumerate_structures(footprint: Footprint, bounds: CarrierBounds, *,
     `dedup_isomorphic` only the first structure of each isomorphism class
     is kept, under its own name.
     """
-    _checked_count(footprint, bounds, cap)
-    yield from _walk(footprint, bounds, dedup_isomorphic)
+    for block, kept in _kept_blocks(footprint, bounds, dedup_isomorphic, cap):
+        yield from block.structures(kept)
 
 
 def _carriers(footprint: Footprint, bounds: CarrierBounds,
@@ -439,31 +438,32 @@ def _carriers(footprint: Footprint, bounds: CarrierBounds,
         number += math.prod(sizes)
 
 
-def _walk(footprint: Footprint, bounds: CarrierBounds, dedup: bool) -> Iterator[Structure]:
-    """Every structure in registry order or, with `dedup`, the first of
-    each isomorphism class.
+def _kept_blocks(footprint: Footprint, bounds: CarrierBounds, dedup: bool,
+                 cap: int = STRUCTURE_ENUMERATION_CAP) -> Iterator[tuple[Block, int]]:
+    """Every structure in registry order, as blocks laid out for all
+    features, each with the mask of the structures to keep: all of them
+    or, with `dedup`, the first of each isomorphism class.  Refuses past
+    `cap` structures as `enumerate_structures` does.
 
-    An automorphism s of a carrier maps a structure onto an isomorphic
-    one on the same carrier, each fact h to h;s.  The dedup skips a
-    structure when some automorphism maps it onto an earlier one, and
+    With all features laid out, a structure's number on its carrier is
+    its restriction number.  An automorphism s of the carrier maps a
+    structure onto an isomorphic one on the same carrier, each fact h to
+    h;s, and so permutes the bits of its number.  The dedup drops a
+    structure when some automorphism lowers its number (`_least`), and
     skips each carrier isomorphic to an earlier one.
     """
-    names = tuple(footprint.features)
+    _checked_count(footprint, bounds, cap)
     carriers_seen: set = set()
-    for carrier, homs, number, steps in _carriers(footprint, bounds, names):
-        maps = []
+    for carrier, homs, number, steps in _carriers(footprint, bounds, footprint.features):
+        moves = []
         if dedup:
             key = _carrier_key(carrier)
             if key in carriers_seen:
                 continue
             carriers_seen.add(key)
-            _check_pick_maps(carrier, homs.values())
-            maps = _pick_maps(carrier, list(homs.values()))
-        subsets = [_Subsets(hom) for hom in homs.values()]
-        for picks in _least_picks([1 << len(h) for h in homs.values()], maps):
-            facts = dict(zip(names, map(dict.__getitem__, subsets, picks)))
-            n = number + sum(map(operator.mul, picks, steps))
-            yield _structure(f"S{n}", footprint, carrier, facts)
+            moves = _moves(carrier, homs)
+        for block in _carrier_blocks(footprint, carrier, homs, number, steps):
+            yield block, _least(block.facts, moves, (1 << block.width) - 1)
 
 
 class _Subsets(dict):
@@ -496,87 +496,48 @@ def _carrier_key(carrier: CatObject):
                    for p in itertools.permutations(range(nv)))
 
 
-def _pick_maps(carrier: CatObject, homs: list[list[tuple[int, ...]]]) -> list[list]:
-    """How each automorphism s of the carrier other than the identity
-    moves picks: per hom list, the bit tables of the map h -> h;s on
-    subset masks, or None when s fixes every hom of the list."""
-    positions = [{h: i for i, h in enumerate(hom)} for hom in homs]
-    maps = []
-    for s in isomorphisms(carrier, carrier):
-        levels = []
-        for hom, position in zip(homs, positions):
-            moved = [position[precompose(h, s.images)] for h in hom]
-            levels.append(None if moved == list(range(len(hom))) else _bit_tables(moved))
-        if any(levels):
-            maps.append(levels)
-    return maps
+def _moves(carrier: CatObject, homs: dict[str, list]) -> list[list[tuple]]:
+    """How each automorphism s of the carrier that moves some fact
+    permutes the bits of a structure number laid out over `homs`: the
+    triples (f, h, g), from the top bit down, such that the image holds
+    fact h of feature f exactly when the structure holds fact g != h.
 
-
-def _check_pick_maps(carrier: CatObject, homs: Iterable[list]) -> None:
-    """Refuse a carrier whose `_pick_maps` would pass HOM_ENUMERATION_CAP
-    bit-table entries: one automorphism needs a table per byte of each
-    hom list's masks, and there can be `bijection_bound` of them."""
-    entries = sum(1 << min(8, len(hom) - base) for hom in homs for base in range(0, len(hom), 8))
-    bound = bijection_bound(carrier) * max(entries, 1)
+    Refuses a carrier past HOM_ENUMERATION_CAP steps: `bijection_bound`
+    automorphisms, each 2^8 steps per byte of each hom list's masks (2^r
+    for a last byte of r bits).
+    """
+    steps = sum(1 << min(8, len(hom) - base)
+                for hom in homs.values() for base in range(0, len(hom), 8))
+    bound = bijection_bound(carrier) * max(steps, 1)
     if bound > HOM_ENUMERATION_CAP:
         raise EnumerationLimitError(
-            f"automorphisms of carrier {carrier!r} need up to {bound} bit-table "
-            f"entries (cap {HOM_ENUMERATION_CAP})", bound)
+            f"deduplicating carrier {carrier!r} takes up to {bound} automorphism "
+            f"steps (cap {HOM_ENUMERATION_CAP})", bound)
+    moves = []
+    for s in isomorphisms(carrier, carrier):
+        moved = []
+        for f, hom in homs.items():
+            source = {precompose(g, s.images): g for g in hom}
+            moved += [(f, h, source[h]) for h in reversed(hom) if source[h] != h]
+        if moved:
+            moves.append(moved)
+    return moves
 
 
-def _bit_tables(moved: list[int]) -> list[list[int]]:
-    """Tables that send bit i of a mask to bit moved[i]: one per byte of
-    the mask, indexed by that byte's value."""
-    tables = []
-    for base in range(0, len(moved), 8):
-        chunk = moved[base:base + 8]
-        table = [0] * (1 << len(chunk))
-        for v in range(1, len(table)):
-            low = v & -v
-            table[v] = table[v ^ low] | 1 << chunk[low.bit_length() - 1]
-        tables.append(table)
-    return tables
-
-
-def _least_picks(sizes: list[int], maps: list[list]) -> Iterator[tuple[int, ...]]:
-    """Every tuple of picks, pick i below sizes[i], in lexicographic
-    order, but each that one of `maps` (from `_pick_maps`) sends to a
-    lexicographically smaller tuple.  A tuple is dropped at its first
-    position where a map that fixes the positions before it lowers the
-    pick, so a dropped prefix is never extended."""
-    if not maps:
-        yield from itertools.product(*map(range, sizes))
-        return
-    picks = [-1] * len(sizes)
-    fixing = [maps]  # fixing[i]: the maps that fix picks[:i]
-    i = 0
-    while i >= 0:
-        pick = picks[i] = picks[i] + 1
-        if pick == sizes[i]:
-            picks[i] = -1
-            fixing.pop()
-            i -= 1
-            continue
-        still = []
-        for levels in fixing[i]:
-            tables = levels[i]
-            if tables is None:
-                still.append(levels)
-                continue
-            image, rest = 0, pick
-            for table in tables:
-                image |= table[rest & 255]
-                rest >>= 8
-            if image < pick:
+def _least(facts: dict[str, dict[tuple, int]], moves: list[list[tuple]], full: int) -> int:
+    """The mask of the structures of a block whose number no move lowers,
+    each image compared with the number bit-sliced from the top bit
+    down, over the structures still kept and equal so far."""
+    kept = full
+    for moved in moves:
+        same = kept
+        for f, h, g in moved:
+            mine, image = facts[f].get(h, 0), facts[f].get(g, 0)
+            kept &= ~(same & mine & ~image)
+            same &= ~(mine ^ image)
+            if not same:
                 break
-            if image == pick:
-                still.append(levels)
-        else:
-            if i + 1 == len(sizes):
-                yield tuple(picks)
-            else:
-                fixing.append(still)
-                i += 1
+    return kept
 
 
 class StructureRegistry:
@@ -628,8 +589,7 @@ class StructureRegistry:
     def __iter__(self) -> Iterator[Structure]:
         if self._bounds is None:
             return iter(self._structures)
-        # the exact count passed the registry's cap, so it passes as one
-        return enumerate_structures(self.footprint, self._bounds, cap=self._count)
+        return itertools.chain.from_iterable(self.blocks(self.footprint.features))
 
     def blocks(self, features: Sequence[str]) -> Iterator[Block]:
         """The structures in registry order as blocks on one carrier each,
@@ -641,8 +601,9 @@ class StructureRegistry:
         list into runs of structures on one carrier, up to BLOCK_WIDTH
         each, so that blocks keep registry order.
         """
-        if self._bounds is not None:
-            return _restriction_blocks(self.footprint, self._bounds, features)
+        if self._bounds is not None:  # see `_carrier_blocks`
+            return (block for c in _carriers(self.footprint, self._bounds, set(features))
+                    for block in _carrier_blocks(self.footprint, *c))
         return _listed_blocks(self._structures, features)
 
     def __len__(self) -> int:
@@ -665,60 +626,84 @@ class Block:
 
     `facts[f][h]` is the mask of the structures that hold fact h of
     feature f, for each mentioned feature of the footprint; a fact no
-    structure holds is missing.  `structure(j)` builds the j-th
-    structure.
+    structure holds is missing.  `decode` builds the structures at the
+    given positions, in their order.
     """
 
-    __slots__ = ("footprint", "carrier", "width", "facts", "structure")
+    __slots__ = ("footprint", "carrier", "width", "facts", "decode")
 
     def __init__(self, footprint: Footprint, carrier: CatObject, width: int,
-                 facts: dict[str, dict[tuple, int]], structure):
+                 facts: dict[str, dict[tuple, int]], decode):
         self.footprint = footprint
         self.carrier = carrier
         self.width = width
         self.facts = facts
-        self.structure = structure
+        self.decode = decode
+
+    def structure(self, j: int) -> Structure:
+        return next(self.decode((j,)))
 
     def __iter__(self) -> Iterator[Structure]:
-        return map(self.structure, range(self.width))
+        return self.decode(range(self.width))
+
+    def structures(self, mask: int) -> Iterator[Structure]:
+        """The structures whose bits are set in `mask`, in order."""
+        if mask == (1 << self.width) - 1:
+            return iter(self)
+        return self.decode(itertools.compress(itertools.count(),
+                                              map("1".__eq__, bin(mask)[:1:-1])))
 
 
-def _restriction_blocks(footprint: Footprint, bounds: CarrierBounds,
-                        features: Iterable[str]) -> Iterator[Block]:
+def _carrier_blocks(footprint: Footprint, carrier: CatObject, homs: dict[str, list],
+                    number: int, steps: list[int]) -> Iterator[Block]:
     """Number the restrictions on a carrier by concatenating the pick
     masks of the mentioned features, the first feature highest: bit
     offset_f + i of a number is fact homs[f][i], and numbers run in
     registry order of the restrictions' first structures, those whose
     other features are empty."""
-    for carrier, homs, number, steps in _carriers(footprint, bounds, set(features)):
-        offsets, bits = [], 0
-        for hom in reversed(homs.values()):
-            offsets.append(bits)
-            bits += len(hom)
-        offsets.reverse()
-        layout = list(zip(homs, homs.values(), offsets, steps))
-        subsets = [_Subsets(hom) for hom in homs.values()]
-        width = min(1 << bits, BLOCK_WIDTH)
-        for base in range(0, 1 << bits, width):
-            facts = {f: {h: m for i, h in enumerate(hom)
-                         if (m := _bit_pattern(offset + i, base, width))}
-                     for f, hom, offset, _ in layout}
-            yield Block(footprint, carrier, width, facts,
-                        _decoder(footprint, carrier, number, base, layout, subsets))
+    offsets, bits = [], 0
+    for hom in reversed(homs.values()):
+        offsets.append(bits)
+        bits += len(hom)
+    offsets.reverse()
+    layout = list(zip(homs, homs.values(), offsets, steps, map(_Subsets, homs.values())))
+    width = min(1 << bits, BLOCK_WIDTH)
+    for base in range(0, 1 << bits, width):
+        facts = {f: {h: m for i, h in enumerate(hom)
+                     if (m := _bit_pattern(offset + i, base, width))}
+                 for f, hom, offset, *_ in layout}
+        yield Block(footprint, carrier, width, facts, functools.partial(
+            _decode, footprint, carrier, number, layout, base, width))
 
 
-def _decoder(footprint: Footprint, carrier: CatObject, number: int, base: int,
-             layout: list[tuple], subsets: list[_Subsets]):
-    """Build structure j of a block: the first of restriction base + j."""
-    def structure(j: int) -> Structure:
-        r, n = base + j, number
-        facts = dict.fromkeys(footprint.features, frozenset())
-        for (f, hom, offset, step), subset in zip(layout, subsets):
-            pick = r >> offset & (1 << len(hom)) - 1
-            facts[f] = subset[pick]
-            n += pick * step
-        return _structure(f"S{n}", footprint, carrier, facts)
-    return structure
+def _decode(footprint: Footprint, carrier: CatObject, number: int, layout: list[tuple],
+            base: int, width: int, js: Iterable[int]) -> Iterator[Structure]:
+    """The structures at positions js of a block, in order: j the first
+    structure of restriction base + j on the carrier.  With every feature
+    laid out, that is structure number + base + j, and a whole block runs
+    its picks as a product of ranges, a pick's bits above the width being
+    base's."""
+    every = len(layout) == len(footprint.features)
+    if every and js == range(width):
+        low = width.bit_length() - 1
+        spans = [range(p := base >> offset & (1 << len(hom)) - 1,
+                       p + (1 << max(0, min(low - offset, len(hom)))))
+                 for _, hom, offset, _, _ in layout]
+        names = [f for f, *_ in layout]
+        subsets = [subset for *_, subset in layout]
+        for n, picks in enumerate(itertools.product(*spans), number + base):
+            facts = dict(zip(names, map(dict.__getitem__, subsets, picks)))
+            yield _structure(f"S{n}", footprint, carrier, facts)
+        return
+    for j in js:
+        r = base + j
+        facts = {f: subset[r >> offset & (1 << len(hom)) - 1]
+                 for f, hom, offset, _, subset in layout}
+        if not every:
+            facts = {**dict.fromkeys(footprint.features, frozenset()), **facts}
+            r = sum((r >> offset & (1 << len(hom)) - 1) * step
+                    for _, hom, offset, step, _ in layout)
+        yield _structure(f"S{number + r}", footprint, carrier, facts)
 
 
 def _bit_pattern(k: int, base: int, width: int) -> int:
@@ -744,4 +729,4 @@ def _listed_blocks(structures: list[Structure], features: Iterable[str]) -> Iter
                 for j, st in enumerate(part):
                     for h in st.facts[f]:
                         masks[h] = masks.get(h, 0) | 1 << j
-            yield Block(fp, carrier, len(part), facts, part.__getitem__)
+            yield Block(fp, carrier, len(part), facts, functools.partial(map, part.__getitem__))

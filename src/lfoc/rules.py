@@ -49,7 +49,7 @@ from .footprint import (
     Structure,
     StructureRegistry,
     Verdict,
-    enumerate_structures,
+    _kept_blocks,
 )
 from .sketch import (
     Constraint,
@@ -351,23 +351,18 @@ def axiom_filtered_registry(footprint: Footprint, bounds: CarrierBounds,
                             rules: Sequence[SketchRule], *,
                             dedup_isomorphic: bool = False) -> StructureRegistry:
     """The registry of all structures within bounds that are
-    conservative for every given rule (semantics by axioms)."""
+    conservative for every given rule (semantics by axioms).  Each block
+    of the enumeration is decided once per rule, and keeps the bits that
+    no rule fails."""
     index = SearchIndex()
-    # per rule, the verdict for each restriction to its features
-    verdicts = [(r, _rule_features(r), {}) for r in rules]
-
-    def conservative(st: Structure) -> bool:
-        for r, mentioned, decided in verdicts:
-            key = st.restriction(mentioned)
-            ok = decided.get(key)
-            if ok is None:
-                ok = decided[key] = not _unextended(_Evaluator(st, index), r)
-            if not ok:
-                return False
-        return True
-
-    keep = [st for st in enumerate_structures(footprint, bounds,
-                                              dedup_isomorphic=dedup_isomorphic)
-            if conservative(st)]
+    keep = []
+    for block, kept in _kept_blocks(footprint, bounds, dedup_isomorphic):
+        ev = _Evaluator(block, index)
+        for r in rules:
+            if not kept:
+                break
+            for failed in _unextended(ev, r).values():
+                kept &= ~failed
+        keep += block.structures(kept)
     names = ",".join(r.name for r in rules)
     return StructureRegistry(keep, f"axioms[{names}]({bounds.describe()})")

@@ -108,6 +108,13 @@ def random_structure(rng: random.Random, footprint, carrier, density: float = 0.
     return Structure("rnd", footprint, carrier, interp)
 
 
+def restriction(structure, features) -> tuple:
+    """The carrier and the facts of `features` (None for a feature the
+    footprint lacks): all that a check mentioning only these features
+    reads of the structure."""
+    return (structure.carrier, *map(structure.facts.get, features))
+
+
 def random_expr(rng: random.Random, footprint, arity, depth: int,
                 var_objects=None) -> E.Expr:
     """A random well-formed expression of quantifier depth <= depth.

@@ -22,7 +22,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import oracle
-from helpers import random_expr, random_morphism
+from helpers import random_expr, random_morphism, restriction
 from lfoc import category, expr, footprint
 from lfoc.category import CategoryError, FinSet, identity, morphism
 from lfoc.expr import Bot, atom, conj, exists_along
@@ -116,7 +116,7 @@ def test_blocks_lay_out_the_first_structure_of_each_restriction(seed, kind, widt
         blocks = list(StructureRegistry.exhaustive(fp, bounds).blocks(mentioned))
     seen, first = set(), []
     for s in enumerate_structures(fp, bounds):
-        key = s.restriction(mentioned)
+        key = restriction(s, mentioned)
         if key not in seen:
             seen.add(key)
             first.append(s)

@@ -37,6 +37,20 @@ DOCUMENTS = {name: (fixture_path(name).read_text(encoding="utf-8")
              for name in FIXTURES}
 
 
+def _contract(argv: list[str]) -> int:
+    """Run `main` on argv, require exit 0, 1 or 2 with no exception and
+    one stderr line starting with ``error:`` on exit 2, and return the
+    code."""
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        code = main(argv)
+    assert code in (0, 1, 2), (argv, code)
+    if code == 2:
+        lines = err.getvalue().splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error:"), (argv, lines)
+    return code
+
+
 @st.composite
 def mutated(draw):
     name = draw(st.sampled_from(FIXTURES))
@@ -58,13 +72,7 @@ def test_mutated_documents_keep_the_exit_code_contract(tmp_path, example):
     path = tmp_path / f"{name}.lfoc"
     path.write_bytes(data)
     for command in SWEEP[name][1]:
-        err = io.StringIO()
-        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
-            code = main([command[0], str(path), *command[1:]])
-        assert code in (0, 1, 2), (command, code)
-        if code == 2:
-            lines = err.getvalue().splitlines()
-            assert len(lines) == 1 and lines[0].startswith("error:"), (command, lines)
+        _contract([command[0], str(path), *command[1:]])
 
 
 # The numeric flags of the registry and saturation commands, as the
@@ -112,20 +120,68 @@ def test_mutated_numeric_flags_keep_the_exit_code_contract(tmp_path, example):
     name, command, argv, negative = example
     path = tmp_path / f"{name}.lfoc"
     path.write_bytes(DOCUMENTS[name])
-    err = io.StringIO()
-    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
-        try:
-            code = main([command, str(path), *argv])
-        except SystemExit as exc:  # argparse refuses a value it cannot read
-            code, usage = exc.code, True
-        else:
-            usage = False
-    assert code in (0, 1, 2), (argv, code)
+    code = _contract([command, str(path), *argv])
     if negative:
         assert code == 2, argv
-    if code == 2:
-        lines = err.getvalue().splitlines()
-        if usage:
-            assert lines[-1].startswith(f"lfoc {command}: error:"), (argv, lines)
-        else:
-            assert len(lines) == 1 and lines[0].startswith("error:"), (argv, lines)
+
+
+# The other flags and the positional arguments of the golden sweep's
+# commands, mutated at the argument level: a flag's value replaced by a
+# name or literal of any fixture, or by an odd string; a flag dropped,
+# repeated or unknown; the subcommand renamed; the document replaced by a
+# missing path, a directory or another fixture; an extra positional.
+# Numeric flags keep their sweep values, so every run stays small.
+NUMERIC_FLAGS = {flag for flags in NUMERIC.values() for flag in flags}
+COMMANDS = sorted({command[0] for _, commands in SWEEP.values() for command in commands})
+NAMED = sorted({(flag, value) for _, commands in SWEEP.values() for command in commands
+                for flag, value in zip(command[1:], command[2:])
+                if flag.startswith("--") and not value.startswith("--")
+                and flag not in NUMERIC_FLAGS})
+FLAGS = sorted({flag for flag, _ in NAMED} | {"--max"})
+VALUES = st.one_of(st.sampled_from(sorted({value for _, value in NAMED})),
+                   st.sampled_from(("", " ", "-", "--", "-x", "x,", ",", "[", "[]", "[p->",
+                                    "[a->b; a->c]", "é", "missing.lfoc")))
+
+
+@st.composite
+def reworded(draw):
+    name, command = draw(st.sampled_from([(name, command) for name in FIXTURES
+                                          for command in SWEEP[name][1]]))
+    head, argv = command[0], list(command[1:])
+    document = "{doc}"
+    for _ in range(draw(st.integers(1, 2))):
+        op = draw(st.sampled_from(("value", "drop", "repeat", "unknown", "command",
+                                   "document", "positional")))
+        # positions of the flags this mutation may touch
+        flags = [i for i, a in enumerate(argv) if a.startswith("--") and a not in NUMERIC_FLAGS]
+        if op in ("value", "drop") and flags:
+            i = draw(st.sampled_from(flags))
+            width = 1 if i + 1 == len(argv) or argv[i + 1].startswith("--") else 2
+            if op == "drop":
+                del argv[i:i + width]
+            elif width == 2:
+                argv[i + 1] = draw(VALUES)
+        elif op == "repeat":
+            argv += [draw(st.sampled_from(FLAGS)), draw(VALUES)]
+        elif op == "unknown":
+            argv.insert(draw(st.integers(0, len(argv))), draw(st.sampled_from(("--bogus", "-z"))))
+        elif op == "command":
+            head = draw(st.sampled_from(COMMANDS + ["bogus", ""]))
+        elif op == "document":
+            document = draw(st.sampled_from(("{missing}", "{dir}", "", *FIXTURES)))
+        elif op == "positional":
+            argv.append(draw(VALUES))
+    return name, [head, document, *argv]
+
+
+@settings(max_examples=200, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(reworded())
+def test_mutated_arguments_keep_the_exit_code_contract(tmp_path, example):
+    name, argv = example
+    paths = {"{missing}": str(tmp_path / "missing.lfoc"), "{dir}": str(tmp_path)}
+    for fixture in FIXTURES:
+        paths[fixture] = str(tmp_path / f"{fixture}.lfoc")
+        (tmp_path / f"{fixture}.lfoc").write_bytes(DOCUMENTS[fixture])
+    paths["{doc}"] = paths[name]
+    _contract([paths.get(a, a) if i == 1 else a for i, a in enumerate(argv)])

@@ -190,6 +190,22 @@ def test_enumerate_structures_iso_dedup():
     assert len(deduped) == 6
 
 
+def test_an_exhaustive_registry_iterates_without_counting_again(monkeypatch):
+    from lfoc import footprint as fpm
+
+    fp = Footprint("G", "graph", {"loop": FinGraph(("v",), (("e", "v", "v"),))})
+    bounds = CarrierBounds(max_vertices=2, max_edges=2)
+    registry = StructureRegistry.exhaustive(fp, bounds)
+    want = list(enumerate_structures(fp, bounds))
+    searched = []
+    real = fpm.hom_search
+    monkeypatch.setattr(fpm, "hom_search", lambda *a: searched.append(a) or real(*a))
+    got = list(registry)
+    assert [(s.name, s) for s in got] == [(s.name, s) for s in want]
+    # one hom search per carrier, none to count the registry again
+    assert len(searched) == len(list(enumerate_carriers("graph", bounds)))
+
+
 def test_registry_requires_shared_footprint():
     fam = family_structure()
     other = Structure("u", Footprint("U", "set", {"mark": P1}), FAMILY)

@@ -1,16 +1,17 @@
-"""Exhaustive registries laid out in blocks, and walked one structure
-per automorphism orbit.
+"""Exhaustive registries laid out in blocks, and deduplicated one
+block at a time.
 
 A registry check decides an exhaustive registry one block of
 restrictions at a time and builds only the structure it returns as a
 witness; `enumerate_structures(dedup_isomorphic=True)` keeps one
-structure per isomorphism class by skipping a structure that an
-automorphism of its carrier maps onto an earlier one.  Verdicts,
-registry descriptions and witnesses (structure name and map) must equal
-those of `tests/oracle.py`'s full scan, and the dedup must keep the
-structures, names and order of the pairwise loop it replaced.  Set
-footprints are walked up to 3 elements, graph footprints on carriers with
-loops and parallel edges.
+structure per isomorphism class by dropping, from a block laid out over
+every feature, each structure whose number some automorphism of its
+carrier lowers.  Verdicts, registry descriptions and witnesses
+(structure name and map) must equal those of `tests/oracle.py`'s full
+scan, and the dedup, also across narrow blocks and under
+`axiom_filtered_registry`, must keep the structures, names and order of
+the pairwise loop it replaced.  Set footprints are walked up to 3
+elements, graph footprints on carriers with loops and parallel edges.
 """
 
 from __future__ import annotations
@@ -24,9 +25,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import oracle
-from helpers import random_morphism
+from helpers import random_morphism, restriction
 from lfoc import footprint
 from lfoc.category import (
+    CategoryError,
     EnumerationLimitError,
     FinGraph,
     FinSet,
@@ -46,7 +48,7 @@ from lfoc.footprint import (
     enumerate_structures,
     structures_isomorphic,
 )
-from lfoc.rules import is_sound
+from lfoc.rules import axiom_filtered_registry, is_sound
 from lfoc.sketch import Constraint, check_sketch_morphism, entails
 from test_restriction import _rule, _same, _sketch
 from test_search import _constraints, _small
@@ -135,7 +137,7 @@ def test_walk_keeps_the_first_structure_of_every_class(seed, kind):
 
     seen = set()
     for s in everything:  # the first of each restriction, as the walk's superset
-        key = s.restriction(mentioned)
+        key = restriction(s, mentioned)
         if key not in seen:
             seen.add(key)
             assert s.name in {w.name for w in walked} or any(
@@ -262,6 +264,47 @@ def test_dedup_keeps_the_pairwise_loops_structures(seed, kind):
     fp, _, bounds = picked
     got = list(enumerate_structures(fp, bounds, dedup_isomorphic=True))
     want = oracle.enumerate_isomorph_free(fp, bounds)
+    assert [(s.name, s) for s in got] == [(s.name, s) for s in want]
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=SEEDS, kind=KINDS, width=st.sampled_from([1, 2, 4, 8]))
+def test_dedup_across_narrow_blocks_keeps_the_pairwise_loops_structures(seed, kind, width):
+    # one carrier's structures span several blocks, so the comparison
+    # reads facts whose masks are all or nothing over a block
+    rng = random.Random(seed)
+    picked = _footprint(rng, kind, 300)
+    if picked is None:
+        return
+    fp, _, bounds = picked
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(footprint, "BLOCK_WIDTH", width)
+        got = list(enumerate_structures(fp, bounds, dedup_isomorphic=True))
+    want = oracle.enumerate_isomorph_free(fp, bounds)
+    assert [(s.name, s) for s in got] == [(s.name, s) for s in want]
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=SEEDS, kind=KINDS, width=st.sampled_from([1, 2, 4, 8, footprint.BLOCK_WIDTH]))
+def test_deduplicated_axiom_filtered_registry_matches_the_oracle(seed, kind, width):
+    rng = random.Random(seed)
+    picked = _footprint(rng, kind, 300)
+    if picked is None:
+        return
+    fp, used, bounds = picked
+    rules = [_rule(rng, used, kind, f"r{i}") for i in range(rng.randint(1, 2))]
+    want = [s for s in oracle.enumerate_isomorph_free(fp, bounds)
+            if all(oracle.is_conservative(s, r) for r in rules)]
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(footprint, "BLOCK_WIDTH", width)
+        try:
+            got = axiom_filtered_registry(fp, bounds, rules, dedup_isomorphic=True)
+        except CategoryError:  # no structure is conservative for every rule
+            got = None
+    if not want:
+        assert got is None
+        return
+    assert got.description == f"axioms[{','.join(r.name for r in rules)}]({bounds.describe()})"
     assert [(s.name, s) for s in got] == [(s.name, s) for s in want]
 
 

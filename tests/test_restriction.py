@@ -2,15 +2,16 @@
 
 A check reads a structure only through its restriction: the carrier plus
 the interpretations of the features the check's expressions mention.
-`entails`, `check_sketch_morphism`, `is_sound` and
-`axiom_filtered_registry` decide each restriction once per call: the
-first three a block of restrictions at a time, the last through a
-verdict per restriction.  Verdicts, registry descriptions and witnesses (structure
-name and map) must equal those of `tests/oracle.py`, which decides every
-structure from scratch.  Footprints carry a `spare` feature that no
-constraint mentions, so exhaustive registries repeat every restriction;
-explicit registries mix carriers, list stray morphisms and repeat
-restrictions under other names.
+`entails`, `check_sketch_morphism` and `is_sound` decide each
+restriction once per call, a block of restrictions at a time;
+`axiom_filtered_registry` decides each block of the enumeration, laid
+out over every feature, once per rule.  Verdicts, registry descriptions
+and witnesses (structure name and map) must equal those of
+`tests/oracle.py`, which decides every structure from scratch.
+Footprints carry a `spare` feature that no constraint mentions, so
+exhaustive registries repeat every restriction; explicit registries mix
+carriers, list stray morphisms and repeat restrictions under other
+names.
 """
 
 from __future__ import annotations
@@ -193,12 +194,6 @@ def test_features_are_the_mentioned_ones_sorted():
     assert features(doc.exprs["sibling"]) == ("female", "male", "parent")
     assert features(doc.exprs["daughters_only"]) == ("female", "parent")
     assert features(doc.exprs["parent_pair"]) == ("parent",)
-
-
-def test_restriction_of_a_missing_feature_is_none():
-    carrier = FinSet(("c", "d"))
-    structure = Structure("u", Footprint("U", "set", {"mark": FinSet(("p",))}), carrier)
-    assert structure.restriction(("mark", "absent")) == (carrier, frozenset(), None)
 
 
 def test_a_missing_feature_errors_only_when_evaluated():
