@@ -20,7 +20,7 @@ import math
 from collections import Counter
 from dataclasses import dataclass
 from types import MappingProxyType
-from typing import Iterable, Iterator, Mapping, Union
+from typing import Collection, Iterable, Iterator, Mapping, Union
 
 SET = "set"
 GRAPH = "graph"
@@ -280,7 +280,7 @@ def hom_set(dom: CatObject, cod: CatObject) -> tuple[Morphism, ...]:
 
 
 def hom_search(dom: CatObject, cod: CatObject, atoms=(), index: SearchIndex | None = None
-               ) -> list[tuple[int, ...]] | dict[tuple[int, ...], int]:
+               ) -> dict[tuple[int, ...], int]:
     """Every b: dom -> cod with delta;b in R for each atom, in hom-set order.
 
     An atom (binding, relation) stands for a morphism delta: A -> dom and
@@ -289,9 +289,9 @@ def hom_search(dom: CatObject, cod: CatObject, atoms=(), index: SearchIndex | No
     in cod, both in A's name order.  A relation is a set of tuples, or a
     dict from tuples to int masks: then bit j of a mask says whether the
     tuple is in the j-th of several relations, such as one per structure
-    of a block.  With only sets the result is a list of image tuples;
-    with a dict it is a dict from each b to the AND of its atoms' masks
-    (a set counting as all bits), leaving out 0.
+    of a block.  The result is a dict from each b to the AND of its
+    atoms' masks, a set counting as all bits (-1), leaving out 0; with
+    only sets every mask is -1.
 
     Names of dom are bound one at a time in declared order, each to the
     candidates every atom over it still allows (Generic Join); an edge's
@@ -305,7 +305,6 @@ def hom_search(dom: CatObject, cod: CatObject, atoms=(), index: SearchIndex | No
         raise CategoryError(f"kind mismatch: {dom!r} is a {dom.kind}, {cod!r} is a {cod.kind}")
     if index is None:
         index = SearchIndex()
-    masked = any(type(relation) is dict for _, relation in atoms)
     const = -1  # the masks of the atoms that bind no name
     reduced = []
     for binding, relation in atoms:
@@ -314,7 +313,7 @@ def hom_search(dom: CatObject, cod: CatObject, atoms=(), index: SearchIndex | No
             # an atom that binds no name holds of every b or of none
             const &= _mask(relation, ())
             if not const:
-                return {} if masked else []
+                return {}
             continue
         if columns is not None:
             if type(relation) is dict:
@@ -324,11 +323,10 @@ def hom_search(dom: CatObject, cod: CatObject, atoms=(), index: SearchIndex | No
                 relation = {tuple(r[c] for c in columns) for r in relation
                             if all(r[j] == r[k] for j, k in repeats)}
         if not relation:
-            return {} if masked else []
+            return {}
         reduced.append((variables, relation))
     if not reduced:
-        homs = _homs(dom, cod)
-        return dict.fromkeys(homs, const) if masked else homs
+        return dict.fromkeys(_homs(dom, cod), const)
     n = dom.size
     full = [a for a in reduced if len(a[0]) == n]
     if full:
@@ -342,8 +340,8 @@ def hom_search(dom: CatObject, cod: CatObject, atoms=(), index: SearchIndex | No
                 m &= _mask(f, tuple(b[p] for p in v))
             if m:
                 out[b] = m
-        return out if masked else list(out)
-    return _join(dom, cod, reduced, const if masked else None)
+        return out
+    return _join(dom, cod, reduced, const)
 
 
 def _mask(relation, fact: tuple) -> int:
@@ -353,7 +351,7 @@ def _mask(relation, fact: tuple) -> int:
     return -1 if fact in relation else 0
 
 
-def _homs(dom: CatObject, cod: CatObject) -> list[tuple[int, ...]]:
+def _homs(dom: CatObject, cod: CatObject) -> Collection[tuple[int, ...]]:
     """All of hom(dom, cod) as tuples; refused by estimate past the cap."""
     estimate = (len(cod.vertices) ** len(dom.vertices)
                 * max(1, len(cod.edges)) ** len(dom.edges))
@@ -364,7 +362,7 @@ def _homs(dom: CatObject, cod: CatObject) -> list[tuple[int, ...]]:
             f"(cap {HOM_ENUMERATION_CAP})", estimate)
     if not dom.edges:
         return list(itertools.product(range(len(cod.vertices)), repeat=len(dom.vertices)))
-    return _join(dom, cod, (), None)
+    return _join(dom, cod, (), -1)
 
 
 def _edges_between(cod: CatObject) -> dict[tuple[int, int], list[int]]:
@@ -376,10 +374,10 @@ def _edges_between(cod: CatObject) -> dict[tuple[int, int], list[int]]:
     return ends
 
 
-def _join(dom: CatObject, cod: CatObject, atoms, const: int | None) -> list | dict:
-    """The search over atoms that each bind some name, as a list of
-    tuples, or with `const` (the AND of the masks that bind no name) not
-    None, as a dict of masks."""
+def _join(dom: CatObject, cod: CatObject, atoms, const: int) -> dict[tuple[int, ...], int]:
+    """The search over atoms that each bind some name, as a dict from each
+    b to `const` (the AND of the masks of the atoms that bind no name)
+    ANDed with its atoms' masks, leaving out 0."""
     n = dom.size
     # one trie per atom, its levels in the order of its positions; built
     # from sorted facts, so every node lists its keys in ascending order.
@@ -388,12 +386,12 @@ def _join(dom: CatObject, cod: CatObject, atoms, const: int | None) -> list | di
     at: list[list[int]] = [[] for _ in range(n)]
     for variables, facts in atoms:
         root: dict = {}
-        masked = type(facts) is dict
+        has_masks = type(facts) is dict
         for fact in sorted(facts):
             node = root
             for v in fact[:-1]:
                 node = node.setdefault(v, {})
-            node[fact[-1]] = facts[fact] if masked else -1
+            node[fact[-1]] = facts[fact] if has_masks else -1
         for p in variables:
             at[p].append(len(tries))
         tries.append(root)
@@ -402,20 +400,17 @@ def _join(dom: CatObject, cod: CatObject, atoms, const: int | None) -> list | di
     pos = dom.position
     endpoints = [(pos[dom.src[e]], pos[dom.tgt[e]]) for e in dom.edges]
 
-    out = [] if const is None else {}
+    out = {}
     b = [0] * n
 
     def extend(i: int) -> None:
         if i == n:
-            if const is None:
-                out.append(tuple(b))
-            else:
-                # every trie is at the leaf of its fact: AND their masks
-                mask = const
-                for leaf in tries:
-                    mask &= leaf
-                if mask:
-                    out[tuple(b)] = mask
+            # every trie is at the leaf of its fact: AND their masks
+            mask = const
+            for leaf in tries:
+                mask &= leaf
+            if mask:
+                out[tuple(b)] = mask
             if len(out) > HOM_ENUMERATION_CAP:
                 raise EnumerationLimitError(
                     f"hom search {dom!r} -> {cod!r} has over {HOM_ENUMERATION_CAP} "

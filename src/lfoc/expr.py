@@ -344,10 +344,6 @@ class _Evaluator:
         carrier = self.carrier
         return frozenset(Morphism(e.arity, carrier, b) for b in self.masks(e))
 
-    def tuples(self, e: Expr):
-        """The tuples that solve `e` over some structure, as a set view."""
-        return self.masks(e).keys()
-
     def masks(self, e: Expr) -> dict:
         out = self.memo.get(e)
         if out is None:
@@ -357,9 +353,10 @@ class _Evaluator:
     def holding(self, context: CatObject, atoms: list) -> dict:
         """Per tuple of hom(context, carrier), in hom-set order, the mask
         of the structures where every hom-search atom holds of it (a set
-        of facts holding in all of them), leaving out mask 0."""
-        found = hom_search(context, self.carrier, atoms, self.index)
-        return found if type(found) is dict else dict.fromkeys(found, self.full)
+        of facts holding in all of them), leaving out mask 0.  An atom
+        that binds no name, holding at every bit of the block, keeps each
+        mask within the block."""
+        return hom_search(context, self.carrier, [*atoms, ((), {(): self.full})], self.index)
 
     def _compute(self, e: Expr) -> dict:
         full = self.full

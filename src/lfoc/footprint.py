@@ -430,7 +430,7 @@ def _carriers(footprint: Footprint, bounds: CarrierBounds,
     walked = [f for f in names if f in features]  # footprint order is registry order
     number = 0
     for carrier in enumerate_carriers(footprint.kind, bounds):
-        homs = {f: hom_search(footprint.features[f], carrier) for f in walked}
+        homs = {f: list(hom_search(footprint.features[f], carrier)) for f in walked}
         sizes = [1 << (len(homs[f]) if f in homs else _hom_count(arity, carrier))
                  for f, arity in footprint.features.items()]
         steps = [math.prod(sizes[names.index(f) + 1:]) for f in walked]

@@ -12,25 +12,28 @@ A structure is *conservative* for a rule when every left-hand model
 extends along the rule morphism to a right-hand model; a rule is
 *sound* over a registry when all its structures are conservative.  A
 sketch is *closed* under a rule when every left-hand match factors
-through a right-hand match.  The two are one property over two
-relations: the left-hand solutions in hom-set order that are no r;b for
-a right-hand solution b, where the right-hand side is searched only once
-a left-hand solution exists.  Conservativity and soundness search the
-models of the evaluator's holding masks (`_unextended`), one structure
-being a block of one, so the failing masks name the structures too;
-closedness and saturation search matches in a host (`_unfactored`), and
-saturation applies a rule at the first unfactored match.  These checks
-return a `Verdict` whose witness, when the property fails, is the
-left-hand model or match that does not extend or factor.
-Conservativity of a structure and closedness of its maximal sketch over
-the rule's expressions agree; `check_equivalence` computes both sides
-independently.
+through a right-hand match.  The two are one property, and one search:
+the left-hand solutions of the holding search (`sketch.satisfying`) in
+hom-set order that are no r;b for a right-hand solution b, where the
+right-hand side is searched only once a left-hand solution exists
+(`_unextended`).  Conservativity and soundness run it over the
+evaluator of a structure or of a block of structures, so the failing
+masks name the structures too.  Matching, closedness and saturation run
+it over a host sketch read as a structure of width 1 on its context
+(`_Host`), whose features are the canonical expressions of its
+constraints: a match is a model of the pattern there, and saturation
+applies a rule at the first unfactored match.  These checks return a
+`Verdict` whose witness, when the property fails, is the left-hand
+model or match that does not extend or factor.  Conservativity of a
+structure and closedness of its maximal sketch over the rule's
+expressions agree; `check_equivalence` computes both sides, over the
+structure's relations and over the sketch's constraints.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Literal, Sequence
+from typing import Iterator, Literal, Sequence
 
 from .category import (
     CatObject,
@@ -38,11 +41,10 @@ from .category import (
     FinSet,
     Morphism,
     SearchIndex,
-    hom_search,
     identity,
     precompose,
 )
-from .expr import And, CondExists, Expr, _Evaluator
+from .expr import And, CondExists, Expr, _along, _Evaluator, canonicalize
 from .footprint import (
     CarrierBounds,
     Footprint,
@@ -57,7 +59,7 @@ from .sketch import (
     constraint_features,
     merge_constraints,
     registry_verdict,
-    satisfied,
+    satisfying,
     sketch_pushout,
     structure_to_sketch_max,
     translate_constraint,
@@ -100,36 +102,27 @@ def is_match(phi: Morphism, pattern: Sketch, host: Sketch) -> bool:
 
 def find_matches(pattern: Sketch, host: Sketch) -> tuple[Morphism, ...]:
     """All matches of the pattern in the host, in hom-set order."""
-    found = hom_search(pattern.context, host.context, _matching(host)(pattern))
+    found = satisfying(_Host(host), pattern)
     return tuple(Morphism(pattern.context, host.context, m) for m in found)
 
 
-def _matching(host: Sketch) -> Callable[[Sketch], list]:
-    """Hom-search atoms for matches in the host: a pattern constraint
-    lands on a host constraint with the same canonical expression and
-    the translated binding, so the host bindings grouped by expression
-    are the relations."""
-    bindings: dict[Expr, set] = {}
-    for c in host.constraints:
-        bindings.setdefault(c.canonical, set()).add(c.binding.images)
-    return lambda pattern: [(c.binding.images, bindings.get(c.canonical, ()))
-                            for c in pattern.constraints]
+class _Host(_Evaluator):
+    """A host sketch read as a structure of width 1 on its context whose
+    features are canonical expressions: an expression holds of the
+    bindings of the host constraints with its canonical form.  A
+    pattern constraint lands on such a binding exactly when it is
+    translated onto a host constraint, so the holding search of the
+    pattern over the host finds its matches.  Nothing is evaluated."""
 
+    def __init__(self, host: Sketch, index: SearchIndex | None = None):
+        self.carrier, self.full = host.context, 1
+        self.index = SearchIndex() if index is None else index
+        self.memo = {}
+        for c in host.constraints:
+            self.memo.setdefault(c.canonical, {})[c.binding.images] = 1
 
-def _unfactored(rule: SketchRule, cod: CatObject, atoms: Callable[[Sketch], list],
-                index: SearchIndex) -> tuple[int, ...] | None:
-    """The first lhs solution in hom-set order that is no r;b for an rhs
-    solution b, or None.  `atoms` gives a sketch's hom-search atoms into
-    cod; the rhs is searched only when an lhs solution exists."""
-    found = hom_search(rule.lhs.context, cod, atoms(rule.lhs), index)
-    if found:
-        r = rule.morphism.images
-        factored = {precompose(r, b)
-                    for b in hom_search(rule.rhs.context, cod, atoms(rule.rhs), index)}
-        for a in found:
-            if a not in factored:
-                return a
-    return None
+    def masks(self, e: Expr) -> dict:
+        return self.memo.get(canonicalize(e), {})
 
 
 # ---------------------------------------------------------------------------
@@ -138,10 +131,7 @@ def _unfactored(rule: SketchRule, cod: CatObject, atoms: Callable[[Sketch], list
 def is_conservative(structure: Structure, rule: SketchRule) -> Verdict:
     """Does every lhs model of the structure extend along the rule
     morphism to an rhs model?  The witness is an lhs model that does not."""
-    unextended = _unextended(_Evaluator(structure), rule)
-    if not unextended:
-        return Verdict(True)
-    return Verdict(False, Morphism(rule.lhs.context, structure.carrier, next(iter(unextended))))
+    return _first_unextended(_Evaluator(structure), rule)
 
 
 def is_sound(rule: SketchRule, registry: StructureRegistry) -> Verdict:
@@ -153,22 +143,27 @@ def is_sound(rule: SketchRule, registry: StructureRegistry) -> Verdict:
     a time, each restriction to the rule's features once.
     """
     return registry_verdict(registry, _rule_features(rule), rule.lhs.context,
-                            lambda ev: _unextended(ev, rule))
+                            lambda ev: dict(_unextended(ev, rule)))
 
 
-def _unextended(ev: _Evaluator, rule: SketchRule) -> dict:
+def _unextended(ev: _Evaluator, rule: SketchRule) -> Iterator[tuple[tuple[int, ...], int]]:
     """Per lhs model a in hom-set order, the mask of the structures where
-    it does not extend: where no rhs model b has r;b = a.  The rhs is
-    evaluated only once some lhs model exists."""
-    modelled = ev.holding(rule.lhs.context, satisfied(ev, rule.lhs.constraints))
-    if not modelled:
-        return {}
-    r = rule.morphism.images
-    factored: dict = {}
-    for b, m in ev.holding(rule.rhs.context, satisfied(ev, rule.rhs.constraints)).items():
-        a = precompose(r, b)
-        factored[a] = factored.get(a, 0) | m
-    return {a: f for a, m in modelled.items() if (f := m & ~factored.get(a, 0))}
+    it does not extend: where no rhs model b has r;b = a, leaving out 0.
+    The rhs is evaluated only once some lhs model exists."""
+    modelled = satisfying(ev, rule.lhs)
+    if modelled:
+        factored = _along(rule.morphism.images, satisfying(ev, rule.rhs))
+        for a, m in modelled.items():
+            if f := m & ~factored.get(a, 0):
+                yield a, f
+
+
+def _first_unextended(ev: _Evaluator, rule: SketchRule) -> Verdict:
+    """Does every lhs model of a structure of width 1 extend?  The
+    witness is the first that does not."""
+    for a, _ in _unextended(ev, rule):
+        return Verdict(False, Morphism(rule.lhs.context, ev.carrier, a))
+    return Verdict(True)
 
 
 def _rule_features(rule: SketchRule) -> tuple[str, ...]:
@@ -183,10 +178,7 @@ def _rule_features(rule: SketchRule) -> tuple[str, ...]:
 def is_closed(host: Sketch, rule: SketchRule) -> Verdict:
     """Does every lhs match factor through an rhs match along the rule
     morphism?  The witness is an lhs match that does not."""
-    m = _unfactored(rule, host.context, _matching(host), SearchIndex())
-    if m is None:
-        return Verdict(True)
-    return Verdict(False, Morphism(rule.lhs.context, host.context, m))
+    return _first_unextended(_Host(host), rule)
 
 
 @dataclass(frozen=True)
@@ -256,25 +248,23 @@ def saturate(host: Sketch, rules: Sequence[SketchRule],
 
     Scheduling is fair and deterministic: each sweep visits the rules in
     declared order and their matches in canonical hom-set order, and
-    restarts after every application, grouping the host's constraint
-    bindings by expression once per step.  Constraint-set deduplication
-    prevents re-adding; an application whose result would exceed a
-    context-size budget is not committed.
+    restarts after every application, reading the host as a structure
+    (`_Host`) once per step.  Constraint-set deduplication prevents
+    re-adding; an application whose result would exceed a context-size
+    budget is not committed.
     """
     steps = 0
     current = host
     index = SearchIndex()
     while True:
-        atoms = _matching(current)
-        for rule in rules:
-            m = _unfactored(rule, current.context, atoms, index)
-            if m is not None:
-                break
-        else:
+        ev = _Host(current, index)
+        first = next(((rule, a) for rule in rules for a, _ in _unextended(ev, rule)), None)
+        if first is None:
             return SaturationResult(current, CLOSED, steps)
+        rule, a = first
         if steps >= limits.max_steps:
             return SaturationResult(current, BUDGET_EXHAUSTED, steps)
-        result = apply_rule(current, rule, Morphism(rule.lhs.context, current.context, m))
+        result = apply_rule(current, rule, Morphism(rule.lhs.context, current.context, a))
         if not limits.admits(result.sketch.context):
             return SaturationResult(current, BUDGET_EXHAUSTED, steps)
         current = result.sketch
@@ -361,7 +351,7 @@ def axiom_filtered_registry(footprint: Footprint, bounds: CarrierBounds,
         for r in rules:
             if not kept:
                 break
-            for failed in _unextended(ev, r).values():
+            for _, failed in _unextended(ev, r):
                 kept &= ~failed
         keep += block.structures(kept)
     names = ",".join(r.name for r in rules)

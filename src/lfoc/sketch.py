@@ -15,9 +15,10 @@ functors interact so that satisfaction is invariant:
 `check_satisfaction_condition` evaluates both sides independently.
 
 Satisfaction is read off the one evaluator (`expr._Evaluator`): the
-constraints' masks are the atoms of a holding search over the context,
-whose result maps each interpretation to the structures it satisfies
-them in.  `models` runs it over one structure; `entails` (and
+constraints' masks are the atoms of a holding search over the context
+(`satisfying`), whose result maps each interpretation to the
+structures it satisfies them in.  `models` runs it over one structure,
+and `rules` over a host sketch read as a structure; `entails` (and
 `check_sketch_morphism` through it) over each block of a registry,
 where `registry_verdict` turns the masks of the failing structures into
 the first witness in registry order.
@@ -209,6 +210,14 @@ def satisfied(ev: _Evaluator, constraints: Iterable[Constraint]) -> list:
     return [(c.binding.images, ev.masks(c.expr)) for c in constraints]
 
 
+def satisfying(ev: _Evaluator, sketch: Sketch) -> dict:
+    """Per interpretation of the sketch context in the carrier, in hom-set
+    order, the mask of the structures where it satisfies every
+    constraint, leaving out mask 0: the holding search over the
+    constraints' masks."""
+    return ev.holding(sketch.context, satisfied(ev, sketch.constraints))
+
+
 def models(sketch: Sketch, structure: Structure) -> tuple[Interpretation, ...]:
     """All interpretations of the sketch context satisfying every
     constraint, in hom-set order."""
@@ -216,8 +225,7 @@ def models(sketch: Sketch, structure: Structure) -> tuple[Interpretation, ...]:
         raise CategoryError(
             f"sketch context {sketch.context!r} and carrier "
             f"{structure.carrier!r} have different kinds")
-    ev = _Evaluator(structure)
-    found = ev.holding(sketch.context, satisfied(ev, sketch.constraints))
+    found = satisfying(_Evaluator(structure), sketch)
     return tuple(Interpretation(Morphism(sketch.context, structure.carrier, a), structure)
                  for a in found)
 

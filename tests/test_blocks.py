@@ -251,7 +251,7 @@ def test_errors_of_ill_formed_constraints_are_the_evaluators():
     bad_exists = expr.CondExists(p, expr.Top(p), morphism(p, q, {"p": "q1"}), expr.Top(p))
     for bad in (bad_conj, bad_exists):
         with pytest.raises(CategoryError) as want:
-            expr._Evaluator(next(iter(registry))).tuples(bad)
+            expr._Evaluator(next(iter(registry))).masks(bad)
         with pytest.raises(CategoryError) as got:
             entails(p, [mark], [Constraint(bad, ident)], registry)
         assert str(got.value) == str(want.value)

@@ -7,7 +7,7 @@ the input alone, since the printed sketch shows its bound names.  Each
 seed's transcript comes from a fresh interpreter and must be the same
 bytes: the gluing rule below, plus the golden sweep's commands that
 print sketches (`apply`, `saturate`, `pushout` with sketches and
-`elemdiag`).
+`elemdiag`) or matches found in one (`match`, `closed`).
 """
 
 from __future__ import annotations
@@ -43,7 +43,7 @@ sketch Rhs { context R; };
 rule glue : Lhs => Rhs via [a->o; b->o];
 """
 
-PRINTING = ("apply", "saturate", "pushout", "elemdiag")
+PRINTING = ("apply", "saturate", "pushout", "elemdiag", "match", "closed")
 
 
 def transcript(directory: str) -> str:

@@ -9,7 +9,13 @@ itself on generated input.
   body under the same premise, or the premise fails;
 * an exhaustive registry and the explicit registry of its structures, in
   its order, give the same `entails` and `is_sound` verdicts and
-  witnesses.
+  witnesses;
+* a structure is conservative for a rule exactly when its maximal
+  sketch over the rule's expressions is closed under it
+  (`check_equivalence`): one search over the structure's relations and
+  over the sketch's constraints;
+* a sketch that saturates to `closed` is closed under every rule, and
+  saturating it again takes no step and returns it.
 
 Expressions come from `helpers.random_expr` (every node kind, non-`top`
 premises), structures from `helpers.random_structure`, on set and graph
@@ -26,11 +32,21 @@ from helpers import random_expr, random_graph, random_morphism, random_structure
 from lfoc.category import FinSet
 from lfoc.expr import cond_exists, cond_forall, conj, disj, neg, solutions
 from lfoc.footprint import Footprint, StructureRegistry
-from lfoc.rules import is_sound
-from lfoc.sketch import entails
+from lfoc.rules import (
+    CLOSED,
+    SaturationLimits,
+    check_equivalence,
+    fold_conjunction_rule,
+    intro_rule,
+    is_closed,
+    is_sound,
+    saturate,
+    unfold_conjunction_rule,
+)
+from lfoc.sketch import Constraint, Sketch, entails
 from test_orbits import _footprint
 from test_restriction import _rule
-from test_search import _constraints, _small
+from test_search import _conjunction, _constraints, _small
 
 SEEDS = st.integers(min_value=0, max_value=2**32 - 1)
 KINDS = st.sampled_from(["set", "graph"])
@@ -116,3 +132,40 @@ def test_an_exhaustive_registry_checks_as_its_listed_structures(seed, kind):
                   entails(context, premises, conclusions, exhaustive))
     rule = _rule(rng, used, kind)
     _same_verdict(is_sound(rule, listed), is_sound(rule, exhaustive))
+
+
+@LAWS
+@given(seed=SEEDS, kind=KINDS)
+def test_conservativity_is_closedness_of_the_maximal_sketch(seed, kind):
+    rng = random.Random(seed)
+    fp, structure, _ = _setting(rng, kind)
+    result = check_equivalence(structure, _rule(rng, fp, kind))
+    assert result.agree, result
+
+
+@LAWS
+@given(seed=SEEDS, kind=KINDS)
+def test_a_saturated_sketch_is_closed_and_saturates_in_no_step(seed, kind):
+    rng = random.Random(seed)
+    fp, _, x = _setting(rng, kind)
+    # rules that add constraints in place, which saturation can close,
+    # beside random rules that may grow the context
+    left, right = _conjunction(rng, fp, x), _conjunction(rng, fp, x)
+    both = conj(left, right)
+    rules = [unfold_conjunction_rule(both), fold_conjunction_rule(both), intro_rule(left)]
+    rules += [_rule(rng, fp, kind, f"r{i}") for i in range(rng.randint(0, 2))]
+    rng.shuffle(rules)
+    context = _small(rng, kind, 3, "k")
+    host_cs = _constraints(rng, fp, context, rng.randint(0, 2))
+    phi = random_morphism(rng, x, context)
+    if phi is not None:
+        host_cs.append(Constraint(both, phi))
+    limits = SaturationLimits(max_steps=12, max_elements=5, max_vertices=4, max_edges=6)
+    result = saturate(Sketch("h", context, host_cs), rules, limits)
+    if result.status != CLOSED:
+        return
+    for rule in rules:
+        assert is_closed(result.sketch, rule)
+    again = saturate(result.sketch, rules, limits)
+    assert (again.status, again.steps) == (CLOSED, 0)
+    assert again.sketch == result.sketch

@@ -270,8 +270,9 @@ def test_search_binds_in_hom_set_order_with_repeated_positions():
     # an atom over (a, a, c): only facts agreeing on their first two places count
     facts = {(0, 0, 1), (0, 1, 1), (1, 1, 0)}
     got = hom_search(x, carrier, [((0, 0, 2), facts)])
-    assert got == [(0, 0, 1), (0, 1, 1), (1, 0, 0), (1, 1, 0)]
-    assert got == sorted(got)
+    assert list(got) == [(0, 0, 1), (0, 1, 1), (1, 0, 0), (1, 1, 0)]
+    assert list(got) == sorted(got)
+    assert set(got.values()) == {-1}  # a set of facts holds at every bit
     index = SearchIndex()
     assert [Morphism(x, carrier, b) for b in hom_search(x, carrier, (), index)] \
         == list(hom_set(x, carrier))
@@ -291,6 +292,27 @@ def test_search_refuses_once_its_output_passes_the_cap(monkeypatch):
         assert exc.estimate == 6
     else:
         raise AssertionError("the search passed the cap")
+
+
+def test_an_empty_pattern_is_refused_by_the_estimate_of_its_hom_set():
+    from lfoc.category import HOM_ENUMERATION_CAP, EnumerationLimitError
+
+    # a pattern with no constraints matches at every map: the search lists
+    # hom(pattern, host), refused by estimate before anything is listed
+    cases = [(FinSet(tuple(f"p{i}" for i in range(8))),
+              FinSet(tuple(f"h{i}" for i in range(8))), 8 ** 8),
+             (FinGraph(("a", "b"), [(f"e{i}", "a", "b") for i in range(4)]),
+              FinGraph(("u",), [(f"l{i}", "u", "u") for i in range(50)]), 50 ** 4)]
+    for dom, cod, estimate in cases:
+        up_to = "" if isinstance(dom, FinSet) else "up to "
+        try:
+            find_matches(Sketch("", dom, []), Sketch("", cod, []))
+        except EnumerationLimitError as exc:
+            assert exc.estimate == estimate
+            assert str(exc) == (f"hom set {dom!r} -> {cod!r} has {up_to}{estimate} "
+                                f"candidates (cap {HOM_ENUMERATION_CAP})")
+        else:
+            raise AssertionError("the empty pattern's hom set passed the cap")
 
 
 @settings(max_examples=200, deadline=None)
@@ -338,4 +360,5 @@ def test_masked_search_is_the_scan_of_each_bit(seed, kind, width):
     if any(isinstance(rel, dict) for _, rel in atoms):
         assert list(got.items()) == list(scanned.items())
     else:
-        assert got == list(scanned)
+        # over sets only every mask is all bits
+        assert list(got.items()) == [(b, -1) for b in scanned]
