@@ -15,6 +15,7 @@ function in this module is pure.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from collections import Counter
@@ -268,6 +269,8 @@ def is_extension(b: Morphism, t: Morphism, a: Morphism) -> bool:
 #
 # Inside a search a morphism b: X -> C is its image tuple (see
 # `Morphism`); lexicographic order on these tuples is hom-set order.
+# An atom's reading plan depends on its binding alone, so one bounded
+# cache (`_plan`) serves every search in the process.
 
 def hom_set(dom: CatObject, cod: CatObject) -> tuple[Morphism, ...]:
     """All morphisms dom -> cod, in lexicographic order.
@@ -279,8 +282,7 @@ def hom_set(dom: CatObject, cod: CatObject) -> tuple[Morphism, ...]:
     return tuple(Morphism(dom, cod, b) for b in hom_search(dom, cod))
 
 
-def hom_search(dom: CatObject, cod: CatObject, atoms=(), index: SearchIndex | None = None
-               ) -> dict[tuple[int, ...], int]:
+def hom_search(dom: CatObject, cod: CatObject, atoms=()) -> dict[tuple[int, ...], int]:
     """Every b: dom -> cod with delta;b in R for each atom, in hom-set order.
 
     An atom (binding, relation) stands for a morphism delta: A -> dom and
@@ -293,22 +295,21 @@ def hom_search(dom: CatObject, cod: CatObject, atoms=(), index: SearchIndex | No
     atoms' masks, a set counting as all bits (-1), leaving out 0; with
     only sets every mask is -1.
 
-    Names of dom are bound one at a time in declared order, each to the
-    candidates every atom over it still allows (Generic Join); an edge's
-    candidates come from the edges between its bound endpoints; a
-    complete binding ANDs its atoms' masks.  With no constraining atom
-    this is all of hom(dom, cod), refused by estimate past
-    HOM_ENUMERATION_CAP; otherwise the search refuses once its output
-    passes the cap.
+    Each atom's facts are first read at its binding's distinct positions,
+    by a plan cached per binding (`_plan`).  Names of dom are then bound
+    one at a time in declared order, each to the candidates every atom
+    over it still allows (Generic Join); an edge's candidates come from
+    the edges between its bound endpoints; a complete binding ANDs its
+    atoms' masks.  With no constraining atom this is all of hom(dom,
+    cod), refused by estimate past HOM_ENUMERATION_CAP; otherwise the
+    search refuses once its output passes the cap.
     """
     if dom.kind != cod.kind:
         raise CategoryError(f"kind mismatch: {dom!r} is a {dom.kind}, {cod!r} is a {cod.kind}")
-    if index is None:
-        index = SearchIndex()
     const = -1  # the masks of the atoms that bind no name
     reduced = []
     for binding, relation in atoms:
-        variables, columns, repeats = index.plan(binding)
+        variables, columns, repeats = _plan(binding)
         if not variables:
             # an atom that binds no name holds of every b or of none
             const &= _mask(relation, ())
@@ -342,6 +343,25 @@ def hom_search(dom: CatObject, cod: CatObject, atoms=(), index: SearchIndex | No
                 out[b] = m
         return out
     return _join(dom, cod, reduced, const)
+
+
+@functools.lru_cache(maxsize=1 << 12)
+def _plan(binding: tuple[int, ...]):
+    """How to read an atom's facts at its distinct positions.
+
+    Returns the distinct positions in ascending order, the fact columns
+    to read at them (None when that is every column in order) and the
+    column pairs a repeated position must agree on.
+    """
+    first: dict[int, int] = {}
+    for j, p in enumerate(binding):
+        first.setdefault(p, j)
+    variables = tuple(sorted(first))
+    columns = tuple(first[p] for p in variables)
+    repeats = tuple((j, first[p]) for j, p in enumerate(binding) if first[p] != j)
+    if columns == tuple(range(len(binding))):
+        columns = None
+    return variables, columns, repeats
 
 
 def _mask(relation, fact: tuple) -> int:
@@ -440,39 +460,6 @@ def _join(dom: CatObject, cod: CatObject, atoms, const: int) -> dict[tuple[int, 
     finally:
         del extend  # the closure refers to itself: free it without the collector
     return out
-
-
-class SearchIndex:
-    """The reading plan per atom binding (`plan`), shared by the hom
-    searches of one call.  A caller that searches many structures (a
-    registry) creates one and passes it down, so each plan is made once
-    per call; nothing outlives the call.
-    """
-
-    __slots__ = ("_plans",)
-
-    def __init__(self):
-        self._plans: dict[tuple[int, ...], tuple] = {}
-
-    def plan(self, binding: tuple[int, ...]):
-        """How to read an atom's facts at its distinct positions.
-
-        Returns the distinct positions in ascending order, the fact
-        columns to read at them (None when that is every column in
-        order) and the column pairs a repeated position must agree on.
-        """
-        plan = self._plans.get(binding)
-        if plan is None:
-            first: dict[int, int] = {}
-            for j, p in enumerate(binding):
-                first.setdefault(p, j)
-            variables = tuple(sorted(first))
-            columns = tuple(first[p] for p in variables)
-            repeats = tuple((j, first[p]) for j, p in enumerate(binding) if first[p] != j)
-            if columns == tuple(range(len(binding))):
-                columns = None
-            plan = self._plans[binding] = (variables, columns, repeats)
-        return plan
 
 
 def precompose(binding: tuple[int, ...], images: tuple[int, ...]) -> tuple[int, ...]:

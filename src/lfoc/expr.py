@@ -46,7 +46,6 @@ from .category import (
     CatObject,
     CategoryError,
     Morphism,
-    SearchIndex,
     canonical_copy,
     compose,
     hom_search,
@@ -326,16 +325,13 @@ class _Evaluator:
     facts' masks; `or` ORs masks, `not` complements them, and quantifiers
     project masks along their variable declaration.  An `exists` with a
     `top` premise never lists hom(arity, carrier); `top`, `not`, `forall`
-    and other premises do.  Values are memoized per expression.  Pass a
-    `SearchIndex` to share the hom searches' reading plans across the
-    blocks or structures of one call.
+    and other premises do.  Values are memoized per expression.
     """
 
-    def __init__(self, structure: Structure | Block, index: SearchIndex | None = None):
+    def __init__(self, structure: Structure | Block):
         self.structure = structure
         self.carrier = structure.carrier
         self.full = (1 << structure.width) - 1
-        self.index = SearchIndex() if index is None else index
         self.memo: dict[Expr, dict] = {}
 
     def solutions(self, e: Expr) -> frozenset:
@@ -356,7 +352,7 @@ class _Evaluator:
         of facts holding in all of them), leaving out mask 0.  An atom
         that binds no name, holding at every bit of the block, keeps each
         mask within the block."""
-        return hom_search(context, self.carrier, [*atoms, ((), {(): self.full})], self.index)
+        return hom_search(context, self.carrier, [*atoms, ((), {(): self.full})])
 
     def _compute(self, e: Expr) -> dict:
         full = self.full

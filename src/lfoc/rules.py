@@ -40,7 +40,6 @@ from .category import (
     CategoryError,
     FinSet,
     Morphism,
-    SearchIndex,
     identity,
     precompose,
 )
@@ -114,9 +113,8 @@ class _Host(_Evaluator):
     translated onto a host constraint, so the holding search of the
     pattern over the host finds its matches.  Nothing is evaluated."""
 
-    def __init__(self, host: Sketch, index: SearchIndex | None = None):
+    def __init__(self, host: Sketch):
         self.carrier, self.full = host.context, 1
-        self.index = SearchIndex() if index is None else index
         self.memo = {}
         for c in host.constraints:
             self.memo.setdefault(c.canonical, {})[c.binding.images] = 1
@@ -255,9 +253,8 @@ def saturate(host: Sketch, rules: Sequence[SketchRule],
     """
     steps = 0
     current = host
-    index = SearchIndex()
     while True:
-        ev = _Host(current, index)
+        ev = _Host(current)
         first = next(((rule, a) for rule in rules for a, _ in _unextended(ev, rule)), None)
         if first is None:
             return SaturationResult(current, CLOSED, steps)
@@ -344,10 +341,9 @@ def axiom_filtered_registry(footprint: Footprint, bounds: CarrierBounds,
     conservative for every given rule (semantics by axioms).  Each block
     of the enumeration is decided once per rule, and keeps the bits that
     no rule fails."""
-    index = SearchIndex()
     keep = []
     for block, kept in _kept_blocks(footprint, bounds, dedup_isomorphic):
-        ev = _Evaluator(block, index)
+        ev = _Evaluator(block)
         for r in rules:
             if not kept:
                 break

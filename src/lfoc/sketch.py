@@ -38,7 +38,6 @@ from .category import (
     CatObject,
     CategoryError,
     Morphism,
-    SearchIndex,
     compose,
     identity,
     isomorphisms,
@@ -274,9 +273,8 @@ def registry_verdict(registry: StructureRegistry, features: Sequence[str],
     in hom-set order; the first structure is the lowest bit set in any
     of them, and its map the first where it is set.
     """
-    index = SearchIndex()
     for block in registry.blocks(features):
-        found = failing(_Evaluator(block, index))
+        found = failing(_Evaluator(block))
         if found:
             low = reduce(or_, found.values())
             low &= -low

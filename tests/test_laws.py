@@ -7,9 +7,16 @@ itself on generated input.
 * sol(e or f) is sol(e) union sol(f), and sol(not not e) is sol(e);
 * a conditional forall is the negated conditional exists of the negated
   body under the same premise, or the premise fails;
+* the solutions of substitute(e, t), for any t: X -> Z and injective or
+  not, are the a: Z -> C with t;a a solution of e, and canonicalize(e)
+  has the solutions of e;
 * an exhaustive registry and the explicit registry of its structures, in
   its order, give the same `entails` and `is_sound` verdicts and
   witnesses;
+* so does the registry with only the first structure of each
+  isomorphism class (`dedup_isomorphic`), because verdicts are invariant
+  under isomorphism: the first failing structure is the first of its
+  class;
 * a structure is conservative for a rule exactly when its maximal
   sketch over the rule's expressions is closed under it
   (`check_equivalence`): one search over the structure's relations and
@@ -29,8 +36,18 @@ import random
 from hypothesis import given, settings, strategies as st
 
 from helpers import random_expr, random_graph, random_morphism, random_structure
-from lfoc.category import FinSet
-from lfoc.expr import cond_exists, cond_forall, conj, disj, neg, solutions
+from lfoc.category import FinSet, compose, hom_set
+from lfoc.expr import (
+    canonicalize,
+    cond_exists,
+    cond_forall,
+    conj,
+    disj,
+    neg,
+    postorder,
+    solutions,
+    substitute,
+)
 from lfoc.footprint import Footprint, StructureRegistry
 from lfoc.rules import (
     CLOSED,
@@ -105,6 +122,37 @@ def test_forall_is_not_exists_not_under_the_same_premise(seed, kind):
                      | _sol(neg(premise), structure))
 
 
+# cheap, and needs many examples: a search that ignores repeated
+# positions fails about one set example in ten
+@settings(max_examples=300, deadline=None)
+@given(seed=SEEDS, kind=KINDS)
+def test_substitution_pulls_solutions_back_and_renaming_keeps_them(seed, kind):
+    rng = random.Random(seed)
+    # t runs into a smaller object, so it identifies names of x at times
+    # and the substituted atoms bind repeated positions
+    if kind == "set":
+        fp = Footprint("FP", kind, {f"f{i}": _names(rng.randint(1, 2), "a") for i in range(2)})
+        carrier, x = _names(rng.randint(2, 3), "c"), _names(3, "x")
+        z = _names(rng.randint(1, 2), "z")
+    else:
+        fp = Footprint("FP", kind, {f"f{i}": random_graph(rng, 2, 2, f"a{i}") for i in range(2)})
+        carrier, x = random_graph(rng, 3, 5, "c"), random_graph(rng, 3, 3, "x")
+        z = random_graph(rng, 2, 3, "z")
+    structure = random_structure(rng, fp, carrier, 0.5)
+    t = random_morphism(rng, x, z)
+    if t is None:
+        return
+    for e in dict.fromkeys(n for n in postorder(random_expr(rng, fp, x, 1)) if n.arity == x):
+        solved = _sol(e, structure)
+        pulled = {a for a in hom_set(z, carrier) if compose(t, a) in solved}
+        assert _sol(substitute(e, t), structure) == pulled
+        assert _sol(canonicalize(e), structure) == solved
+
+
+def _names(n: int, prefix: str) -> FinSet:
+    return FinSet(tuple(f"{prefix}{i}" for i in range(n)))
+
+
 def _same_verdict(got, want):
     assert bool(got) == bool(want)
     if want.witness is None:
@@ -124,14 +172,16 @@ def test_an_exhaustive_registry_checks_as_its_listed_structures(seed, kind):
         return
     fp, used, bounds = picked
     exhaustive = StructureRegistry.exhaustive(fp, bounds)
-    listed = StructureRegistry.explicit(list(exhaustive))
+    others = (StructureRegistry.explicit(list(exhaustive)),
+              StructureRegistry.exhaustive(fp, bounds, dedup_isomorphic=True))
     context = _small(rng, kind, 3, "k")
     premises = _constraints(rng, used, context, rng.randint(0, 2))
     conclusions = _constraints(rng, used, context, rng.randint(1, 2))
-    _same_verdict(entails(context, premises, conclusions, listed),
-                  entails(context, premises, conclusions, exhaustive))
     rule = _rule(rng, used, kind)
-    _same_verdict(is_sound(rule, listed), is_sound(rule, exhaustive))
+    for other in others:
+        _same_verdict(entails(context, premises, conclusions, other),
+                      entails(context, premises, conclusions, exhaustive))
+        _same_verdict(is_sound(rule, other), is_sound(rule, exhaustive))
 
 
 @LAWS

@@ -26,7 +26,6 @@ from lfoc.category import (
     FinGraph,
     FinSet,
     Morphism,
-    SearchIndex,
     canonical_copy,
     compose,
     hom_search,
@@ -273,9 +272,23 @@ def test_search_binds_in_hom_set_order_with_repeated_positions():
     assert list(got) == [(0, 0, 1), (0, 1, 1), (1, 0, 0), (1, 1, 0)]
     assert list(got) == sorted(got)
     assert set(got.values()) == {-1}  # a set of facts holds at every bit
-    index = SearchIndex()
-    assert [Morphism(x, carrier, b) for b in hom_search(x, carrier, (), index)] \
+    assert [Morphism(x, carrier, b) for b in hom_search(x, carrier, ())] \
         == list(hom_set(x, carrier))
+
+
+def test_plan_cache_stays_within_its_bound():
+    from lfoc.category import _plan
+
+    x, carrier = FinSet(("a", "b", "c")), FinSet(("u", "v"))
+    atoms = [((0, 0, 2), {(0, 0, 1), (0, 1, 1), (1, 1, 0)}), ((2, 1), {(1, 0), (0, 1)})]
+    first = hom_search(x, carrier, atoms)
+    assert list(first) == [(0, 0, 1), (1, 1, 0)]
+    bound = _plan.cache_parameters()["maxsize"]
+    for k in range(bound + 100):
+        _plan((k, k % 3, k))
+    assert _plan.cache_info().currsize <= bound
+    _plan.cache_clear()
+    assert list(hom_search(x, carrier, atoms).items()) == list(first.items())
 
 
 def test_search_refuses_once_its_output_passes_the_cap(monkeypatch):
@@ -356,7 +369,7 @@ def test_masked_search_is_the_scan_of_each_bit(seed, kind, width):
                    if all(holds(rel, tuple(b[p] for p in binding), j) for binding, rel in atoms))
         if mask:
             scanned[b] = mask
-    got = hom_search(dom, cod, atoms, SearchIndex())
+    got = hom_search(dom, cod, atoms)
     if any(isinstance(rel, dict) for _, rel in atoms):
         assert list(got.items()) == list(scanned.items())
     else:
