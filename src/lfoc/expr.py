@@ -14,7 +14,7 @@ holds of.  The eight constructors and their meaning:
 * ``CondForall(premise, t, body)``  holds of a  iff whenever a solves
   the premise, every extension of a along t solves the body.
 
-Both quantifiers are guarded: a failing premise makes them hold.  With
+Both quantifiers are guarded: an unsolved premise makes them hold.  With
 no extensions at all, the conditional-forall holds and the
 conditional-exists fails (given the premise).
 
@@ -378,7 +378,7 @@ class _Evaluator:
                 every, premise = self.masks(Top(e.arity)), self.masks(e.premise)
                 return _or(_complement(every, premise, full), witnessed)
             # extensions of a along t are the b with t;b = a; the spoiled
-            # are the a with some extension failing the body
+            # are the a with some extension outside the body
             extensions = self.masks(Top(e.var.cod))
             spoiled = _along(t, _complement(extensions, self.masks(e.body), full))
             every, premise = self.masks(Top(e.arity)), self.masks(e.premise)
@@ -438,14 +438,7 @@ def _and(left: dict, right: dict) -> dict:
 
 def _complement(every: dict, value: dict, full: int) -> dict:
     """The complement of `value` within `every`, the top value."""
-    # a copy of `every` hashes no tuple, so drop the keys of a small value
-    # from it, and build the complement of a large one afresh
-    if 2 * len(value) < len(every):
-        out = every.copy()
-        for a in value:
-            out.pop(a, None)
-    else:
-        out = dict.fromkeys(every.keys() - value.keys(), full)
+    out = dict.fromkeys(every.keys() - value.keys(), full)
     if set(value.values()) - {full}:
         out.update((a, full ^ m) for a, m in value.items() if m != full and a in every)
     return out

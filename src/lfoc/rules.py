@@ -13,27 +13,27 @@ extends along the rule morphism to a right-hand model; a rule is
 *sound* over a registry when all its structures are conservative.  A
 sketch is *closed* under a rule when every left-hand match factors
 through a right-hand match.  The two are one property, and one search:
-the left-hand solutions of the holding search (`sketch.satisfying`) in
-hom-set order that are no r;b for a right-hand solution b, where the
-right-hand side is searched only once a left-hand solution exists
-(`_unextended`).  Conservativity and soundness run it over the
-evaluator of a structure or of a block of structures, so the failing
-masks name the structures too.  Matching, closedness and saturation run
-it over a host sketch read as a structure of width 1 on its context
-(`_Host`), whose features are the canonical expressions of its
-constraints: a match is a model of the pattern there, and saturation
-applies a rule at the first unfactored match.  These checks return a
-`Verdict` whose witness, when the property fails, is the left-hand
-model or match that does not extend or factor.  Conservativity of a
-structure and closedness of its maximal sketch over the rule's
-expressions agree; `check_equivalence` computes both sides, over the
-structure's relations and over the sketch's constraints.
+the factoring search `sketch.unextended`, which `sketch.entails` runs
+too.  Conservativity runs it over the evaluator of a structure, and
+soundness (`sketch.registry_verdict`) over each block of a registry,
+so its masks name the structures too.  Matching, closedness and
+saturation run the holding search (`sketch.satisfying`) and the
+factoring search over a host sketch read as a structure of width 1 on
+its context (`_Host`), whose features are the canonical expressions of
+its constraints: a match is a model of the pattern there, and
+saturation applies a rule at the first unfactored match.  These checks
+return a `Verdict` whose witness, when the property fails, is the
+left-hand model or match that does not extend or factor.
+Conservativity of a structure and closedness of its maximal sketch
+over the rule's expressions agree; `check_equivalence` computes both
+sides, over the structure's relations and over the sketch's
+constraints.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, Literal, Sequence
+from typing import Literal, Sequence
 
 from .category import (
     CatObject,
@@ -41,9 +41,8 @@ from .category import (
     FinSet,
     Morphism,
     identity,
-    precompose,
 )
-from .expr import And, CondExists, Expr, _along, _Evaluator, canonicalize
+from .expr import And, CondExists, Expr, _Evaluator, canonicalize
 from .footprint import (
     CarrierBounds,
     Footprint,
@@ -55,13 +54,13 @@ from .footprint import (
 from .sketch import (
     Constraint,
     Sketch,
-    constraint_features,
     merge_constraints,
     registry_verdict,
     satisfying,
     sketch_pushout,
     structure_to_sketch_max,
     translate_constraint,
+    unextended,
 )
 
 
@@ -140,34 +139,16 @@ def is_sound(rule: SketchRule, registry: StructureRegistry) -> Verdict:
     in hom-set order.  The registry is decided one block of structures at
     a time, each restriction to the rule's features once.
     """
-    return registry_verdict(registry, _rule_features(rule), rule.lhs.context,
-                            lambda ev: dict(_unextended(ev, rule)))
-
-
-def _unextended(ev: _Evaluator, rule: SketchRule) -> Iterator[tuple[tuple[int, ...], int]]:
-    """Per lhs model a in hom-set order, the mask of the structures where
-    it does not extend: where no rhs model b has r;b = a, leaving out 0.
-    The rhs is evaluated only once some lhs model exists."""
-    modelled = satisfying(ev, rule.lhs)
-    if modelled:
-        factored = _along(rule.morphism.images, satisfying(ev, rule.rhs))
-        for a, m in modelled.items():
-            if f := m & ~factored.get(a, 0):
-                yield a, f
+    return registry_verdict(registry, rule.lhs.constraints, rule.rhs.constraints,
+                            rule.morphism)
 
 
 def _first_unextended(ev: _Evaluator, rule: SketchRule) -> Verdict:
     """Does every lhs model of a structure of width 1 extend?  The
     witness is the first that does not."""
-    for a, _ in _unextended(ev, rule):
+    for a, _ in unextended(ev, rule.lhs.constraints, rule.rhs.constraints, rule.morphism):
         return Verdict(False, Morphism(rule.lhs.context, ev.carrier, a))
     return Verdict(True)
-
-
-def _rule_features(rule: SketchRule) -> tuple[str, ...]:
-    """The features a rule's constraints mention: all that its
-    conservativity reads of a structure besides the carrier."""
-    return constraint_features(rule.lhs.constraints | rule.rhs.constraints)
 
 
 # ---------------------------------------------------------------------------
@@ -255,7 +236,8 @@ def saturate(host: Sketch, rules: Sequence[SketchRule],
     current = host
     while True:
         ev = _Host(current)
-        first = next(((rule, a) for rule in rules for a, _ in _unextended(ev, rule)), None)
+        first = next(((rule, a) for rule in rules for a, _ in unextended(
+            ev, rule.lhs.constraints, rule.rhs.constraints, rule.morphism)), None)
         if first is None:
             return SaturationResult(current, CLOSED, steps)
         rule, a = first
@@ -347,7 +329,8 @@ def axiom_filtered_registry(footprint: Footprint, bounds: CarrierBounds,
         for r in rules:
             if not kept:
                 break
-            for _, failed in _unextended(ev, r):
+            for _, failed in unextended(ev, r.lhs.constraints, r.rhs.constraints,
+                                        r.morphism):
                 kept &= ~failed
         keep += block.structures(kept)
     names = ",".join(r.name for r in rules)

@@ -17,11 +17,12 @@ functors interact so that satisfaction is invariant:
 Satisfaction is read off the one evaluator (`expr._Evaluator`): the
 constraints' masks are the atoms of a holding search over the context
 (`satisfying`), whose result maps each interpretation to the
-structures it satisfies them in.  `models` runs it over one structure,
-and `rules` over a host sketch read as a structure; `entails` (and
-`check_sketch_morphism` through it) over each block of a registry,
-where `registry_verdict` turns the masks of the failing structures into
-the first witness in registry order.
+structures it satisfies them in.  `models` runs it over one structure.
+The factoring search (`unextended`) finds a rule's lhs models that
+extend to no rhs model; `rules` runs it over a structure or a host
+sketch, and `registry_verdict` over each block of a registry.
+`entails` (and `check_sketch_morphism` through it) is soundness of the
+rule along the identity of its context.
 
 Constraints compare equal up to canonical renaming of bound names in
 their expression, which also deduplicates constraint sets.
@@ -32,7 +33,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import reduce
 from operator import or_
-from typing import Callable, Collection, Iterable, Sequence
+from typing import Collection, Iterable, Iterator
 
 from .category import (
     CatObject,
@@ -41,12 +42,12 @@ from .category import (
     compose,
     identity,
     isomorphisms,
-    precompose,
     pushout,
 )
 from .expr import (
     Atomic,
     Expr,
+    _along,
     _Evaluator,
     canonicalize,
     features,
@@ -198,11 +199,6 @@ def check_satisfaction_condition(phi: Morphism, c: Constraint, i: Interpretation
     return lhs == rhs
 
 
-def constraint_features(constraints: Iterable[Constraint]) -> tuple[str, ...]:
-    """The features the constraints' expressions mention, sorted."""
-    return tuple(sorted({f for c in constraints for f in features(c.expr)}))
-
-
 def satisfied(ev: _Evaluator, constraints: Iterable[Constraint]) -> list:
     """Hom-search atoms for interpretations satisfying the constraints:
     each binding with the masks of its expression, evaluated in order."""
@@ -215,6 +211,26 @@ def satisfying(ev: _Evaluator, sketch: Sketch) -> dict:
     constraint, leaving out mask 0: the holding search over the
     constraints' masks."""
     return ev.holding(sketch.context, satisfied(ev, sketch.constraints))
+
+
+def unextended(ev: _Evaluator, lhs: Collection[Constraint], rhs: Collection[Constraint],
+               r: Morphism) -> Iterator[tuple[tuple[int, ...], int]]:
+    """Per model a of `lhs` on the domain of r, in hom-set order, the
+    mask of the structures where no model b of `rhs` has r;b = a,
+    leaving out 0.  The rhs is searched only once an lhs model exists;
+    where r reaches every name, as an identity does, the lhs models are
+    one more of its atoms, so it looks only at their extensions and
+    lists no hom set (an atom binding fewer names would only filter)."""
+    modelled = ev.holding(r.dom, satisfied(ev, lhs))
+    if modelled:
+        t = r.images
+        atoms = satisfied(ev, rhs)
+        if len(set(t)) == r.cod.size:
+            atoms.append((t, modelled))
+        factored = _along(t, ev.holding(r.cod, atoms))
+        for a, m in modelled.items():
+            if f := m & ~factored.get(a, 0):
+                yield a, f
 
 
 def models(sketch: Sketch, structure: Structure) -> tuple[Interpretation, ...]:
@@ -237,50 +253,35 @@ def entails(context: CatObject, premises: Iterable[Constraint],
     satisfies the premises but not the conclusions: the first such
     structure in registry order, and its first such map in hom-set order.
 
-    The registry is decided one block of structures at a time (see
-    `StructureRegistry.blocks` and `registry_verdict`): the premises'
-    holding search gives, per map, the structures it satisfies them in,
-    and a conclusion's masks at the map take out those it satisfies.
+    This is soundness of the rule (K, premises) =id=> (K, conclusions)
+    over the registry (`registry_verdict`), so the conclusions are
+    evaluated only in blocks where the premises have a model.
     """
     premises = list(premises)
     conclusions = list(conclusions)
     for c in premises + conclusions:
         if c.context != context:
             raise CategoryError(f"constraint {c!r} does not live on {context!r}")
-
-    def failing(ev: _Evaluator) -> dict:
-        pre, post = satisfied(ev, premises), satisfied(ev, conclusions)
-        out = {}
-        for a, m in ev.holding(context, pre).items():
-            held = m
-            for b, masks in post:
-                held &= masks.get(precompose(b, a), 0)
-            if held != m:
-                out[a] = m ^ held
-        return out
-
-    return registry_verdict(registry, constraint_features(premises + conclusions),
-                            context, failing)
+    return registry_verdict(registry, premises, conclusions, identity(context))
 
 
-def registry_verdict(registry: StructureRegistry, features: Sequence[str],
-                     context: CatObject, failing: Callable[[_Evaluator], dict]) -> Verdict:
-    """The verdict of a check over the registry's blocks for `features`,
-    whose witness is the first (structure, map) in registry order.
-
-    `failing` maps an evaluator over a block to the masks of the
-    structures that fail the check at each map of hom(context, carrier),
-    in hom-set order; the first structure is the lowest bit set in any
-    of them, and its map the first where it is set.
-    """
-    for block in registry.blocks(features):
-        found = failing(_Evaluator(block))
+def registry_verdict(registry: StructureRegistry, lhs: Collection[Constraint],
+                     rhs: Collection[Constraint], r: Morphism) -> Verdict:
+    """Is the rule lhs =r=> rhs sound over the registry?  It is decided
+    one block at a time, laid out for the features the constraints
+    mention, by the factoring search.  The witness is the first
+    (structure, lhs model) that does not extend: the structure of the
+    lowest bit set in any mask `unextended` gives, in registry order,
+    and its first such model in hom-set order."""
+    mentioned = sorted({f for c in (*lhs, *rhs) for f in features(c.expr)})
+    for block in registry.blocks(mentioned):
+        found = dict(unextended(_Evaluator(block), lhs, rhs, r))
         if found:
             low = reduce(or_, found.values())
             low &= -low
             a = next(a for a, m in found.items() if m & low)
             witness = (block.structure(low.bit_length() - 1),
-                       Morphism(context, block.carrier, a))
+                       Morphism(r.dom, block.carrier, a))
             return Verdict(False, witness, registry.description)
     return Verdict(True, registry=registry.description)
 
@@ -288,7 +289,9 @@ def registry_verdict(registry: StructureRegistry, features: Sequence[str],
 def check_sketch_morphism(phi: Morphism, src: Sketch, dst: Sketch,
                           registry: StructureRegistry) -> Verdict:
     """Is phi a sketch morphism, i.e. are the translated source
-    constraints entailed by the target's constraints over the registry?"""
+    constraints entailed by the target's constraints over the registry?
+    That is soundness of the rule from the target sketch, along the
+    identity, to the translated constraints (`entails`)."""
     if phi.dom != src.context or phi.cod != dst.context:
         raise CategoryError(
             f"morphism {phi!r} does not run between the contexts "

@@ -239,6 +239,35 @@ def test_a_feature_missing_from_the_rhs_raises_once_an_lhs_model_exists(monkeypa
         is_sound(SketchRule("marked", marked, absent, ident), registry)
 
 
+def test_an_entailment_without_conclusions_lists_no_hom_set(monkeypatch):
+    # the conclusions are searched among the premises' models only, so
+    # with none of them hom(K, C) is never listed
+    fp, registry = _sparse_registry()
+    k = FinSet(("k1", "k2", "k3"))
+    steps = [atom("r", morphism(fp.features["r"], k, {"q1": a, "q2": b}))
+             for a, b in (("k1", "k2"), ("k2", "k3"))]
+    premises = [Constraint(step, identity(k)) for step in steps]
+    real = category._homs
+
+    def refusing(dom, cod):
+        assert dom != k, "hom(K, C) was listed"
+        return real(dom, cod)
+
+    monkeypatch.setattr(category, "_homs", refusing)
+    assert entails(k, premises, [], registry).holds
+
+
+def test_a_conclusion_is_evaluated_only_where_the_premises_have_a_model():
+    p = FinSet(("p",))
+    ident = identity(p)
+    fp = Footprint("U", "set", {"mark": p})
+    registry = StructureRegistry.exhaustive(fp, CarrierBounds(max_elements=2))
+    absent = [Constraint(atom("absent", ident), ident)]
+    assert entails(p, [Constraint(Bot(p), ident)], absent, registry).holds
+    with pytest.raises(CategoryError, match="^structure has no feature 'absent'$"):
+        entails(p, [Constraint(atom("mark", ident), ident)], absent, registry)
+
+
 def test_errors_of_ill_formed_constraints_are_the_evaluators():
     p, q = FinSet(("p",)), FinSet(("q1", "q2"))
     fp = Footprint("U", "set", {"mark": p})

@@ -17,12 +17,21 @@ itself on generated input.
   isomorphism class (`dedup_isomorphic`), because verdicts are invariant
   under isomorphism: the first failing structure is the first of its
   class;
+* an entailment (K, premises) |= (K, conclusions) is soundness of the
+  rule (K, premises) =id=> (K, conclusions): the same verdict and
+  witness over every registry (both end in `registry_verdict`, so this
+  guards the wiring of `entails`; the oracle tests of `test_blocks.py`
+  and `test_restriction.py` check each side on its own);
+* translate-then-satisfy is reduct-then-satisfy (the satisfaction
+  condition), for every node kind over set and graph footprints;
 * a structure is conservative for a rule exactly when its maximal
   sketch over the rule's expressions is closed under it
   (`check_equivalence`): one search over the structure's relations and
   over the sketch's constraints;
 * a sketch that saturates to `closed` is closed under every rule, and
-  saturating it again takes no step and returns it.
+  saturating it again takes no step and returns it;
+* the partition law holds through `lfoc solve` on a printed document,
+  so the printer, the parser and the JSON output keep solutions.
 
 Expressions come from `helpers.random_expr` (every node kind, non-`top`
 premises), structures from `helpers.random_structure`, on set and graph
@@ -31,12 +40,15 @@ carriers.
 
 from __future__ import annotations
 
+import json
 import random
 
-from hypothesis import given, settings, strategies as st
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from helpers import random_expr, random_graph, random_morphism, random_structure
-from lfoc.category import FinSet, compose, hom_set
+from lfoc import cli
+from lfoc.category import FinSet, compose, hom_set, identity
+from lfoc.dsl import Document, print_document
 from lfoc.expr import (
     canonicalize,
     cond_exists,
@@ -52,6 +64,7 @@ from lfoc.footprint import Footprint, StructureRegistry
 from lfoc.rules import (
     CLOSED,
     SaturationLimits,
+    SketchRule,
     check_equivalence,
     fold_conjunction_rule,
     intro_rule,
@@ -60,7 +73,13 @@ from lfoc.rules import (
     saturate,
     unfold_conjunction_rule,
 )
-from lfoc.sketch import Constraint, Sketch, entails
+from lfoc.sketch import (
+    Constraint,
+    Interpretation,
+    Sketch,
+    check_satisfaction_condition,
+    entails,
+)
 from test_orbits import _footprint
 from test_restriction import _rule
 from test_search import _conjunction, _constraints, _small
@@ -182,6 +201,11 @@ def test_an_exhaustive_registry_checks_as_its_listed_structures(seed, kind):
         _same_verdict(entails(context, premises, conclusions, other),
                       entails(context, premises, conclusions, exhaustive))
         _same_verdict(is_sound(rule, other), is_sound(rule, exhaustive))
+    by_identity = SketchRule("", Sketch("", context, premises),
+                             Sketch("", context, conclusions), identity(context))
+    for registry in (exhaustive, *others):
+        _same_verdict(is_sound(by_identity, registry),
+                      entails(context, premises, conclusions, registry))
 
 
 @LAWS
@@ -219,3 +243,39 @@ def test_a_saturated_sketch_is_closed_and_saturates_in_no_step(seed, kind):
     again = saturate(result.sketch, rules, limits)
     assert (again.status, again.steps) == (CLOSED, 0)
     assert again.sketch == result.sketch
+
+
+# about two examples in five find all three maps
+@settings(max_examples=200, deadline=None)
+@given(seed=SEEDS, kind=KINDS)
+def test_satisfaction_is_invariant_under_translation(seed, kind):
+    rng = random.Random(seed)
+    fp, structure, x = _setting(rng, kind)
+    k, m = _small(rng, kind, 2, "k"), _small(rng, kind, 3, "m")
+    binding, phi = random_morphism(rng, x, k), random_morphism(rng, k, m)
+    i = random_morphism(rng, m, structure.carrier)
+    if binding is None or phi is None or i is None:
+        return
+    c = Constraint(random_expr(rng, fp, x, 2), binding)
+    assert check_satisfaction_condition(phi, c, Interpretation(i, structure))
+
+
+@settings(max_examples=40, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(seed=SEEDS, kind=KINDS)
+def test_a_partition_splits_the_solutions_through_the_cli(seed, kind, tmp_path, capsys):
+    rng = random.Random(seed)
+    fp, structure, x = _setting(rng, kind)
+    e, p = random_expr(rng, fp, x, 2), random_expr(rng, fp, x, 1)
+    doc = Document(kind, footprints={"FP": fp}, structures={"U": structure},
+                   exprs={"e": e, "p": p, "yes": conj(e, p), "no": conj(e, neg(p))})
+    path = tmp_path / "partition.lfoc"
+    path.write_text(print_document(doc), encoding="utf-8")
+    solved = {}
+    for name in ("e", "yes", "no"):
+        assert cli.main(["solve", str(path), "--expr", name, "--structure", "U"]) == 0
+        found = json.loads(capsys.readouterr().out)["solutions"]
+        solved[name] = {tuple(sorted(a.items())) for a in found}
+        assert len(solved[name]) == len(found)
+    assert not solved["yes"] & solved["no"]
+    assert solved["yes"] | solved["no"] == solved["e"]

@@ -1,18 +1,25 @@
 """Compare the CPU time of two lfoc trees on one workload, in one interpreter.
 
-    python3 tools/ab_inprocess.py PARENT_SRC CHANGE_SRC WORKLOAD ROUNDS [SEED]
+    python3 tools/ab_inprocess.py PARENT CHANGE WORKLOAD ROUNDS [SEED]
 
-For example, against a `git archive` of the parent commit in /tmp/parent:
+PARENT and CHANGE are each a `src/` directory that holds an `lfoc`
+package, or a git revision of this repository, whose `src/lfoc` is
+exported with `git archive` into the tool's temporary directory.  For
+example, the working tree against its parent commit:
 
-    python3 tools/ab_inprocess.py /tmp/parent/src src registry 20
+    python3 tools/ab_inprocess.py HEAD src registry 20
 
-PARENT_SRC and CHANGE_SRC are `src/` directories that hold an `lfoc`
-package.  Each package is copied under its own name; every import inside
-`lfoc` is relative, so both load side by side.  The seed's schedule (seed 1
-by default) comes from `perfbench/worker.schedule`, and each operation runs
+and an A/A control, the parent commit against itself:
+
+    python3 tools/ab_inprocess.py HEAD HEAD registry 20
+
+Each package is copied under its own name; every import inside `lfoc` is
+relative, so both load side by side.  The seed's schedule (seed 1 by
+default) comes from `perfbench/worker.schedule`, and each operation runs
 through `worker.run_op`.  After a warm-up pass per side, each round runs one
 pass per side, alternating which side goes first, and requires both passes
-to give the same output digest.  Process CPU time drifts between
+to give the same output for every operation; otherwise it names the first
+operation whose output differs.  Process CPU time drifts between
 interpreters far more than within one, so alternating passes in one
 interpreter resolves changes of 1-2 %.
 
@@ -24,10 +31,13 @@ from __future__ import annotations
 
 import hashlib
 import importlib
+import io
 import os
 import shutil
 import statistics
+import subprocess
 import sys
+import tarfile
 import tempfile
 import time
 
@@ -38,18 +48,29 @@ import worker  # noqa: E402
 from probes import WARMUP  # noqa: E402
 
 
-def one_pass(cli, ops, path) -> tuple[float, str]:
-    """CPU seconds of one pass of `ops`, and the digest of its outputs."""
+def one_pass(cli, ops, path) -> tuple[float, list[str]]:
+    """CPU seconds of one pass of `ops`, and the digest of each output."""
     c0 = time.process_time()
     results = [worker.run_op(cli, op.argv(path[op.doc])) for op in ops]
     cpu = time.process_time() - c0
-    digest = hashlib.sha256()
-    for i, (rc, out, _, exc) in enumerate(results):
-        digest.update(f"{i}\0{rc}\0{out}\0{exc}\0".encode())
-    return cpu, digest.hexdigest()
+    return cpu, [hashlib.sha256(f"{rc}\0{out}\0{exc}".encode()).hexdigest()
+                 for rc, out, _, exc in results]
 
 
-def main(parent_src: str, change_src: str, workload: str, rounds: str, seed: str = "1") -> int:
+def source(tree: str, tmp: str, side: str) -> str:
+    """The `src/` directory of `tree`: the directory itself, or else the
+    `src/lfoc` of the git revision `tree`, exported under `tmp`."""
+    if os.path.isdir(tree):
+        return tree
+    archive = subprocess.run(["git", "-C", ROOT, "archive", "--format=tar", tree, "src/lfoc"],
+                             check=True, capture_output=True).stdout
+    out = os.path.join(tmp, f"rev_{side}")
+    with tarfile.open(fileobj=io.BytesIO(archive)) as tar:
+        tar.extractall(out)
+    return os.path.join(out, "src")
+
+
+def main(parent: str, change: str, workload: str, rounds: str, seed: str = "1") -> int:
     wl = worker.schedule(workload, int(seed))
     with tempfile.TemporaryDirectory() as tmp:
         path = {}
@@ -59,9 +80,10 @@ def main(parent_src: str, change_src: str, workload: str, rounds: str, seed: str
                 fh.write(text)
         sys.path.insert(0, tmp)
         sides = {}
-        for side, src in (("parent", parent_src), ("change", change_src)):
+        for side, tree in (("parent", parent), ("change", change)):
             package = f"lfoc_{side}"
-            shutil.copytree(os.path.join(src, "lfoc"), os.path.join(tmp, package),
+            shutil.copytree(os.path.join(source(tree, tmp, side), "lfoc"),
+                            os.path.join(tmp, package),
                             ignore=shutil.ignore_patterns("__pycache__"))
             sides[side] = cli = importlib.import_module(f"{package}.cli")
             for op in WARMUP.ops:
@@ -69,13 +91,15 @@ def main(parent_src: str, change_src: str, workload: str, rounds: str, seed: str
             one_pass(cli, wl.ops, path)
         cpu = {"parent": [], "change": []}
         for r in range(int(rounds)):
-            digests = set()
+            outputs = {}
             for side in ("parent", "change") if r % 2 == 0 else ("change", "parent"):
-                seconds, digest = one_pass(sides[side], wl.ops, path)
-                cpu[side].append(seconds)
-                digests.add(digest)
-            if len(digests) != 1:
-                print(f"round {r}: the two trees' outputs differ", file=sys.stderr)
+                cpu_s, outputs[side] = one_pass(sides[side], wl.ops, path)
+                cpu[side].append(cpu_s)
+            if outputs["parent"] != outputs["change"]:
+                i = next(i for i, (p, c) in enumerate(zip(outputs["parent"], outputs["change"]))
+                         if p != c)
+                print(f"round {r}: the two trees' outputs differ, first at operation {i}: "
+                      f"{wl.ops[i].argv(path[wl.ops[i].doc])}", file=sys.stderr)
                 return 1
     ratios = [c / p for c, p in zip(cpu["change"], cpu["parent"])]
     q1, _, q3 = statistics.quantiles(ratios, n=4, method="inclusive")
