@@ -333,12 +333,13 @@ def hom_search(dom: CatObject, cod: CatObject, atoms=()) -> dict[tuple[int, ...]
     if full:
         # one atom binds every name: its facts are the candidates
         chosen = min(full, key=lambda a: len(a[1]))
-        others = [a for a in reduced if a is not chosen]
+        # None where an atom binds every name in order: its key is b itself
+        others = [(None if len(a[0]) == n else a[0], a[1]) for a in reduced if a is not chosen]
         out = {}
         for b in sorted(chosen[1]):
             m = const & _mask(chosen[1], b)
             for v, f in others:
-                m &= _mask(f, tuple(b[p] for p in v))
+                m &= _mask(f, b if v is None else tuple([b[p] for p in v]))
             if m:
                 out[b] = m
         return out
@@ -464,7 +465,7 @@ def _join(dom: CatObject, cod: CatObject, atoms, const: int) -> dict[tuple[int, 
 
 def precompose(binding: tuple[int, ...], images: tuple[int, ...]) -> tuple[int, ...]:
     """delta;b as a tuple, from delta's positions and b's images."""
-    return tuple(images[p] for p in binding)
+    return tuple([images[p] for p in binding])
 
 
 # ---------------------------------------------------------------------------

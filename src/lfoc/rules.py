@@ -6,7 +6,12 @@ constraint is already present in K; matches are plain morphisms.
 Applying a rule at a match pushes the rule morphism out against the
 match and unions the translated host and right-hand constraints; when
 the rule morphism is an identity the context is unchanged and
-constraints are only added.
+constraints are only added.  Rewriting reads constraints as relations
+(`sketch._relations`): per canonical expression, the image tuples of
+its bindings.  A step re-indexes the tuples along the pushout
+injections, or adds the translated right-hand tuples in place along an
+identity; `saturate` keeps one such form across its steps and builds
+`Constraint` objects only for the sketch it returns.
 
 A structure is *conservative* for a rule when every left-hand model
 extends along the rule morphism to a right-hand model; a rule is
@@ -20,8 +25,9 @@ so its masks name the structures too.  Matching, closedness and
 saturation run the holding search (`sketch.satisfying`) and the
 factoring search over a host sketch read as a structure of width 1 on
 its context (`_Host`), whose features are the canonical expressions of
-its constraints: a match is a model of the pattern there, and
-saturation applies a rule at the first unfactored match.  These checks
+its constraints and their relations the tuples above: a match is a
+model of the pattern there, and saturation applies a rule at the first
+unfactored match.  These checks
 return a `Verdict` whose witness, when the property fails, is the
 left-hand model or match that does not extend or factor.
 Conservativity of a structure and closedness of its maximal sketch
@@ -40,7 +46,9 @@ from .category import (
     CategoryError,
     FinSet,
     Morphism,
+    PushoutResult,
     identity,
+    pushout,
 )
 from .expr import And, CondExists, Expr, _Evaluator, canonicalize
 from .footprint import (
@@ -54,10 +62,13 @@ from .footprint import (
 from .sketch import (
     Constraint,
     Sketch,
-    merge_constraints,
+    _constraints,
+    _merge,
+    _pushout_relations,
+    _relations,
+    _translated,
     registry_verdict,
     satisfying,
-    sketch_pushout,
     structure_to_sketch_max,
     translate_constraint,
     unextended,
@@ -100,26 +111,27 @@ def is_match(phi: Morphism, pattern: Sketch, host: Sketch) -> bool:
 
 def find_matches(pattern: Sketch, host: Sketch) -> tuple[Morphism, ...]:
     """All matches of the pattern in the host, in hom-set order."""
-    found = satisfying(_Host(host), pattern)
+    found = satisfying(_Host(host.context, _relations(host.constraints)), pattern)
     return tuple(Morphism(pattern.context, host.context, m) for m in found)
 
 
 class _Host(_Evaluator):
     """A host sketch read as a structure of width 1 on its context whose
     features are canonical expressions: an expression holds of the
-    bindings of the host constraints with its canonical form.  A
-    pattern constraint lands on such a binding exactly when it is
-    translated onto a host constraint, so the holding search of the
-    pattern over the host finds its matches.  Nothing is evaluated."""
+    bindings of the host constraints with its canonical form, the tuples
+    of its relation (`sketch._relations`).  A pattern constraint lands on
+    such a binding exactly when it is translated onto a host constraint,
+    so the holding search of the pattern over the host finds its
+    matches.  Nothing is evaluated."""
 
-    def __init__(self, host: Sketch):
-        self.carrier, self.full = host.context, 1
-        self.memo = {}
-        for c in host.constraints:
-            self.memo.setdefault(c.canonical, {})[c.binding.images] = 1
+    def __init__(self, context: CatObject, relations: dict):
+        self.carrier, self.full = context, 1
+        self.relations = relations
 
-    def masks(self, e: Expr) -> dict:
-        return self.memo.get(canonicalize(e), {})
+    def masks(self, e: Expr):
+        # the tuples as a set of facts, which `holding` gives mask 1
+        rows = self.relations.get(canonicalize(e))
+        return {} if rows is None else rows.keys()
 
 
 # ---------------------------------------------------------------------------
@@ -157,7 +169,7 @@ def _first_unextended(ev: _Evaluator, rule: SketchRule) -> Verdict:
 def is_closed(host: Sketch, rule: SketchRule) -> Verdict:
     """Does every lhs match factor through an rhs match along the rule
     morphism?  The witness is an lhs match that does not."""
-    return _first_unextended(_Host(host), rule)
+    return _first_unextended(_Host(host.context, _relations(host.constraints)), rule)
 
 
 @dataclass(frozen=True)
@@ -175,18 +187,38 @@ def apply_rule(host: Sketch, rule: SketchRule, m: Morphism, name: str = "") -> A
 
     The new context is the pushout of the rule morphism against the
     match; constraints are the translated host constraints together with
-    the translated rhs constraints.  A non-match is rejected.
+    the translated rhs constraints, the rhs group first.  When the rule
+    morphism is an identity the context and its names stay, and the rhs
+    constraints translated along the match join the host's, which come
+    first.  A non-match is rejected.
     """
     if not is_match(m, rule.lhs, host):
         raise MatchError(f"{m!r} is not a match of {rule.lhs!r} in {host!r}")
-    if rule.morphism != identity(rule.lhs.context):
-        po = sketch_pushout(rule.morphism, m, rule.rhs, host, rule.lhs, name or host.name)
-        return AppliedRule(po.sketch, po.inj_right, po.inj_left)
-    # context and its names unchanged, constraints only added
-    constraints = merge_constraints(
-        host.constraints, [translate_constraint(m, c) for c in rule.rhs.constraints])
-    return AppliedRule(Sketch(name or host.name, host.context, constraints),
-                       identity(host.context), m)
+    po = _glued(rule, host.context, m.images)
+    found = _rewritten(_relations(host.constraints), _relations(rule.rhs.constraints),
+                       m.images, po)
+    context, into, rhs_into = ((host.context, identity(host.context), m) if po is None
+                               else (po.apex, po.inj_right, po.inj_left))
+    return AppliedRule(Sketch(name or host.name, context, _constraints(found, context)),
+                       into, rhs_into)
+
+
+def _glued(rule: SketchRule, context: CatObject, a: tuple[int, ...]) -> PushoutResult | None:
+    """The pushout of the rule morphism against the match a into the
+    context, or None when the rule morphism is an identity."""
+    if rule.morphism == identity(rule.lhs.context):
+        return None
+    return pushout(rule.morphism, Morphism(rule.lhs.context, context, a))
+
+
+def _rewritten(host: dict, rhs: dict, a: tuple[int, ...], po: PushoutResult | None) -> dict:
+    """The host's relations after applying the rule at the match a:
+    along an identity rule, the rhs translated along a join the host's
+    in place; otherwise both go into the pushout apex, rhs first."""
+    if po is None:
+        _merge(host, _translated(rhs, a), False)
+        return host
+    return _pushout_relations(po, rhs, host)
 
 
 # ---------------------------------------------------------------------------
@@ -227,27 +259,35 @@ def saturate(host: Sketch, rules: Sequence[SketchRule],
 
     Scheduling is fair and deterministic: each sweep visits the rules in
     declared order and their matches in canonical hom-set order, and
-    restarts after every application, reading the host as a structure
-    (`_Host`) once per step.  Constraint-set deduplication prevents
-    re-adding; an application whose result would exceed a context-size
-    budget is not committed.
+    restarts after every application.  The host is read as relations
+    once (`sketch._relations`), which each step rewrites as `apply_rule`
+    does and `_Host` searches as they are; the result's constraints are
+    built at the end.  Constraint-set deduplication prevents re-adding;
+    an application whose context would exceed a context-size budget is
+    refused before anything is translated, and not committed.
     """
-    steps = 0
-    current = host
+    steps, status = 0, BUDGET_EXHAUSTED
+    context, found = host.context, _relations(host.constraints)
+    rhs = [_relations(rule.rhs.constraints) for rule in rules]
     while True:
-        ev = _Host(current)
-        first = next(((rule, a) for rule in rules for a, _ in unextended(
+        ev = _Host(context, found)
+        first = next(((i, a) for i, rule in enumerate(rules) for a, _ in unextended(
             ev, rule.lhs.constraints, rule.rhs.constraints, rule.morphism)), None)
         if first is None:
-            return SaturationResult(current, CLOSED, steps)
-        rule, a = first
+            status = CLOSED
+            break
         if steps >= limits.max_steps:
-            return SaturationResult(current, BUDGET_EXHAUSTED, steps)
-        result = apply_rule(current, rule, Morphism(rule.lhs.context, current.context, a))
-        if not limits.admits(result.sketch.context):
-            return SaturationResult(current, BUDGET_EXHAUSTED, steps)
-        current = result.sketch
+            break
+        i, a = first
+        po = _glued(rules[i], context, a)
+        apex = context if po is None else po.apex
+        if not limits.admits(apex):
+            break
+        found, context = _rewritten(found, rhs[i], a, po), apex
         steps += 1
+    if steps:
+        host = Sketch(host.name, context, _constraints(found, context))
+    return SaturationResult(host, status, steps)
 
 
 # ---------------------------------------------------------------------------

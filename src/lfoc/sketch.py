@@ -25,7 +25,10 @@ sketch, and `registry_verdict` over each block of a registry.
 rule along the identity of its context.
 
 Constraints compare equal up to canonical renaming of bound names in
-their expression, which also deduplicates constraint sets.
+their expression, which also deduplicates constraint sets.  Rewriting
+(`sketch_pushout` here, rule application in `rules`) reads a
+constraint set as relations keyed by canonical expression and moves
+their binding tuples, not `Constraint` objects.
 """
 
 from __future__ import annotations
@@ -39,9 +42,11 @@ from .category import (
     CatObject,
     CategoryError,
     Morphism,
+    PushoutResult,
     compose,
     identity,
     isomorphisms,
+    precompose,
     pushout,
 )
 from .expr import (
@@ -312,7 +317,9 @@ def sketch_pushout(f: Morphism, g: Morphism, left: Sketch, right: Sketch,
     """Glue two sketches along a span of context morphisms.
 
     The result context is the pushout of (f, g); its constraints are the
-    union of both translated constraint sets.
+    union of both constraint sets, each read as relations
+    (`_relations`) and translated into the apex (`_pushout_relations`),
+    the left sketch's expression kept where the two groups agree.
     """
     if f.dom != shared.context or g.dom != shared.context:
         raise CategoryError(
@@ -320,32 +327,77 @@ def sketch_pushout(f: Morphism, g: Morphism, left: Sketch, right: Sketch,
     if f.cod != left.context or g.cod != right.context:
         raise CategoryError("span legs must end at the two sketch contexts")
     po = pushout(f, g)
-    constraints = merge_constraints(
-        [translate_constraint(po.inj_left, c) for c in left.constraints],
-        [translate_constraint(po.inj_right, c) for c in right.constraints])
-    return SketchPushoutResult(Sketch(name, po.apex, constraints), po.inj_left, po.inj_right)
+    found = _pushout_relations(po, _relations(left.constraints), _relations(right.constraints))
+    return SketchPushoutResult(Sketch(name, po.apex, _constraints(found, po.apex)),
+                               po.inj_left, po.inj_right)
 
 
-def merge_constraints(*groups: Collection[Constraint]) -> list[Constraint]:
-    """The constraints of the groups, each equal pair kept once.
+# ---------------------------------------------------------------------------
+# Constraints as relations
+#
+# Rewriting reads a constraint set as relations: per canonical
+# expression, each binding's image tuple mapped to the expression, with
+# its own bound names, that prints the constraint.  Translating along a
+# context morphism re-indexes the tuples; `Constraint` objects are built
+# only for a finished sketch (`_constraints`).  Equal constraints can
+# differ in their expressions' bound names, which shows in print, so a
+# union keeps an earlier group's expression, and within a group the one
+# with the smaller repr: the choice never depends on the order in which
+# a set yields them.
 
-    Equal constraints can differ in their expressions' bound names, which
-    shows in print.  An earlier group's constraint is kept, and within a
-    group the one whose expression has the smaller repr, so the choice
-    never depends on the order in which a set yields them.
-    """
-    kept: dict[Constraint, None] = {}
-    for group in groups:
-        fresh = dict.fromkeys(group)
-        if len(fresh) < len(group):  # equal constraints within the group
-            chosen: dict[Constraint, Constraint] = {}
-            for c in group:
-                other = chosen.setdefault(c, c)
-                if other.expr is not c.expr and repr(c.expr) < repr(other.expr):
-                    chosen[c] = c
-            fresh = dict.fromkeys(chosen.values())
-        kept.update(fresh)  # keeps an earlier group's key
-    return list(kept)
+def _relations(constraints: Iterable[Constraint]) -> dict:
+    """A constraint set as relations."""
+    out: dict = {}
+    for c in constraints:
+        out.setdefault(c.canonical, {})[c.binding.images] = c.expr
+    return out
+
+
+def _constraints(relations: dict, context: CatObject) -> list[Constraint]:
+    """The constraints on the context that the relations hold."""
+    return [Constraint(e, Morphism(e.arity, context, b))
+            for rows in relations.values() for b, e in rows.items()]
+
+
+def _translated(relations: dict, t: tuple[int, ...]) -> dict:
+    """The relations translated along a context morphism with images t:
+    one group, so of tuples that t sends to one, the expression with the
+    smaller repr is kept."""
+    out = {}
+    for canonical, rows in relations.items():
+        moved = {precompose(b, t): e for b, e in rows.items()}
+        if len(moved) < len(rows):  # equal constraints within the group
+            moved = {}
+            for b, e in rows.items():
+                b = precompose(b, t)
+                other = moved.setdefault(b, e)
+                if other is not e and repr(e) < repr(other):
+                    moved[b] = e
+        out[canonical] = moved
+    return out
+
+
+def _merge(kept: dict, group: dict, group_first: bool) -> None:
+    """Add a group of relations to `kept`, in place, taking over the
+    group's rows.  A constraint in both keeps the earlier group's
+    expression: the group's when `group_first`, else the kept one."""
+    for canonical, rows in group.items():
+        have = kept.get(canonical)
+        if have is None:
+            kept[canonical] = rows
+        elif group_first:
+            have.update(rows)
+        else:
+            for b, e in rows.items():
+                have.setdefault(b, e)
+
+
+def _pushout_relations(po: PushoutResult, left: dict, right: dict) -> dict:
+    """The constraints of a sketch pushout: both sides' relations
+    translated into the apex, the left side's group first."""
+    out = _translated(right, po.inj_right.images)
+    _merge(out, _translated(left, po.inj_left.images), True)
+    return out
 
 
 # ---------------------------------------------------------------------------

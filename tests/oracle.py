@@ -31,6 +31,14 @@ stack loops; `test_recursion.py` holds the engine to them.
 `test_pushout.py` holds the apex and both injections to them, and
 `substitute` above pushes out through them.
 
+`apply_rule`, `sketch_pushout` and `merge_constraints` rewrite with
+`Constraint` objects: each step translates every constraint with
+`translate_constraint` and merges the groups by constraint equality, as
+the engine did before it rewrote constraint sets as relations of
+binding tuples; `saturate` above applies rules through them, and
+`test_rewrite.py` holds the engine's `apply_rule`, `saturate` and
+`sketch_pushout` to them.
+
 `Structure`, `validate_structure`, `is_structure_hom` and
 `structures_isomorphic` keep every listed morphism as a `Morphism`,
 as `footprint` did before a structure kept its facts as image tuples
@@ -56,6 +64,7 @@ from lfoc.category import (
     canonical_copy,
     compose,
     hom_set,
+    identity,
     inverse,
     is_isomorphism,
 )
@@ -64,8 +73,21 @@ from lfoc.expr import And, Atomic, Bot, CondExists, CondForall, Expr, Not, Or, T
 from lfoc.footprint import Footprint, StructureRegistry, Verdict, enumerate_carriers
 from lfoc.footprint import Structure as EngineStructure
 from lfoc.footprint import structures_isomorphic as structures_isomorphic_engine
-from lfoc.rules import BUDGET_EXHAUSTED, CLOSED, SaturationResult, apply_rule, is_match
-from lfoc.sketch import Interpretation, translate_constraint
+from lfoc.rules import (
+    BUDGET_EXHAUSTED,
+    CLOSED,
+    AppliedRule,
+    MatchError,
+    SaturationResult,
+    is_match,
+)
+from lfoc.sketch import (
+    Constraint,
+    Interpretation,
+    Sketch,
+    SketchPushoutResult,
+    translate_constraint,
+)
 
 
 class Evaluator:
@@ -225,6 +247,46 @@ def saturate(host, rules, limits) -> SaturationResult:
                 break
         if not applied:
             return SaturationResult(current, CLOSED, steps)
+
+
+def apply_rule(host, rule, m, name: str = "") -> AppliedRule:
+    if not is_match(m, rule.lhs, host):
+        raise MatchError(f"{m!r} is not a match of {rule.lhs!r} in {host!r}")
+    if rule.morphism != identity(rule.lhs.context):
+        po = sketch_pushout(rule.morphism, m, rule.rhs, host, rule.lhs, name or host.name)
+        return AppliedRule(po.sketch, po.inj_right, po.inj_left)
+    constraints = merge_constraints(
+        host.constraints, [translate_constraint(m, c) for c in rule.rhs.constraints])
+    return AppliedRule(Sketch(name or host.name, host.context, constraints),
+                       identity(host.context), m)
+
+
+def sketch_pushout(f, g, left, right, shared, name: str = "") -> SketchPushoutResult:
+    if f.dom != shared.context or g.dom != shared.context:
+        raise CategoryError(
+            f"span must start at the shared context {shared.context!r}")
+    if f.cod != left.context or g.cod != right.context:
+        raise CategoryError("span legs must end at the two sketch contexts")
+    po = pushout(f, g)
+    constraints = merge_constraints(
+        [translate_constraint(po.inj_left, c) for c in left.constraints],
+        [translate_constraint(po.inj_right, c) for c in right.constraints])
+    return SketchPushoutResult(Sketch(name, po.apex, constraints), po.inj_left, po.inj_right)
+
+
+def merge_constraints(*groups) -> list[Constraint]:
+    """The constraints of the groups, each equal pair kept once: an
+    earlier group's, and within a group the one whose expression has the
+    smaller repr."""
+    kept: dict[Constraint, None] = {}
+    for group in groups:
+        chosen: dict[Constraint, Constraint] = {}
+        for c in group:
+            other = chosen.setdefault(c, c)
+            if other.expr is not c.expr and repr(c.expr) < repr(other.expr):
+                chosen[c] = c
+        kept.update(dict.fromkeys(chosen.values()))  # keeps an earlier group's key
+    return list(kept)
 
 
 def isomorphisms(a, b) -> tuple:

@@ -10,6 +10,9 @@ itself on generated input.
 * the solutions of substitute(e, t), for any t: X -> Z and injective or
   not, are the a: Z -> C with t;a a solution of e, and canonicalize(e)
   has the solutions of e;
+* `exprs_equivalent(e, f)` implies equal solutions, on e and a copy with
+  its bound names renamed (rewriting keys constraints by canonical
+  expression, so equivalent expressions must be interchangeable);
 * an exhaustive registry and the explicit registry of its structures, in
   its order, give the same `entails` and `is_sound` verdicts and
   witnesses;
@@ -47,14 +50,23 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 from helpers import random_expr, random_graph, random_morphism, random_structure
 from lfoc import cli
-from lfoc.category import FinSet, compose, hom_set, identity
+from lfoc.category import FinSet, compose, hom_set, identity, inverse, renaming
 from lfoc.dsl import Document, print_document
 from lfoc.expr import (
+    And,
+    Atomic,
+    Bot,
+    CondExists,
+    CondForall,
+    Not,
+    Or,
+    Top,
     canonicalize,
     cond_exists,
     cond_forall,
     conj,
     disj,
+    exprs_equivalent,
     neg,
     postorder,
     solutions,
@@ -166,6 +178,40 @@ def test_substitution_pulls_solutions_back_and_renaming_keeps_them(seed, kind):
         pulled = {a for a in hom_set(z, carrier) if compose(t, a) in solved}
         assert _sol(substitute(e, t), structure) == pulled
         assert _sol(canonicalize(e), structure) == solved
+
+
+def _renamed(e, t, rng):
+    """e moved along the renaming t: arity(e) -> X' (None for the
+    identity), with every quantifier's target renamed by a random tag."""
+    arity = e.arity if t is None else t.cod
+    if isinstance(e, Atomic):
+        return Atomic(arity, e.feature, e.binding if t is None else compose(e.binding, t))
+    if isinstance(e, (Top, Bot)):
+        return type(e)(arity)
+    if isinstance(e, (And, Or)):
+        return type(e)(arity, _renamed(e.left, t, rng), _renamed(e.right, t, rng))
+    if isinstance(e, Not):
+        return Not(arity, _renamed(e.body, t, rng))
+    assert isinstance(e, (CondExists, CondForall))
+    tag = rng.choice(("u_", "v_", "zz"))
+    iso = renaming(e.var.cod, {n: tag + n for n in e.var.cod.names})
+    var = e.var if t is None else compose(inverse(t), e.var)
+    return type(e)(arity, _renamed(e.premise, t, rng), compose(var, iso),
+                   _renamed(e.body, iso, rng))
+
+
+@LAWS
+@given(seed=SEEDS, kind=KINDS)
+def test_equivalent_expressions_have_equal_solutions(seed, kind):
+    rng = random.Random(seed)
+    fp, structure, x = _setting(rng, kind)
+    e = random_expr(rng, fp, x, 2)
+    variant = _renamed(e, None, rng)
+    assert exprs_equivalent(e, variant)
+    assert _sol(variant, structure) == _sol(e, structure)
+    other = random_expr(rng, fp, x, 2)
+    if exprs_equivalent(e, other):
+        assert _sol(other, structure) == _sol(e, structure)
 
 
 def _names(n: int, prefix: str) -> FinSet:

@@ -24,7 +24,12 @@ interpreters far more than within one, so alternating passes in one
 interpreter resolves changes of 1-2 %.
 
 Prints each side's median CPU per pass, and the median, quartiles and win
-count of the change/parent ratio over the rounds.
+count of the change/parent ratio over the rounds.  Below that it prints
+each side's sum over the operations of each one's least CPU time in any
+round, and their ratio.  On a loaded machine whole-pass medians drift by
+several percent even between identical trees; these sums drift less, but
+a spell of heavy load can still move one side, so run an A/A control
+(the same tree on both sides) beside every comparison.
 """
 
 from __future__ import annotations
@@ -48,11 +53,14 @@ import worker  # noqa: E402
 from probes import WARMUP  # noqa: E402
 
 
-def one_pass(cli, ops, path) -> tuple[float, list[str]]:
-    """CPU seconds of one pass of `ops`, and the digest of each output."""
-    c0 = time.process_time()
-    results = [worker.run_op(cli, op.argv(path[op.doc])) for op in ops]
-    cpu = time.process_time() - c0
+def one_pass(cli, ops, path) -> tuple[list[float], list[str]]:
+    """CPU seconds of each operation of one pass of `ops`, and the digest
+    of each output."""
+    cpu, results = [], []
+    for op in ops:
+        c0 = time.process_time()
+        results.append(worker.run_op(cli, op.argv(path[op.doc])))
+        cpu.append(time.process_time() - c0)
     return cpu, [hashlib.sha256(f"{rc}\0{out}\0{exc}".encode()).hexdigest()
                  for rc, out, _, exc in results]
 
@@ -90,11 +98,13 @@ def main(parent: str, change: str, workload: str, rounds: str, seed: str = "1") 
                 worker.run_op(cli, op.argv(path[op.doc]))
             one_pass(cli, wl.ops, path)
         cpu = {"parent": [], "change": []}
+        least = {"parent": [], "change": []}  # per operation, over the rounds
         for r in range(int(rounds)):
             outputs = {}
             for side in ("parent", "change") if r % 2 == 0 else ("change", "parent"):
-                cpu_s, outputs[side] = one_pass(sides[side], wl.ops, path)
-                cpu[side].append(cpu_s)
+                per_op, outputs[side] = one_pass(sides[side], wl.ops, path)
+                cpu[side].append(sum(per_op))
+                least[side] = list(map(min, least[side], per_op)) if least[side] else per_op
             if outputs["parent"] != outputs["change"]:
                 i = next(i for i, (p, c) in enumerate(zip(outputs["parent"], outputs["change"]))
                          if p != c)
@@ -109,6 +119,10 @@ def main(parent: str, change: str, workload: str, rounds: str, seed: str = "1") 
           f"change {1000 * statistics.median(cpu['change']):.1f}")
     print(f"change/parent: median {statistics.median(ratios):.3f}, "
           f"quartiles {q1:.3f}-{q3:.3f}, change faster in {wins} of {len(ratios)}")
+    floor = {side: sum(times) for side, times in least.items()}
+    print(f"sum of per-operation least CPU ms: parent {1000 * floor['parent']:.1f}, "
+          f"change {1000 * floor['change']:.1f}, "
+          f"change/parent {floor['change'] / floor['parent']:.3f}")
     return 0
 
 
