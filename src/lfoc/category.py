@@ -9,8 +9,8 @@ order for order; isomorphism is a separate search (`isomorphisms`).
 Composition is written in diagram order throughout: ``compose(f, g)``
 is "first f, then g".
 
-All values are immutable after construction and safe to share; every
-function in this module is pure.
+All values are immutable after construction, by convention, and safe to
+share; every function in this module is pure.
 """
 
 from __future__ import annotations
@@ -19,7 +19,6 @@ import functools
 import itertools
 import math
 from collections import Counter
-from dataclasses import dataclass
 from types import MappingProxyType
 from typing import Collection, Iterable, Iterator, Mapping, Union
 
@@ -53,6 +52,47 @@ def _positions(names: tuple[str, ...], what: str, start: int = 0) -> dict[str, i
             raise CategoryError(f"duplicate {what} name {n!r}")
         position[n] = i
     return position
+
+
+class Record:
+    """A value of named fields, `_fields`, equal to an object of its own
+    class with equal fields, hashed as their tuple and shown as
+    ``Name(field=value, ...)``; fields are not reassigned once set."""
+
+    __slots__ = ()
+    _fields: tuple[str, ...] = ()
+
+    def _values(self) -> tuple:
+        return tuple([getattr(self, f) for f in self._fields])
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __repr__(self) -> str:
+        """Written from a stack of records to show and text to copy, not
+        recursively; a record's stored `_repr` is copied as it is."""
+        parts: list[str] = []
+        todo: list = [self]
+        while todo:
+            item = todo.pop()
+            if item.__class__ is str:
+                parts.append(item)
+            elif (text := getattr(item, "_repr", None)) is not None:
+                parts.append(text)
+            else:
+                # pushed last to first: ")", then each value after its "name="
+                show = [")"]
+                for f in reversed(item._fields):
+                    value = getattr(item, f)
+                    show += (value if isinstance(value, Record) else repr(value), f", {f}=")
+                show[-1] = f"{type(item).__qualname__}({item._fields[0]}="
+                todo += show
+        return "".join(parts)
 
 
 class FinSet:
@@ -584,13 +624,13 @@ def initial_morphism(obj: CatObject) -> Morphism:
     return Morphism(initial_object(obj.kind), obj, ())
 
 
-@dataclass(frozen=True)
-class PushoutResult:
+class PushoutResult(Record):
     """Apex and injections of a pushout square."""
 
-    apex: CatObject
-    inj_left: Morphism
-    inj_right: Morphism
+    __slots__ = _fields = ("apex", "inj_left", "inj_right")
+
+    def __init__(self, apex: CatObject, inj_left: Morphism, inj_right: Morphism):
+        self.apex, self.inj_left, self.inj_right = apex, inj_left, inj_right
 
 
 def pushout(f: Morphism, g: Morphism) -> PushoutResult:

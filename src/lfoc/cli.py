@@ -26,7 +26,6 @@ from .rules import (
     find_matches,
     is_closed,
     is_conservative,
-    is_match,
     is_sound,
     saturate,
 )
@@ -245,11 +244,12 @@ def cmd_apply(doc: Document, args) -> int:
     rule = _named(doc.rules, args.rule, "rule")
     host = _named(doc.sketches, args.host, "sketch")
     phi = _morphism_arg(doc, args.at, rule.lhs.context, host.context, "the match")
-    if not is_match(phi, rule.lhs, host):
+    try:
+        res = apply_rule(host, rule, phi)
+    except MatchError:
         raise MatchError(
             f"{phi.name_map()!r} is not a match of rule {args.rule!r} in "
-            f"sketch {args.host!r}")
-    res = apply_rule(host, rule, phi)
+            f"sketch {args.host!r}") from None
     _emit(command="apply", rule=args.rule, host=args.host, at=phi.name_map(),
           sketch=jsonio.sketch_json(res.sketch),
           host_injection=res.host_injection.name_map(),

@@ -48,7 +48,6 @@ from __future__ import annotations
 import itertools
 import os
 import re
-from dataclasses import dataclass, field
 
 from .category import (
     CatObject,
@@ -56,6 +55,7 @@ from .category import (
     FinGraph,
     FinSet,
     Morphism,
+    Record,
     identity,
     inclusion,
     morphism,
@@ -203,31 +203,36 @@ def _position(text: str, index: int) -> tuple[int, int]:
     return text.count("\n", 0, at) + 1, at - line_start + 1
 
 
-@dataclass
-class Document:
-    """All named definitions of one parsed file (imports merged in)."""
+class Document(Record):
+    """All named definitions of one parsed file (imports merged in); a
+    namespace not given starts empty."""
 
-    base_kind: str
-    objects: dict[str, CatObject] = field(default_factory=dict)
-    morphisms: dict[str, Morphism] = field(default_factory=dict)
-    footprints: dict[str, Footprint] = field(default_factory=dict)
-    exprs: dict[str, Expr] = field(default_factory=dict)
-    structures: dict[str, Structure] = field(default_factory=dict)
-    sketches: dict[str, Sketch] = field(default_factory=dict)
-    rules: dict[str, SketchRule] = field(default_factory=dict)
+    __slots__ = _fields = ("base_kind", "objects", "morphisms", "footprints", "exprs",
+                           "structures", "sketches", "rules")
+
+    def __init__(self, base_kind: str, objects: dict[str, CatObject] | None = None,
+                 morphisms: dict[str, Morphism] | None = None,
+                 footprints: dict[str, Footprint] | None = None,
+                 exprs: dict[str, Expr] | None = None,
+                 structures: dict[str, Structure] | None = None,
+                 sketches: dict[str, Sketch] | None = None,
+                 rules: dict[str, SketchRule] | None = None):
+        self.base_kind = base_kind
+        self.objects = {} if objects is None else objects
+        self.morphisms = {} if morphisms is None else morphisms
+        self.footprints = {} if footprints is None else footprints
+        self.exprs = {} if exprs is None else exprs
+        self.structures = {} if structures is None else structures
+        self.sketches = {} if sketches is None else sketches
+        self.rules = {} if rules is None else rules
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Document):
             return NotImplemented
-        mine = (self.base_kind,) + tuple(
-            tuple(ns.items()) for ns in (
-                self.objects, self.morphisms, self.footprints, self.exprs,
-                self.structures, self.sketches, self.rules))
-        theirs = (other.base_kind,) + tuple(
-            tuple(ns.items()) for ns in (
-                other.objects, other.morphisms, other.footprints, other.exprs,
-                other.structures, other.sketches, other.rules))
-        return mine == theirs
+        # each namespace compares in definition order
+        return self.base_kind == other.base_kind and all(
+            tuple(getattr(self, ns).items()) == tuple(getattr(other, ns).items())
+            for ns in Document._fields[1:])
 
     def sole_footprint(self) -> Footprint | None:
         if len(self.footprints) == 1:

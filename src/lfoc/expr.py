@@ -38,7 +38,6 @@ node once and after its children: a node's first hash, `features` and
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from operator import is_
 from typing import Callable, Iterator
 
@@ -46,6 +45,7 @@ from .category import (
     CatObject,
     CategoryError,
     Morphism,
+    Record,
     canonical_copy,
     compose,
     hom_search,
@@ -56,82 +56,93 @@ from .category import (
 from .footprint import Block, Footprint, Structure, Verdict
 
 
-def _node(cls):
-    """A frozen dataclass whose hash is computed once per instance.
+class Expr(Record):
+    """Base class; every node carries its arity object.
 
-    Memo tables hash expression trees over and over; the generated hash
-    would walk the whole tree every time, and recursively.
+    A node's hash, that of the tuple of its fields, is computed once and
+    children first, over `postorder`: memo tables hash expression trees
+    over and over.  Its `repr` is kept on the node it was asked of.
     """
-    cls = dataclass(frozen=True)(cls)
-    cls._field_hash = cls.__hash__
-    cls.__hash__ = _hash
-    return cls
+
+    __slots__ = ("arity", "_hash", "_canonical", "_repr")
+    _fields = ("arity",)
+
+    def __init__(self, arity: CatObject):
+        self.arity = arity
+
+    def __hash__(self) -> int:
+        try:
+            return self._hash
+        except AttributeError:
+            pass
+        for node in postorder(self, lambda node: hasattr(node, "_hash")):
+            node._hash = hash(node._values())
+        return self._hash
+
+    def __repr__(self) -> str:
+        try:
+            return self._repr
+        except AttributeError:
+            self._repr = text = super().__repr__()
+            return text
 
 
-def _hash(e) -> int:
-    try:
-        return e._hash
-    except AttributeError:
-        pass
-    # children first, so that every generated hash finds its children's
-    # hashes already stored
-    for node in postorder(e, lambda node: hasattr(node, "_hash")):
-        object.__setattr__(node, "_hash", node._field_hash())
-    return e._hash
-
-
-@_node
-class Expr:
-    """Base class; every node carries its arity object."""
-
-    arity: CatObject
-
-
-@_node
 class Atomic(Expr):
-    feature: str
-    binding: Morphism  # arity(feature) -> arity
+    __slots__ = ("feature", "binding")
+    _fields = ("arity", "feature", "binding")
+
+    def __init__(self, arity: CatObject, feature: str, binding: Morphism):
+        self.arity, self.feature = arity, feature
+        self.binding = binding  # arity(feature) -> arity
 
 
-@_node
 class Top(Expr):
-    pass
+    __slots__ = ()
 
 
-@_node
 class Bot(Expr):
-    pass
+    __slots__ = ()
 
 
-@_node
-class And(Expr):
-    left: Expr
-    right: Expr
+class _Binary(Expr):
+    __slots__ = ("left", "right")
+    _fields = ("arity", "left", "right")
+
+    def __init__(self, arity: CatObject, left: Expr, right: Expr):
+        self.arity, self.left, self.right = arity, left, right
 
 
-@_node
-class Or(Expr):
-    left: Expr
-    right: Expr
+class And(_Binary):
+    __slots__ = ()
 
 
-@_node
+class Or(_Binary):
+    __slots__ = ()
+
+
 class Not(Expr):
-    body: Expr
+    __slots__ = ("body",)
+    _fields = ("arity", "body")
+
+    def __init__(self, arity: CatObject, body: Expr):
+        self.arity, self.body = arity, body
 
 
-@_node
-class CondExists(Expr):
-    premise: Expr
-    var: Morphism  # t: arity -> Y
-    body: Expr     # at Y
+class _Conditional(Expr):
+    __slots__ = ("premise", "var", "body")
+    _fields = ("arity", "premise", "var", "body")
+
+    def __init__(self, arity: CatObject, premise: Expr, var: Morphism, body: Expr):
+        self.arity, self.premise = arity, premise
+        self.var, self.body = var, body  # t: arity -> Y, and the body at Y
 
 
-@_node
-class CondForall(Expr):
-    premise: Expr
-    var: Morphism
-    body: Expr
+class CondExists(_Conditional):
+    __slots__ = ()
+
+
+class CondForall(_Conditional):
+    __slots__ = ()
 
 
 # -- helper constructors (validate eagerly) ---------------------------------
@@ -561,7 +572,7 @@ def canonicalize(e: Expr) -> Expr:
     except AttributeError:
         c = _transport(e, None, _canonical_bind)
         # None for a node that is its own canonical form: no reference cycle
-        object.__setattr__(e, "_canonical", None if c is e else c)
+        e._canonical = None if c is e else c
     return e if c is None else c
 
 

@@ -28,7 +28,6 @@ import functools
 import itertools
 import math
 import operator
-from dataclasses import dataclass
 from typing import Iterable, Iterator, Mapping, Sequence
 
 from .category import (
@@ -41,6 +40,7 @@ from .category import (
     FinGraph,
     FinSet,
     Morphism,
+    Record,
     bijection_bound,
     compose,
     hom_search,
@@ -52,14 +52,14 @@ from .category import (
 STRUCTURE_ENUMERATION_CAP = 500_000
 
 
-@dataclass(frozen=True)
-class Verdict:
+class Verdict(Record):
     """Whether a checked property holds, and if not, what witnesses the
     failure; a registry-relative check also names its registry."""
 
-    holds: bool
-    witness: object = None
-    registry: str | None = None
+    __slots__ = _fields = ("holds", "witness", "registry")
+
+    def __init__(self, holds: bool, witness: object = None, registry: str | None = None):
+        self.holds, self.witness, self.registry = holds, witness, registry
 
     def __bool__(self) -> bool:
         return self.holds
@@ -237,16 +237,18 @@ def structures_isomorphic(a: Structure, b: Structure) -> bool:
 # ---------------------------------------------------------------------------
 # Exhaustive enumeration
 
-@dataclass(frozen=True)
-class CarrierBounds:
+class CarrierBounds(Record):
     """Size bounds for exhaustive carrier enumeration.
 
     Sets use `max_elements`; graphs use `max_vertices` and `max_edges`.
     """
 
-    max_elements: int | None = None
-    max_vertices: int | None = None
-    max_edges: int | None = None
+    __slots__ = _fields = ("max_elements", "max_vertices", "max_edges")
+
+    def __init__(self, max_elements: int | None = None, max_vertices: int | None = None,
+                 max_edges: int | None = None):
+        self.max_elements, self.max_vertices = max_elements, max_vertices
+        self.max_edges = max_edges
 
     def describe(self) -> str:
         parts = []

@@ -38,7 +38,6 @@ constraints.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Literal, Sequence
 
 from .category import (
@@ -47,6 +46,7 @@ from .category import (
     FinSet,
     Morphism,
     PushoutResult,
+    Record,
     identity,
     pushout,
 )
@@ -79,25 +79,22 @@ class MatchError(ValueError):
     """A morphism offered as a match fails the match condition."""
 
 
-@dataclass(frozen=True)
-class SketchRule:
+class SketchRule(Record):
     """A span-free rewrite rule: lhs sketch, rhs sketch, and a context
     morphism r from the lhs context into the rhs context."""
 
-    name: str
-    lhs: Sketch
-    rhs: Sketch
-    morphism: Morphism
+    __slots__ = _fields = ("name", "lhs", "rhs", "morphism")
 
-    def __post_init__(self):
-        if self.morphism.dom != self.lhs.context:
+    def __init__(self, name: str, lhs: Sketch, rhs: Sketch, morphism: Morphism):
+        if morphism.dom != lhs.context:
             raise CategoryError(
-                f"rule morphism starts at {self.morphism.dom!r}, expected the "
-                f"lhs context {self.lhs.context!r}")
-        if self.morphism.cod != self.rhs.context:
+                f"rule morphism starts at {morphism.dom!r}, expected the "
+                f"lhs context {lhs.context!r}")
+        if morphism.cod != rhs.context:
             raise CategoryError(
-                f"rule morphism ends at {self.morphism.cod!r}, expected the "
-                f"rhs context {self.rhs.context!r}")
+                f"rule morphism ends at {morphism.cod!r}, expected the "
+                f"rhs context {rhs.context!r}")
+        self.name, self.lhs, self.rhs, self.morphism = name, lhs, rhs, morphism
 
 
 def is_match(phi: Morphism, pattern: Sketch, host: Sketch) -> bool:
@@ -172,14 +169,15 @@ def is_closed(host: Sketch, rule: SketchRule) -> Verdict:
     return _first_unextended(_Host(host.context, _relations(host.constraints)), rule)
 
 
-@dataclass(frozen=True)
-class AppliedRule:
+class AppliedRule(Record):
     """Result of one rule application: the rewritten sketch plus the
     pushout injections of the host context and the rhs context."""
 
-    sketch: Sketch
-    host_injection: Morphism
-    rhs_injection: Morphism
+    __slots__ = _fields = ("sketch", "host_injection", "rhs_injection")
+
+    def __init__(self, sketch: Sketch, host_injection: Morphism, rhs_injection: Morphism):
+        self.sketch = sketch
+        self.host_injection, self.rhs_injection = host_injection, rhs_injection
 
 
 def apply_rule(host: Sketch, rule: SketchRule, m: Morphism, name: str = "") -> AppliedRule:
@@ -224,15 +222,16 @@ def _rewritten(host: dict, rhs: dict, a: tuple[int, ...], po: PushoutResult | No
 # ---------------------------------------------------------------------------
 # Saturation
 
-@dataclass(frozen=True)
-class SaturationLimits:
+class SaturationLimits(Record):
     """Budgets for saturation: a step count plus context-size bounds
     (elements for sets; vertices and edges for graphs)."""
 
-    max_steps: int
-    max_elements: int | None = None
-    max_vertices: int | None = None
-    max_edges: int | None = None
+    __slots__ = _fields = ("max_steps", "max_elements", "max_vertices", "max_edges")
+
+    def __init__(self, max_steps: int, max_elements: int | None = None,
+                 max_vertices: int | None = None, max_edges: int | None = None):
+        self.max_steps, self.max_elements = max_steps, max_elements
+        self.max_vertices, self.max_edges = max_vertices, max_edges
 
     def admits(self, context: CatObject) -> bool:
         if isinstance(context, FinSet):
@@ -246,11 +245,11 @@ CLOSED: SaturationStatus = "closed"
 BUDGET_EXHAUSTED: SaturationStatus = "budget-exhausted"
 
 
-@dataclass(frozen=True)
-class SaturationResult:
-    sketch: Sketch
-    status: SaturationStatus
-    steps: int
+class SaturationResult(Record):
+    __slots__ = _fields = ("sketch", "status", "steps")
+
+    def __init__(self, sketch: Sketch, status: SaturationStatus, steps: int):
+        self.sketch, self.status, self.steps = sketch, status, steps
 
 
 def saturate(host: Sketch, rules: Sequence[SketchRule],
@@ -335,11 +334,11 @@ def intro_rule(e: Expr, name: str = "") -> SketchRule:
 # ---------------------------------------------------------------------------
 # Conservativity vs. closedness
 
-@dataclass(frozen=True)
-class EquivalenceResult:
-    agree: bool
-    conservative: bool
-    closed: bool
+class EquivalenceResult(Record):
+    __slots__ = _fields = ("agree", "conservative", "closed")
+
+    def __init__(self, agree: bool, conservative: bool, closed: bool):
+        self.agree, self.conservative, self.closed = agree, conservative, closed
 
     def __bool__(self) -> bool:
         return self.agree

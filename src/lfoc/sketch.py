@@ -33,7 +33,6 @@ their binding tuples, not `Constraint` objects.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import reduce
 from operator import or_
 from typing import Collection, Iterable, Iterator
@@ -43,6 +42,7 @@ from .category import (
     CategoryError,
     Morphism,
     PushoutResult,
+    Record,
     compose,
     identity,
     isomorphisms,
@@ -165,18 +165,17 @@ class Sketch:
         return f"Sketch({self.name or '?'} on {self.context!r}, {len(self.constraints)} constraints)"
 
 
-@dataclass(frozen=True)
-class Interpretation:
+class Interpretation(Record):
     """An assignment of a context into a structure's carrier."""
 
-    map: Morphism
-    structure: Structure
+    __slots__ = _fields = ("map", "structure")
 
-    def __post_init__(self):
-        if self.map.cod != self.structure.carrier:
+    def __init__(self, map: Morphism, structure: Structure):
+        if map.cod != structure.carrier:
             raise CategoryError(
-                f"interpretation map ends at {self.map.cod!r}, expected the "
-                f"carrier {self.structure.carrier!r}")
+                f"interpretation map ends at {map.cod!r}, expected the "
+                f"carrier {structure.carrier!r}")
+        self.map, self.structure = map, structure
 
 
 def translate_constraint(phi: Morphism, c: Constraint) -> Constraint:
@@ -305,11 +304,11 @@ def check_sketch_morphism(phi: Morphism, src: Sketch, dst: Sketch,
     return entails(dst.context, dst.constraints, translated, registry)
 
 
-@dataclass(frozen=True)
-class SketchPushoutResult:
-    sketch: Sketch
-    inj_left: Morphism
-    inj_right: Morphism
+class SketchPushoutResult(Record):
+    __slots__ = _fields = ("sketch", "inj_left", "inj_right")
+
+    def __init__(self, sketch: Sketch, inj_left: Morphism, inj_right: Morphism):
+        self.sketch, self.inj_left, self.inj_right = sketch, inj_left, inj_right
 
 
 def sketch_pushout(f: Morphism, g: Morphism, left: Sketch, right: Sketch,

@@ -22,9 +22,11 @@ pass; `test_lexer.py` holds the new tokens, positions and errors to it.
 
 `substitute`, `rename_expr` and `canonicalize` are the recursive walks
 that `expr` replaced with one iterative transport walk;
-`test_transport.py` holds the engine to them.  `wf_check` and
-`is_constructive` are the recursive walks that `expr` replaced with
-stack loops; `test_recursion.py` holds the engine to them.
+`test_transport.py` holds the engine to them.  `wf_check`,
+`is_constructive` and `expr_repr` are the recursive walks that `expr`
+replaced with stack loops; `test_recursion.py` holds the engine to them.
+`expr_repr` writes the text of the generated dataclass `repr` that
+expression nodes had before they became slotted classes.
 
 `pushout` and `_merge_names` are the name-keyed quotient that
 `category.pushout` replaced with a union-find over positions;
@@ -501,6 +503,22 @@ def wf_check(e: Expr, footprint: Footprint) -> Verdict:
 
     walk(e, "expr")
     return Verdict(not problems, tuple(problems) or None)
+
+
+def expr_repr(e: Expr) -> str:
+    if isinstance(e, Atomic):
+        fields = {"feature": e.feature, "binding": e.binding}
+    elif isinstance(e, (And, Or)):
+        fields = {"left": e.left, "right": e.right}
+    elif isinstance(e, Not):
+        fields = {"body": e.body}
+    elif isinstance(e, (CondExists, CondForall)):
+        fields = {"premise": e.premise, "var": e.var, "body": e.body}
+    else:
+        fields = {}
+    shown = [f"{name}={expr_repr(v) if isinstance(v, Expr) else repr(v)}"
+             for name, v in {"arity": e.arity, **fields}.items()]
+    return f"{type(e).__name__}({', '.join(shown)})"
 
 
 def is_constructive(e: Expr, *, strict: bool = False) -> bool:

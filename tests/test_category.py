@@ -13,6 +13,7 @@ from lfoc.category import (
     EnumerationLimitError,
     FinGraph,
     FinSet,
+    PushoutResult,
     canonical_copy,
     compose,
     hom_search,
@@ -29,6 +30,7 @@ from lfoc.category import (
     objects_isomorphic,
     pushout,
 )
+from lfoc.footprint import CarrierBounds, Verdict
 from helpers import (
     brute_force_graph_homs,
     brute_force_homs,
@@ -221,6 +223,19 @@ def test_pushout_set_example():
     assert compose(f, po.inj_left) == compose(g, po.inj_right)
     # a and c are glued; the class is named after the least original name
     assert po.inj_left("a") == po.inj_right("c") == "l.a"
+
+
+def test_records_compare_hash_and_show_as_the_tuple_of_their_fields():
+    po = pushout(identity(AB), identity(AB))
+    fields = (po.apex, po.inj_left, po.inj_right)
+    assert PushoutResult(*fields) == po and hash(po) == hash(fields)
+    assert repr(po) == "PushoutResult(apex=%r, inj_left=%r, inj_right=%r)" % fields
+    # a record equals only a record of its own class
+    bounds, verdict = CarrierBounds(None, 2, 1), Verdict(None, 2, 1)
+    assert bounds != verdict and bounds.__eq__(verdict) is NotImplemented
+    assert bounds != (None, 2, 1)
+    assert repr(bounds) == "CarrierBounds(max_elements=None, max_vertices=2, max_edges=1)"
+    assert not hasattr(po, "__dict__") and not hasattr(bounds, "__dict__")
 
 
 def test_pushout_over_initial_is_disjoint_union():

@@ -2,13 +2,15 @@
 
 import gc
 import json
+import subprocess
+import sys
 import time
 import tracemalloc
 from pathlib import Path
 
 import pytest
 
-from lfoc import cli, footprint
+from lfoc import cli, footprint, rules
 from lfoc.cli import main
 from lfoc.dsl import parse_path
 from lfoc.fixtures import fixture_path
@@ -24,6 +26,16 @@ def run(capsys, *argv):
     captured = capsys.readouterr()
     payload = json.loads(captured.out) if captured.out else None
     return code, payload, captured.err
+
+
+def test_importing_the_cli_generates_no_class_code():
+    # `dataclasses` would write and exec every record's methods at import
+    src = str(Path(cli.__file__).parents[1])
+    code = (f"import sys; sys.path.insert(0, {src!r}); import lfoc.cli; "
+            "print('dataclasses' in sys.modules)")
+    done = subprocess.run([sys.executable, "-S", "-c", code], capture_output=True,
+                          text=True, check=True)
+    assert done.stdout == "False\n"
 
 
 @pytest.fixture
@@ -163,17 +175,24 @@ def test_sound_over_exhaustive_registry(capsys):
     assert payload["counterexample"] is not None
 
 
-def test_apply_and_non_match(capsys):
+def test_apply_and_non_match(capsys, monkeypatch):
+    # each apply checks its match once: a call from the CLI counts too
+    calls = []
+    is_match = rules.is_match
+    for module in (rules, cli):
+        monkeypatch.setattr(module, "is_match", lambda *a: calls.append(a) or is_match(*a),
+                            raising=False)
     code, payload, _ = run(capsys, "apply", CAT, "--rule", "id_exists",
                            "--host", "AnyVertex", "--at", "[pv->pv]")
-    assert code == 0
+    assert code == 0 and len(calls) == 1
     assert len(payload["sketch"]["constraints"]) == 1
     code, payload, err = run(capsys, "apply", CAT, "--rule", "id_unique",
                              "--host", "WithIdLoop",
                              "--at", "[pv->pv; pe1->pe; pe2->pe]")
-    assert code == 2
+    assert code == 2 and len(calls) == 2
     assert payload is None
-    assert "not a match" in err
+    assert err == ("error: {'pv': 'pv', 'pe1': 'pe', 'pe2': 'pe'} is not a match of "
+                   "rule 'id_unique' in sketch 'WithIdLoop'\n")
 
 
 @pytest.mark.parametrize("flag", ["--max-steps", "--max-elements", "--max-vertices",

@@ -1,20 +1,20 @@
 """Walks over expressions that do not recurse.
 
-`wf_check` and `is_constructive` are stack loops.  On generated set and
-graph expressions, checked against their own and other footprints, and
-on ill-formed nodes they must give the recursive walks' answers
-(`oracle.wf_check`, `oracle.is_constructive`), problems in the same
-order and words.  The first hash of an expression stores every node's
-generated dataclass hash without recursing.  All of them, and the
-`Constraint` and `Sketch` built on an expression, must return on chains
-nested far past Python's recursion limit.  `postorder`, the walk under
+`wf_check`, `is_constructive` and `repr` are stack loops.  On generated
+set and graph expressions, checked against their own and other
+footprints, and on ill-formed nodes they must give the recursive walks'
+answers (`oracle.wf_check`, `oracle.is_constructive`, and the dataclass
+text of `oracle.expr_repr`), problems in the same order and words.  The
+first hash of an expression stores every node's hash of the tuple of
+its fields without recursing.  All of them, and the `Constraint` and
+`Sketch` built on an expression, must return on chains nested far past
+Python's recursion limit.  `postorder`, the walk under
 the first hash, `features` and `is_constructive`, yields every node of a
 DAG once and after its children, and skips what its `done` rules out.
 """
 
 from __future__ import annotations
 
-import dataclasses
 import random
 
 from hypothesis import given, settings, strategies as st
@@ -71,6 +71,7 @@ def _check_walks(e, footprint):
     assert wf_check(e, footprint) == oracle.wf_check(e, footprint)
     for strict in (False, True):
         assert is_constructive(e, strict=strict) == oracle.is_constructive(e, strict=strict)
+    assert repr(e) == oracle.expr_repr(e)
 
 
 @settings(max_examples=150, deadline=None)
@@ -97,8 +98,19 @@ def test_stored_hash_is_the_generated_one():
         e = random_expr(rng, _footprint(rng, kind), _small(rng, kind, 3, ""), 2)
         hash(e)
         for node in _nodes(e):
-            fields = tuple(getattr(node, f.name) for f in dataclasses.fields(node))
+            fields = tuple(getattr(node, f) for f in node._fields)
             assert node._hash == hash(fields)
+
+
+def test_repr_of_a_deep_not_chain():
+    e = _not_chain(MARK, 10_000)
+    # a subtree's stored text is copied into the text of the nodes above it
+    below = repr(e.body.body)
+    text = repr(e)
+    assert text == "Not(arity=set{p}, body=" * 10_000 + repr(MARK) + ")" * 10_000
+    assert text is repr(e) and below in text
+    # only the nodes asked keep their text
+    assert not hasattr(e.body, "_repr")
 
 
 def _and_chain(bottom, n):
