@@ -13,7 +13,7 @@ import argparse
 import sys
 
 from . import jsonio
-from .category import CategoryError, EnumerationLimitError, Morphism, pushout
+from .category import CategoryError, EnumerationLimitError, Morphism, identity, pushout
 from .dsl import Document, ParseError, parse_morphism_literal, parse_path, print_document
 from .expr import holds, solutions
 from .footprint import CarrierBounds, Footprint, StructureRegistry
@@ -31,7 +31,6 @@ from .rules import (
 )
 from .sketch import (
     check_sketch_morphism,
-    entails,
     models,
     sketch_pushout,
     structure_to_sketch_max,
@@ -167,7 +166,7 @@ def cmd_entail(doc: Document, args) -> int:
     if left.context != right.context:
         raise CategoryError("entailment needs both sketches on one context")
     reg = _registry(doc, args)
-    res = entails(left.context, left.constraints, right.constraints, reg)
+    res = check_sketch_morphism(identity(left.context), right, left, reg)
     _emit(command="entail", left=args.left, right=args.right,
           registry=res.registry, holds=res.holds, counterexample=_witness_json(res.witness))
     return 0 if res.holds else 1

@@ -59,9 +59,10 @@ from .footprint import Block, Footprint, Structure, Verdict
 class Expr(Record):
     """Base class; every node carries its arity object.
 
-    A node's hash, that of the tuple of its fields, is computed once and
-    children first, over `postorder`: memo tables hash expression trees
-    over and over.  Its `repr` is kept on the node it was asked of.
+    A node's hash, that of the tuple of its fields, is computed once, an
+    inner node's children first over `postorder`: memo tables hash
+    expression trees over and over.  Its `repr` is kept on the node it
+    was asked of.
     """
 
     __slots__ = ("arity", "_hash", "_canonical", "_repr")
@@ -75,7 +76,8 @@ class Expr(Record):
             return self._hash
         except AttributeError:
             pass
-        for node in postorder(self, lambda node: hasattr(node, "_hash")):
+        nodes = postorder(self, lambda node: hasattr(node, "_hash")) if children(self) else (self,)
+        for node in nodes:
             node._hash = hash(node._values())
         return self._hash
 
@@ -377,10 +379,7 @@ class _Evaluator:
         if isinstance(e, Not):
             return _complement(self.masks(Top(e.arity)), self.masks(e.body), full)
         if isinstance(e, (CondExists, CondForall)):
-            if e.var.dom != e.arity or e.body.arity != e.var.cod:
-                raise CategoryError(
-                    f"quantifier along {e.var!r} does not run from the arity "
-                    f"{e.arity!r} to the body arity {e.body.arity!r}")
+            _check_quantifier(e)
             t = e.var.images
             if isinstance(e, CondExists):
                 witnessed = _along(t, self.masks(e.body))
@@ -428,6 +427,13 @@ class _Evaluator:
             elif not isinstance(node, Top):
                 atoms.append((every, self.masks(node)))
         return atoms
+
+
+def _check_quantifier(e: CondExists | CondForall) -> None:
+    if e.var.dom != e.arity or e.body.arity != e.var.cod:
+        raise CategoryError(
+            f"quantifier along {e.var!r} does not run from the arity "
+            f"{e.arity!r} to the body arity {e.body.arity!r}")
 
 
 # -- operations on masks, each value a dict from tuples to nonzero masks ------
@@ -518,6 +524,7 @@ def _transport(e: Expr, t: Morphism | None, bind) -> Expr:
             elif isinstance(node, (Top, Bot)):
                 done.append(node if t is None else type(node)(t.cod))
             elif isinstance(node, (CondExists, CondForall)):
+                _check_quantifier(node)
                 var, s = bind(node.var, t)
                 todo += ((node, t, var), (node.body, s, _VISIT), (node.premise, t, _VISIT))
             elif isinstance(node, (And, Or, Not)):

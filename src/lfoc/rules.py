@@ -6,34 +6,26 @@ constraint is already present in K; matches are plain morphisms.
 Applying a rule at a match pushes the rule morphism out against the
 match and unions the translated host and right-hand constraints; when
 the rule morphism is an identity the context is unchanged and
-constraints are only added.  Rewriting reads constraints as relations
-(`sketch._relations`): per canonical expression, the image tuples of
-its bindings.  A step re-indexes the tuples along the pushout
-injections, or adds the translated right-hand tuples in place along an
-identity; `saturate` keeps one such form across its steps and builds
-`Constraint` objects only for the sketch it returns.
+constraints are only added.  Either way the binding tuples of the
+sketches' relations (`Sketch.relations`) move, not constraints.
 
 A structure is *conservative* for a rule when every left-hand model
 extends along the rule morphism to a right-hand model; a rule is
 *sound* over a registry when all its structures are conservative.  A
 sketch is *closed* under a rule when every left-hand match factors
 through a right-hand match.  The two are one property, and one search:
-the factoring search `sketch.unextended`, which `sketch.entails` runs
-too.  Conservativity runs it over the evaluator of a structure, and
-soundness (`sketch.registry_verdict`) over each block of a registry,
-so its masks name the structures too.  Matching, closedness and
-saturation run the holding search (`sketch.satisfying`) and the
-factoring search over a host sketch read as a structure of width 1 on
-its context (`_Host`), whose features are the canonical expressions of
-its constraints and their relations the tuples above: a match is a
-model of the pattern there, and saturation applies a rule at the first
-unfactored match.  These checks
-return a `Verdict` whose witness, when the property fails, is the
-left-hand model or match that does not extend or factor.
-Conservativity of a structure and closedness of its maximal sketch
-over the rule's expressions agree; `check_equivalence` computes both
-sides, over the structure's relations and over the sketch's
-constraints.
+the factoring search `sketch.unextended`.  Conservativity runs it over
+the evaluator of a structure, and soundness (`sketch.registry_verdict`)
+over each block of a registry, so its masks name the structures too.
+Matching, closedness and saturation run the holding search
+(`sketch.satisfying`) and the factoring search over a host sketch read
+as a structure of width 1 on its context (`_Host`): a match is a model
+of the pattern there, and saturation applies a rule at the first
+unfactored match.  These checks return a `Verdict` whose witness, when
+the property fails, is the left-hand model or match that does not
+extend or factor.  Conservativity of a structure and closedness of its
+maximal sketch over the rule's expressions agree; `check_equivalence`
+computes both sides.
 """
 
 from __future__ import annotations
@@ -48,6 +40,7 @@ from .category import (
     PushoutResult,
     Record,
     identity,
+    precompose,
     pushout,
 )
 from .expr import And, CondExists, Expr, _Evaluator, canonicalize
@@ -62,15 +55,12 @@ from .footprint import (
 from .sketch import (
     Constraint,
     Sketch,
-    _constraints,
     _merge,
     _pushout_relations,
-    _relations,
     _translated,
     registry_verdict,
     satisfying,
     structure_to_sketch_max,
-    translate_constraint,
     unextended,
 )
 
@@ -102,24 +92,23 @@ def is_match(phi: Morphism, pattern: Sketch, host: Sketch) -> bool:
         raise CategoryError(
             f"candidate {phi!r} does not run between the contexts "
             f"{pattern.context!r} and {host.context!r}")
-    return all(translate_constraint(phi, c) in host.constraints
-               for c in pattern.constraints)
+    t, held = phi.images, host.relations
+    return all(canonical in held and precompose(b, t) in held[canonical]
+               for canonical, rows in pattern.relations.items() for b in rows)
 
 
 def find_matches(pattern: Sketch, host: Sketch) -> tuple[Morphism, ...]:
     """All matches of the pattern in the host, in hom-set order."""
-    found = satisfying(_Host(host.context, _relations(host.constraints)), pattern)
+    found = satisfying(_Host(host.context, host.relations), pattern)
     return tuple(Morphism(pattern.context, host.context, m) for m in found)
 
 
 class _Host(_Evaluator):
-    """A host sketch read as a structure of width 1 on its context whose
-    features are canonical expressions: an expression holds of the
-    bindings of the host constraints with its canonical form, the tuples
-    of its relation (`sketch._relations`).  A pattern constraint lands on
-    such a binding exactly when it is translated onto a host constraint,
-    so the holding search of the pattern over the host finds its
-    matches.  Nothing is evaluated."""
+    """A host sketch read as a structure of width 1 on its context: an
+    expression holds of the tuples of its canonical form's relation.  A
+    pattern constraint lands on such a tuple exactly when it is
+    translated onto a host constraint, so the holding search of the
+    pattern over the host finds its matches.  Nothing is evaluated."""
 
     def __init__(self, context: CatObject, relations: dict):
         self.carrier, self.full = context, 1
@@ -148,14 +137,13 @@ def is_sound(rule: SketchRule, registry: StructureRegistry) -> Verdict:
     in hom-set order.  The registry is decided one block of structures at
     a time, each restriction to the rule's features once.
     """
-    return registry_verdict(registry, rule.lhs.constraints, rule.rhs.constraints,
-                            rule.morphism)
+    return registry_verdict(registry, rule.lhs.relations, rule.rhs.relations, rule.morphism)
 
 
 def _first_unextended(ev: _Evaluator, rule: SketchRule) -> Verdict:
     """Does every lhs model of a structure of width 1 extend?  The
     witness is the first that does not."""
-    for a, _ in unextended(ev, rule.lhs.constraints, rule.rhs.constraints, rule.morphism):
+    for a, _ in unextended(ev, rule.lhs.relations, rule.rhs.relations, rule.morphism):
         return Verdict(False, Morphism(rule.lhs.context, ev.carrier, a))
     return Verdict(True)
 
@@ -166,7 +154,7 @@ def _first_unextended(ev: _Evaluator, rule: SketchRule) -> Verdict:
 def is_closed(host: Sketch, rule: SketchRule) -> Verdict:
     """Does every lhs match factor through an rhs match along the rule
     morphism?  The witness is an lhs match that does not."""
-    return _first_unextended(_Host(host.context, _relations(host.constraints)), rule)
+    return _first_unextended(_Host(host.context, host.relations), rule)
 
 
 class AppliedRule(Record):
@@ -193,12 +181,10 @@ def apply_rule(host: Sketch, rule: SketchRule, m: Morphism, name: str = "") -> A
     if not is_match(m, rule.lhs, host):
         raise MatchError(f"{m!r} is not a match of {rule.lhs!r} in {host!r}")
     po = _glued(rule, host.context, m.images)
-    found = _rewritten(_relations(host.constraints), _relations(rule.rhs.constraints),
-                       m.images, po)
+    found = _rewritten(_copy(host.relations), rule.rhs.relations, m.images, po)
     context, into, rhs_into = ((host.context, identity(host.context), m) if po is None
                                else (po.apex, po.inj_right, po.inj_left))
-    return AppliedRule(Sketch(name or host.name, context, _constraints(found, context)),
-                       into, rhs_into)
+    return AppliedRule(Sketch._of(name or host.name, context, found), into, rhs_into)
 
 
 def _glued(rule: SketchRule, context: CatObject, a: tuple[int, ...]) -> PushoutResult | None:
@@ -207,6 +193,10 @@ def _glued(rule: SketchRule, context: CatObject, a: tuple[int, ...]) -> PushoutR
     if rule.morphism == identity(rule.lhs.context):
         return None
     return pushout(rule.morphism, Morphism(rule.lhs.context, context, a))
+
+
+def _copy(relations: dict) -> dict:
+    return {canonical: rows.copy() for canonical, rows in relations.items()}
 
 
 def _rewritten(host: dict, rhs: dict, a: tuple[int, ...], po: PushoutResult | None) -> dict:
@@ -258,20 +248,18 @@ def saturate(host: Sketch, rules: Sequence[SketchRule],
 
     Scheduling is fair and deterministic: each sweep visits the rules in
     declared order and their matches in canonical hom-set order, and
-    restarts after every application.  The host is read as relations
-    once (`sketch._relations`), which each step rewrites as `apply_rule`
-    does and `_Host` searches as they are; the result's constraints are
-    built at the end.  Constraint-set deduplication prevents re-adding;
-    an application whose context would exceed a context-size budget is
-    refused before anything is translated, and not committed.
+    restarts after every application.  Each step rewrites one copy of
+    the host's relations as `apply_rule` does.  Constraint-set
+    deduplication prevents re-adding; an application whose context would
+    exceed a context-size budget is refused before anything is
+    translated, and not committed.
     """
     steps, status = 0, BUDGET_EXHAUSTED
-    context, found = host.context, _relations(host.constraints)
-    rhs = [_relations(rule.rhs.constraints) for rule in rules]
+    context, found = host.context, _copy(host.relations)
     while True:
         ev = _Host(context, found)
         first = next(((i, a) for i, rule in enumerate(rules) for a, _ in unextended(
-            ev, rule.lhs.constraints, rule.rhs.constraints, rule.morphism)), None)
+            ev, rule.lhs.relations, rule.rhs.relations, rule.morphism)), None)
         if first is None:
             status = CLOSED
             break
@@ -282,10 +270,10 @@ def saturate(host: Sketch, rules: Sequence[SketchRule],
         apex = context if po is None else po.apex
         if not limits.admits(apex):
             break
-        found, context = _rewritten(found, rhs[i], a, po), apex
+        found, context = _rewritten(found, rules[i].rhs.relations, a, po), apex
         steps += 1
     if steps:
-        host = Sketch(host.name, context, _constraints(found, context))
+        host = Sketch._of(host.name, context, found)
     return SaturationResult(host, status, steps)
 
 
@@ -350,7 +338,8 @@ def check_equivalence(structure: Structure, rule: SketchRule) -> EquivalenceResu
     computed independently and must agree."""
     conservative = bool(is_conservative(structure, rule))
     maximal = structure_to_sketch_max(
-        structure, {c.expr for sk in (rule.lhs, rule.rhs) for c in sk.constraints})
+        structure, {e for sk in (rule.lhs, rule.rhs) for rows in sk.relations.values()
+                    for e in rows.values()})
     closed = bool(is_closed(maximal, rule))
     return EquivalenceResult(conservative == closed, conservative, closed)
 
@@ -368,8 +357,7 @@ def axiom_filtered_registry(footprint: Footprint, bounds: CarrierBounds,
         for r in rules:
             if not kept:
                 break
-            for _, failed in unextended(ev, r.lhs.constraints, r.rhs.constraints,
-                                        r.morphism):
+            for _, failed in unextended(ev, r.lhs.relations, r.rhs.relations, r.morphism):
                 kept &= ~failed
         keep += block.structures(kept)
     names = ",".join(r.name for r in rules)

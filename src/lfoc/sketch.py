@@ -14,28 +14,28 @@ functors interact so that satisfaction is invariant:
 
 `check_satisfaction_condition` evaluates both sides independently.
 
+Constraints compare equal up to canonical renaming of bound names in
+their expression.  A sketch stores its constraint set as relations
+keyed by canonical expression (`Sketch.relations`): searches read them,
+rewriting re-indexes their binding tuples, and `Constraint` objects
+are built only to print.
+
 Satisfaction is read off the one evaluator (`expr._Evaluator`): the
-constraints' masks are the atoms of a holding search over the context
+relations' masks are the atoms of a holding search over the context
 (`satisfying`), whose result maps each interpretation to the
 structures it satisfies them in.  `models` runs it over one structure.
 The factoring search (`unextended`) finds a rule's lhs models that
 extend to no rhs model; `rules` runs it over a structure or a host
 sketch, and `registry_verdict` over each block of a registry.
-`entails` (and `check_sketch_morphism` through it) is soundness of the
-rule along the identity of its context.
-
-Constraints compare equal up to canonical renaming of bound names in
-their expression, which also deduplicates constraint sets.  Rewriting
-(`sketch_pushout` here, rule application in `rules`) reads a
-constraint set as relations keyed by canonical expression and moves
-their binding tuples, not `Constraint` objects.
+`entails` and `check_sketch_morphism` are soundness of the rule along
+the identity of a context.
 """
 
 from __future__ import annotations
 
 from functools import reduce
 from operator import or_
-from typing import Collection, Iterable, Iterator
+from typing import Iterable, Iterator
 
 from .category import (
     CatObject,
@@ -116,14 +116,17 @@ class Constraint:
 
 
 class Sketch:
-    """A context object with a finite set of constraints on it.
+    """A context object with a finite set of constraints on it, stored as
+    `relations`: {canonical expression: {binding image tuple: the
+    expression that prints the constraint}}.
 
-    The constraint set is built on first use, so that a sketch no command
-    reads never canonicalizes its constraints; their contexts are checked
-    at once.
+    The relations are built on first use, so that a sketch no command
+    reads never canonicalizes its constraints; of equal constraints the
+    first given is kept.  Their contexts are checked at once.
+    `constraints` and `sorted_constraints` build `Constraint` objects.
     """
 
-    __slots__ = ("name", "context", "_given", "_constraints", "_hash", "_sorted")
+    __slots__ = ("name", "context", "_given", "_relations", "_sorted")
 
     def __init__(self, name: str, context: CatObject, constraints: Iterable[Constraint] = ()):
         constraints = tuple(constraints)
@@ -135,34 +138,45 @@ class Sketch:
         self.name = name
         self.context = context
         self._given = constraints
-        self._constraints = None
-        self._hash = None
+        self._relations = None
         self._sorted = None
+
+    @classmethod
+    def _of(cls, name: str, context: CatObject, relations: dict) -> Sketch:
+        """The sketch whose relations these are, taken over as they are."""
+        sk = cls(name, context)
+        sk._relations = relations
+        return sk
+
+    @property
+    def relations(self) -> dict:
+        if self._relations is None:
+            self._relations = _relations(self._given)
+            self._given = None
+        return self._relations
 
     @property
     def constraints(self) -> frozenset[Constraint]:
-        if self._constraints is None:
-            self._constraints = frozenset(self._given)
-            self._given = None
-        return self._constraints
+        return frozenset(self.sorted_constraints())
 
     def sorted_constraints(self) -> tuple[Constraint, ...]:
         if self._sorted is None:
-            self._sorted = tuple(sorted(self.constraints, key=Constraint.sort_key))
+            built = [Constraint(e, Morphism(e.arity, self.context, b))
+                     for rows in self.relations.values() for b, e in rows.items()]
+            self._sorted = tuple(sorted(built, key=Constraint.sort_key))
         return self._sorted
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Sketch):
             return NotImplemented
-        return self.context == other.context and self.constraints == other.constraints
+        return self.context == other.context and _pairs(self.relations) == _pairs(other.relations)
 
     def __hash__(self) -> int:
-        if self._hash is None:
-            self._hash = hash((self.context, self.constraints))
-        return self._hash
+        return hash((self.context, _pairs(self.relations)))
 
     def __repr__(self) -> str:
-        return f"Sketch({self.name or '?'} on {self.context!r}, {len(self.constraints)} constraints)"
+        count = sum(map(len, self.relations.values()))
+        return f"Sketch({self.name or '?'} on {self.context!r}, {count} constraints)"
 
 
 class Interpretation(Record):
@@ -203,10 +217,10 @@ def check_satisfaction_condition(phi: Morphism, c: Constraint, i: Interpretation
     return lhs == rhs
 
 
-def satisfied(ev: _Evaluator, constraints: Iterable[Constraint]) -> list:
-    """Hom-search atoms for interpretations satisfying the constraints:
-    each binding with the masks of its expression, evaluated in order."""
-    return [(c.binding.images, ev.masks(c.expr)) for c in constraints]
+def satisfied(ev: _Evaluator, relations: dict) -> list:
+    """Hom-search atoms for interpretations satisfying the relations:
+    each tuple with the masks of its row's expression, in order."""
+    return [(b, ev.masks(e)) for rows in relations.values() for b, e in rows.items()]
 
 
 def satisfying(ev: _Evaluator, sketch: Sketch) -> dict:
@@ -214,10 +228,10 @@ def satisfying(ev: _Evaluator, sketch: Sketch) -> dict:
     order, the mask of the structures where it satisfies every
     constraint, leaving out mask 0: the holding search over the
     constraints' masks."""
-    return ev.holding(sketch.context, satisfied(ev, sketch.constraints))
+    return ev.holding(sketch.context, satisfied(ev, sketch.relations))
 
 
-def unextended(ev: _Evaluator, lhs: Collection[Constraint], rhs: Collection[Constraint],
+def unextended(ev: _Evaluator, lhs: dict, rhs: dict,
                r: Morphism) -> Iterator[tuple[tuple[int, ...], int]]:
     """Per model a of `lhs` on the domain of r, in hom-set order, the
     mask of the structures where no model b of `rhs` has r;b = a,
@@ -261,23 +275,23 @@ def entails(context: CatObject, premises: Iterable[Constraint],
     over the registry (`registry_verdict`), so the conclusions are
     evaluated only in blocks where the premises have a model.
     """
-    premises = list(premises)
-    conclusions = list(conclusions)
+    premises, conclusions = tuple(premises), tuple(conclusions)
     for c in premises + conclusions:
         if c.context != context:
             raise CategoryError(f"constraint {c!r} does not live on {context!r}")
-    return registry_verdict(registry, premises, conclusions, identity(context))
+    return registry_verdict(registry, _relations(premises), _relations(conclusions),
+                            identity(context))
 
 
-def registry_verdict(registry: StructureRegistry, lhs: Collection[Constraint],
-                     rhs: Collection[Constraint], r: Morphism) -> Verdict:
-    """Is the rule lhs =r=> rhs sound over the registry?  It is decided
-    one block at a time, laid out for the features the constraints
-    mention, by the factoring search.  The witness is the first
-    (structure, lhs model) that does not extend: the structure of the
-    lowest bit set in any mask `unextended` gives, in registry order,
-    and its first such model in hom-set order."""
-    mentioned = sorted({f for c in (*lhs, *rhs) for f in features(c.expr)})
+def registry_verdict(registry: StructureRegistry, lhs: dict, rhs: dict,
+                     r: Morphism) -> Verdict:
+    """Is the rule lhs =r=> rhs, given as relations, sound over the
+    registry?  It is decided one block at a time, laid out for the
+    features the constraints mention, by the factoring search.  The
+    witness is the first (structure, lhs model) that does not extend:
+    the structure of the lowest bit set in any mask `unextended` gives,
+    in registry order, and its first such model in hom-set order."""
+    mentioned = sorted({f for e in (*lhs, *rhs) for f in features(e)})
     for block in registry.blocks(mentioned):
         found = dict(unextended(_Evaluator(block), lhs, rhs, r))
         if found:
@@ -295,13 +309,13 @@ def check_sketch_morphism(phi: Morphism, src: Sketch, dst: Sketch,
     """Is phi a sketch morphism, i.e. are the translated source
     constraints entailed by the target's constraints over the registry?
     That is soundness of the rule from the target sketch, along the
-    identity, to the translated constraints (`entails`)."""
+    identity, to the source relations translated along phi."""
     if phi.dom != src.context or phi.cod != dst.context:
         raise CategoryError(
             f"morphism {phi!r} does not run between the contexts "
             f"{src.context!r} and {dst.context!r}")
-    translated = [translate_constraint(phi, c) for c in src.constraints]
-    return entails(dst.context, dst.constraints, translated, registry)
+    return registry_verdict(registry, dst.relations, _translated(src.relations, phi.images),
+                            identity(dst.context))
 
 
 class SketchPushoutResult(Record):
@@ -316,9 +330,9 @@ def sketch_pushout(f: Morphism, g: Morphism, left: Sketch, right: Sketch,
     """Glue two sketches along a span of context morphisms.
 
     The result context is the pushout of (f, g); its constraints are the
-    union of both constraint sets, each read as relations
-    (`_relations`) and translated into the apex (`_pushout_relations`),
-    the left sketch's expression kept where the two groups agree.
+    union of both sketches' relations translated into the apex
+    (`_pushout_relations`), the left sketch's expression kept where the
+    two groups agree.
     """
     if f.dom != shared.context or g.dom != shared.context:
         raise CategoryError(
@@ -326,36 +340,29 @@ def sketch_pushout(f: Morphism, g: Morphism, left: Sketch, right: Sketch,
     if f.cod != left.context or g.cod != right.context:
         raise CategoryError("span legs must end at the two sketch contexts")
     po = pushout(f, g)
-    found = _pushout_relations(po, _relations(left.constraints), _relations(right.constraints))
-    return SketchPushoutResult(Sketch(name, po.apex, _constraints(found, po.apex)),
-                               po.inj_left, po.inj_right)
+    found = _pushout_relations(po, left.relations, right.relations)
+    return SketchPushoutResult(Sketch._of(name, po.apex, found), po.inj_left, po.inj_right)
 
 
 # ---------------------------------------------------------------------------
-# Constraints as relations
+# Relations
 #
-# Rewriting reads a constraint set as relations: per canonical
-# expression, each binding's image tuple mapped to the expression, with
-# its own bound names, that prints the constraint.  Translating along a
-# context morphism re-indexes the tuples; `Constraint` objects are built
-# only for a finished sketch (`_constraints`).  Equal constraints can
-# differ in their expressions' bound names, which shows in print, so a
-# union keeps an earlier group's expression, and within a group the one
-# with the smaller repr: the choice never depends on the order in which
-# a set yields them.
+# Equal constraints can differ in their expressions' bound names, which
+# shows in print, so a union keeps an earlier group's expression, and
+# within a group the one with the smaller repr.
 
 def _relations(constraints: Iterable[Constraint]) -> dict:
-    """A constraint set as relations."""
+    """Constraints as relations, the first of equal ones kept."""
     out: dict = {}
     for c in constraints:
-        out.setdefault(c.canonical, {})[c.binding.images] = c.expr
+        out.setdefault(canonicalize(c.expr), {}).setdefault(c.binding.images, c.expr)
     return out
 
 
-def _constraints(relations: dict, context: CatObject) -> list[Constraint]:
-    """The constraints on the context that the relations hold."""
-    return [Constraint(e, Morphism(e.arity, context, b))
-            for rows in relations.values() for b, e in rows.items()]
+def _pairs(relations: dict) -> frozenset:
+    """The (canonical expression, binding tuple) pairs the relations hold:
+    the identity of their constraint set."""
+    return frozenset((k, b) for k, rows in relations.items() for b in rows)
 
 
 def _translated(relations: dict, t: tuple[int, ...]) -> dict:
@@ -404,15 +411,16 @@ def _pushout_relations(po: PushoutResult, left: dict, right: dict) -> dict:
 
 def structure_to_sketch_min(structure: Structure, name: str = "") -> Sketch:
     """The minimal sketch presenting a structure: one atomic constraint
-    per listed feature morphism."""
-    constraints = []
-    fp = structure.footprint
-    for fname in fp.features:
-        arity = fp.features[fname]
+    per listed feature morphism, so its relations are the facts.  A
+    stray is refused as the constraint it would be."""
+    name, relations, strays = name or f"min({structure.name})", {}, []
+    for fname, arity in structure.footprint.features.items():
         e = Atomic(arity, fname, identity(arity))
-        for a in structure.interp(fname):
-            constraints.append(Constraint(e, a))
-    return Sketch(name or f"min({structure.name})", structure.carrier, constraints)
+        strays += [Constraint(e, a) for a in structure._strays.get(fname, ())]
+        if facts := structure.facts[fname]:
+            relations[e] = dict.fromkeys(facts, e)
+    Sketch(name, structure.carrier, strays)
+    return Sketch._of(name, structure.carrier, relations)
 
 
 def structure_to_sketch_max(structure: Structure, exprs: Iterable[Expr],
@@ -446,9 +454,7 @@ def check_initial_model(structure: Structure, registry: StructureRegistry) -> Ve
 def sketches_isomorphic(a: Sketch, b: Sketch) -> bool:
     """Is there a context isomorphism carrying one constraint set onto
     the other?"""
-    if len(a.constraints) != len(b.constraints):
-        return False
-    for iso in isomorphisms(a.context, b.context):
-        if frozenset(translate_constraint(iso, c) for c in a.constraints) == b.constraints:
-            return True
-    return False
+    want = _pairs(b.relations)
+    return len(_pairs(a.relations)) == len(want) and any(
+        _pairs(_translated(a.relations, iso.images)) == want
+        for iso in isomorphisms(a.context, b.context))

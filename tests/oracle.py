@@ -41,6 +41,13 @@ binding tuples; `saturate` above applies rules through them, and
 `test_rewrite.py` holds the engine's `apply_rule`, `saturate` and
 `sketch_pushout` to them.
 
+`FrozenSketch` keeps a sketch's constraints as a frozenset of
+`Constraint` objects, compared and hashed with its context, and
+`is_match`, `sketches_isomorphic` and `check_sketch_morphism` translate
+them with `translate_constraint`, as the engine did before a sketch
+stored its constraints as relations of binding tuples;
+`test_relations.py` holds the engine to them.
+
 `Structure`, `validate_structure`, `is_structure_hom` and
 `structures_isomorphic` keep every listed morphism as a `Morphism`,
 as `footprint` did before a structure kept its facts as image tuples
@@ -75,14 +82,7 @@ from lfoc.expr import And, Atomic, Bot, CondExists, CondForall, Expr, Not, Or, T
 from lfoc.footprint import Footprint, StructureRegistry, Verdict, enumerate_carriers
 from lfoc.footprint import Structure as EngineStructure
 from lfoc.footprint import structures_isomorphic as structures_isomorphic_engine
-from lfoc.rules import (
-    BUDGET_EXHAUSTED,
-    CLOSED,
-    AppliedRule,
-    MatchError,
-    SaturationResult,
-    is_match,
-)
+from lfoc.rules import BUDGET_EXHAUSTED, CLOSED, AppliedRule, MatchError, SaturationResult
 from lfoc.sketch import (
     Constraint,
     Interpretation,
@@ -164,6 +164,40 @@ def entails(context, premises, conclusions, registry) -> Verdict:
 def check_sketch_morphism(phi, src, dst, registry) -> Verdict:
     translated = [translate_constraint(phi, c) for c in src.constraints]
     return entails(dst.context, dst.constraints, translated, registry)
+
+
+class FrozenSketch:
+    """A sketch whose constraints are a frozenset, which keeps the first
+    given of equal constraints."""
+
+    def __init__(self, name, context, constraints):
+        self.name, self.context = name, context
+        self.constraints = frozenset(constraints)
+
+    def sorted_constraints(self) -> tuple:
+        return tuple(sorted(self.constraints, key=Constraint.sort_key))
+
+    def __eq__(self, other) -> bool:
+        return self.context == other.context and self.constraints == other.constraints
+
+    def __hash__(self) -> int:
+        return hash((self.context, self.constraints))
+
+
+def is_match(phi, pattern, host) -> bool:
+    if phi.dom != pattern.context or phi.cod != host.context:
+        raise CategoryError(
+            f"candidate {phi!r} does not run between the contexts "
+            f"{pattern.context!r} and {host.context!r}")
+    return all(translate_constraint(phi, c) in host.constraints
+               for c in pattern.constraints)
+
+
+def sketches_isomorphic(a, b) -> bool:
+    if len(a.constraints) != len(b.constraints):
+        return False
+    return any(frozenset(translate_constraint(iso, c) for c in a.constraints) == b.constraints
+               for iso in isomorphisms(a.context, b.context))
 
 
 def enumerate_structures(footprint, bounds) -> list:

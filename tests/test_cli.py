@@ -10,7 +10,7 @@ from pathlib import Path
 
 import pytest
 
-from lfoc import cli, footprint, rules
+from lfoc import cli, footprint, rules, sketch
 from lfoc.cli import main
 from lfoc.dsl import parse_path
 from lfoc.fixtures import fixture_path
@@ -193,6 +193,33 @@ def test_apply_and_non_match(capsys, monkeypatch):
     assert payload is None
     assert err == ("error: {'pv': 'pv', 'pe1': 'pe', 'pe2': 'pe'} is not a match of "
                    "rule 'id_unique' in sketch 'WithIdLoop'\n")
+
+
+@pytest.mark.parametrize("argv", [
+    ("match", CAT, "--rule", "id_unique", "--host", "TwoIdLoops"),
+    ("closed", CAT, "--rule", "id_unique", "--host", "WithIdLoop"),
+    ("sound", CAT, "--rule", "id_unique", "--max-carrier", "1,2"),
+    ("entail", CAT, "--left", "TwoIdLoops", "--right", "TwoIdLoops", "--max-carrier", "1,2"),
+    ("morphism", CAT, "--src", "WithIdLoop", "--dst", "TwoIdLoops",
+     "--map", "[pv->pv; pe->pe1]", "--max-carrier", "1,2"),
+])
+def test_checks_build_no_constraint_after_parsing(capsys, monkeypatch, argv):
+    # a sketch's constraints stay relations from the parser to the verdict
+    built, parsed = [], []
+
+    def parse(path):
+        doc = parse_path(path)
+        parsed.append(path)
+        return doc
+
+    init = sketch.Constraint.__init__
+    monkeypatch.setattr(sketch.Constraint, "__init__",
+                        lambda self, *a: built.append(bool(parsed)) or init(self, *a))
+    monkeypatch.setattr(cli, "parse_path", parse)
+    code, payload, err = run(capsys, *argv)
+    assert code in (0, 1) and payload is not None and err == ""
+    # the parser builds the fixture's two constraints, and nothing else does
+    assert parsed and built == [False, False]
 
 
 @pytest.mark.parametrize("flag", ["--max-steps", "--max-elements", "--max-vertices",

@@ -229,6 +229,17 @@ def test_minimal_sketch_identity_is_model():
     assert all(satisfies(ident, c) for c in sk.constraints)
 
 
+def test_minimal_sketch_refuses_a_stray_as_its_constraint():
+    # a listed morphism from another arity, and one into another carrier
+    off_arity = morphism(P2, CD, {"q1": "c", "q2": "d"})
+    off_carrier = morphism(P1, FinSet(("c", "d", "e")), {"p": "e"})
+    for stray, want in ((off_arity, "constraint binding starts at"),
+                        (off_carrier, "lives on")):
+        st = Structure("S", FP, CD, {"mark": [morphism(P1, CD, {"p": "c"}), stray]})
+        with pytest.raises(CategoryError, match=want):
+            structure_to_sketch_min(st)
+
+
 def test_minimal_sketch_models_are_structure_homs():
     src = structure(marks=("c",), like_pairs=(("c", "d"),))
     sk = structure_to_sketch_min(src)
