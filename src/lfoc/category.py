@@ -66,9 +66,21 @@ class Record:
         return tuple([getattr(self, f) for f in self._fields])
 
     def __eq__(self, other: object) -> bool:
+        # from a stack, not recursively: a field pair of one class that
+        # compares as records is pushed
         if other.__class__ is not self.__class__:
             return NotImplemented
-        return self._values() == other._values()
+        pairs = [(self, other)]
+        while pairs:
+            a, b = pairs.pop()
+            for f in a._fields:
+                x, y = getattr(a, f), getattr(b, f)
+                if x is not y:
+                    if x.__class__.__eq__ is Record.__eq__ and y.__class__ is x.__class__:
+                        pairs.append((x, y))
+                    elif x != y:
+                        return False
+        return True
 
     def __hash__(self) -> int:
         return hash(self._values())
@@ -463,8 +475,9 @@ def _join(dom: CatObject, cod: CatObject, atoms, const: int) -> dict[tuple[int, 
 
     out = {}
     b = [0] * n
-
-    def extend(i: int) -> None:
+    levels: list[tuple] = []  # per bound name: its tries, their nodes and candidates left
+    i = 0  # the next name to bind, len(levels)
+    while True:
         if i == n:
             # every trie is at the leaf of its fact: AND their masks
             mask = const
@@ -472,35 +485,40 @@ def _join(dom: CatObject, cod: CatObject, atoms, const: int) -> dict[tuple[int, 
                 mask &= leaf
             if mask:
                 out[tuple(b)] = mask
-            if len(out) > HOM_ENUMERATION_CAP:
-                raise EnumerationLimitError(
-                    f"hom search {dom!r} -> {cod!r} has over {HOM_ENUMERATION_CAP} "
-                    f"results", len(out))
-            return
-        if i < nv:
-            candidates = vertices
+                if len(out) > HOM_ENUMERATION_CAP:
+                    raise EnumerationLimitError(
+                        f"hom search {dom!r} -> {cod!r} has over {HOM_ENUMERATION_CAP} "
+                        f"results", len(out))
         else:
-            s, t = endpoints[i - nv]
-            candidates = ends.get((b[s], b[t]), ())
-        ks = at[i]
-        live = [tries[k] for k in ks]
-        if live:
-            smallest = min(live, key=len)
-            candidates = [v for v in smallest
-                          if v in candidates and all(v in node for node in live)]
-        for v in candidates:
-            b[i] = v
+            if i < nv:
+                candidates = vertices
+            else:
+                s, t = endpoints[i - nv]
+                candidates = ends.get((b[s], b[t]), ())
+            ks = at[i]
+            live = [tries[k] for k in ks]
+            if live:
+                smallest = min(live, key=len)
+                candidates = [v for v in smallest
+                              if v in candidates and all(v in node for node in live)]
+            levels.append((ks, live, iter(candidates)))
+            i += 1
+        # bind the next candidate of the deepest level that has one left
+        while i:
+            ks, live, it = levels[-1]
+            v = next(it, None)
+            if v is not None:
+                b[i - 1] = v
+                if ks:
+                    for k, node in zip(ks, live):
+                        tries[k] = node[v]
+                break
             for k, node in zip(ks, live):
-                tries[k] = node[v]
-            extend(i + 1)
-        for k, node in zip(ks, live):
-            tries[k] = node
-
-    try:
-        extend(0)
-    finally:
-        del extend  # the closure refers to itself: free it without the collector
-    return out
+                tries[k] = node
+            levels.pop()
+            i -= 1
+        else:
+            return out
 
 
 def precompose(binding: tuple[int, ...], images: tuple[int, ...]) -> tuple[int, ...]:

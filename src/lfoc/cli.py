@@ -3,8 +3,8 @@
 Every subcommand reads definitions from a .lfoc file and prints one JSON
 payload to stdout.  Exit codes: 0 when the query succeeds or the checked
 property holds, 1 when the property fails (the payload carries the
-witness), 2 for usage, parse, and validation errors, including
-expressions nested past the interpreter's recursion limit.
+witness), 2 for usage, parse, and validation errors.  No walk recurses,
+so a deeply nested expression is answered like a shallow one.
 """
 
 from __future__ import annotations
@@ -431,9 +431,6 @@ def main(argv=None) -> int:
     except (argparse.ArgumentError, ParseError, CategoryError, MatchError,
             EnumerationLimitError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except RecursionError:
-        print("error: expression nested too deeply", file=sys.stderr)
         return 2
 
 

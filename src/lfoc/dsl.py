@@ -31,8 +31,8 @@ of the line; files are UTF-8):
 A bare NAME in a term splices in a previously defined expression of the
 same arity; NAME "(" morlit ")" is an atomic feature application.
 Omitting the quantifier morphism uses the name-preserving inclusion
-into the target.  The premise of "given" parses at the or-level, so a
-quantified premise needs parentheses.  Names resolve against
+into the target.  A quantifier in the premise of "given" reads the rest
+of the premise as its body, as in any term.  Names resolve against
 definitions earlier in the document; `import` merges a whole file
 (kinds must agree, names must not collide).  The `base` declaration
 must come first.
@@ -303,32 +303,31 @@ class _Parser:
 
     # -- document ------------------------------------------------------
 
-    def parse_document(self) -> Document:
-        if not self.at_name("base"):
-            self.fail("a document must start with a base declaration "
-                      "(base set; or base graph;)")
-        self.advance()
-        kind_at = self.pos
-        kind = self.expect_name("kind")
-        if kind not in ("set", "graph"):
-            self.fail("base kind must be 'set' or 'graph'", kind_at)
-        self.expect_punct(";")
-        self.doc = Document(kind)
-        while self.peek() != "":
-            self.parse_statement()
-        return self.doc
-
-    def parse_statement(self) -> None:
-        tok = self.peek()
-        if tok not in self.names:
-            self.fail(f"expected a statement, found {_shown(tok)!r}")
-        handler = self.STATEMENTS.get(tok)
-        if handler is None:
-            if tok == "base":
-                self.fail("duplicate base declaration")
-            self.fail(f"unknown statement {tok!r}")
-        self.advance()
-        handler(self)
+    def parse_document(self) -> _Parser | None:
+        """Read statements to the end, or to an `import`: return its parser."""
+        if self.doc is None:
+            if not self.at_name("base"):
+                self.fail("a document must start with a base declaration "
+                          "(base set; or base graph;)")
+            self.advance()
+            kind_at = self.pos
+            kind = self.expect_name("kind")
+            if kind not in ("set", "graph"):
+                self.fail("base kind must be 'set' or 'graph'", kind_at)
+            self.expect_punct(";")
+            self.doc = Document(kind)
+        while (tok := self.peek()) != "":
+            if tok not in self.names:
+                self.fail(f"expected a statement, found {_shown(tok)!r}")
+            handler = self.STATEMENTS.get(tok)
+            if handler is None:
+                if tok == "base":
+                    self.fail("duplicate base declaration")
+                self.fail(f"unknown statement {tok!r}")
+            self.advance()
+            if (imported := handler(self)) is not None:
+                return imported
+        return None
 
     def define(self, namespace: dict, name: str, at: int, value) -> None:
         if name in namespace:
@@ -340,7 +339,7 @@ class _Parser:
             if self.features.setdefault(fname, arity) != arity:
                 self.feature_clashes.add(fname)
 
-    def parse_import(self) -> None:
+    def parse_import(self) -> _Parser:
         at = self.pos
         tok = self.peek()
         if tok[:1] != '"':
@@ -356,8 +355,11 @@ class _Parser:
             text = _read(path)
         except (OSError, ParseError) as exc:
             self.fail(f"cannot import {target!r}: {exc}", at)
-        imported = _parse(text, source=path, base_dir=os.path.dirname(path),
-                          visited=self.visited | {path})
+        return _Parser(text, source=path, base_dir=os.path.dirname(path),
+                       visited=self.visited | {path})
+
+    def merge_import(self, imported: Document) -> None:
+        at = self.pos - 2  # the path of the import just read
         if imported.base_kind != self.doc.base_kind:
             self.fail(f"imported file has base {imported.base_kind!r}, "
                       f"expected {self.doc.base_kind!r}", at)
@@ -611,21 +613,55 @@ class _Parser:
         self.expect_punct(":")
         arity = self.resolve(self.doc.objects, "object")
         self.expect_punct("=")
-        term = self.parse_term(arity)
+        term = self.parse_expr(arity)
         self.expect_punct(";")
         self.define(self.doc.exprs, name, name_at, term)
 
-    def parse_term(self, arity: CatObject) -> Expr:
-        if self.at_name("given") or self.at_name("exists") or self.at_name("forall"):
-            return self.parse_quantified(arity)
-        return self.parse_or(arity)
+    def parse_expr(self, arity: CatObject) -> Expr:
+        """A term, read from a stack of what is still open: `not`s, an
+        operator with its left operand, "(", and a `given` or a quantifier
+        reading its premise or body, a term ended by neither `and` nor `or`."""
+        stack: list[tuple] = []
+        e = None  # the operand just read, None while one is to be read
+        while True:
+            tok = self.tokens[self.pos]
+            if e is None:
+                if tok == "exists" or tok == "forall":
+                    frame, arity = self.quantifier_head(arity, None)
+                    stack.append(frame)
+                elif tok == "not" or tok == "(" or tok == "given":
+                    self.pos += 1
+                    stack.append((tok,))
+                else:
+                    e = self.parse_primary(arity)
+                continue
+            # close one frame that `e` completes, or open one after it
+            tag = stack[-1][0] if stack else None
+            if tag == "not":
+                stack.pop()
+                e = neg(e)
+            elif tag == "and":
+                e = conj(stack.pop()[1], e)
+            elif tok == "and" or tok == "or" and tag != "or":
+                self.pos += 1
+                stack.append((tok, e))
+                e = None
+            elif tag == "or":
+                e = disj(stack.pop()[1], e)
+            elif tag is None:
+                return e
+            elif tag == "(":
+                stack.pop()
+                self.expect_punct(")")
+            elif tag == "given":
+                stack[-1], arity = self.quantifier_head(arity, e)
+                e = None
+            else:
+                kw, premise, var, arity = stack.pop()
+                e = (cond_exists if kw == "exists" else cond_forall)(premise, var, e)
 
-    def parse_quantified(self, arity: CatObject) -> Expr:
-        start = self.pos
-        premise: Expr | None = None
-        if self.at_name("given"):
-            self.advance()
-            premise = self.parse_or(arity)
+    def quantifier_head(self, arity: CatObject, premise: Expr | None) -> tuple:
+        """Read a quantifier up to its ".": its frame and its target."""
         kw_at = self.pos
         kw = self.expect_name("quantifier")
         if kw not in ("exists", "forall"):
@@ -653,55 +689,11 @@ class _Parser:
             except CategoryError as exc:
                 self.fail(str(exc), target_at)
         self.expect_punct(".")
-        body = self.parse_term(target)
-        if premise is None:
-            premise = Top(arity)
-        try:
-            build = cond_exists if kw == "exists" else cond_forall
-            return build(premise, var, body)
-        except CategoryError as exc:
-            self.fail(str(exc), start)
-
-    def parse_or(self, arity: CatObject) -> Expr:
-        left = self.parse_and(arity)
-        while self.at_name("or"):
-            at = self.pos
-            self.advance()
-            right = self.parse_and(arity)
-            try:
-                left = disj(left, right)
-            except CategoryError as exc:
-                self.fail(str(exc), at)
-        return left
-
-    def parse_and(self, arity: CatObject) -> Expr:
-        left = self.parse_unary(arity)
-        while self.at_name("and"):
-            at = self.pos
-            self.advance()
-            right = self.parse_unary(arity)
-            try:
-                left = conj(left, right)
-            except CategoryError as exc:
-                self.fail(str(exc), at)
-        return left
-
-    def parse_unary(self, arity: CatObject) -> Expr:
-        if self.at_name("not"):
-            self.advance()
-            return neg(self.parse_unary(arity))
-        if self.at_name("given") or self.at_name("exists") or self.at_name("forall"):
-            return self.parse_quantified(arity)
-        return self.parse_primary(arity)
+        return (kw, Top(arity) if premise is None else premise, var, arity), target
 
     def parse_primary(self, arity: CatObject) -> Expr:
         at = self.pos
         tok = self.peek()
-        if tok == "(":
-            self.advance()
-            term = self.parse_term(arity)
-            self.expect_punct(")")
-            return term
         if tok not in self.names:
             self.fail(f"expected an expression, found {_shown(tok)!r}")
         if tok == "top":
@@ -843,7 +835,15 @@ class _Parser:
 
 def _parse(text: str, source: str, base_dir: str | None,
            visited: frozenset[str]) -> Document:
-    return _Parser(text, source, base_dir, visited).parse_document()
+    """Imports are read from a stack of parsers, not recursively."""
+    parsers = [_Parser(text, source, base_dir, visited)]
+    while True:
+        if (imported := parsers[-1].parse_document()) is not None:
+            parsers.append(imported)
+        elif len(parsers) > 1:
+            parsers[-2].merge_import(parsers.pop().doc)
+        else:
+            return parsers[0].doc
 
 
 def parse_document(text: str, *, source: str = "<input>",
@@ -975,43 +975,53 @@ class _Printer:
             self.collect_expr(c.expr)
 
     def collect_expr(self, e: Expr) -> None:
-        if isinstance(e, (And, Or)):
-            self.collect_expr(e.left)
-            self.collect_expr(e.right)
-        elif isinstance(e, Not):
-            self.collect_expr(e.body)
-        elif isinstance(e, (CondExists, CondForall)):
-            self.object_name(e.var.cod)
-            self.collect_expr(e.premise)
-            self.collect_expr(e.body)
+        """Name the quantifier targets below `e`, in preorder."""
+        todo = [e]
+        while todo:
+            node = todo.pop()
+            if isinstance(node, (And, Or)):
+                todo += (node.right, node.left)
+            elif isinstance(node, Not):
+                todo.append(node.body)
+            elif isinstance(node, (CondExists, CondForall)):
+                self.object_name(node.var.cod)
+                todo += (node.body, node.premise)
 
     # precedence: quantifier 0, or 1, and 2, not 3, primary 4
-    def term(self, e: Expr, min_prec: int = 0) -> str:
-        prec, text = self.term_prec(e)
-        if prec < min_prec:
-            return f"({text})"
-        return text
-
-    def term_prec(self, e: Expr) -> tuple[int, str]:
-        if isinstance(e, Top):
-            return 4, "top"
-        if isinstance(e, Bot):
-            return 4, "bot"
-        if isinstance(e, Atomic):
-            return 4, f"{e.feature}({format_morphism_literal(e.binding)})"
-        if isinstance(e, Or):
-            return 1, f"{self.term(e.left, 1)} or {self.term(e.right, 2)}"
-        if isinstance(e, And):
-            return 2, f"{self.term(e.left, 2)} and {self.term(e.right, 3)}"
-        if isinstance(e, Not):
-            return 3, f"not {self.term(e.body, 3)}"
-        if isinstance(e, (CondExists, CondForall)):
-            kw = "exists" if isinstance(e, CondExists) else "forall"
-            target = self.object_name(e.var.cod)
-            lit = format_morphism_literal(e.var)
-            head = "" if isinstance(e.premise, Top) else f"given {self.term(e.premise, 1)} "
-            return 0, f"{head}{kw} {lit} into {target} . {self.term(e.body, 0)}"
-        raise TypeError(f"not an expression node: {e!r}")
+    def term(self, e: Expr) -> str:
+        """Written front to back from a stack of texts and (node, least
+        precedence) pairs; a node below its least goes in parentheses."""
+        parts: list[str] = []
+        todo: list = [(e, 0)]
+        while todo:
+            item = todo.pop()
+            if item.__class__ is str:
+                parts.append(item)
+                continue
+            node, least = item
+            if isinstance(node, Atomic):
+                parts.append(f"{node.feature}({format_morphism_literal(node.binding)})")
+                continue
+            if isinstance(node, (Top, Bot)):
+                prec, show = 4, ["top" if isinstance(node, Top) else "bot"]
+            elif isinstance(node, Or):
+                prec, show = 1, [(node.left, 1), " or ", (node.right, 2)]
+            elif isinstance(node, And):
+                prec, show = 2, [(node.left, 2), " and ", (node.right, 3)]
+            elif isinstance(node, Not):
+                prec, show = 3, ["not ", (node.body, 3)]
+            elif isinstance(node, (CondExists, CondForall)):
+                kw = "exists" if isinstance(node, CondExists) else "forall"
+                target = self.object_name(node.var.cod)
+                lit = format_morphism_literal(node.var)
+                show = [] if isinstance(node.premise, Top) else ["given ", (node.premise, 1), " "]
+                prec, show = 0, [*show, f"{kw} {lit} into {target} . ", (node.body, 0)]
+            else:
+                raise TypeError(f"not an expression node: {node!r}")
+            if prec < least:
+                show = ["(", *show, ")"]
+            todo += reversed(show)
+        return "".join(parts)
 
     def object_def(self, name: str, obj: CatObject) -> str:
         if isinstance(obj, FinSet):

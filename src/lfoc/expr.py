@@ -26,14 +26,14 @@ so ill-formed candidates can be built and then reported on by
 `_Evaluator` computes solutions over a block of structures on one
 carrier, each solution with the mask of the structures it solves the
 expression over; a single structure is the block of width 1.  Every
-command and registry check evaluates through it.
+command and registry check evaluates through it, from a stack: a node's
+`_compute` yields the nodes whose values it reads.
 
 `substitute` translates an expression along a morphism of its arity,
-and `canonicalize` names every quantifier target positionally.  Both
-are one iterative walk, `_transport`, not limited by nesting depth.
-`postorder` is the one iterative walk over the nodes themselves, each
-node once and after its children: a node's first hash, `features` and
-`is_constructive` go through it.
+and `canonicalize` names every quantifier target positionally: one
+walk, `_transport`.  `postorder` walks the nodes themselves, each node
+once and after its children: a node's first hash, `features` and
+`is_constructive` go through it.  No walk here recurses.
 """
 
 from __future__ import annotations
@@ -354,9 +354,21 @@ class _Evaluator:
         return frozenset(Morphism(e.arity, carrier, b) for b in self.masks(e))
 
     def masks(self, e: Expr) -> dict:
-        out = self.memo.get(e)
-        if out is None:
-            out = self.memo[e] = self._compute(e)
+        """Runs `_compute` from a stack, each sent the values it yields."""
+        memo = self.memo
+        out = memo.get(e)
+        stack = [] if out is not None else [(e, self._compute(e))]
+        while stack:
+            node, steps = stack[-1]
+            try:
+                need = steps.send(out)
+            except StopIteration as done:
+                out = memo[node] = done.value
+                stack.pop()
+                continue
+            out = memo.get(need)
+            if out is None:
+                stack.append((need, self._compute(need)))
         return out
 
     def holding(self, context: CatObject, atoms: list) -> dict:
@@ -367,66 +379,63 @@ class _Evaluator:
         mask within the block."""
         return hom_search(context, self.carrier, [*atoms, ((), {(): self.full})])
 
-    def _compute(self, e: Expr) -> dict:
+    def _compute(self, e: Expr) -> Iterator[Expr]:
         full = self.full
         if isinstance(e, (Atomic, And, Top)):
-            atoms = self._conjuncts(e)
-            return {} if atoms is None else self.holding(e.arity, atoms)
+            # one hom search over the conjuncts, checked left to right: an
+            # atom reads its feature's facts (none if its binding starts
+            # elsewhere than at the feature's arity), `top` adds nothing, a
+            # `bot` makes the value empty and any other conjunct, yielded,
+            # adds its value
+            arity, facts = e.arity, self.structure.facts
+            features = self.structure.footprint.features
+            every = tuple(range(arity.size))
+            atoms = []
+            stack = [e]
+            while stack:
+                node = stack.pop()
+                if node.arity is not arity and node.arity != arity:
+                    raise CategoryError(f"conjunct arity {node.arity!r} differs from {arity!r}")
+                if isinstance(node, And):
+                    stack += (node.right, node.left)
+                elif isinstance(node, Atomic):
+                    binding = node.binding
+                    if binding.cod is not arity and binding.cod != arity:
+                        raise CategoryError(
+                            f"atom binding ends at {binding.cod!r}, expected the arity {arity!r}")
+                    got = facts.get(node.feature)
+                    if got is None:
+                        raise CategoryError(f"structure has no feature {node.feature!r}")
+                    want = features[node.feature]
+                    atoms.append((binding.images,
+                                  got if binding.dom is want or binding.dom == want else ()))
+                elif isinstance(node, Bot):
+                    return {}
+                elif not isinstance(node, Top):
+                    atoms.append((every, (yield node)))
+            return self.holding(arity, atoms)
         if isinstance(e, Bot):
             return {}
         if isinstance(e, Or):
-            return _or(self.masks(e.left), self.masks(e.right))
+            return _or((yield e.left), (yield e.right))
         if isinstance(e, Not):
-            return _complement(self.masks(Top(e.arity)), self.masks(e.body), full)
+            return _complement((yield Top(e.arity)), (yield e.body), full)
         if isinstance(e, (CondExists, CondForall)):
             _check_quantifier(e)
             t = e.var.images
             if isinstance(e, CondExists):
-                witnessed = _along(t, self.masks(e.body))
+                witnessed = _along(t, (yield e.body))
                 if isinstance(e.premise, Top):
                     return witnessed
-                every, premise = self.masks(Top(e.arity)), self.masks(e.premise)
+                every, premise = (yield Top(e.arity)), (yield e.premise)
                 return _or(_complement(every, premise, full), witnessed)
             # extensions of a along t are the b with t;b = a; the spoiled
             # are the a with some extension outside the body
-            extensions = self.masks(Top(e.var.cod))
-            spoiled = _along(t, _complement(extensions, self.masks(e.body), full))
-            every, premise = self.masks(Top(e.arity)), self.masks(e.premise)
+            extensions = yield Top(e.var.cod)
+            spoiled = _along(t, _complement(extensions, (yield e.body), full))
+            every, premise = (yield Top(e.arity)), (yield e.premise)
             return _complement(every, _and(premise, spoiled), full)
         raise TypeError(f"not an expression node: {e!r}")
-
-    def _conjuncts(self, e: Expr) -> list | None:
-        """The hom-search atoms of a conjunction, its conjuncts checked left
-        to right, or None at a `bot`: an atom reads its feature's facts
-        (none if its binding starts elsewhere than at the feature's
-        arity), `top` adds nothing and any other conjunct its masks."""
-        arity, facts = e.arity, self.structure.facts
-        features = self.structure.footprint.features
-        every = tuple(range(arity.size))
-        atoms = []
-        stack = [e]
-        while stack:
-            node = stack.pop()
-            if node.arity is not arity and node.arity != arity:
-                raise CategoryError(f"conjunct arity {node.arity!r} differs from {arity!r}")
-            if isinstance(node, And):
-                stack += (node.right, node.left)
-            elif isinstance(node, Atomic):
-                binding = node.binding
-                if binding.cod is not arity and binding.cod != arity:
-                    raise CategoryError(
-                        f"atom binding ends at {binding.cod!r}, expected the arity {arity!r}")
-                got = facts.get(node.feature)
-                if got is None:
-                    raise CategoryError(f"structure has no feature {node.feature!r}")
-                want = features[node.feature]
-                atoms.append((binding.images,
-                              got if binding.dom is want or binding.dom == want else ()))
-            elif isinstance(node, Bot):
-                return None
-            elif not isinstance(node, Top):
-                atoms.append((every, self.masks(node)))
-        return atoms
 
 
 def _check_quantifier(e: CondExists | CondForall) -> None:

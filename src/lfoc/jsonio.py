@@ -33,25 +33,29 @@ def morphism_json(m: Morphism, embed_objects: bool = True) -> dict:
 
 
 def expr_json(e: Expr) -> dict:
-    if isinstance(e, Top):
-        return {"node": "top"}
-    if isinstance(e, Bot):
-        return {"node": "bot"}
-    if isinstance(e, Atomic):
-        return {"node": "atomic", "feature": e.feature,
-                "binding": morphism_json(e.binding, embed_objects=False)}
-    if isinstance(e, And):
-        return {"node": "and", "left": expr_json(e.left), "right": expr_json(e.right)}
-    if isinstance(e, Or):
-        return {"node": "or", "left": expr_json(e.left), "right": expr_json(e.right)}
-    if isinstance(e, Not):
-        return {"node": "not", "body": expr_json(e.body)}
-    if isinstance(e, (CondExists, CondForall)):
-        return {"node": "exists" if isinstance(e, CondExists) else "forall",
-                "premise": expr_json(e.premise),
-                "var": morphism_json(e.var),
-                "body": expr_json(e.body)}
-    raise TypeError(f"not an expression node: {e!r}")
+    """Each node's dict put in its parent's from a stack, in preorder."""
+    out: dict = {}
+    todo = [(e, out, "expr")]
+    while todo:
+        node, parent, key = todo.pop()
+        if isinstance(node, Atomic):
+            parent[key] = {"node": "atomic", "feature": node.feature,
+                           "binding": morphism_json(node.binding, embed_objects=False)}
+        elif isinstance(node, (And, Or)):
+            parent[key] = d = {"node": "and" if isinstance(node, And) else "or"}
+            todo += ((node.right, d, "right"), (node.left, d, "left"))
+        elif isinstance(node, Not):
+            parent[key] = d = {"node": "not"}
+            todo.append((node.body, d, "body"))
+        elif isinstance(node, (CondExists, CondForall)):
+            parent[key] = d = {"node": "exists" if isinstance(node, CondExists) else "forall",
+                               "var": morphism_json(node.var)}
+            todo += ((node.body, d, "body"), (node.premise, d, "premise"))
+        elif isinstance(node, (Top, Bot)):
+            parent[key] = {"node": "top" if isinstance(node, Top) else "bot"}
+        else:
+            raise TypeError(f"not an expression node: {node!r}")
+    return out["expr"]
 
 
 def constraint_json(c: Constraint) -> dict:

@@ -66,7 +66,7 @@ class Constraint:
     """An expression bound into a context: (expr, binding: arity -> K).
 
     Its identity, the canonical expression with the binding, is computed
-    on first `hash`, `==` or `canonical`: a parsed document's constraints
+    on first `hash` or `==`: a parsed document's constraints
     are mostly never compared.
     """
 
@@ -92,11 +92,6 @@ class Constraint:
     @property
     def context(self) -> CatObject:
         return self.binding.cod
-
-    @property
-    def canonical(self) -> Expr:
-        """The expression with its bound names in canonical form."""
-        return self._identity()[0]
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Constraint):

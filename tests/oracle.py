@@ -48,6 +48,13 @@ them with `translate_constraint`, as the engine did before a sketch
 stored its constraints as relations of binding tuples;
 `test_relations.py` holds the engine to them.
 
+`RecursiveParser` (the expression rules `parse_term` through
+`parse_primary`), `RecursiveEvaluator` (`masks`, and `_compute` with
+its `_conjuncts`, calling `masks`), `RecursivePrinter` (`collect_expr` and
+`term`), `expr_json` and `record_eq` (`Record.__eq__`) are the
+recursive walks that the engine replaced with loops over explicit
+stacks; `test_recursion.py` holds the engine to them.
+
 `Structure`, `validate_structure`, `is_structure_hom` and
 `structures_isomorphic` keep every listed morphism as a `Morphism`,
 as `footprint` did before a structure kept its facts as image tuples
@@ -70,19 +77,53 @@ from lfoc.category import (
     FinSet,
     Morphism,
     PushoutResult,
+    Record,
     canonical_copy,
     compose,
     hom_set,
     identity,
+    inclusion,
     inverse,
     is_isomorphism,
 )
-from lfoc.dsl import ParseError
-from lfoc.expr import And, Atomic, Bot, CondExists, CondForall, Expr, Not, Or, Top, children
+from lfoc.dsl import (
+    TERM_KEYWORDS,
+    Document,
+    ParseError,
+    _Parser,
+    _Printer,
+    _shown,
+    format_morphism_literal,
+)
+from lfoc.expr import (
+    And,
+    Atomic,
+    Bot,
+    CondExists,
+    CondForall,
+    Expr,
+    Not,
+    Or,
+    Top,
+    _and,
+    _along,
+    _check_quantifier,
+    _complement,
+    _Evaluator,
+    _or,
+    atom,
+    children,
+    cond_exists,
+    cond_forall,
+    conj,
+    disj,
+    neg,
+)
 from lfoc.footprint import Footprint, StructureRegistry, Verdict, enumerate_carriers
 from lfoc.footprint import Structure as EngineStructure
 from lfoc.footprint import structures_isomorphic as structures_isomorphic_engine
 from lfoc.rules import BUDGET_EXHAUSTED, CLOSED, AppliedRule, MatchError, SaturationResult
+from lfoc.jsonio import morphism_json
 from lfoc.sketch import (
     Constraint,
     Interpretation,
@@ -766,3 +807,293 @@ def structures_isomorphic(a: Structure, b: Structure) -> bool:
                for f in a.footprint.features):
             return True
     return False
+
+
+# ---------------------------------------------------------------------------
+# Recursive walks that the engine replaced with loops over explicit stacks
+
+class RecursiveParser(_Parser):
+    """The parser with the expression rules `parse_term` through
+    `parse_primary` that `_Parser.parse_expr` replaced: each rule calls
+    the next, one Python frame per level of nesting."""
+
+    def parse_expr(self, arity: CatObject) -> Expr:
+        return self.parse_term(arity)
+
+    def parse_term(self, arity: CatObject) -> Expr:
+        if self.at_name("given") or self.at_name("exists") or self.at_name("forall"):
+            return self.parse_quantified(arity)
+        return self.parse_or(arity)
+
+    def parse_quantified(self, arity: CatObject) -> Expr:
+        start = self.pos
+        premise: Expr | None = None
+        if self.at_name("given"):
+            self.advance()
+            premise = self.parse_or(arity)
+        kw_at = self.pos
+        kw = self.expect_name("quantifier")
+        if kw not in ("exists", "forall"):
+            self.fail("expected 'exists' or 'forall'", kw_at)
+        named_mor: Morphism | None = None
+        literal: tuple[dict[str, str], int] | None = None
+        if self.peek() == "[":
+            literal = self.parse_morlit_entries()
+        elif self.peek() in self.names and not self.at_name("into"):
+            named_mor = self.resolve(self.doc.morphisms, "morphism")
+        if self.expect_name() != "into":
+            self.fail("expected 'into'", self.pos - 1)
+        target_at = self.pos
+        target = self.resolve(self.doc.objects, "object")
+        if literal is not None:
+            var = self.build_morphism(arity, target, literal[0], literal[1])
+        elif named_mor is not None:
+            if named_mor.dom != arity or named_mor.cod != target:
+                self.fail("named morphism does not run between the expression "
+                          "arity and the quantifier target", target_at)
+            var = named_mor
+        else:
+            try:
+                var = inclusion(arity, target)
+            except CategoryError as exc:
+                self.fail(str(exc), target_at)
+        self.expect_punct(".")
+        body = self.parse_term(target)
+        if premise is None:
+            premise = Top(arity)
+        try:
+            build = cond_exists if kw == "exists" else cond_forall
+            return build(premise, var, body)
+        except CategoryError as exc:
+            self.fail(str(exc), start)
+
+    def parse_or(self, arity: CatObject) -> Expr:
+        left = self.parse_and(arity)
+        while self.at_name("or"):
+            at = self.pos
+            self.advance()
+            right = self.parse_and(arity)
+            try:
+                left = disj(left, right)
+            except CategoryError as exc:
+                self.fail(str(exc), at)
+        return left
+
+    def parse_and(self, arity: CatObject) -> Expr:
+        left = self.parse_unary(arity)
+        while self.at_name("and"):
+            at = self.pos
+            self.advance()
+            right = self.parse_unary(arity)
+            try:
+                left = conj(left, right)
+            except CategoryError as exc:
+                self.fail(str(exc), at)
+        return left
+
+    def parse_unary(self, arity: CatObject) -> Expr:
+        if self.at_name("not"):
+            self.advance()
+            return neg(self.parse_unary(arity))
+        if self.at_name("given") or self.at_name("exists") or self.at_name("forall"):
+            return self.parse_quantified(arity)
+        return self.parse_primary(arity)
+
+    def parse_primary(self, arity: CatObject) -> Expr:
+        at = self.pos
+        tok = self.peek()
+        if tok == "(":
+            self.advance()
+            term = self.parse_term(arity)
+            self.expect_punct(")")
+            return term
+        if tok not in self.names:
+            self.fail(f"expected an expression, found {_shown(tok)!r}")
+        if tok == "top":
+            self.advance()
+            return Top(arity)
+        if tok == "bot":
+            self.advance()
+            return Bot(arity)
+        if tok in TERM_KEYWORDS:
+            self.fail(f"unexpected {tok!r} here")
+        self.advance()
+        if self.peek() == "(":
+            if tok in self.feature_clashes:
+                self.fail(f"feature {tok!r} is declared with different "
+                          f"arities by several footprints", at)
+            feature_arity = self.features.get(tok)
+            if feature_arity is None:
+                self.fail(f"unknown feature {tok!r}", at)
+            self.advance()
+            binding = self.parse_literal(
+                feature_arity, arity, self.literal_plan(feature_arity, arity), ")")
+            return atom(tok, binding)
+        ref = self.doc.exprs.get(tok)
+        if ref is None:
+            self.fail(f"unknown expression {tok!r}", at)
+        if ref.arity != arity:
+            self.fail(f"expression {tok!r} has arity {ref.arity!r}, "
+                      f"expected {arity!r}", at)
+        return ref
+
+
+def parse_document(text: str) -> Document:
+    """`dsl.parse_document` through `RecursiveParser`, for a text that
+    imports nothing."""
+    parser = RecursiveParser(text, "<input>", None, frozenset())
+    assert parser.parse_document() is None
+    return parser.doc
+
+
+class RecursiveEvaluator(_Evaluator):
+    """`_Evaluator` with the `masks`, and the `_compute` with its
+    `_conjuncts`, that called `masks` for each value they read, before
+    `masks` drove `_compute` from one loop."""
+
+    def masks(self, e: Expr) -> dict:
+        out = self.memo.get(e)
+        if out is None:
+            out = self.memo[e] = self._compute(e)
+        return out
+
+    def _compute(self, e: Expr) -> dict:
+        full = self.full
+        if isinstance(e, (Atomic, And, Top)):
+            atoms = self._conjuncts(e)
+            return {} if atoms is None else self.holding(e.arity, atoms)
+        if isinstance(e, Bot):
+            return {}
+        if isinstance(e, Or):
+            return _or(self.masks(e.left), self.masks(e.right))
+        if isinstance(e, Not):
+            return _complement(self.masks(Top(e.arity)), self.masks(e.body), full)
+        if isinstance(e, (CondExists, CondForall)):
+            _check_quantifier(e)
+            t = e.var.images
+            if isinstance(e, CondExists):
+                witnessed = _along(t, self.masks(e.body))
+                if isinstance(e.premise, Top):
+                    return witnessed
+                every, premise = self.masks(Top(e.arity)), self.masks(e.premise)
+                return _or(_complement(every, premise, full), witnessed)
+            extensions = self.masks(Top(e.var.cod))
+            spoiled = _along(t, _complement(extensions, self.masks(e.body), full))
+            every, premise = self.masks(Top(e.arity)), self.masks(e.premise)
+            return _complement(every, _and(premise, spoiled), full)
+        raise TypeError(f"not an expression node: {e!r}")
+
+    def _conjuncts(self, e: Expr) -> list | None:
+        arity, facts = e.arity, self.structure.facts
+        features = self.structure.footprint.features
+        every = tuple(range(arity.size))
+        atoms = []
+        stack = [e]
+        while stack:
+            node = stack.pop()
+            if node.arity is not arity and node.arity != arity:
+                raise CategoryError(f"conjunct arity {node.arity!r} differs from {arity!r}")
+            if isinstance(node, And):
+                stack += (node.right, node.left)
+            elif isinstance(node, Atomic):
+                binding = node.binding
+                if binding.cod is not arity and binding.cod != arity:
+                    raise CategoryError(
+                        f"atom binding ends at {binding.cod!r}, expected the arity {arity!r}")
+                got = facts.get(node.feature)
+                if got is None:
+                    raise CategoryError(f"structure has no feature {node.feature!r}")
+                want = features[node.feature]
+                atoms.append((binding.images,
+                              got if binding.dom is want or binding.dom == want else ()))
+            elif isinstance(node, Bot):
+                return None
+            elif not isinstance(node, Top):
+                atoms.append((every, self.masks(node)))
+        return atoms
+
+
+class RecursivePrinter(_Printer):
+    """`_Printer` with the recursive `collect_expr` and `term` that the
+    engine replaced with stack loops."""
+
+    def collect_expr(self, e: Expr) -> None:
+        if isinstance(e, (And, Or)):
+            self.collect_expr(e.left)
+            self.collect_expr(e.right)
+        elif isinstance(e, Not):
+            self.collect_expr(e.body)
+        elif isinstance(e, (CondExists, CondForall)):
+            self.object_name(e.var.cod)
+            self.collect_expr(e.premise)
+            self.collect_expr(e.body)
+
+    def term(self, e: Expr, min_prec: int = 0) -> str:
+        prec, text = self.term_prec(e)
+        if prec < min_prec:
+            return f"({text})"
+        return text
+
+    def term_prec(self, e: Expr) -> tuple[int, str]:
+        if isinstance(e, Top):
+            return 4, "top"
+        if isinstance(e, Bot):
+            return 4, "bot"
+        if isinstance(e, Atomic):
+            return 4, f"{e.feature}({format_morphism_literal(e.binding)})"
+        if isinstance(e, Or):
+            return 1, f"{self.term(e.left, 1)} or {self.term(e.right, 2)}"
+        if isinstance(e, And):
+            return 2, f"{self.term(e.left, 2)} and {self.term(e.right, 3)}"
+        if isinstance(e, Not):
+            return 3, f"not {self.term(e.body, 3)}"
+        if isinstance(e, (CondExists, CondForall)):
+            kw = "exists" if isinstance(e, CondExists) else "forall"
+            target = self.object_name(e.var.cod)
+            lit = format_morphism_literal(e.var)
+            head = "" if isinstance(e.premise, Top) else f"given {self.term(e.premise, 1)} "
+            return 0, f"{head}{kw} {lit} into {target} . {self.term(e.body, 0)}"
+        raise TypeError(f"not an expression node: {e!r}")
+
+
+def print_document(doc: Document) -> str:
+    return RecursivePrinter(doc).render()
+
+
+def expr_json(e: Expr) -> dict:
+    if isinstance(e, Top):
+        return {"node": "top"}
+    if isinstance(e, Bot):
+        return {"node": "bot"}
+    if isinstance(e, Atomic):
+        return {"node": "atomic", "feature": e.feature,
+                "binding": morphism_json(e.binding, embed_objects=False)}
+    if isinstance(e, And):
+        return {"node": "and", "left": expr_json(e.left), "right": expr_json(e.right)}
+    if isinstance(e, Or):
+        return {"node": "or", "left": expr_json(e.left), "right": expr_json(e.right)}
+    if isinstance(e, Not):
+        return {"node": "not", "body": expr_json(e.body)}
+    if isinstance(e, (CondExists, CondForall)):
+        return {"node": "exists" if isinstance(e, CondExists) else "forall",
+                "premise": expr_json(e.premise),
+                "var": morphism_json(e.var),
+                "body": expr_json(e.body)}
+    raise TypeError(f"not an expression node: {e!r}")
+
+
+def _record_eq(self, other: object) -> bool:
+    if other.__class__ is not self.__class__:
+        return NotImplemented
+    return self._values() == other._values()
+
+
+def record_eq(a: Record, b: Record) -> bool:
+    """`a == b` under `Record.__eq__` as it was: the tuples of fields
+    compared with `==`, which recursed through nested records."""
+    engine = Record.__eq__
+    Record.__eq__ = _record_eq
+    try:
+        return a == b
+    finally:
+        Record.__eq__ = engine

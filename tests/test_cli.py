@@ -333,25 +333,104 @@ def test_conjunctive_exists_over_a_hom_set_past_the_cap_answers(capsys, tmp_path
     assert payload["solutions"] == [{"p": f"c{i}"} for i in range(45)]
 
 
-# Expressions nested past the recursion limit are bad input: exit 2 with
-# an error line, never a traceback.  Shapes: a 3000-deep `not` chain and
-# 3000 nested parentheses.
-DEEP_EXPRS = {
-    "not": "not " * 3000 + "male([p->p])",
-    "parens": "(" * 3000 + "male([p->p])" + ")" * 3000,
-}
+# No walk recurses, so expressions nested far past Python's recursion
+# limit answer like shallow ones.  Each chain below is `male([p->p])`
+# (an even number of `not`s) in the Smiths family: bob and dave.
+MALE = "male([p->p])"
+MALES = [{"p": "bob"}, {"p": "dave"}]
 
 
-@pytest.mark.parametrize("shape", sorted(DEEP_EXPRS))
-def test_deeply_nested_expression_is_refused_with_exit_2(capsys, tmp_path, shape):
+def _chain(shape, n):
+    return {"not": "not " * n + MALE, "parens": "(" * n + MALE + ")" * n,
+            "or": " or ".join([MALE] * n), "and": " and ".join([MALE] * n),
+            "quantifiers": "exists [p->p] into P1 . " * n + MALE}[shape]
+
+
+def _deep_doc(tmp_path, shape, n, copies=1):
+    """The FOL fixture, `deep` and `deep2`... (`copies` equal chains), a
+    sketch with each bound at p, and a rule that adds the first."""
+    names = ["deep"] + [f"deep{i}" for i in range(2, copies + 1)]
     path = tmp_path / "deep.lfoc"
-    path.write_text(Path(FOL).read_text(encoding="utf-8")
-                    + f"expr deep : P1 = {DEEP_EXPRS[shape]};\n", encoding="utf-8")
-    code, payload, err = run(capsys, "solve", str(path), "--expr", "deep",
-                             "--structure", "Smiths")
-    assert code == 2 and payload is None
-    assert err.startswith("error:") and "nested too deeply" in err
-    assert "Traceback" not in err
+    path.write_text(
+        Path(FOL).read_text(encoding="utf-8")
+        + "".join(f"expr {name} : P1 = {_chain(shape, n)};\n" for name in names)
+        + "sketch DeepSk { context P1; "
+        + "".join(f"constraint {name} @ [p->p]; " for name in names) + "};\n"
+        + "rule add_deep : Anyone => DeepSk;\n", encoding="utf-8")
+    return str(path)
+
+
+@pytest.mark.parametrize("shape", ["not", "parens"])
+def test_deeply_nested_expression_is_answered(capsys, tmp_path, shape):
+    doc = _deep_doc(tmp_path, shape, 3000)
+    code, payload, err = run(capsys, "solve", doc, "--expr", "deep", "--structure", "Smiths")
+    assert (code, err) == (0, "")
+    assert payload["solutions"] == MALES
+
+
+@pytest.mark.parametrize("shape", ["not", "parens", "or", "and"])
+def test_chains_100_000_deep_answer_through_solve_and_models(capsys, tmp_path, shape):
+    assert sys.getrecursionlimit() <= 1000
+    doc = _deep_doc(tmp_path, shape, 100_000)
+    code, payload, _ = run(capsys, "solve", doc, "--expr", "deep", "--structure", "Smiths")
+    assert code == 0 and payload["solutions"] == MALES
+    code, payload, _ = run(capsys, "models", doc, "--sketch", "DeepSk", "--structure", "Smiths")
+    assert code == 0 and payload["models"] == MALES
+
+
+@pytest.mark.parametrize("shape,n", [("not", 1500), ("or", 1500), ("and", 1500),
+                                     ("quantifiers", 1000)])
+def test_deep_expressions_are_printed_by_elemdiag_and_saturate(capsys, tmp_path, shape, n):
+    # `json.loads` recurses, so the payloads are read as text
+    doc = _deep_doc(tmp_path, shape, n)
+    atoms = n if shape in ("or", "and") else 1
+    assert main(["elemdiag", doc, "--structure", "Smiths", "--max", "--exprs", "deep"]) == 0
+    out = capsys.readouterr().out
+    assert out.startswith('{\n  "command": "elemdiag",')
+    # one constraint at bob and one at dave, and the printed document
+    assert out.count('"feature": "male"') == 2 * atoms
+    assert out.count('"p": "bob"') == out.count('"p": "dave"') == 1
+    assert f"expr deep : P1 = {_chain(shape, n)};" in out
+    assert main(["saturate", doc, "--host", "Anyone", "--rules", "add_deep"]) == 0
+    out = capsys.readouterr().out
+    assert '\n  "status": "closed",\n  "steps": 1\n}' in out
+    assert out.count('"feature": "male"') == atoms
+
+
+def test_equal_deep_expressions_in_one_sketch(capsys, tmp_path):
+    # the two constraints are equal: their relations key compares the
+    # two 3 000-deep trees node by node
+    doc = _deep_doc(tmp_path, "and", 3000, copies=2)
+    code, payload, _ = run(capsys, "models", doc, "--sketch", "DeepSk", "--structure", "Smiths")
+    assert code == 0 and payload["models"] == MALES
+
+
+def test_a_sketch_context_of_1500_names(capsys, tmp_path):
+    # the hom search binds one name per level
+    names = [f"n{i}" for i in range(1500)]
+    path = tmp_path / "wide.lfoc"
+    path.write_text(
+        Path(FOL).read_text(encoding="utf-8")
+        + f"obj Wide {{ {' '.join(names)} }};\nobj One {{ o }};\n"
+        + "structure Tiny : FOL { carrier One; male [p->o]; };\n"
+        + "expr m : P1 = male([p->p]);\n"
+        + "sketch WideSk { context Wide; constraint m @ [p->n0]; };\n", encoding="utf-8")
+    code, payload, _ = run(capsys, "models", str(path), "--sketch", "WideSk",
+                           "--structure", "Tiny")
+    assert code == 0 and payload["models"] == [dict.fromkeys(names, "o")]
+
+
+def test_a_chain_of_400_imports(capsys, tmp_path):
+    for i in range(400):
+        text = (f'base set;\nimport "f{i + 1}.lfoc";\nobj O{i} {{ a }};\n' if i < 399
+                else Path(FOL).read_text(encoding="utf-8"))
+        (tmp_path / f"f{i}.lfoc").write_text(text, encoding="utf-8")
+    code, payload, _ = run(capsys, "solve", str(tmp_path / "f0.lfoc"), "--expr", "sibling",
+                           "--structure", "Smiths")
+    assert code == 0 and payload["solutions"] == [{"p": "alice"}, {"p": "bob"}]
+    # each importer's definitions follow those it imports
+    doc = parse_path(tmp_path / "f0.lfoc")
+    assert list(doc.objects) == ["P1", "P2", "X4", "Family"] + [f"O{i}" for i in range(398, -1, -1)]
 
 
 def test_long_and_chain_is_solved(capsys, tmp_path):
