@@ -19,6 +19,7 @@ import functools
 import itertools
 import math
 from collections import Counter
+from operator import itemgetter
 from types import MappingProxyType
 from typing import Collection, Iterable, Iterator, Mapping, Union
 
@@ -319,10 +320,10 @@ def is_extension(b: Morphism, t: Morphism, a: Morphism) -> bool:
 # ---------------------------------------------------------------------------
 # Hom-set enumeration and search
 #
-# Inside a search a morphism b: X -> C is its image tuple (see
-# `Morphism`); lexicographic order on these tuples is hom-set order.
-# An atom's reading plan depends on its binding alone, so one bounded
-# cache (`_plan`) serves every search in the process.
+# Inside a search a morphism b: X -> C is its image tuple (see `Morphism`),
+# and lexicographic order on these tuples is hom-set order.  Each edge of X
+# is an atom like any other; an atom's reading plan depends on its binding
+# alone, so one bounded cache (`_plan`) serves every search in the process.
 
 def hom_set(dom: CatObject, cod: CatObject) -> tuple[Morphism, ...]:
     """All morphisms dom -> cod, in lexicographic order.
@@ -347,13 +348,13 @@ def hom_search(dom: CatObject, cod: CatObject, atoms=()) -> dict[tuple[int, ...]
     atoms' masks, a set counting as all bits (-1), leaving out 0; with
     only sets every mask is -1.
 
-    Each atom's facts are first read at its binding's distinct positions,
-    by a plan cached per binding (`_plan`).  Names of dom are then bound
-    one at a time in declared order, each to the candidates every atom
-    over it still allows (Generic Join); an edge's candidates come from
-    the edges between its bound endpoints; a complete binding ANDs its
-    atoms' masks.  With no constraining atom this is all of hom(dom,
-    cod), refused by estimate past HOM_ENUMERATION_CAP; otherwise the
+    Each atom's facts are first read at its binding's distinct positions
+    (`_plan`), and each edge e: s -> t of dom is one more atom, over (s, t, e),
+    whose relation is cod's edges.  Names of dom are then bound one at a time
+    in declared order, each to the candidates every atom over it still allows
+    (Generic Join), or to any vertex of cod where no atom reads it; a complete
+    binding ANDs its atoms' masks.  With no atom given this is all of
+    hom(dom, cod), refused by estimate past HOM_ENUMERATION_CAP; otherwise the
     search refuses once its output passes the cap.
     """
     if dom.kind != cod.kind:
@@ -361,20 +362,13 @@ def hom_search(dom: CatObject, cod: CatObject, atoms=()) -> dict[tuple[int, ...]
     const = -1  # the masks of the atoms that bind no name
     reduced = []
     for binding, relation in atoms:
-        variables, columns, repeats = _plan(binding)
+        variables, relation = _read(binding, relation)
         if not variables:
             # an atom that binds no name holds of every b or of none
             const &= _mask(relation, ())
             if not const:
                 return {}
             continue
-        if columns is not None:
-            if type(relation) is dict:
-                relation = {tuple(r[c] for c in columns): m for r, m in relation.items()
-                            if all(r[j] == r[k] for j, k in repeats)}
-            else:
-                relation = {tuple(r[c] for c in columns) for r in relation
-                            if all(r[j] == r[k] for j, k in repeats)}
         if not relation:
             return {}
         reduced.append((variables, relation))
@@ -402,19 +396,31 @@ def hom_search(dom: CatObject, cod: CatObject, atoms=()) -> dict[tuple[int, ...]
 def _plan(binding: tuple[int, ...]):
     """How to read an atom's facts at its distinct positions.
 
-    Returns the distinct positions in ascending order, the fact columns
-    to read at them (None when that is every column in order) and the
-    column pairs a repeated position must agree on.
+    Returns the distinct positions in ascending order, a getter of the
+    columns to read at them and a getter that copies each position's first
+    column to its other columns (a fact equal to its copy agrees on every
+    repeated position); the getters are None where facts are read as given.
     """
     first: dict[int, int] = {}
     for j, p in enumerate(binding):
         first.setdefault(p, j)
     variables = tuple(sorted(first))
-    columns = tuple(first[p] for p in variables)
-    repeats = tuple((j, first[p]) for j, p in enumerate(binding) if first[p] != j)
-    if columns == tuple(range(len(binding))):
-        columns = None
-    return variables, columns, repeats
+    columns = [first[p] for p in variables]
+    if columns == list(range(len(binding))):
+        return variables, None, None
+    one = slice(columns[0], columns[0] + 1)  # a getter of one column gives a 1-tuple
+    read = itemgetter(*columns) if len(columns) > 1 else itemgetter(one)
+    return variables, read, itemgetter(*[first[p] for p in binding])
+
+
+def _read(binding: tuple[int, ...], relation):
+    """An atom's distinct positions, and its facts read there by `_plan`."""
+    variables, read, copy = _plan(binding)
+    if read is None:
+        return variables, relation
+    if type(relation) is dict:
+        return variables, {read(r): m for r, m in relation.items() if copy(r) == r}
+    return variables, {read(r) for r in relation if copy(r) == r}
 
 
 def _mask(relation, fact: tuple) -> int:
@@ -438,20 +444,16 @@ def _homs(dom: CatObject, cod: CatObject) -> Collection[tuple[int, ...]]:
     return _join(dom, cod, (), -1)
 
 
-def _edges_between(cod: CatObject) -> dict[tuple[int, int], list[int]]:
-    """Edge positions of cod keyed by (source, target) positions."""
-    pos = cod.position
-    ends: dict[tuple[int, int], list[int]] = {}
-    for e in cod.edges:
-        ends.setdefault((pos[cod.src[e]], pos[cod.tgt[e]]), []).append(pos[e])
-    return ends
-
-
 def _join(dom: CatObject, cod: CatObject, atoms, const: int) -> dict[tuple[int, ...], int]:
     """The search over atoms that each bind some name, as a dict from each
     b to `const` (the AND of the masks of the atoms that bind no name)
     ANDed with its atoms' masks, leaving out 0."""
-    n = dom.size
+    n, pos, cpos = dom.size, dom.position, cod.position
+    # each edge e: s -> t of dom is one more atom over (s, t, e), whose
+    # relation is cod's edges as (source, target, edge) position triples
+    edges = [(cpos[cod.src[e]], cpos[cod.tgt[e]], cpos[e]) for e in cod.edges]
+    atoms = [*atoms, *(_read((pos[dom.src[e]], pos[dom.tgt[e]], pos[e]), edges)
+                       for e in dom.edges)]
     # one trie per atom, its levels in the order of its positions; built
     # from sorted facts, so every node lists its keys in ascending order.
     # A leaf holds the fact's mask, -1 for a set
@@ -468,10 +470,7 @@ def _join(dom: CatObject, cod: CatObject, atoms, const: int) -> dict[tuple[int, 
         for p in variables:
             at[p].append(len(tries))
         tries.append(root)
-    nv, ends = len(dom.vertices), _edges_between(cod)
     vertices = range(len(cod.vertices))
-    pos = dom.position
-    endpoints = [(pos[dom.src[e]], pos[dom.tgt[e]]) for e in dom.edges]
 
     out = {}
     b = [0] * n
@@ -490,17 +489,14 @@ def _join(dom: CatObject, cod: CatObject, atoms, const: int) -> dict[tuple[int, 
                         f"hom search {dom!r} -> {cod!r} has over {HOM_ENUMERATION_CAP} "
                         f"results", len(out))
         else:
-            if i < nv:
-                candidates = vertices
-            else:
-                s, t = endpoints[i - nv]
-                candidates = ends.get((b[s], b[t]), ())
             ks = at[i]
             live = [tries[k] for k in ks]
-            if live:
-                smallest = min(live, key=len)
-                candidates = [v for v in smallest
-                              if v in candidates and all(v in node for node in live)]
+            # a name that no atom reads is a vertex; every other name takes
+            # the keys its tries share (a lone trie's keys as they are)
+            if len(live) > 1:
+                candidates = [v for v in min(live, key=len) if all(v in node for node in live)]
+            else:
+                candidates = live[0] if live else vertices
             levels.append((ks, live, iter(candidates)))
             i += 1
         # bind the next candidate of the deepest level that has one left
@@ -557,6 +553,15 @@ def isomorphisms(a: CatObject, b: CatObject) -> tuple[Morphism, ...]:
         for edge_images in _injections([parallel[key] for key in wanted]):
             out.append(Morphism(a, b, vertex_images + edge_images))
     return tuple(out)
+
+
+def _edges_between(cod: CatObject) -> dict[tuple[int, int], list[int]]:
+    """Edge positions of cod keyed by (source, target) positions."""
+    pos = cod.position
+    ends: dict[tuple[int, int], list[int]] = {}
+    for e in cod.edges:
+        ends.setdefault((pos[cod.src[e]], pos[cod.tgt[e]]), []).append(pos[e])
+    return ends
 
 
 def bijection_bound(obj: CatObject) -> int:

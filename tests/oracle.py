@@ -7,6 +7,13 @@ The property tests in `test_search.py` hold the fast paths to these
 results, orders and witnesses; `isomorphisms` is the hom-set filter
 that `category.isomorphisms` replaced.
 
+`hom_search` runs `_join`, the graph search that `category._join`
+replaced: it binds every vertex before any edge, each vertex to any
+vertex of the codomain that the atoms allow, and takes each edge from
+the edges between its bound endpoints (`_edges_between`), where the
+engine reads each edge as one more atom.  `test_search.py` holds the
+engine to it on random multigraphs.
+
 The registry checks (`entails`, `check_sketch_morphism`, `is_sound`,
 `axiom_filtered_registry`) decide every structure from scratch, and
 `enumerate_structures` validates every structure it builds, as the
@@ -71,8 +78,10 @@ from dataclasses import dataclass
 from typing import Iterable, Mapping
 
 from lfoc.category import (
+    HOM_ENUMERATION_CAP,
     CatObject,
     CategoryError,
+    EnumerationLimitError,
     FinGraph,
     FinSet,
     Morphism,
@@ -368,6 +377,110 @@ def merge_constraints(*groups) -> list[Constraint]:
 
 def isomorphisms(a, b) -> tuple:
     return tuple(m for m in hom_set(a, b) if is_isomorphism(m))
+
+
+def hom_search(dom: CatObject, cod: CatObject, atoms=()) -> dict[tuple[int, ...], int]:
+    """`category.hom_search` through `_join`: each atom's facts are read at
+    its distinct positions in ascending order, keeping those that agree on
+    repeated positions, and an atom that binds no name ANDs its mask into
+    every result.  No estimate refusal and no full-atom path."""
+    const, reduced = -1, []
+    for binding, relation in atoms:
+        variables = tuple(sorted(set(binding)))
+        masks = relation if isinstance(relation, dict) else dict.fromkeys(relation, -1)
+        facts = {}
+        for fact, mask in masks.items():
+            at = dict(zip(binding, fact))
+            if all(at[p] == x for p, x in zip(binding, fact)):
+                facts[tuple(at[p] for p in variables)] = mask
+        if variables:
+            reduced.append((variables, facts))
+        else:
+            const &= facts.get((), 0)
+    return _join(dom, cod, reduced, const) if const else {}
+
+
+def _edges_between(cod: CatObject) -> dict[tuple[int, int], list[int]]:
+    """Edge positions of cod keyed by (source, target) positions."""
+    pos = cod.position
+    ends: dict[tuple[int, int], list[int]] = {}
+    for e in cod.edges:
+        ends.setdefault((pos[cod.src[e]], pos[cod.tgt[e]]), []).append(pos[e])
+    return ends
+
+
+def _join(dom: CatObject, cod: CatObject, atoms, const: int) -> dict[tuple[int, ...], int]:
+    """The search over atoms that each bind some name, as a dict from each
+    b to `const` (the AND of the masks of the atoms that bind no name)
+    ANDed with its atoms' masks, leaving out 0."""
+    n = dom.size
+    # one trie per atom, its levels in the order of its positions; built
+    # from sorted facts, so every node lists its keys in ascending order.
+    # A leaf holds the fact's mask, -1 for a set
+    tries: list[dict] = []
+    at: list[list[int]] = [[] for _ in range(n)]
+    for variables, facts in atoms:
+        root: dict = {}
+        has_masks = type(facts) is dict
+        for fact in sorted(facts):
+            node = root
+            for v in fact[:-1]:
+                node = node.setdefault(v, {})
+            node[fact[-1]] = facts[fact] if has_masks else -1
+        for p in variables:
+            at[p].append(len(tries))
+        tries.append(root)
+    nv, ends = len(dom.vertices), _edges_between(cod)
+    vertices = range(len(cod.vertices))
+    pos = dom.position
+    endpoints = [(pos[dom.src[e]], pos[dom.tgt[e]]) for e in dom.edges]
+
+    out = {}
+    b = [0] * n
+    levels: list[tuple] = []  # per bound name: its tries, their nodes and candidates left
+    i = 0  # the next name to bind, len(levels)
+    while True:
+        if i == n:
+            # every trie is at the leaf of its fact: AND their masks
+            mask = const
+            for leaf in tries:
+                mask &= leaf
+            if mask:
+                out[tuple(b)] = mask
+                if len(out) > HOM_ENUMERATION_CAP:
+                    raise EnumerationLimitError(
+                        f"hom search {dom!r} -> {cod!r} has over {HOM_ENUMERATION_CAP} "
+                        f"results", len(out))
+        else:
+            if i < nv:
+                candidates = vertices
+            else:
+                s, t = endpoints[i - nv]
+                candidates = ends.get((b[s], b[t]), ())
+            ks = at[i]
+            live = [tries[k] for k in ks]
+            if live:
+                smallest = min(live, key=len)
+                candidates = [v for v in smallest
+                              if v in candidates and all(v in node for node in live)]
+            levels.append((ks, live, iter(candidates)))
+            i += 1
+        # bind the next candidate of the deepest level that has one left
+        while i:
+            ks, live, it = levels[-1]
+            v = next(it, None)
+            if v is not None:
+                b[i - 1] = v
+                if ks:
+                    for k, node in zip(ks, live):
+                        tries[k] = node[v]
+                break
+            for k, node in zip(ks, live):
+                tries[k] = node
+            levels.pop()
+            i -= 1
+        else:
+            return out
 
 
 @dataclass(frozen=True)

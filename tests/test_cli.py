@@ -175,6 +175,17 @@ def test_sound_over_exhaustive_registry(capsys):
     assert payload["counterexample"] is not None
 
 
+def test_sound_over_a_graph_registry_of_many_vertices_answers_quickly(capsys):
+    # 20 vertices and at most one edge: the hom search joins the arity's
+    # edges, so a vertex is bound only where its edges to bound names allow
+    start = time.process_time()
+    code, payload, _ = run(capsys, "sound", CAT, "--rule", "id_unique",
+                           "--max-carrier", "20,1")
+    spent = time.process_time() - start
+    assert code == 0 and payload["sound"] is True
+    assert spent < 3.0, f"sound at 20,1 took {spent:.2f} s of CPU"
+
+
 def test_apply_and_non_match(capsys, monkeypatch):
     # each apply checks its match once: a call from the CLI counts too
     calls = []

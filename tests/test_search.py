@@ -375,3 +375,74 @@ def test_masked_search_is_the_scan_of_each_bit(seed, kind, width):
     else:
         # over sets only every mask is all bits
         assert list(got.items()) == [(b, -1) for b in scanned]
+
+
+def _multigraph(rng, prefix, max_vertices=6, max_edges=10):
+    # each edge a loop, a parallel copy of an earlier edge, an edge from a
+    # later vertex to an earlier one, or any edge
+    vs = tuple(f"{prefix}v{i}" for i in range(rng.randint(1, max_vertices)))
+    ends = []
+    for _ in range(rng.randint(0, max_edges)):
+        kind = rng.choice(("loop", "parallel", "back", "any"))
+        s, t = sorted(rng.sample(range(len(vs)), 2), reverse=True) if len(vs) > 1 else (0, 0)
+        if kind == "loop":
+            t = s
+        elif kind == "parallel" and ends:
+            s, t = rng.choice(ends)
+        elif kind == "any":
+            s, t = rng.randrange(len(vs)), rng.randrange(len(vs))
+        ends.append((s, t))
+    return FinGraph(vs, [(f"{prefix}e{i}", vs[s], vs[t]) for i, (s, t) in enumerate(ends)])
+
+
+@settings(max_examples=300, deadline=None)
+@given(seed=SEEDS, masked=st.booleans())
+def test_graph_search_is_the_vertex_then_edge_join(seed, masked):
+    # the engine reads each edge as an atom over (source, target, edge);
+    # the oracle binds every vertex, then each edge from the edges between
+    # its bound endpoints.  Tuples, masks, order and refusals must agree
+    from unittest import mock
+
+    from helpers import brute_force_graph_homs
+    from lfoc import category
+    from lfoc.category import EnumerationLimitError
+
+    rng = random.Random(seed)
+    dom, cod = _multigraph(rng, "d"), _multigraph(rng, "c")
+    width = 6
+    atoms = []
+    for _ in range(rng.randint(1, 3) if masked else 0):
+        a = _multigraph(rng, "a", 3, 3) if rng.random() < 0.8 else FinGraph((), ())
+        delta = random_morphism(rng, a, dom)
+        if delta is None:
+            continue
+        facts = list(oracle.hom_search(a, cod))
+        rng.shuffle(facts)  # the search must not lean on the order it is given
+        atoms.append((delta.images, {h: rng.randrange(1 << width) for h in facts
+                                     if rng.random() < 0.8}))
+
+    def outcome(search):
+        try:
+            return list(search(dom, cod, atoms).items())
+        except EnumerationLimitError as exc:
+            return str(exc).split(" ", 2)[:2]  # "hom set" by estimate, "hom search" past the cap
+
+    with mock.patch.object(category, "HOM_ENUMERATION_CAP", 20_000), \
+            mock.patch.object(oracle, "HOM_ENUMERATION_CAP", 20_000):
+        got, expected = outcome(hom_search), outcome(oracle.hom_search)
+        if got == ["hom", "set"]:
+            # refused by the estimate of the whole hom set: an atom that lets
+            # the first vertex go anywhere changes no answer, but joins
+            every = ((0,), {(v,) for v in range(len(cod.vertices))})
+            got = outcome(lambda d, c, a: hom_search(d, c, [*a, every]))
+    assert got == expected
+    if isinstance(got, list) and (len(cod.vertices) ** len(dom.vertices)
+                                  * max(1, len(cod.edges)) ** len(dom.edges) <= 5_000):
+        scanned = []
+        for b in sorted(m.images for m in brute_force_graph_homs(dom, cod)):
+            mask = (1 << width) - 1
+            for binding, relation in atoms:
+                mask &= relation.get(tuple(b[p] for p in binding), 0)
+            if mask:
+                scanned.append((b, mask if atoms else -1))
+        assert got == scanned
