@@ -205,6 +205,16 @@ class FinGraph:
 CatObject = Union[FinSet, FinGraph]
 
 
+def sized(obj: CatObject) -> str:
+    """`obj` by kind and size, as a refusal names it: "set of 8 elements",
+    "graph with 3000 vertices and 2000 edges".  A `repr` grows with the
+    object."""
+    nv, ne = len(obj.vertices), len(obj.edges)
+    if obj.kind == SET:
+        return f"set of {nv} element{'s' * (nv != 1)}"
+    return f"graph with {nv} {'vertex' if nv == 1 else 'vertices'} and {ne} edge{'s' * (ne != 1)}"
+
+
 class Morphism:
     """A morphism dom -> cod between finite sets or between graphs.
 
@@ -437,7 +447,7 @@ def _homs(dom: CatObject, cod: CatObject) -> Collection[tuple[int, ...]]:
     if estimate > HOM_ENUMERATION_CAP:
         up_to = "" if dom.kind == SET else "up to "
         raise EnumerationLimitError(
-            f"hom set {dom!r} -> {cod!r} has {up_to}{estimate} candidates "
+            f"hom set {sized(dom)} -> {sized(cod)} has {up_to}{estimate} candidates "
             f"(cap {HOM_ENUMERATION_CAP})", estimate)
     if not dom.edges:
         return list(itertools.product(range(len(cod.vertices)), repeat=len(dom.vertices)))
@@ -486,7 +496,7 @@ def _join(dom: CatObject, cod: CatObject, atoms, const: int) -> dict[tuple[int, 
                 out[tuple(b)] = mask
                 if len(out) > HOM_ENUMERATION_CAP:
                     raise EnumerationLimitError(
-                        f"hom search {dom!r} -> {cod!r} has over {HOM_ENUMERATION_CAP} "
+                        f"hom search {sized(dom)} -> {sized(cod)} has over {HOM_ENUMERATION_CAP} "
                         f"results", len(out))
         else:
             ks = at[i]
@@ -540,7 +550,7 @@ def isomorphisms(a: CatObject, b: CatObject) -> tuple[Morphism, ...]:
     estimate = bijection_bound(a)
     if estimate > HOM_ENUMERATION_CAP:
         raise EnumerationLimitError(
-            f"isomorphisms {a!r} -> {b!r} have up to {estimate} candidates "
+            f"isomorphisms {sized(a)} -> {sized(b)} have up to {estimate} candidates "
             f"(cap {HOM_ENUMERATION_CAP})", estimate)
     ends = [(a.position[a.src[e]], a.position[a.tgt[e]]) for e in a.edges]
     parallel = _edges_between(b)

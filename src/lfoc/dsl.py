@@ -48,6 +48,7 @@ from __future__ import annotations
 import itertools
 import os
 import re
+from typing import Iterable
 
 from .category import (
     CatObject,
@@ -95,6 +96,10 @@ class ParseError(ValueError):
         self.source = source
 
 
+class _Reparse(Exception):
+    """A parser holding run tokens met an error or a run it cannot read."""
+
+
 # The token grammar, as one regex: each match skips whitespace (space,
 # tab, CR, LF; not `\s`) and `//` comments, then captures one token: a
 # run of word characters with dotted continuations (`\w` is exactly
@@ -104,12 +109,20 @@ class ParseError(ValueError):
 # the end-of-text token "".  Runs that start with a non-letter and
 # single characters outside _PUNCT are rejected.  `_lex` reaches the
 # same tokens by splitting; `_position` (the error path) and chunks the
-# split cannot settle run this regex.
+# split cannot settle run this regex.  A parse first reads feature lines
+# as `print_document` writes them through run tokens: the literal list
+# of such a line, `[a->x; b->y], [a->z; b->w]`, is one token, whose
+# reading (`_Parser.read_run`) checks that it is exactly the tokens the
+# regex would find there.  A run that does not read so, and any error
+# while runs are held, parses the whole text again without them.
 _TOKEN = re.compile(r'(?:[ \t\r\n]+|//[^\n]*)*(\w+(?:\.\w+)*|"[^"\n]*"|[-=]>|.|\Z)')
 _PUNCT = frozenset(("->", "=>", *"{}[]();:,.@="))
 # strings and comments, found leftmost-first as `_TOKEN` finds them
 _CUT = re.compile(r'("[^"\n]*"|//[^\n]*)')
 _RUN = re.compile(r"\w+(?:\.\w+)*")
+# a feature line as `print_document` writes it, "  f [a->x], [a->y];",
+# after a line break: its head and its literal list
+_FEATURE_LINE = re.compile(r"(\n  [\w.]+ )(\[.*\])(?=;$)", re.M)
 # tab and line breaks become spaces; every other character for which
 # `str.isspace()` holds becomes "\0", which `split()` keeps and `_TOKEN`
 # rejects as it rejects them
@@ -120,14 +133,20 @@ _SPACES = str.maketrans(
     "   " + "\0" * 25)
 
 
-def _lex(text: str, source: str) -> tuple[list[str], set[str]]:
+def _lex(text: str, source: str, runs: bool = False) -> tuple[list[str], set[str]]:
     """The tokens of `text`, ending in "", and the set of its names.
 
     Strings and comments are cut out first.  In the rest, tabs and line
     breaks become spaces and other whitespace "\0" (`_SPACES`), the marks
     that are always tokens get spaces around them, and one `split()`
     cuts the text at its spaces.  A chunk that is neither a name run nor
-    punctuation (`x=y`, `a.`, a stray character) is lexed by `_TOKEN`."""
+    punctuation (`x=y`, `a.`, a stray character) is lexed by `_TOKEN`.
+
+    With `runs`, the literal list of each feature line written as
+    `print_document` writes it (`_FEATURE_LINE`) is kept whole as one
+    run token, which `_Parser.read_run` reads; a name inside a run is
+    not in the set.  An error raises `_Reparse`, to be found again
+    without runs."""
     tokens: list[str] = []
     pieces = _CUT.split(text) if '"' in text or "//" in text else [text]
     for i, piece in enumerate(pieces):
@@ -135,11 +154,25 @@ def _lex(text: str, source: str) -> tuple[list[str], set[str]]:
             if piece[0] == '"':
                 tokens.append(piece)
             continue
+        held = ()
+        if runs and "], [" in piece:
+            parts = _FEATURE_LINE.split(piece)  # text, head, run, text, ...
+            held = parts[2::3]
+            # the text around the runs, with a "\0" in place of each
+            piece = "\0".join([a + b for a, b in zip(parts[::3], parts[1::3])] + [parts[-1]])
+            del parts
         piece = piece.translate(_SPACES).replace("->", " -> ").replace("=>", " => ")
         for mark in "{}[]();:,@":
             piece = piece.replace(mark, f" {mark} ")
-        chunks = piece.split()
-        del piece  # hold one padded piece at a time
+        between = piece.split("\0") if held else [piece]
+        del piece
+        if len(between) != len(held) + 1:
+            raise _Reparse  # a "\0" of the text itself, which is an error
+        chunks = between[0].split()
+        for run, text_after in zip(held, between[1:]):
+            chunks.append(run)
+            chunks += text_after.split()
+        del between  # hold one padded piece at a time
         if tokens:
             tokens += chunks
         else:
@@ -151,8 +184,8 @@ def _lex(text: str, source: str) -> tuple[list[str], set[str]]:
     for chunk in set(tokens).difference(_PUNCT):
         if _RUN.fullmatch(chunk):
             parts = (chunk,)
-        elif chunk[0] == '"' == chunk[-1] and len(chunk) > 1:
-            continue  # a string: no split chunk is shaped like one
+        elif len(chunk) > 1 and (chunk[0] == "[" or chunk[0] == '"' == chunk[-1]):
+            continue  # a run or a string: no split chunk is shaped like one
         else:
             parts = relexed[chunk] = _TOKEN.findall(chunk)[:-1]
         for tok in parts:
@@ -160,6 +193,8 @@ def _lex(text: str, source: str) -> tuple[list[str], set[str]]:
                 names.add(tok)
             elif tok not in _PUNCT:
                 bad.append(tok)
+    if bad and runs:
+        raise _Reparse
     if relexed:
         spliced: list[str] = []
         for tok in tokens:
@@ -247,9 +282,11 @@ def _shown(tok: str) -> str:
 
 class _Parser:
     def __init__(self, text: str, source: str, base_dir: str | None,
-                 visited: frozenset[str]):
+                 visited: frozenset[str], runs: bool = False):
         self.text = text
-        self.tokens, self.names = _lex(text, source)
+        self.runs = runs  # this parser and its imports lex with run tokens
+        self.held = runs and "], [" in text  # runs may be held: no position is exact
+        self.tokens, self.names = _lex(text, source, self.held)
         self.pos = 0
         self.source = source
         self.base_dir = base_dir
@@ -277,6 +314,8 @@ class _Parser:
         return tok
 
     def fail(self, message: str, at: int | None = None):
+        if self.held:
+            raise _Reparse
         line, col = _position(self.text, self.pos if at is None else at)
         raise ParseError(message, line, col, self.source)
 
@@ -356,7 +395,7 @@ class _Parser:
         except (OSError, ParseError) as exc:
             self.fail(f"cannot import {target!r}: {exc}", at)
         return _Parser(text, source=path, base_dir=os.path.dirname(path),
-                       visited=self.visited | {path})
+                       visited=self.visited | {path}, runs=self.runs)
 
     def merge_import(self, imported: Document) -> None:
         at = self.pos - 2  # the path of the import just read
@@ -481,70 +520,30 @@ class _Parser:
             self.targets[cod] = targets
         return template, targets
 
-    def match_literals(self, plan: tuple | None, count: int = 1) -> list[tuple] | None:
-        """The image tuples of the `count` literals at the cursor, one
-        token apart, when `plan` reads them all: each lists dom in
-        declared order and sends each name to a name of cod.  The cursor
-        moves to the token after the last.  Otherwise None, the cursor
-        unmoved.  The tokens between the literals are not looked at.
+    def match_literals(self, plan: tuple | None) -> tuple[int, ...] | None:
+        """The image tuple of the literal at the cursor when `plan` reads
+        it: it lists dom in declared order and sends each name to a name
+        of cod.  The cursor moves past it.  Otherwise None, the cursor
+        unmoved.
 
-        The literals are read as columns: token j of every literal is
-        `body[j::stride]`.  A template column must hold only its token
-        (so a short body fails at the "]" column), an image column only
-        names of cod, mapped to their positions in one pass."""
+        The template holds its images at 3, 7, ...: they are blanked in
+        the literal's tokens, and the rest is compared in one go."""
         if plan is None:
             return None
         template, targets = plan
-        stride = len(template) + 1
-        end = self.pos + count * stride - 1
+        end = self.pos + len(template)
         body = self.tokens[self.pos:end]
-        if count == 1:
-            # the template holds its images at 3, 7, ...: blank them in
-            # the body and compare the rest in one go
-            if len(body) != len(template):
-                return None
-            images = body[3::4]
-            body[3::4] = template[3::4]
-            if body != template:
-                return None
-            images = tuple(map(targets.get, images))
-            if None in images:
-                return None
-            self.pos = end
-            return [images]
-        columns = []
-        for j, tok in enumerate(template):
-            column = body[j::stride]
-            if tok is None:
-                column = list(map(targets.get, column))
-                if None in column:
-                    return None
-                columns.append(column)
-            elif column.count(tok) != count:
-                return None
+        if len(body) != len(template):
+            return None
+        images = body[3::4]
+        body[3::4] = template[3::4]
+        if body != template:
+            return None
+        images = tuple(map(targets.get, images))
+        if None in images:
+            return None
         self.pos = end
-        return list(zip(*columns)) if columns else [()] * count
-
-    def line_length(self, plan: tuple) -> int:
-        """How many literals the feature line at the cursor holds if all
-        take `plan`'s width: the token after each is ",", and after the
-        last ";".  0 if the tokens at those places say otherwise.
-
-        The separators are read in slices that double in length, so a
-        line costs time in proportion to its own length."""
-        stride = len(plan[0]) + 1
-        first = self.pos + stride - 1
-        count, step = 0, 8
-        while True:
-            seps = self.tokens[first:first + step * stride:stride]
-            if ";" in seps:
-                k = seps.index(";")
-                return count + k + 1 if seps[:k].count(",") == k else 0
-            if seps.count(",") < step:
-                return 0
-            count += step
-            first += step * stride
-            step *= 2
+        return images
 
     def parse_literal(self, dom: CatObject, cod: CatObject, plan: tuple | None,
                       closer: str | None = None) -> Morphism:
@@ -562,7 +561,7 @@ class _Parser:
             return self.build_morphism(dom, cod, mapping, open_at)
         if closer is not None:
             self.expect_punct(closer)
-        return Morphism(dom, cod, images[0])
+        return Morphism(dom, cod, images)
 
     def parse_mor(self) -> None:
         name_at = self.pos
@@ -743,18 +742,18 @@ class _Parser:
             if feat not in fp.features:
                 self.fail(f"footprint {fp_name!r} has no feature {feat!r}", self.pos - 1)
             arity = fp.features[feat]
-            plan = self.literal_plan(arity, carrier)  # one per feature line
-            count = plan and self.line_length(plan)
-            line = self.match_literals(plan, count) if count else None
-            if line is None:  # read literal by literal, for the same facts or first error
-                line = []
+            run = self.tokens[self.pos]
+            if len(run) > 1 and run[0] == "[":
+                self.pos += 1
+                facts[feat].update(self.read_run(run, arity, carrier))
+            else:
+                plan = self.literal_plan(arity, carrier)  # one per feature line
                 while True:
                     images = self.match_literals(plan)
-                    line.append(self.parse_literal(arity, carrier, None).images
-                                if images is None else images[0])
+                    facts[feat].add(self.parse_literal(arity, carrier, None).images
+                                    if images is None else images)
                     if not self.accept_punct(","):
                         break
-            facts[feat].update(line)
             self.expect_punct(";")
         self.expect_punct("}")
         self.expect_punct(";")
@@ -763,6 +762,43 @@ class _Parser:
         except CategoryError as exc:
             self.fail(str(exc), name_at)
         self.define(self.doc.structures, name, name_at, st)
+
+    def read_run(self, run: str, dom: CatObject, cod: CatObject) -> Iterable[tuple[int, ...]]:
+        """The image tuples of the literals dom -> cod in a run token.
+
+        The run is cut at the text between images, and must then equal
+        k copies of dom's template `[n1->%s; n2->%s]`, joined by ", ",
+        filled with the pieces; each piece must be a name of cod.  So
+        the run is exactly the tokens of k literals that list dom in
+        declared order, since a name of cod is a name token: every object
+        of a parsed document was read from name tokens.  A run that does
+        not read so raises `_Reparse`."""
+        names = dom.names
+        width = len(names)
+        images: list[str] = []
+        if width:
+            head = f"[{names[0]}->"
+            apart = "], " + head  # from one literal's last image to the next's first
+            cut = run[len(head):-1]
+            for n in names[1:]:
+                cut = cut.replace(f"; {n}->", apart)
+            images = cut.split(apart)
+        count = len(images) // width if width else (len(run) + 2) // 4
+        template = "[" + "; ".join([n + "->%s" for n in names]) + "]"
+        if len(images) != count * width or ", ".join([template] * count) % tuple(images) != run:
+            raise _Reparse
+        if not width:
+            return [()]
+        if isinstance(cod, FinSet):
+            images = list(map(cod.position.get, images))
+            if None in images:
+                raise _Reparse
+            return zip(*[iter(images)] * width)
+        try:
+            return [morphism(dom, cod, dict(zip(names, lit))).images
+                    for lit in zip(*[iter(images)] * width)]
+        except CategoryError:
+            raise _Reparse from None
 
     # -- sketches and rules --------------------------------------------------
 
@@ -835,8 +871,17 @@ class _Parser:
 
 def _parse(text: str, source: str, base_dir: str | None,
            visited: frozenset[str]) -> Document:
+    """Parse with run tokens, or again without them (see `_TOKEN`)."""
+    try:
+        return _read_all(_Parser(text, source, base_dir, visited, runs=True))
+    except _Reparse:
+        pass
+    return _read_all(_Parser(text, source, base_dir, visited))
+
+
+def _read_all(parser: _Parser) -> Document:
     """Imports are read from a stack of parsers, not recursively."""
-    parsers = [_Parser(text, source, base_dir, visited)]
+    parsers = [parser]
     while True:
         if (imported := parsers[-1].parse_document()) is not None:
             parsers.append(imported)
@@ -892,7 +937,7 @@ def parse_morphism_literal(text: str, dom: CatObject, cod: CatObject) -> Morphis
         parser.fail("trailing input after the morphism literal")
     if images is None:
         return parser.build_morphism(dom, cod, mapping, open_at)
-    return Morphism(dom, cod, images[0])
+    return Morphism(dom, cod, images)
 
 
 # ---------------------------------------------------------------------------

@@ -46,6 +46,7 @@ from .category import (
     hom_search,
     isomorphisms,
     precompose,
+    sized,
 )
 
 # Refuse structure enumerations beyond this many structures by default.
@@ -513,7 +514,7 @@ def _moves(carrier: CatObject, homs: dict[str, list]) -> list[list[tuple]]:
     bound = bijection_bound(carrier) * max(steps, 1)
     if bound > HOM_ENUMERATION_CAP:
         raise EnumerationLimitError(
-            f"deduplicating carrier {carrier!r} takes up to {bound} automorphism "
+            f"deduplicating carrier {sized(carrier)} takes up to {bound} automorphism "
             f"steps (cap {HOM_ENUMERATION_CAP})", bound)
     moves = []
     for s in isomorphisms(carrier, carrier):

@@ -514,6 +514,27 @@ def test_oversized_registry_is_refused_with_one_short_line(capsys, tmp_path):
         == sum(2 ** n ** 3 for n in range(61))
 
 
+def test_a_refused_hom_set_names_its_objects_by_size(capsys, tmp_path):
+    # hom(OneLoop, host) into 3 000 vertices and 2 000 edges has up to
+    # 6 000 000 candidates; the refusal must not print the host
+    vertices = " ".join(f"h{i}" for i in range(3000))
+    edges = " ".join(f"e l{i}: h{i}->h{i + 1};" for i in range(2000))
+    path = tmp_path / "host.lfoc"
+    path.write_text(
+        "base graph;\n"
+        "obj ID_ARITY { v pv; e pe: pv->pv; };\n"
+        f"obj Host {{ v {vertices}; {edges} }};\n"
+        "sketch OneLoop { context ID_ARITY; };\n"
+        "sketch Big { context Host; };\n"
+        "rule keep : OneLoop => OneLoop;\n",
+        encoding="utf-8")
+    code, payload, err = run(capsys, "match", str(path), "--rule", "keep", "--host", "Big")
+    assert code == 2 and payload is None
+    assert err.count("\n") == 1 and len(err) < 1024
+    assert err == ("error: hom set graph with 1 vertex and 1 edge -> graph with 3000 vertices "
+                   "and 2000 edges has up to 6000000 candidates (cap 5000000)\n")
+
+
 def test_oversized_set_registry_is_refused_in_time_linear_in_the_count(capsys):
     # sum over n <= 6000 of 2^(n + n^2): the count has 36 million bits
     start = time.perf_counter()

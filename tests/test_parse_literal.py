@@ -12,11 +12,11 @@ builds from the name map, or the error the entry-by-entry reading gives:
 a duplicate entry at the "[", then, at sites that read their closing
 token first, that token, then the name map's `CategoryError` at the "[".
 
-Structure feature lines of 1-40 set literals, read as columns when every
-literal is template-shaped, must give the fact set or the first error of
-reading them literal by literal: lines mix template literals with
-permuted ones, bad literals, repeated facts, empty domains, and a
-missing or trailing ",".
+Structure feature lines of 1-40 set literals, read from one run token
+when written as `print_document` writes them, must give the fact set or
+the first error of reading them literal by literal: lines mix template
+literals with permuted ones, bad literals, repeated facts, empty
+domains, and a missing or trailing ",".
 """
 
 from __future__ import annotations
@@ -287,14 +287,26 @@ def test_feature_lines_read_like_literal_by_literal(case, arrow, separator, comm
 
 
 def test_a_line_of_template_literals_is_read_in_one_match(monkeypatch):
-    counts = []
-    real = dsl._Parser.match_literals
-    monkeypatch.setattr(dsl._Parser, "match_literals",
-                        lambda self, plan, count=1: counts.append(count) or real(self, plan, count))
+    calls = []
+    for method in ("match_literals", "read_run"):
+        real = getattr(dsl._Parser, method)
+        monkeypatch.setattr(dsl._Parser, method,
+                            lambda self, *args, real=real, method=method:
+                            calls.append(method) or real(self, *args))
     dom, cod = FinSet(("a", "b")), FinSet(("x", "y", "z"))
     literals = [f"[a->{cod.elements[i % 3]}; b->{cod.elements[i // 3 % 3]}]" for i in range(40)]
     text, _, _ = site_text("set", dom, cod, "", "structure", True)
-    text = text[:text.rindex("f ") + 2] + ", ".join(literals) + ";\n};"
-    facts = parse_document(text).structures["S"].interp("f")
-    assert counts == [40] and len(set(facts)) == 9
-
+    head = text[:text.rindex("f ") + 2]
+    # as `print_document` writes it: one run token, read once
+    facts = parse_document(head + ", ".join(literals) + ";\n};").structures["S"].interp("f")
+    assert calls == ["read_run"] and len(set(facts)) == 9
+    # one literal a line: no run token, each literal matched on its own
+    calls.clear()
+    assert parse_document(head + ",\n    ".join(literals) + ";\n};").structures["S"].interp("f") \
+        == facts
+    assert calls == ["match_literals"] * 40
+    # spaced arrows: the run does not read, and the text is read again
+    calls.clear()
+    spaced = ", ".join(lit.replace("->", " -> ") for lit in literals)
+    assert parse_document(head + spaced + ";\n};").structures["S"].interp("f") == facts
+    assert calls == ["read_run"] + ["match_literals"] * 40
