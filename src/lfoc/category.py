@@ -4,7 +4,8 @@ Two kinds of finite objects are supported: named finite sets and named
 finite directed multigraphs.  Objects carry *ordered* name lists so that
 hom-set enumeration, pushout naming, and serialization are deterministic
 and reproducible across runs.  Equality is structural, name for name and
-order for order; isomorphism is a separate search (`isomorphisms`).
+order for order; an isomorphism is a hom search whose images are
+distinct (`isomorphisms`).
 
 Composition is written in diagram order throughout: ``compose(f, g)``
 is "first f, then g".
@@ -18,10 +19,9 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-from collections import Counter
 from operator import itemgetter
 from types import MappingProxyType
-from typing import Collection, Iterable, Iterator, Mapping, Union
+from typing import Collection, Iterable, Mapping, Union
 
 SET = "set"
 GRAPH = "graph"
@@ -365,23 +365,14 @@ def hom_search(dom: CatObject, cod: CatObject, atoms=()) -> dict[tuple[int, ...]
     (Generic Join), or to any vertex of cod where no atom reads it; a complete
     binding ANDs its atoms' masks.  With no atom given this is all of
     hom(dom, cod), refused by estimate past HOM_ENUMERATION_CAP; otherwise the
-    search refuses once its output passes the cap.
+    search refuses once its output passes the cap.  `isomorphisms` runs the
+    same join with distinct images.
     """
     if dom.kind != cod.kind:
         raise CategoryError(f"kind mismatch: {dom!r} is a {dom.kind}, {cod!r} is a {cod.kind}")
-    const = -1  # the masks of the atoms that bind no name
-    reduced = []
-    for binding, relation in atoms:
-        variables, relation = _read(binding, relation)
-        if not variables:
-            # an atom that binds no name holds of every b or of none
-            const &= _mask(relation, ())
-            if not const:
-                return {}
-            continue
-        if not relation:
-            return {}
-        reduced.append((variables, relation))
+    reduced, const = _reduced(atoms)
+    if not const:
+        return {}
     if not reduced:
         return dict.fromkeys(_homs(dom, cod), const)
     n = dom.size
@@ -400,6 +391,26 @@ def hom_search(dom: CatObject, cod: CatObject, atoms=()) -> dict[tuple[int, ...]
                 out[b] = m
         return out
     return _join(dom, cod, reduced, const)
+
+
+def _reduced(atoms) -> tuple[list, int]:
+    """The atoms that bind some name, their facts read by `_read`, and the
+    AND of the masks of those that bind none; that AND is 0 when an atom
+    holds of no b."""
+    const = -1
+    reduced = []
+    for binding, relation in atoms:
+        variables, relation = _read(binding, relation)
+        if not variables:
+            # an atom that binds no name holds of every b or of none
+            const &= _mask(relation, ())
+            if not const:
+                return [], 0
+        elif not relation:
+            return [], 0
+        else:
+            reduced.append((variables, relation))
+    return reduced, const
 
 
 @functools.lru_cache(maxsize=1 << 12)
@@ -454,10 +465,13 @@ def _homs(dom: CatObject, cod: CatObject) -> Collection[tuple[int, ...]]:
     return _join(dom, cod, (), -1)
 
 
-def _join(dom: CatObject, cod: CatObject, atoms, const: int) -> dict[tuple[int, ...], int]:
+def _join(dom: CatObject, cod: CatObject, atoms, const: int,
+          distinct: bool = False) -> dict[tuple[int, ...], int]:
     """The search over atoms that each bind some name, as a dict from each
     b to `const` (the AND of the masks of the atoms that bind no name)
-    ANDed with its atoms' masks, leaving out 0."""
+    ANDed with its atoms' masks, leaving out 0.  With `distinct` (only
+    `isomorphisms` asks for it) a name's candidates leave out the images
+    already bound, so every b is injective."""
     n, pos, cpos = dom.size, dom.position, cod.position
     # each edge e: s -> t of dom is one more atom over (s, t, e), whose
     # relation is cod's edges as (source, target, edge) position triples
@@ -507,6 +521,10 @@ def _join(dom: CatObject, cod: CatObject, atoms, const: int) -> dict[tuple[int, 
                 candidates = [v for v in min(live, key=len) if all(v in node for node in live)]
             else:
                 candidates = live[0] if live else vertices
+            if distinct:
+                # vertex and edge positions never meet, so one test serves both
+                taken = b[:i]
+                candidates = [v for v in candidates if v not in taken]
             levels.append((ks, live, iter(candidates)))
             i += 1
         # bind the next candidate of the deepest level that has one left
@@ -535,71 +553,29 @@ def precompose(binding: tuple[int, ...], images: tuple[int, ...]) -> tuple[int, 
 # ---------------------------------------------------------------------------
 # Isomorphisms and renamings
 
-def isomorphisms(a: CatObject, b: CatObject) -> tuple[Morphism, ...]:
-    """All isomorphisms a -> b, in hom-set order.
-
-    Bijections are enumerated directly: permutations of the vertices
-    (a set's elements), each followed by the bijections of edges that
-    respect endpoints.  No hom set is built or cached.
-    Refused past HOM_ENUMERATION_CAP candidate bijections (n! for n
-    elements; v! * e! for v vertices and e edges).
-    """
-    nv = len(a.vertices)
-    if a.kind != b.kind or a.size != b.size or nv != len(b.vertices):
+def isomorphisms(a: CatObject, b: CatObject, atoms=()) -> tuple[Morphism, ...]:
+    """All isomorphisms a -> b with delta;iso in R for each atom (as
+    `hom_search` takes them), in hom-set order: between objects of equal
+    vertex and edge counts, the morphisms with distinct images.  Refused
+    past HOM_ENUMERATION_CAP (`bijection_bound`)."""
+    if a.kind != b.kind or a.size != b.size or len(a.vertices) != len(b.vertices):
         return ()
     estimate = bijection_bound(a)
     if estimate > HOM_ENUMERATION_CAP:
         raise EnumerationLimitError(
             f"isomorphisms {sized(a)} -> {sized(b)} have up to {estimate} candidates "
             f"(cap {HOM_ENUMERATION_CAP})", estimate)
-    ends = [(a.position[a.src[e]], a.position[a.tgt[e]]) for e in a.edges]
-    parallel = _edges_between(b)
-    out = []
-    for vertex_images in itertools.permutations(range(nv)):
-        wanted = [(vertex_images[s], vertex_images[t]) for s, t in ends]
-        needed = Counter(wanted)
-        if any(len(parallel.get(key, ())) != n for key, n in needed.items()):
-            continue
-        for edge_images in _injections([parallel[key] for key in wanted]):
-            out.append(Morphism(a, b, vertex_images + edge_images))
-    return tuple(out)
-
-
-def _edges_between(cod: CatObject) -> dict[tuple[int, int], list[int]]:
-    """Edge positions of cod keyed by (source, target) positions."""
-    pos = cod.position
-    ends: dict[tuple[int, int], list[int]] = {}
-    for e in cod.edges:
-        ends.setdefault((pos[cod.src[e]], pos[cod.tgt[e]]), []).append(pos[e])
-    return ends
+    reduced, const = _reduced(atoms)
+    if not const:
+        return ()
+    return tuple([Morphism(a, b, t) for t in _join(a, b, reduced, const, distinct=True)])
 
 
 def bijection_bound(obj: CatObject) -> int:
-    """How many candidate bijections `isomorphisms` walks from `obj`:
-    n! for n elements; v! * e! for v vertices and e edges."""
+    """How many bijections there are from `obj` to an object of its
+    counts, the bound past which `isomorphisms` refuses to list them: n!
+    for n elements; v! * e! for v vertices and e edges."""
     return math.factorial(len(obj.vertices)) * math.factorial(len(obj.edges))
-
-
-def _injections(candidates: list[list[int]]) -> Iterator[tuple[int, ...]]:
-    """Tuples of distinct picks, one from each list, in lexicographic order."""
-    chosen: list[int] = []
-    tried = [0]  # per depth up to len(chosen): candidates of its list tried
-    while tried:
-        i = len(chosen)
-        if i == len(candidates):
-            yield tuple(chosen)
-        else:
-            options, k = candidates[i], tried[-1]
-            while k < len(options) and options[k] in chosen:
-                k += 1
-            if k < len(options):
-                tried[-1] = k + 1
-                chosen.append(options[k])
-                tried.append(0)
-                continue
-        tried.pop()
-        if chosen:
-            chosen.pop()
 
 
 def objects_isomorphic(a: CatObject, b: CatObject) -> bool:

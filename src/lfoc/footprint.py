@@ -221,16 +221,24 @@ def is_structure_hom(s: Morphism, src: Structure, dst: Structure) -> bool:
 
 
 def structures_isomorphic(a: Structure, b: Structure) -> bool:
-    """Is there a carrier isomorphism matching the interpretations exactly?"""
+    """Is there a carrier isomorphism matching the interpretations exactly?
+
+    The facts of each feature are atoms of the isomorphism search, up to
+    the first feature with a stray that cannot compose: comparing strays
+    in feature order raises there, whatever the facts.  The strays are
+    compared afterwards; with equal counts, equal strays make the facts
+    carried into b's facts all of them."""
     if a.footprint != b.footprint:
         return False
     if any(a._count(f) != b._count(f) for f in a.footprint.features):
         return False
-    for iso in isomorphisms(a.carrier, b.carrier):
-        # strays first: one that cannot compose raises whatever the facts
+    features = list(a.footprint.features)
+    cut = next((i for i, f in enumerate(features)
+                if any(m.cod != a.carrier for m in a._strays.get(f, ()))), len(features))
+    atoms = [(t, b.facts[f]) for f in features[:cut] for t in a.facts[f]]
+    for iso in isomorphisms(a.carrier, b.carrier, atoms):
         if all({compose(m, iso) for m in a._strays.get(f, ())} == b._strays.get(f, {}).keys()
-               and {precompose(t, iso.images) for t in a.facts[f]} == b.facts[f]
-               for f in a.footprint.features):
+               for f in features[:cut + 1]):
             return True
     return False
 

@@ -448,8 +448,13 @@ def check_initial_model(structure: Structure, registry: StructureRegistry) -> Ve
 
 def sketches_isomorphic(a: Sketch, b: Sketch) -> bool:
     """Is there a context isomorphism carrying one constraint set onto
-    the other?"""
-    want = _pairs(b.relations)
-    return len(_pairs(a.relations)) == len(want) and any(
-        _pairs(_translated(a.relations, iso.images)) == want
-        for iso in isomorphisms(a.context, b.context))
+    the other?  Each (canonical expression, tuple) of a is an atom over
+    b's tuples of that expression, so an isomorphism carries a's
+    constraints into b's, and with equal counts onto them."""
+    want = b.relations
+    if len(_pairs(a.relations)) != len(_pairs(want)):
+        return False
+    # the key view: a dict relation would be read as masks
+    atoms = [(t, want.get(canonical, {}).keys())
+             for canonical, rows in a.relations.items() for t in rows]
+    return bool(isomorphisms(a.context, b.context, atoms))

@@ -1,10 +1,13 @@
-"""`isomorphisms` enumerates bijections directly; it must equal the
-hom-set filter (`oracle.isomorphisms`) in value and order, on sets and
-graphs, empty ones included, and leave the global hom cache alone."""
+"""`isomorphisms` is the hom search over distinct images; it must equal
+the hom-set filter (`oracle.isomorphisms`) in value and order, on sets
+and graphs, empty ones included.  `structures_isomorphic` and
+`sketches_isomorphic` test facts inside that search, so they answer on
+carriers of 9 and 10 elements, where listing bijections takes seconds."""
 
 from __future__ import annotations
 
 import random
+import time
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -15,9 +18,14 @@ from lfoc.category import (
     EnumerationLimitError,
     FinGraph,
     FinSet,
+    Morphism,
+    identity,
     isomorphisms,
     renaming,
 )
+from lfoc.expr import atom
+from lfoc.footprint import Footprint, Structure, structures_isomorphic
+from lfoc.sketch import Constraint, Sketch, sketches_isomorphic
 
 SEEDS = st.integers(min_value=0, max_value=2**32 - 1)
 
@@ -67,7 +75,7 @@ def test_parallel_edges_and_loops():
     assert got == oracle.isomorphisms(a, b)
 
 
-def test_seven_element_sets_leave_the_hom_cache_alone():
+def test_seven_element_sets_list_every_bijection_in_order():
     a = FinSet(tuple(f"a{i}" for i in range(7)))
     b = FinSet(tuple(f"b{i}" for i in range(7)))
     got = isomorphisms(a, b)
@@ -80,3 +88,85 @@ def test_isomorphism_count_is_capped_by_estimate():
     with pytest.raises(EnumerationLimitError) as err:
         isomorphisms(big, big)
     assert err.value.estimate == 39_916_800
+
+
+P2 = FinSet(("q1", "q2"))
+LIKES = Footprint("L", "set", {"likes": P2})
+
+
+def _binary_facts(rng, n):
+    """2n distinct pairs of positions in an n-element carrier."""
+    return rng.sample([(p, q) for p in range(n) for q in range(n)], 2 * n)
+
+
+def _renamed(rng, n, facts):
+    """An n-element carrier with its names in another order, and the
+    facts moved along the renaming onto it."""
+    names = [f"y{i}" for i in range(n)]
+    rng.shuffle(names)
+    at = {name: p for p, name in enumerate(names)}
+    send = [at[f"y{i}"] for i in range(n)]
+    moved = [(send[p], send[q]) for p, q in facts]
+    rng.shuffle(moved)
+    return FinSet(names), moved
+
+
+def _out_degrees(n, facts):
+    return sorted(sum(p == v for p, _ in facts) for v in range(n))
+
+
+def _one_fact_moved(rng, n, facts):
+    """The facts with one moved to another source, so that the multiset
+    of out-degrees, which every isomorphism keeps, changes."""
+    while True:
+        moved = list(facts)
+        k = rng.randrange(len(moved))
+        moved[k] = (rng.randrange(n), rng.randrange(n))
+        if len(set(moved)) == len(moved) and _out_degrees(n, moved) != _out_degrees(n, facts):
+            return moved
+
+
+def _structure(name, carrier, facts):
+    return Structure(name, LIKES, carrier,
+                     {"likes": [Morphism(P2, carrier, pair) for pair in facts]})
+
+
+def _sketch(name, context, facts):
+    likes = atom("likes", identity(P2))
+    return Sketch(name, context, [Constraint(likes, Morphism(P2, context, pair))
+                                  for pair in facts])
+
+
+def _timed(check, *args):
+    start = time.process_time()
+    answer = check(*args)
+    return answer, time.process_time() - start
+
+
+@pytest.mark.parametrize("n", [9, 10])
+def test_structures_isomorphic_on_nine_and_ten_elements(n):
+    rng = random.Random(n)
+    carrier = FinSet(tuple(f"x{i}" for i in range(n)))
+    facts = _binary_facts(rng, n)
+    copy, moved = _renamed(rng, n, facts)
+    a = _structure("a", carrier, facts)
+    for b, want in ((_structure("b", copy, moved), True),
+                    (_structure("c", copy, _one_fact_moved(rng, n, moved)), False)):
+        answer, spent = _timed(structures_isomorphic, a, b)
+        assert answer is want
+        # testing facts only after building each of the n! bijections
+        # took 4-6 s at n=9
+        assert spent < 0.5
+
+
+def test_sketches_isomorphic_on_nine_elements():
+    rng = random.Random(9)
+    context = FinSet(tuple(f"x{i}" for i in range(9)))
+    facts = _binary_facts(rng, 9)
+    copy, moved = _renamed(rng, 9, facts)
+    a = _sketch("a", context, facts)
+    for b, want in ((_sketch("b", copy, moved), True),
+                    (_sketch("c", copy, _one_fact_moved(rng, 9, moved)), False)):
+        answer, spent = _timed(sketches_isomorphic, a, b)
+        assert answer is want
+        assert spent < 0.5

@@ -20,7 +20,7 @@ from hypothesis import given, settings, strategies as st
 import oracle
 from helpers import random_morphism, restriction
 from lfoc import category
-from lfoc.category import FinSet, canonical_copy, compose, hom_set, identity
+from lfoc.category import CategoryError, FinSet, canonical_copy, compose, hom_set, identity, morphism
 from lfoc.dsl import parse_document
 from lfoc.footprint import (
     Footprint,
@@ -103,6 +103,38 @@ def test_structure_matches_oracle(seed, kind):
             if m is not None:
                 assert _outcome(is_structure_hom, m, s, t) \
                     == _outcome(oracle.is_structure_hom, m, c, d)
+
+
+def _stray_pair(b_likes, b_tag):
+    """Structures on {x, y} with `likes` then `tag`: a likes (x, y) and
+    tags x, and lists a `tag` stray that ends off the carrier, which no
+    carrier isomorphism composes with; b lists the given morphisms."""
+    fp = Footprint("F", "set", {"likes": FinSet(("q1", "q2")), "tag": FinSet(("p",))})
+    c, off = FinSet(("x", "y")), FinSet(("u", "w"))
+    likes, tag = fp.features["likes"], fp.features["tag"]
+    listed = {"likes": [morphism(likes, c, {"q1": "x", "q2": "y"})],
+              "tag": [morphism(tag, c, {"p": "x"}), morphism(tag, off, {"p": "u"})]}
+    other = {"likes": [morphism(likes, c, dict(zip(("q1", "q2"), b_likes)))],
+             "tag": [morphism(tag, off, {"p": p}) for p in b_tag]}
+    return [(Structure(n, fp, c, ms), oracle.Structure(n, fp, c, ms))
+            for n, ms in (("a", listed), ("b", other))]
+
+
+def test_a_stray_that_cannot_compose_is_not_reached_past_a_failing_feature():
+    # no carrier isomorphism sends (x, y) to the loop (x, x): False, though
+    # the later stray cannot compose
+    (a, oa), (b, ob) = _stray_pair(("x", "x"), ("u", "w"))
+    assert _outcome(structures_isomorphic, a, b) is False
+    assert _outcome(oracle.structures_isomorphic, oa, ob) is False
+
+
+def test_a_stray_that_cannot_compose_raises_past_matching_features():
+    # the swap sends (x, y) to (y, x), so the stray is reached: it raises,
+    # although b tags nothing on the carrier and no isomorphism carries
+    # a's tag facts into b's
+    (a, oa), (b, ob) = _stray_pair(("y", "x"), ("u", "w"))
+    assert _outcome(structures_isomorphic, a, b) is CategoryError
+    assert _outcome(oracle.structures_isomorphic, oa, ob) is CategoryError
 
 
 def _many_facts_document(reverse: bool = False) -> str:
