@@ -256,7 +256,15 @@ class Morphism:
 
 
 def morphism(dom: CatObject, cod: CatObject, mapping: Mapping[str, str]) -> Morphism:
-    """The morphism dom -> cod given by a name-to-name mapping, validated.
+    """The morphism dom -> cod given by a name-to-name mapping, validated
+    by `checked_images`."""
+    return Morphism(dom, cod, checked_images(dom, cod, mapping))
+
+
+def checked_images(dom: CatObject, cod: CatObject,
+                   mapping: Mapping[str, str]) -> tuple[int, ...]:
+    """The image tuple of the morphism dom -> cod that a name-to-name
+    mapping gives, or the `CategoryError` that says why it gives none.
 
     The map must be total on dom's names and mention no other name, send
     each name into cod, vertices to vertices and edges to edges, and
@@ -289,7 +297,7 @@ def morphism(dom: CatObject, cod: CatObject, mapping: Mapping[str, str]) -> Morp
         images.append(p)
     if len(mapping) != len(images):
         raise _outside(dom, mapping)
-    return Morphism(dom, cod, tuple(images))
+    return tuple(images)
 
 
 def _outside(dom: CatObject, mapping: Mapping[str, str]) -> CategoryError:

@@ -260,6 +260,11 @@ def cmd_saturate(doc: Document, args) -> int:
     for flag in ("max_steps", "max_elements", "max_vertices", "max_edges"):
         if (getattr(args, flag) or 0) < 0:
             raise CategoryError(f"--{flag.replace('_', '-')} must be non-negative")
+    for flag, kind in (("max_elements", "set"), ("max_vertices", "graph"),
+                       ("max_edges", "graph")):
+        if getattr(args, flag) is not None and kind != doc.base_kind:
+            raise CategoryError(f"--{flag.replace('_', '-')} bounds {kind} documents, "
+                                f"not {doc.base_kind} documents")
     host = _named(doc.sketches, args.host, "sketch")
     rules = [_named(doc.rules, name.strip(), "rule")
              for name in args.rules.split(",") if name.strip()]

@@ -57,9 +57,9 @@ from .category import (
     FinSet,
     Morphism,
     Record,
+    checked_images,
     identity,
     inclusion,
-    morphism,
 )
 from .expr import (
     And,
@@ -296,9 +296,6 @@ class _Parser:
         # declaration wins); clashing arities are reported at use sites
         self.features: dict[str, CatObject] = {}
         self.feature_clashes: set[str] = set()
-        # the parts of `literal_plan`, per domain and per codomain
-        self.templates: dict[CatObject, list[str] | None] = {}
-        self.targets: dict[CatObject, dict[str, int]] = {}
 
     # -- token plumbing ------------------------------------------------
     #
@@ -481,87 +478,27 @@ class _Parser:
                 self.expect_punct(";")
         return mapping, open_at
 
-    def build_morphism(self, dom: CatObject, cod: CatObject,
-                       mapping: dict[str, str], at: int) -> Morphism:
+    def check(self, dom: CatObject, cod: CatObject, mapping: dict[str, str],
+              at: int) -> tuple[int, ...]:
+        """`checked_images(dom, cod, mapping)`, its error reported at token `at`."""
         try:
-            return morphism(dom, cod, mapping)
+            return checked_images(dom, cod, mapping)
         except CategoryError as exc:
             self.fail(str(exc), at)
 
-    def literal_plan(self, dom: CatObject, cod: CatObject) -> tuple | None:
-        """How `match_literals` reads literals dom -> cod, or None when
-        every such literal is read entry by entry: maps between graphs,
-        and domains with a name that is not a name token of this text.
-
-        The plan is dom's template, its literal in declared order with
-        None for the images (`[ n1 -> None ; n2 -> None … ]`), and the
-        positions in cod of its names that are name tokens of this text.
-        Parts are kept per object for this parse."""
-        if not (isinstance(dom, FinSet) and isinstance(cod, FinSet)):
-            return None
-        template = self.templates.get(dom, False)
-        if template is False:
-            template = None
-            if self.names.issuperset(dom.names):
-                template = ["["]
-                for n in dom.names:
-                    template += (n, "->", None, ";")
-                if dom.names:
-                    template.pop()
-                template.append("]")
-            self.templates[dom] = template
-        if template is None:
-            return None
-        targets = self.targets.get(cod)
-        if targets is None:
-            targets = cod.position
-            if not self.names.issuperset(cod.names):
-                targets = {n: p for n, p in targets.items() if n in self.names}
-            self.targets[cod] = targets
-        return template, targets
-
-    def match_literals(self, plan: tuple | None) -> tuple[int, ...] | None:
-        """The image tuple of the literal at the cursor when `plan` reads
-        it: it lists dom in declared order and sends each name to a name
-        of cod.  The cursor moves past it.  Otherwise None, the cursor
-        unmoved.
-
-        The template holds its images at 3, 7, ...: they are blanked in
-        the literal's tokens, and the rest is compared in one go."""
-        if plan is None:
-            return None
-        template, targets = plan
-        end = self.pos + len(template)
-        body = self.tokens[self.pos:end]
-        if len(body) != len(template):
-            return None
-        images = body[3::4]
-        body[3::4] = template[3::4]
-        if body != template:
-            return None
-        images = tuple(map(targets.get, images))
-        if None in images:
-            return None
-        self.pos = end
-        return images
-
-    def parse_literal(self, dom: CatObject, cod: CatObject, plan: tuple | None,
-                      closer: str | None = None) -> Morphism:
-        """A morphism literal dom -> cod, then `closer` if given; `plan` is
-        `literal_plan(dom, cod)`.
-
-        A literal `match_literals` does not take is read entry by entry,
-        `closer` is expected, and only then is the map validated by name,
-        so either path gives the same morphism or the same first error."""
-        images = self.match_literals(plan)
-        if images is None:
-            mapping, open_at = self.parse_morlit_entries()
-            if closer is not None:
-                self.expect_punct(closer)
-            return self.build_morphism(dom, cod, mapping, open_at)
+    def read_images(self, dom: CatObject, cod: CatObject,
+                    closer: str | None = None) -> tuple[int, ...]:
+        """The image tuple of a morphism literal dom -> cod, then `closer`
+        if given: the literal is read entry by entry, `closer` is
+        expected, and only then is the name map checked."""
+        mapping, open_at = self.parse_morlit_entries()
         if closer is not None:
             self.expect_punct(closer)
-        return Morphism(dom, cod, images)
+        return self.check(dom, cod, mapping, open_at)
+
+    def parse_literal(self, dom: CatObject, cod: CatObject,
+                      closer: str | None = None) -> Morphism:
+        return Morphism(dom, cod, self.read_images(dom, cod, closer))
 
     def parse_mor(self) -> None:
         name_at = self.pos
@@ -571,7 +508,7 @@ class _Parser:
         self.expect_punct("->")
         cod = self.resolve(self.doc.objects, "object")
         self.expect_punct("=")
-        mor = self.parse_literal(dom, cod, self.literal_plan(dom, cod), ";")
+        mor = self.parse_literal(dom, cod, ";")
         self.define(self.doc.morphisms, name, name_at, mor)
 
     # -- footprints ------------------------------------------------------
@@ -676,7 +613,7 @@ class _Parser:
         target_at = self.pos
         target = self.resolve(self.doc.objects, "object")
         if literal is not None:
-            var = self.build_morphism(arity, target, literal[0], literal[1])
+            var = Morphism(arity, target, self.check(arity, target, *literal))
         elif named_mor is not None:
             if named_mor.dom != arity or named_mor.cod != target:
                 self.fail("named morphism does not run between the expression "
@@ -712,8 +649,7 @@ class _Parser:
             if feature_arity is None:
                 self.fail(f"unknown feature {tok!r}", at)
             self.advance()
-            binding = self.parse_literal(
-                feature_arity, arity, self.literal_plan(feature_arity, arity), ")")
+            binding = self.parse_literal(feature_arity, arity, ")")
             return atom(tok, binding)
         ref = self.doc.exprs.get(tok)
         if ref is None:
@@ -747,11 +683,8 @@ class _Parser:
                 self.pos += 1
                 facts[feat].update(self.read_run(run, arity, carrier))
             else:
-                plan = self.literal_plan(arity, carrier)  # one per feature line
                 while True:
-                    images = self.match_literals(plan)
-                    facts[feat].add(self.parse_literal(arity, carrier, None).images
-                                    if images is None else images)
+                    facts[feat].add(self.read_images(arity, carrier))
                     if not self.accept_punct(","):
                         break
             self.expect_punct(";")
@@ -795,7 +728,7 @@ class _Parser:
                 raise _Reparse
             return zip(*[iter(images)] * width)
         try:
-            return [morphism(dom, cod, dict(zip(names, lit))).images
+            return [checked_images(dom, cod, dict(zip(names, lit)))
                     for lit in zip(*[iter(images)] * width)]
         except CategoryError:
             raise _Reparse from None
@@ -816,8 +749,7 @@ class _Parser:
             e = self.resolve(self.doc.exprs, "expression")
             self.expect_punct("@")
             if self.peek() == "[":
-                binding = self.parse_literal(e.arity, context,
-                                             self.literal_plan(e.arity, context))
+                binding = self.parse_literal(e.arity, context)
             else:
                 binding = self.resolve(self.doc.morphisms, "morphism")
                 if binding.dom != e.arity or binding.cod != context:
@@ -839,8 +771,7 @@ class _Parser:
         if self.at_name("via"):
             self.advance()
             if self.peek() == "[":
-                mor = self.parse_literal(lhs.context, rhs.context,
-                                         self.literal_plan(lhs.context, rhs.context))
+                mor = self.parse_literal(lhs.context, rhs.context)
             else:
                 mor = self.resolve(self.doc.morphisms, "morphism")
                 if mor.dom != lhs.context or mor.cod != rhs.context:
@@ -930,14 +861,10 @@ def _newlines(text: str) -> str:
 def parse_morphism_literal(text: str, dom: CatObject, cod: CatObject) -> Morphism:
     """Parse a standalone morphism literal such as "[a->x; b->y]"."""
     parser = _Parser(text, "<morphism>", None, frozenset())
-    images = parser.match_literals(parser.literal_plan(dom, cod))
-    if images is None:
-        mapping, open_at = parser.parse_morlit_entries()
+    mapping, open_at = parser.parse_morlit_entries()
     if parser.peek() != "":
         parser.fail("trailing input after the morphism literal")
-    if images is None:
-        return parser.build_morphism(dom, cod, mapping, open_at)
-    return Morphism(dom, cod, images)
+    return Morphism(dom, cod, parser.check(dom, cod, mapping, open_at))
 
 
 # ---------------------------------------------------------------------------
@@ -1004,8 +931,6 @@ class _Printer:
         for fp in self.doc.footprints.values():
             for arity in fp.features.values():
                 self.object_name(arity)
-        for sk in list(self.sketches.values()):
-            self.collect_sketch(sk)
         for rule in self.doc.rules.values():
             self.sketch_name(rule.lhs)
             self.sketch_name(rule.rhs)

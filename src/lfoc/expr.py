@@ -347,12 +347,6 @@ class _Evaluator:
         self.full = (1 << structure.width) - 1
         self.memo: dict[Expr, dict] = {}
 
-    def solutions(self, e: Expr) -> frozenset:
-        """The solutions of `e`, over some structure, as a frozenset of
-        morphisms."""
-        carrier = self.carrier
-        return frozenset(Morphism(e.arity, carrier, b) for b in self.masks(e))
-
     def masks(self, e: Expr) -> dict:
         """Runs `_compute` from a stack, each sent the values it yields."""
         memo = self.memo

@@ -959,7 +959,7 @@ class RecursiveParser(_Parser):
         target_at = self.pos
         target = self.resolve(self.doc.objects, "object")
         if literal is not None:
-            var = self.build_morphism(arity, target, literal[0], literal[1])
+            var = Morphism(arity, target, self.check(arity, target, *literal))
         elif named_mor is not None:
             if named_mor.dom != arity or named_mor.cod != target:
                 self.fail("named morphism does not run between the expression "
@@ -1039,8 +1039,7 @@ class RecursiveParser(_Parser):
             if feature_arity is None:
                 self.fail(f"unknown feature {tok!r}", at)
             self.advance()
-            binding = self.parse_literal(
-                feature_arity, arity, self.literal_plan(feature_arity, arity), ")")
+            binding = self.parse_literal(feature_arity, arity, ")")
             return atom(tok, binding)
         ref = self.doc.exprs.get(tok)
         if ref is None:

@@ -530,7 +530,7 @@ def test_criterion_09_strict_constructive_preservation():
         for x, exprs in by_arity.items():
             for ei, e in enumerate(exprs):
                 sols[(x, ei, si)] = {
-                    tuple(a.name_map()[n] for n in x.names) for a in ev.solutions(e)}
+                    tuple(st.carrier.names[p] for p in b) for b in ev.masks(e)}
 
     checked_homs = 0
     for si, src in enumerate(structs):

@@ -242,6 +242,20 @@ def test_negative_saturation_budgets_are_bad_input(capsys, flag):
     assert err == f"error: {flag} must be non-negative\n"
 
 
+@pytest.mark.parametrize("doc, host, rule, flag", [
+    ("fol", "Anyone", "give_child", "--max-vertices"),
+    ("fol", "Anyone", "give_child", "--max-edges"),
+    ("cat", "AnyVertex", "id_exists", "--max-elements"),
+])
+def test_a_saturation_bound_of_the_other_kind_is_bad_input(capsys, doc, host, rule, flag):
+    # a bound the document's contexts cannot meet would be ignored
+    kind, other = ("set", "graph") if flag == "--max-elements" else ("graph", "set")
+    code, payload, err = run(capsys, "saturate", str(fixture_path(doc)), "--host", host,
+                             "--rules", rule, "--max-steps", "5", flag, "1")
+    assert code == 2 and payload is None
+    assert err == f"error: {flag} bounds {kind} documents, not {other} documents\n"
+
+
 @pytest.mark.parametrize("argv", [
     ("saturate", CAT, "--host", "AnyVertex", "--rules", "id_exists", "--max-steps=--"),
     ("sound", CAT, "--rule", "id_unique", "--max-carrier=--"),

@@ -2,20 +2,20 @@
 
 Every site that knows a literal's domain and codomain before its "["
 (`mor`, structure facts, sketch constraints, atoms, rule `via` and
-`parse_morphism_literal`) reads maps between sets that list the domain
-in declared order by matching a template, and everything else entry by
-entry.  Set and graph literals are generated in order, permuted, with a
-duplicate, missing or extra entry, an unknown image, a vertex/edge kind
-mix or a non-homomorphic edge image, and sometimes followed by the wrong
-closing token.  The result must be the morphism `category.morphism`
-builds from the name map, or the error the entry-by-entry reading gives:
-a duplicate entry at the "[", then, at sites that read their closing
-token first, that token, then the name map's `CategoryError` at the "[".
+`parse_morphism_literal`) reads it entry by entry and checks its name
+map with `category.checked_images`.  Set and graph literals are
+generated in order, permuted, with a duplicate, missing or extra entry,
+an unknown image, a vertex/edge kind mix or a non-homomorphic edge
+image, and sometimes followed by the wrong closing token.  The result
+must be the morphism `category.morphism` builds from the name map, or
+the error the entry-by-entry reading gives: a duplicate entry at the
+"[", then, at sites that read their closing token first, that token,
+then the name map's `CategoryError` at the "[".
 
 Structure feature lines of 1-40 set literals, read from one run token
 when written as `print_document` writes them, must give the fact set or
-the first error of reading them literal by literal: lines mix template
-literals with permuted ones, bad literals, repeated facts, empty
+the first error of reading them literal by literal: lines mix literals
+in declared order with permuted ones, bad literals, repeated facts, empty
 domains, and a missing or trailing ",".
 """
 
@@ -288,11 +288,9 @@ def test_feature_lines_read_like_literal_by_literal(case, arrow, separator, comm
 
 def test_a_line_of_template_literals_is_read_in_one_match(monkeypatch):
     calls = []
-    for method in ("match_literals", "read_run"):
-        real = getattr(dsl._Parser, method)
-        monkeypatch.setattr(dsl._Parser, method,
-                            lambda self, *args, real=real, method=method:
-                            calls.append(method) or real(self, *args))
+    real = dsl._Parser.read_run
+    monkeypatch.setattr(dsl._Parser, "read_run",
+                        lambda self, *args: calls.append("read_run") or real(self, *args))
     dom, cod = FinSet(("a", "b")), FinSet(("x", "y", "z"))
     literals = [f"[a->{cod.elements[i % 3]}; b->{cod.elements[i // 3 % 3]}]" for i in range(40)]
     text, _, _ = site_text("set", dom, cod, "", "structure", True)
@@ -300,13 +298,13 @@ def test_a_line_of_template_literals_is_read_in_one_match(monkeypatch):
     # as `print_document` writes it: one run token, read once
     facts = parse_document(head + ", ".join(literals) + ";\n};").structures["S"].interp("f")
     assert calls == ["read_run"] and len(set(facts)) == 9
-    # one literal a line: no run token, each literal matched on its own
+    # one literal a line: no run token
     calls.clear()
     assert parse_document(head + ",\n    ".join(literals) + ";\n};").structures["S"].interp("f") \
         == facts
-    assert calls == ["match_literals"] * 40
+    assert calls == []
     # spaced arrows: the run does not read, and the text is read again
     calls.clear()
     spaced = ", ".join(lit.replace("->", " -> ") for lit in literals)
     assert parse_document(head + spaced + ";\n};").structures["S"].interp("f") == facts
-    assert calls == ["read_run"] + ["match_literals"] * 40
+    assert calls == ["read_run"]

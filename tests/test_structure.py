@@ -21,7 +21,7 @@ import oracle
 from helpers import random_morphism, restriction
 from lfoc import category
 from lfoc.category import CategoryError, FinSet, canonical_copy, compose, hom_set, identity, morphism
-from lfoc.dsl import parse_document
+from lfoc.dsl import parse_document, print_document
 from lfoc.footprint import (
     Footprint,
     Structure,
@@ -162,6 +162,30 @@ def test_parsing_facts_builds_no_morphisms(monkeypatch):
     monkeypatch.undo()
     assert len(built) < 10
     assert len(doc.structures["S"].interp("likes")) == 300
+
+
+def test_parsing_graph_facts_builds_no_morphisms(monkeypatch):
+    # 25 facts, each an edge of the carrier: one literal a line, and as
+    # `print_document` writes them, one run token for the whole line
+    vertices = [f"p{i}" for i in range(5)]
+    edges = [f"e {a}{b}: {a}->{b};" for a, b in itertools.product(vertices, repeat=2)]
+    facts = ",\n    ".join(f"[s->{a}; t->{b}; r->{a}{b}]"
+                             for a, b in itertools.product(vertices, repeat=2))
+    one_a_line = (f"base graph;\nobj Arrow {{ v s t; e r: s->t; }};\n"
+                  f"obj People {{ v {' '.join(vertices)}; {' '.join(edges)} }};\n"
+                  f"footprint F {{ feature likes : Arrow; }};\n"
+                  f"structure S : F {{ carrier People; likes {facts}; }};\n")
+    printed = print_document(parse_document(one_a_line))
+    assert "], [" in printed
+    for text in (one_a_line, printed):
+        built = []
+        init = category.Morphism.__init__
+        monkeypatch.setattr(category.Morphism, "__init__",
+                            lambda self, *args: built.append(self) or init(self, *args))
+        doc = parse_document(text)
+        monkeypatch.undo()
+        assert len(built) < 10
+        assert len(doc.structures["S"].interp("likes")) == 25
 
 
 def test_interp_lists_facts_in_hom_set_order():

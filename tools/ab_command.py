@@ -20,27 +20,17 @@ change/parent ratio of the two.
 
 from __future__ import annotations
 
-import importlib
-import os
-import shutil
 import sys
 import tempfile
 import time
 
-from ab_inprocess import source  # puts perfbench/ on sys.path first
+from ab_inprocess import load  # puts perfbench/ on sys.path first
 import worker  # noqa: E402
 
 
 def main(parent: str, change: str, rounds: str, argv: list[str]) -> int:
     with tempfile.TemporaryDirectory() as tmp:
-        sys.path.insert(0, tmp)
-        sides = {}
-        for side, tree in (("parent", parent), ("change", change)):
-            package = f"lfoc_{side}"
-            shutil.copytree(os.path.join(source(tree, tmp, side), "lfoc"),
-                            os.path.join(tmp, package),
-                            ignore=shutil.ignore_patterns("__pycache__"))
-            sides[side] = importlib.import_module(f"{package}.cli")
+        sides = load(parent, change, tmp, "cli")
         least = {"parent": float("inf"), "change": float("inf")}
         for r in range(int(rounds)):
             results = {}

@@ -78,6 +78,59 @@ def source(tree: str, tmp: str, side: str) -> str:
     return os.path.join(out, "src")
 
 
+def load(parent: str, change: str, tmp: str, module: str) -> dict:
+    """Each tree's `lfoc.<module>`, by side: each package is copied under
+    `tmp` as `lfoc_parent` or `lfoc_change` and imported from there."""
+    sys.path.insert(0, tmp)
+    sides = {}
+    for side, tree in (("parent", parent), ("change", change)):
+        package = f"lfoc_{side}"
+        shutil.copytree(os.path.join(source(tree, tmp, side), "lfoc"),
+                        os.path.join(tmp, package),
+                        ignore=shutil.ignore_patterns("__pycache__"))
+        sides[side] = importlib.import_module(f"{package}.{module}")
+    return sides
+
+
+def alternate(sides: dict, one_pass, rounds: int) -> tuple:
+    """Run `one_pass(module)`, which gives each item's CPU seconds and
+    outputs, once per side a round, alternating which side goes first.
+
+    Returns each side's CPU per pass, each item's least CPU over the
+    rounds, and None, or else the round and the first item whose
+    outputs differ as the third."""
+    cpu = {"parent": [], "change": []}
+    least = {"parent": [], "change": []}
+    for r in range(rounds):
+        outputs = {}
+        for side in ("parent", "change") if r % 2 == 0 else ("change", "parent"):
+            per_item, outputs[side] = one_pass(sides[side])
+            cpu[side].append(sum(per_item))
+            least[side] = list(map(min, least[side], per_item)) if least[side] else per_item
+        if outputs["parent"] != outputs["change"]:
+            return cpu, least, (r, next(i for i, (p, c) in enumerate(
+                zip(outputs["parent"], outputs["change"])) if p != c))
+    return cpu, least, None
+
+
+def report(head: str, item: str, cpu: dict, least: dict) -> None:
+    """Print each side's median CPU per pass after `head`, the
+    change/parent ratio over the rounds, and the sums of each `item`'s
+    least CPU."""
+    ratios = [c / p for c, p in zip(cpu["change"], cpu["parent"])]
+    q1, _, q3 = statistics.quantiles(ratios, n=4, method="inclusive")
+    wins = sum(r < 1 for r in ratios)
+    print(f"{head}CPU ms per pass (median): "
+          f"parent {1000 * statistics.median(cpu['parent']):.1f}, "
+          f"change {1000 * statistics.median(cpu['change']):.1f}")
+    print(f"change/parent: median {statistics.median(ratios):.3f}, "
+          f"quartiles {q1:.3f}-{q3:.3f}, change faster in {wins} of {len(ratios)}")
+    floor = {side: sum(times) for side, times in least.items()}
+    print(f"sum of per-{item} least CPU ms: parent {1000 * floor['parent']:.1f}, "
+          f"change {1000 * floor['change']:.1f}, "
+          f"change/parent {floor['change'] / floor['parent']:.3f}")
+
+
 def main(parent: str, change: str, workload: str, rounds: str, seed: str = "1") -> int:
     wl = worker.schedule(workload, int(seed))
     with tempfile.TemporaryDirectory() as tmp:
@@ -86,43 +139,19 @@ def main(parent: str, change: str, workload: str, rounds: str, seed: str = "1") 
             path[name] = os.path.join(tmp, name)
             with open(path[name], "w", encoding="utf-8") as fh:
                 fh.write(text)
-        sys.path.insert(0, tmp)
-        sides = {}
-        for side, tree in (("parent", parent), ("change", change)):
-            package = f"lfoc_{side}"
-            shutil.copytree(os.path.join(source(tree, tmp, side), "lfoc"),
-                            os.path.join(tmp, package),
-                            ignore=shutil.ignore_patterns("__pycache__"))
-            sides[side] = cli = importlib.import_module(f"{package}.cli")
+        sides = load(parent, change, tmp, "cli")
+        for cli in sides.values():
             for op in WARMUP.ops:
                 worker.run_op(cli, op.argv(path[op.doc]))
             one_pass(cli, wl.ops, path)
-        cpu = {"parent": [], "change": []}
-        least = {"parent": [], "change": []}  # per operation, over the rounds
-        for r in range(int(rounds)):
-            outputs = {}
-            for side in ("parent", "change") if r % 2 == 0 else ("change", "parent"):
-                per_op, outputs[side] = one_pass(sides[side], wl.ops, path)
-                cpu[side].append(sum(per_op))
-                least[side] = list(map(min, least[side], per_op)) if least[side] else per_op
-            if outputs["parent"] != outputs["change"]:
-                i = next(i for i, (p, c) in enumerate(zip(outputs["parent"], outputs["change"]))
-                         if p != c)
-                print(f"round {r}: the two trees' outputs differ, first at operation {i}: "
-                      f"{wl.ops[i].argv(path[wl.ops[i].doc])}", file=sys.stderr)
-                return 1
-    ratios = [c / p for c, p in zip(cpu["change"], cpu["parent"])]
-    q1, _, q3 = statistics.quantiles(ratios, n=4, method="inclusive")
-    wins = sum(r < 1 for r in ratios)
-    print(f"{workload} seed {seed}, {rounds} rounds, CPU ms per pass (median): "
-          f"parent {1000 * statistics.median(cpu['parent']):.1f}, "
-          f"change {1000 * statistics.median(cpu['change']):.1f}")
-    print(f"change/parent: median {statistics.median(ratios):.3f}, "
-          f"quartiles {q1:.3f}-{q3:.3f}, change faster in {wins} of {len(ratios)}")
-    floor = {side: sum(times) for side, times in least.items()}
-    print(f"sum of per-operation least CPU ms: parent {1000 * floor['parent']:.1f}, "
-          f"change {1000 * floor['change']:.1f}, "
-          f"change/parent {floor['change'] / floor['parent']:.3f}")
+        cpu, least, differs = alternate(sides, lambda cli: one_pass(cli, wl.ops, path),
+                                        int(rounds))
+    if differs:
+        r, i = differs
+        print(f"round {r}: the two trees' outputs differ, first at operation {i}: "
+              f"{wl.ops[i].argv(path[wl.ops[i].doc])}", file=sys.stderr)
+        return 1
+    report(f"{workload} seed {seed}, {rounds} rounds, ", "operation", cpu, least)
     return 0
 
 

@@ -25,17 +25,14 @@ comparison, as for `tools/ab_inprocess.py`.
 
 from __future__ import annotations
 
-import importlib
 import os
-import shutil
-import statistics
 import sys
 import tempfile
 import time
 
 sys.path.insert(0, os.path.dirname(os.path.abspath(__file__)))
 
-from ab_inprocess import source  # noqa: E402  (puts perfbench/ on the path)
+from ab_inprocess import alternate, load, report  # noqa: E402  (puts perfbench/ on the path)
 import worker  # noqa: E402
 
 
@@ -59,42 +56,17 @@ def one_pass(dsl, texts) -> tuple[list[float], list[str]]:
 def main(parent: str, change: str, workload: str, rounds: str, seed: str = "1") -> int:
     docs = worker.schedule(workload, int(seed)).docs
     names, texts = list(docs), list(docs.values())
-    sides = {}
     with tempfile.TemporaryDirectory() as tmp:
-        sys.path.insert(0, tmp)
-        for side, tree in (("parent", parent), ("change", change)):
-            package = f"lfoc_{side}"
-            shutil.copytree(os.path.join(source(tree, tmp, side), "lfoc"),
-                            os.path.join(tmp, package),
-                            ignore=shutil.ignore_patterns("__pycache__"))
-            sides[side] = dsl = importlib.import_module(f"{package}.dsl")
+        sides = load(parent, change, tmp, "dsl")
+        for dsl in sides.values():
             one_pass(dsl, texts)
-        cpu = {"parent": [], "change": []}
-        least = {"parent": [], "change": []}  # per document, over the rounds
-        for r in range(int(rounds)):
-            printed = {}
-            for side in ("parent", "change") if r % 2 == 0 else ("change", "parent"):
-                per_doc, printed[side] = one_pass(sides[side], texts)
-                cpu[side].append(sum(per_doc))
-                least[side] = list(map(min, least[side], per_doc)) if least[side] else per_doc
-            if printed["parent"] != printed["change"]:
-                i = next(i for i, (p, c) in enumerate(zip(printed["parent"], printed["change"]))
-                         if p != c)
-                print(f"round {r}: the two trees print {names[i]} differently", file=sys.stderr)
-                return 1
-    ratios = [c / p for c, p in zip(cpu["change"], cpu["parent"])]
-    q1, _, q3 = statistics.quantiles(ratios, n=4, method="inclusive")
-    wins = sum(r < 1 for r in ratios)
-    print(f"{workload} seed {seed}, {rounds} rounds, {len(texts)} documents, "
-          f"parse CPU ms per pass (median): "
-          f"parent {1000 * statistics.median(cpu['parent']):.1f}, "
-          f"change {1000 * statistics.median(cpu['change']):.1f}")
-    print(f"change/parent: median {statistics.median(ratios):.3f}, "
-          f"quartiles {q1:.3f}-{q3:.3f}, change faster in {wins} of {len(ratios)}")
-    floor = {side: sum(times) for side, times in least.items()}
-    print(f"sum of per-document least CPU ms: parent {1000 * floor['parent']:.1f}, "
-          f"change {1000 * floor['change']:.1f}, "
-          f"change/parent {floor['change'] / floor['parent']:.3f}")
+        cpu, least, differs = alternate(sides, lambda dsl: one_pass(dsl, texts), int(rounds))
+    if differs:
+        r, i = differs
+        print(f"round {r}: the two trees print {names[i]} differently", file=sys.stderr)
+        return 1
+    report(f"{workload} seed {seed}, {rounds} rounds, {len(texts)} documents, parse ",
+           "document", cpu, least)
     return 0
 
 
